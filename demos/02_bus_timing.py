@@ -12,7 +12,6 @@ from emeter.bus_timing import (
     PROFILES,
     SUPPORTED_SPEEDS_KHZ,
     expected_polls,
-    load_delay_config,
     read_delay,
 )
 from emeter.sensor import SensorConfig
@@ -37,11 +36,3 @@ for name in ("bcm", "linux"):
     draws = np.array([read_delay(PROFILES[name], 500, rng) for _ in range(5000)])
     print(f"{name:6s} read at 500kHz: mean {draws.mean():6.1f} us, "
           f"spread {draws.max() - draws.min():5.1f} us")
-print()
-
-# delay constants can be re-fitted from a plain-text config
-profiles = load_delay_config("bcm.500 = 120.0\nlinux.500 = 160.0\n")
-cfg = SensorConfig(resolution_bits=12)
-print("after re-fit, 12-bit polls at 500kHz:",
-      expected_polls(profiles["bcm"], 500, cfg).polls_per_sample, "(bcm),",
-      expected_polls(profiles["linux"], 500, cfg).polls_per_sample, "(linux)")

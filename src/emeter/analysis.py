@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from emeter.sampler import Trace, _countable_mask
+from emeter.sampler import Trace, _countable_mask, _segment_energy
 
 
 def ecdf(values) -> tuple[np.ndarray, np.ndarray]:
@@ -52,19 +52,9 @@ def voltage_effect(trace: Trace) -> dict:
         raise ValueError("empty trace")
     mask = _countable_mask(trace, exclude_power_save=True)
     ts = trace.timestamps_ns
-    p_per_sample = trace.bus_voltage * trace.current
     mean_v = float(np.mean(trace.bus_voltage[mask])) if mask.any() else 0.0
-    p_mean_v = mean_v * trace.current
-
-    def trap(power):
-        if len(ts) < 2:
-            return 0.0
-        dt = np.diff(ts) * 1e-9
-        both = mask[:-1] & mask[1:]
-        return float(np.sum(((power[:-1] + power[1:]) / 2.0)[both] * dt[both]))
-
-    e_per_sample = trap(p_per_sample)
-    e_mean = trap(p_mean_v)
+    e_per_sample = _segment_energy(ts, trace.power(), mask)
+    e_mean = _segment_energy(ts, mean_v * trace.current, mask)
     delta = (abs(e_mean - e_per_sample) / e_per_sample * 100.0
              if e_per_sample > 0 else 0.0)
     return {

@@ -19,9 +19,7 @@ with ``d`` the mean read delay, ``T_conv`` the conversion time and ``o`` the
 fixed loop overhead.  The per-speed delay defaults below are fitted so the
 model reproduces the measured polls-per-sample table at both resolutions and
 the measured throughputs (4350 sps at 9-bit/500kHz on the BCM stack, about
-3360 sps on the Linux stack, just under 1000 sps at 12 bit).  Re-fitted
-values can be loaded from a plain-text config, one ``driver.speed = us``
-line per entry.
+3360 sps on the Linux stack, just under 1000 sps at 12 bit).
 """
 
 from __future__ import annotations
@@ -138,39 +136,3 @@ def expected_polls(profile: DriverProfile, speed_khz: int,
     return PollingStats(polls_per_sample=polls,
                         samples_per_second=1e6 / period)
 
-
-# --------------------------------------------------------------------------
-# Config-file loading
-# --------------------------------------------------------------------------
-
-def load_delay_config(text: str) -> dict[str, DriverProfile]:
-    """Parse ``driver.speed = microseconds`` lines into driver profiles.
-
-    Entries not present fall back to the built-in defaults, so a partial
-    re-fit (say, only ``bcm.500``) is valid.  Blank lines and ``#`` comments
-    are ignored.
-    """
-    delays = {name: dict(table) for name, table in DEFAULT_READ_DELAYS_US.items()}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            key, value = line.split("=")
-            driver, speed = key.strip().split(".")
-            speed_khz = int(speed)
-            delay = float(value)
-        except ValueError as exc:
-            raise ValueError(f"bad delay config line {lineno}: {line!r}") from exc
-        if driver not in delays:
-            raise ValueError(f"unknown driver {driver!r} on line {lineno}")
-        if speed_khz not in SUPPORTED_SPEEDS_KHZ:
-            raise ValueError(f"unsupported speed {speed_khz} on line {lineno}")
-        if delay <= 0:
-            raise ValueError(f"delay must be positive on line {lineno}")
-        delays[driver][speed_khz] = delay
-    return {
-        name: DriverProfile(name, delays[name], DEFAULT_JITTER_US[name],
-                            name == "linux")
-        for name in delays
-    }

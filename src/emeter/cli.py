@@ -25,6 +25,7 @@ from emeter.buffering import (
     overhead_energy_schedule,
     simulate_overhead_power,
 )
+from emeter.bus_timing import PROFILES, SUPPORTED_SPEEDS_KHZ
 from emeter.calibration import (
     CalibrationCurve,
     PotentiometerModel,
@@ -36,6 +37,7 @@ from emeter.calibration import (
 )
 from emeter.experiment import PipelineOptions, device_pipeline, run_experiment
 from emeter.sampler import TriggerSpec
+from emeter.sensor import BOARDS, VALID_RESOLUTIONS, VALID_SUPPLIES
 from emeter.tracefile import export_csv, load_trace, read_trace_file
 from emeter.workloads import PRESETS, ReferenceMeter
 
@@ -50,19 +52,23 @@ class _OnceAction(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=sorted(PRESETS), default="cc2650")
-    p.add_argument("--workload", type=int, choices=[1, 2, 3, 4], default=1)
-    p.add_argument("--res", type=int, choices=[9, 12], default=12,
+def _add_sensor_flags(p: argparse.ArgumentParser) -> None:
+    """Flags that set up the simulated meter, shared by sample and calibrate."""
+    p.add_argument("--res", type=int, choices=VALID_RESOLUTIONS, default=12,
                    help="sampling resolution bits")
-    p.add_argument("--driver", choices=["bcm", "linux"], default="bcm")
-    p.add_argument("--speed", type=int, choices=[200, 500, 800, 2500],
+    p.add_argument("--driver", choices=sorted(PROFILES), default="bcm")
+    p.add_argument("--speed", type=int, choices=SUPPORTED_SPEEDS_KHZ,
                    default=2500, help="bus speed, kHz")
-    p.add_argument("--supply", type=float, choices=[3.3, 5.0], default=5.0,
+    p.add_argument("--supply", type=float, choices=VALID_SUPPLIES, default=5.0,
                    help="sensor supply voltage")
-    p.add_argument("--board", choices=["shield", "breakout", "ideal"],
-                   default="shield")
+    p.add_argument("--board", choices=sorted(BOARDS), default="shield")
     p.add_argument("--seed", type=int, default=0)
+
+
+def _sensor_options(args, **kwargs) -> PipelineOptions:
+    return PipelineOptions(
+        resolution_bits=args.res, driver=args.driver, speed_khz=args.speed,
+        supply_voltage=args.supply, board=args.board, seed=args.seed, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="run a measurement against a preset load")
-    _add_pipeline_flags(p)
+    p.add_argument("--preset", choices=sorted(PRESETS), default="cc2650")
+    p.add_argument("--workload", type=int, choices=[1, 2, 3, 4], default=1)
+    _add_sensor_flags(p)
     p.add_argument("--buffering", choices=["two", "circular"], default="two")
     p.add_argument("--buffer-samples", type=int, default=4096)
     p.add_argument("--trigger", action=_OnceAction, default="duration:30",
@@ -85,13 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="machine-readable report path (JSON)")
 
     p = sub.add_parser("calibrate", help="sweep the programmable load, fit curves")
-    p.add_argument("--res", type=int, choices=[9, 12], default=12)
-    p.add_argument("--driver", choices=["bcm", "linux"], default="bcm")
-    p.add_argument("--speed", type=int, choices=[200, 500, 800, 2500], default=2500)
-    p.add_argument("--supply", type=float, choices=[3.3, 5.0], default=5.0)
-    p.add_argument("--board", choices=["shield", "breakout", "ideal"],
-                   default="shield")
-    p.add_argument("--seed", type=int, default=0)
+    _add_sensor_flags(p)
     p.add_argument("--step-ma", type=float, default=5.0,
                    help="staircase step, milliamps")
     p.add_argument("--max-ma", type=float, default=800.0)
@@ -128,15 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sample(args) -> int:
     trigger = TriggerSpec.parse(args.trigger)
-    if trigger.mode == "duration" and trigger.duration_s <= 0:
-        print("error: zero-duration run produces an empty trace", file=sys.stderr)
-        return 2
-    options = PipelineOptions(
-        resolution_bits=args.res, driver=args.driver, speed_khz=args.speed,
-        supply_voltage=args.supply, board=args.board, seed=args.seed,
-        buffering=BufferPolicy(
-            "two_buffer" if args.buffering == "two" else "circular",
-            args.buffer_samples))
+    options = _sensor_options(args, buffering=BufferPolicy(
+        "two_buffer" if args.buffering == "two" else "circular",
+        args.buffer_samples))
     curve = None
     if args.calib:
         with open(args.calib) as fh:
@@ -169,10 +165,7 @@ def _cmd_calibrate(args) -> int:
     program = build_staircase(pot, network, step_a=args.step_ma * 1e-3,
                               max_a=args.max_ma * 1e-3,
                               dwell_s=args.dwell_ms * 1e-3)
-    options = PipelineOptions(
-        resolution_bits=args.res, driver=args.driver, speed_khz=args.speed,
-        supply_voltage=args.supply, board=args.board, seed=args.seed)
-    pairs = run_calibration_sweep(program, device_pipeline(options),
+    pairs = run_calibration_sweep(program, device_pipeline(_sensor_options(args)),
                                   ReferenceMeter(), pot=pot, network=network)
     curve = fit_current(pairs, form=args.form)
     curve = fit_voltage(pairs, curve)

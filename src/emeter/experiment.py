@@ -4,9 +4,16 @@ This module wires the pieces together: a load profile plays into the sensor
 model (window averaging, board transfer error, noise, quantization), the
 bus-timing model sets the sample grid, the sampler rules decide which
 samples count, and the reference meter supplies ground truth.  The sampling
-math is vectorized over the whole run; the register-level loop in
-:mod:`emeter.sampler` realizes the identical per-sample semantics and is
-cross-checked against this path in the tests.
+math is vectorized over the whole run.
+
+The register-level loop in :mod:`emeter.sampler` shares everything after the
+register readings with this path: the quantizer expression, dequantization,
+:func:`~emeter.sampler.build_trace` (flags, window gating, power-save events)
+and the energy estimates.  One difference remains, in how the readings come
+about: this path integrates the exact mean of the profile over each
+conversion window, while the chip model holds the input constant between
+polls.  The tests cross-check the two on a constant load, where that
+difference vanishes.
 """
 
 from __future__ import annotations
@@ -29,13 +36,10 @@ from emeter.buffering import BufferPolicy, make_writer
 from emeter.calibration import CalibrationCurve, apply_current, apply_voltage
 from emeter.sampler import (
     DEFAULT_WARMUP_SAMPLES,
-    FLAG_POWER_SAVE,
-    FLAG_SATURATED,
-    FLAG_WARMUP,
-    PowerModeEvent,
     PowerSaveMode,
     Trace,
     TriggerSpec,
+    build_trace,
     gated_energy,
     hybrid_energy,
     naive_energy,
@@ -48,6 +52,10 @@ from emeter.sensor import (
     SHUNT_FULL_SCALE_V,
     SensorConfig,
     conversion_time_us,
+    dequantize_bus,
+    dequantize_shunt,
+    quantize_bus_array,
+    quantize_shunt_array,
 )
 from emeter.tracefile import TraceHeader, trace_to_records
 from emeter.workloads import LoadProfile, exact_energy, generate_profile
@@ -154,21 +162,40 @@ class PipelineResult:
     flush_log: str = ""
 
 
-def _quantize_currents(sensed: np.ndarray, config: SensorConfig):
-    scale = config.max_count / (SHUNT_FULL_SCALE_V * config.pga_divider)
-    raw = np.floor(sensed * config.shunt_resistance * scale)
-    counts = np.clip(raw, -config.max_count, config.max_count)
-    saturated = raw != counts
-    amps = counts / (scale * config.shunt_resistance)
-    return amps, saturated
+def _readings(profile: LoadProfile, options: PipelineOptions,
+              board: BoardCharacter, config: SensorConfig,
+              calibration: Optional[CalibrationCurve],
+              window_end_s: np.ndarray, window_s: float):
+    """(bus volts, amperes, saturated) of the conversion windows ending at
+    ``window_end_s``: window mean, board transfer, noise, quantization and
+    the optional calibration."""
+    # a function of its own so that the full-length intermediates are freed
+    # before the readout and energy stages allocate theirs: inline, the
+    # allocator trims and refaults that memory on every run (measured 10-30 %
+    # slower per 9-bit op)
+    window_start_s = window_end_s - window_s
+    rng = np.random.default_rng(options.seed)
+    mean_i = profile.integral_current(window_start_s, window_end_s) / window_s
+    mean_v = profile.integral_voltage(window_start_s, window_end_s) / window_s
+    mean_i2 = None
+    if board.current_quad != 0.0:
+        mean_i2 = profile.integral_current_sq(window_start_s, window_end_s) / window_s
+    sensed_i = board.sense_current(mean_i, mean_i2)
+    sensed_v = board.sense_voltage(mean_v)
+    if options.noise_current_a > 0:
+        sensed_i = sensed_i + rng.normal(0.0, options.noise_current_a, len(window_end_s))
+    if options.noise_voltage_v > 0:
+        sensed_v = sensed_v + rng.normal(0.0, options.noise_voltage_v, len(window_end_s))
+    sensed_i = np.maximum(sensed_i, 0.0)
 
-
-def _quantize_bus(sensed: np.ndarray, config: SensorConfig):
-    raw = np.floor(sensed * config.max_count / config.bus_range)
-    counts = np.clip(raw, 0, config.max_count)
-    saturated = raw != counts
-    volts = counts * config.bus_range / config.max_count
-    return volts, saturated
+    shunt_count, sat_i = quantize_shunt_array(sensed_i, config)
+    bus_count, sat_v = quantize_bus_array(sensed_v, config)
+    current = dequantize_shunt(shunt_count, config)
+    bus_v = dequantize_bus(bus_count, config)
+    if calibration is not None:
+        current = apply_current(calibration, current)
+        bus_v = apply_voltage(calibration, bus_v)
+    return bus_v, current, sat_i | sat_v
 
 
 def run_pipeline(profile: LoadProfile, options: PipelineOptions,
@@ -192,7 +219,7 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
     tail_ns = (1.5 * driver.mean_delay_us(options.speed_khz)
                + LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
 
-    start_ns, stop_ns, status = trigger.window_ns()
+    start_ns, stop_ns, _ = trigger.window_ns()
     horizon_ns = int(profile.duration * 1e9)
     limit_ns = min(stop_ns, horizon_ns) if stop_ns is not None else horizon_ns
 
@@ -203,62 +230,17 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
                             int(start_ns // period_ns) + trigger.sample_count + 1)
     conv_index = np.arange(1, n_conversions + 1)
     ts = (conv_index * period_ns + tail_ns).astype(np.int64)
-    window_end_s = conv_index * period_ns * 1e-9
-    window_start_s = window_end_s - conv_ns * 1e-9
-
-    rng = np.random.default_rng(options.seed)
-    window = conv_ns * 1e-9
-    mean_i = profile.integral_current(window_start_s, window_end_s) / window
-    mean_v = profile.integral_voltage(window_start_s, window_end_s) / window
-    if board.current_quad != 0.0:
-        mean_i2 = profile.integral_current_sq(window_start_s, window_end_s) / window
-        sensed_i = board.current_quad * mean_i2 + board.current_gain * mean_i
-    else:
-        sensed_i = board.current_gain * mean_i
-    sensed_v = mean_v + board.voltage_offset
-    if options.noise_current_a > 0:
-        sensed_i = sensed_i + rng.normal(0.0, options.noise_current_a, len(ts))
-    if options.noise_voltage_v > 0:
-        sensed_v = sensed_v + rng.normal(0.0, options.noise_voltage_v, len(ts))
-    sensed_i = np.maximum(sensed_i, 0.0)
-
-    current, sat_i = _quantize_currents(sensed_i, config)
-    bus_v, sat_v = _quantize_bus(sensed_v, config)
-
-    if calibration is not None:
-        current = apply_current(calibration, current)
-        bus_v = apply_voltage(calibration, bus_v)
-
-    flags = np.zeros(len(ts), dtype=np.uint8)
-    flags[sat_i | sat_v] |= FLAG_SATURATED
-    flags[conv_index <= options.warmup_samples] |= FLAG_WARMUP
-
-    intervals = []
-    for s, e, mode_index in profile.power_save_intervals:
-        s_ns = max(int(round(s * 1e9)), start_ns)
-        e_ns = min(int(round(e * 1e9)), limit_ns)
-        if e_ns > s_ns:
-            intervals.append((s_ns, e_ns, mode_index))
-    for s_ns, e_ns, _ in intervals:
-        flags[(ts >= s_ns) & (ts <= e_ns)] |= FLAG_POWER_SAVE
-
-    in_window = (ts >= start_ns) & (ts <= limit_ns)
-    if trigger.mode == "count":
-        keep = np.cumsum(in_window) <= trigger.sample_count
-        in_window &= keep
-        if int(in_window.sum()) < trigger.sample_count:
-            status = "unterminated"
-    ts, current, bus_v, flags = (a[in_window] for a in (ts, current, bus_v, flags))
-
+    bus_v, current, saturated = _readings(
+        profile, options, board, config, calibration,
+        conv_index * period_ns * 1e-9, conv_ns * 1e-9)
+    intervals = [(int(round(s * 1e9)), int(round(e * 1e9)), mode_index)
+                 for s, e, mode_index in profile.power_save_intervals]
+    trace, status = build_trace(
+        ts, bus_v, current, saturated, conv_index, trigger, limit_ns,
+        intervals, options.warmup_samples, config=config,
+        driver_name=driver.name, bus_speed_khz=options.speed_khz)
     modes = [PowerSaveMode(idx, amps, volts)
              for idx, amps, volts in profile.power_save_modes]
-    events = [PowerModeEvent("enter", m, s) for s, e, m in intervals]
-    events += [PowerModeEvent("exit", m, e) for s, e, m in intervals]
-    events.sort(key=lambda ev: ev.timestamp_ns)
-
-    trace = Trace(ts, bus_v, current, flags, events=events,
-                  trigger_edges=list(trigger.edges), config=config,
-                  driver_name=driver.name, bus_speed_khz=options.speed_khz)
 
     flush_log = ""
     overruns = 0
@@ -266,7 +248,7 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
         header = TraceHeader.from_config(config, driver.name, options.speed_khz)
         policy = options.buffering or BufferPolicy("two_buffer", 4096)
         writer = make_writer(policy, trace_fh, header, options.write_speed_bps)
-        for record, t in zip(trace_to_records(trace), ts):
+        for record, t in zip(trace_to_records(trace), trace.timestamps_ns):
             writer.push(record, int(t))
         writer.close()
         overruns = writer.overruns

@@ -65,20 +65,8 @@ class Sample:
     flags: int = 0
 
     @property
-    def saturated(self) -> bool:
-        return bool(self.flags & FLAG_SATURATED)
-
-    @property
     def warmup(self) -> bool:
         return bool(self.flags & FLAG_WARMUP)
-
-    @property
-    def power_save_active(self) -> bool:
-        return bool(self.flags & FLAG_POWER_SAVE)
-
-    @property
-    def power(self) -> float:
-        return self.bus_voltage * self.current
 
 
 @dataclass(frozen=True)
@@ -241,19 +229,8 @@ class Trace:
         return Sample(int(self.timestamps_ns[i]), float(self.bus_voltage[i]),
                       float(self.current[i]), int(self.flags[i]))
 
-    def samples(self) -> Iterable[Sample]:
-        for i in range(len(self)):
-            yield self[i]
-
     def power(self) -> np.ndarray:
         return self.bus_voltage * self.current
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[Sample], **meta) -> "Trace":
-        return cls([s.timestamp_ns for s in samples],
-                   [s.bus_voltage for s in samples],
-                   [s.current for s in samples],
-                   [s.flags for s in samples], **meta)
 
 
 # --------------------------------------------------------------------------
@@ -426,6 +403,55 @@ def flag_power_save(timestamps_ns: np.ndarray,
 
 
 # --------------------------------------------------------------------------
+# Readout stage shared by both samplers
+# --------------------------------------------------------------------------
+
+def build_trace(timestamps_ns, bus_voltage, current, saturated, conversion_index,
+                trigger: TriggerSpec, limit_ns: Optional[int],
+                intervals: Sequence[tuple[int, int, int]],
+                warmup_samples: int, **meta) -> tuple[Trace, str]:
+    """Gate, flag and annotate per-reading arrays into a trace.
+
+    One entry per reading, in increasing timestamp order: its timestamp, bus
+    volts and amperes, whether the chip saturated, and the 1-based index of
+    the conversion it came from.  Readings outside the trigger window
+    ``[start, limit_ns]`` (open-ended when ``limit_ns`` is None), and past
+    the count of a count trigger, are dropped.  Power-save ``(start_ns,
+    end_ns, mode)`` intervals are clipped to the window and flag the
+    readings they cover.  Returns the trace, whose events are the clipped
+    intervals' enter/exit edges, and the trigger status: ``'unterminated'``
+    when the window never closed or the count was not reached.
+    """
+    start_ns, _, status = trigger.window_ns()
+    ts = np.asarray(timestamps_ns, dtype=np.int64)
+    lo = int(np.searchsorted(ts, start_ns, side="left"))
+    hi = len(ts) if limit_ns is None else int(np.searchsorted(ts, limit_ns, side="right"))
+    if trigger.mode == "count":
+        hi = min(hi, lo + trigger.sample_count)
+        if hi - lo < trigger.sample_count:
+            status = "unterminated"
+    ts = ts[lo:hi]
+
+    clipped = []
+    for s, e, mode_index in intervals:
+        s = max(s, start_ns)
+        if limit_ns is not None:
+            e = min(e, limit_ns)
+        if e > s:
+            clipped.append((s, e, mode_index))
+    flags = flag_power_save(ts, clipped)
+    flags[np.asarray(saturated, dtype=bool)[lo:hi]] |= FLAG_SATURATED
+    flags[np.asarray(conversion_index)[lo:hi] <= warmup_samples] |= FLAG_WARMUP
+
+    events = [PowerModeEvent("enter", m, s) for s, e, m in clipped]
+    events += [PowerModeEvent("exit", m, e) for s, e, m in clipped]
+    events.sort(key=lambda ev: ev.timestamp_ns)
+    trace = Trace(ts, np.asarray(bus_voltage)[lo:hi], np.asarray(current)[lo:hi],
+                  flags, events=events, trigger_edges=list(trigger.edges), **meta)
+    return trace, status
+
+
+# --------------------------------------------------------------------------
 # Register-level measurement loop
 # --------------------------------------------------------------------------
 
@@ -450,37 +476,36 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
     ``bus`` is a :class:`~emeter.sensor.BusBackend` whose sensor must be
     advanced against the load; ``load`` maps a nanosecond timestamp to an
     ``(amperes, volts)`` pair.  The loop polls the bus-voltage register until
-    the ready flag is set, reads the shunt register, timestamps the pair and
-    hands it to the optional buffered ``writer``.  The sensor is never
-    power-cycled: samples outside the trigger window are simply discarded.
-    ``horizon_ns`` bounds the run when the trigger itself never stops (an
-    unterminated edge stream, or a count trigger the load cannot satisfy).
+    the ready flag is set, reads the shunt register and timestamps the pair.
+    The sensor is never power-cycled: readings outside the trigger window
+    are simply discarded.  The kept readings go through :func:`build_trace`
+    and, in order and at their timestamps, to the optional buffered
+    ``writer``.  ``horizon_ns`` bounds the run when the trigger itself never
+    stops (an unterminated edge stream, or a count trigger the load cannot
+    satisfy).
     """
     validate_operating_point(driver, speed_khz, config.supply_voltage)
-    start_ns, stop_ns, status = trigger.window_ns()
+    start_ns, stop_ns, _ = trigger.window_ns()
     limit_ns = stop_ns if stop_ns is not None else horizon_ns
     mode_map = {m.mode_index: m for m in modes}
     intervals = _validated_intervals(events, mode_map) if events else []
-    if limit_ns is not None:
-        intervals = [(max(s, start_ns), min(e, limit_ns), m)
-                     for s, e, m in intervals if s < limit_ns and e > start_ns]
 
     def sensor_step(now_ns: int):
         amps, volts = load(now_ns)
         bus.sensor.step(amps, volts, now_ns)
 
     overhead_ns = (LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
-    samples: list[Sample] = []
-    acc = EnergyAccumulator()
+    count_target = trigger.sample_count if trigger.mode == "count" else None
+    # (timestamp, bus count, shunt count, overflow, conversion index)
+    readings: list[tuple[int, int, int, bool, int]] = []
     now = 0.0  # simulation clock, ns
     conversions_seen = 0
-    done = False
 
     def next_delay_ns() -> float:
         return read_delay(driver, speed_khz, rng,
                           config.supply_voltage) * 1000.0
 
-    while not done and len(samples) < max_samples:
+    while len(readings) < max_samples:
         # poll the ready bit (the successful poll carries the bus value)
         while True:
             now += next_delay_ns()
@@ -495,41 +520,25 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
         now += overhead_ns
         ts = int(now)
 
-        flags = 0
-        if bus_overflow(bus_word):
-            flags |= FLAG_SATURATED
-        if conversions_seen <= warmup_samples:
-            flags |= FLAG_WARMUP
-        for s, e, _ in intervals:
-            if s <= ts <= e:
-                flags |= FLAG_POWER_SAVE
-                break
-        sample = Sample(
-            timestamp_ns=ts,
-            bus_voltage=dequantize_bus(bus_count_from_word(bus_word), config),
-            current=dequantize_shunt(shunt_count_from_word(shunt_word), config),
-            flags=flags)
-
-        in_window = ts >= start_ns and (limit_ns is None or ts <= limit_ns)
-        if in_window:
-            samples.append(sample)
-            countable = not (flags & (FLAG_WARMUP | FLAG_POWER_SAVE))
-            acc.add(sample, countable=countable)
-            if writer is not None:
-                writer.push(sample, ts)
-        if trigger.mode == "count" and len(samples) >= trigger.sample_count:
-            done = True
+        if ts >= start_ns and (limit_ns is None or ts <= limit_ns):
+            readings.append((ts, bus_count_from_word(bus_word),
+                             shunt_count_from_word(shunt_word),
+                             bus_overflow(bus_word), conversions_seen))
+        if len(readings) == count_target:
+            break
         if limit_ns is not None and now > limit_ns:
-            done = True
-    if trigger.mode == "count" and len(samples) < trigger.sample_count:
-        status = "unterminated"
+            break
 
+    ts, bus_count, shunt_count, overflow, conv_index = \
+        np.array(readings, dtype=np.int64).reshape(-1, 5).T
+    trace, status = build_trace(
+        ts, dequantize_bus(bus_count, config),
+        dequantize_shunt(shunt_count, config), overflow, conv_index,
+        trigger, limit_ns, intervals, warmup_samples, config=config,
+        driver_name=driver.name, bus_speed_khz=speed_khz)
+    if writer is not None:
+        for i, t in enumerate(trace.timestamps_ns.tolist()):
+            writer.push(trace[i], t)
     overruns = writer.overruns if writer is not None else 0
-    event_objs = [PowerModeEvent("enter", m, s) for s, e, m in intervals] + \
-                 [PowerModeEvent("exit", m, e) for s, e, m in intervals]
-    event_objs.sort(key=lambda e: e.timestamp_ns)
-    trace = Trace.from_samples(
-        samples, events=event_objs, trigger_edges=list(trigger.edges),
-        config=config, driver_name=driver.name, bus_speed_khz=speed_khz)
-    return MeasurementResult(trace=trace, energy_j=acc.energy,
+    return MeasurementResult(trace=trace, energy_j=gated_energy(trace),
                              overruns=overruns, status=status)

@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
+import numpy as np
+
 REG_CONFIG = 0x00
 REG_SHUNT_VOLTAGE = 0x01
 REG_BUS_VOLTAGE = 0x02
@@ -94,6 +96,11 @@ class SensorConfig:
     def max_count(self) -> int:
         return 2 ** self.resolution_bits - 1
 
+    @property
+    def shunt_counts_per_volt(self) -> float:
+        """Shunt register counts per volt across the shunt, this divider."""
+        return self.max_count / (SHUNT_FULL_SCALE_V * self.pga_divider)
+
 
 def encode_config(config: SensorConfig) -> int:
     """Pack a SensorConfig into the 16-bit CONFIG register word."""
@@ -123,28 +130,39 @@ def decode_config(word: int, shunt_resistance: float = 0.1,
 # Quantization
 # --------------------------------------------------------------------------
 
+# The scalar forms serve the chip model's per-conversion latch, the array
+# forms the vectorized pipeline; both evaluate the same expression in the
+# same order, so they agree bit for bit.
+
 def quantize_shunt(current_a: float, config: SensorConfig) -> int:
     """Current -> signed shunt register count.
 
     floor(current * R / (lsb * divider)), clamped to the signed full-scale
     count.  Use :func:`shunt_saturates` to detect clamping.
     """
-    raw = math.floor(current_a * config.shunt_resistance * config.max_count
-                     / (SHUNT_FULL_SCALE_V * config.pga_divider))
+    raw = math.floor(current_a * config.shunt_resistance
+                     * config.shunt_counts_per_volt)
     return max(-config.max_count, min(config.max_count, raw))
 
 
 def shunt_saturates(current_a: float, config: SensorConfig) -> bool:
     """True when the current clamps at +-full scale for this divider."""
-    raw = math.floor(current_a * config.shunt_resistance * config.max_count
-                     / (SHUNT_FULL_SCALE_V * config.pga_divider))
+    raw = math.floor(current_a * config.shunt_resistance
+                     * config.shunt_counts_per_volt)
     return raw > config.max_count or raw < -config.max_count
 
 
-def dequantize_shunt(count: int, config: SensorConfig) -> float:
-    """Shunt register count -> amperes (inverse mapping, one-LSB accurate)."""
-    return count * SHUNT_FULL_SCALE_V * config.pga_divider / (
-        config.max_count * config.shunt_resistance)
+def quantize_shunt_array(current_a: np.ndarray, config: SensorConfig):
+    """Array form of :func:`quantize_shunt`: (float counts, saturated mask)."""
+    raw = np.floor(current_a * config.shunt_resistance
+                   * config.shunt_counts_per_volt)
+    counts = np.clip(raw, -config.max_count, config.max_count)
+    return counts, raw != counts
+
+
+def dequantize_shunt(count, config: SensorConfig):
+    """Shunt register count(s) -> amperes (inverse mapping, one-LSB accurate)."""
+    return count / (config.shunt_counts_per_volt * config.shunt_resistance)
 
 
 def quantize_bus(voltage_v: float, config: SensorConfig) -> int:
@@ -158,7 +176,15 @@ def bus_saturates(voltage_v: float, config: SensorConfig) -> bool:
     return raw > config.max_count or raw < 0
 
 
-def dequantize_bus(count: int, config: SensorConfig) -> float:
+def quantize_bus_array(voltage_v: np.ndarray, config: SensorConfig):
+    """Array form of :func:`quantize_bus`: (float counts, saturated mask)."""
+    raw = np.floor(voltage_v * config.max_count / config.bus_range)
+    counts = np.clip(raw, 0, config.max_count)
+    return counts, raw != counts
+
+
+def dequantize_bus(count, config: SensorConfig):
+    """Bus register count(s) -> volts."""
     return count * config.bus_range / config.max_count
 
 

@@ -91,6 +91,11 @@ SUPPLY_RIPPLE_BAND_V = 0.002      # regulated source stays inside this band
 SUPPLY_RIPPLE_PERIOD_S = 0.0073   # deliberately off-grid vs. state dwells
 
 
+def _segment_of(edges: np.ndarray, t):
+    """Index of the segment of ``edges`` holding ``t``, clipped to the ends."""
+    return np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(edges) - 2)
+
+
 class LoadProfile:
     """Piecewise-constant (current, voltage) signal with exact integrals.
 
@@ -130,35 +135,27 @@ class LoadProfile:
     def duration(self) -> float:
         return float(self.edges[-1] - self.edges[0])
 
-    def _segment_index(self, t):
-        idx = np.searchsorted(self.edges, t, side="right") - 1
-        return np.clip(idx, 0, len(self.current) - 1)
-
     def current_at(self, t):
-        return self.current[self._segment_index(t)]
+        return self.current[_segment_of(self.edges, t)]
 
     def voltage_at(self, t):
-        return self.voltage[self._segment_index(t)]
+        return self.voltage[_segment_of(self.edges, t)]
+
+    def _integral(self, cumulative: np.ndarray, t0, t1):
+        return (np.interp(t1, self.edges, cumulative)
+                - np.interp(t0, self.edges, cumulative))
 
     def integral_current(self, t0, t1):
-        lo = np.interp(t0, self.edges, self._cum_i)
-        hi = np.interp(t1, self.edges, self._cum_i)
-        return hi - lo
+        return self._integral(self._cum_i, t0, t1)
 
     def integral_current_sq(self, t0, t1):
-        lo = np.interp(t0, self.edges, self._cum_i2)
-        hi = np.interp(t1, self.edges, self._cum_i2)
-        return hi - lo
+        return self._integral(self._cum_i2, t0, t1)
 
     def integral_voltage(self, t0, t1):
-        lo = np.interp(t0, self.edges, self._cum_v)
-        hi = np.interp(t1, self.edges, self._cum_v)
-        return hi - lo
+        return self._integral(self._cum_v, t0, t1)
 
     def integral_power(self, t0, t1):
-        lo = np.interp(t0, self.edges, self._cum_p)
-        hi = np.interp(t1, self.edges, self._cum_p)
-        return hi - lo
+        return self._integral(self._cum_p, t0, t1)
 
     def time_weighted_quantile(self, q: float) -> float:
         """Current level below which a fraction ``q`` of the time is spent."""
@@ -229,21 +226,29 @@ def _state_segments(level_base: float, level_peak: Optional[float],
     return starts, levels
 
 
+def _refine(edges: np.ndarray, grid: np.ndarray) -> tuple:
+    """Split the segments of ``edges`` at the points of ``grid``.
+
+    Returns the merged breakpoints (clipped to the span of ``edges``), the
+    midpoint of each new segment and the index of the old segment it lies in.
+    """
+    t_end = edges[-1]
+    merged = np.union1d(edges, grid)
+    merged = merged[(merged >= edges[0]) & (merged <= t_end)]
+    if merged[-1] < t_end:
+        merged = np.append(merged, t_end)
+    mid = (merged[:-1] + merged[1:]) / 2.0
+    return merged, mid, _segment_of(edges, mid)
+
+
 RIPPLE_PIECE_S = 1.3e-3
 
 
 def _apply_ripple(edges: np.ndarray, current: np.ndarray, amplitude: float,
                   rng: np.random.Generator) -> tuple:
     """Superimpose zero-mean uniform activity steps onto the state levels."""
-    t_end = float(edges[-1])
-    grid = np.arange(0.0, t_end, RIPPLE_PIECE_S)
-    merged = np.union1d(edges, grid)
-    merged = merged[(merged >= edges[0]) & (merged <= t_end)]
-    if merged[-1] < t_end:
-        merged = np.append(merged, t_end)
-    mid = (merged[:-1] + merged[1:]) / 2.0
-    base_idx = np.clip(np.searchsorted(edges, mid, side="right") - 1, 0,
-                       len(current) - 1)
+    grid = np.arange(0.0, float(edges[-1]), RIPPLE_PIECE_S)
+    merged, mid, base_idx = _refine(edges, grid)
     ripple_levels = rng.uniform(-amplitude, amplitude, size=len(grid) + 1)
     piece_idx = np.clip(np.searchsorted(grid, mid, side="right") - 1, 0,
                         len(ripple_levels) - 1)
@@ -260,15 +265,8 @@ def _source_voltage(edges: np.ndarray, current: np.ndarray, nominal: float,
         raise ValueError(f"unknown source model {source!r}")
     # regulated supply: square ripple of +-band/2, merged into the grid
     half = SUPPLY_RIPPLE_BAND_V / 2.0
-    t_end = edges[-1]
-    ripple_edges = np.arange(0.0, t_end, SUPPLY_RIPPLE_PERIOD_S / 2.0)
-    merged = np.union1d(edges, ripple_edges)
-    merged = merged[(merged >= edges[0]) & (merged <= t_end)]
-    if merged[-1] < t_end:
-        merged = np.append(merged, t_end)
-    mid = (merged[:-1] + merged[1:]) / 2.0
-    seg = np.clip(np.searchsorted(edges, mid, side="right") - 1, 0,
-                  len(current) - 1)
+    ripple_edges = np.arange(0.0, edges[-1], SUPPLY_RIPPLE_PERIOD_S / 2.0)
+    merged, mid, seg = _refine(edges, ripple_edges)
     i_levels = current[seg]
     phase = np.floor(mid / (SUPPLY_RIPPLE_PERIOD_S / 2.0)).astype(int) % 2
     v_levels = nominal + np.where(phase == 0, half, -half)
@@ -342,35 +340,6 @@ def constant_profile(current: float, voltage: float,
                      duration: float) -> LoadProfile:
     return LoadProfile(np.array([0.0, duration]), np.array([current]),
                        np.array([voltage]))
-
-
-def parse_profile_spec(text: str) -> LoadProfile:
-    """Parse a plain-text segment list: ``<duration_s> <amps> <volts>`` lines."""
-    durations, currents, voltages = [], [], []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            dur, amps, volts = (float(x) for x in line.split())
-        except ValueError:
-            raise ValueError(f"bad profile segment line {lineno}: {line!r}")
-        if dur <= 0:
-            raise ValueError(f"segment duration must be positive on line {lineno}")
-        durations.append(dur)
-        currents.append(amps)
-        voltages.append(volts)
-    if not durations:
-        raise ValueError("profile spec has no segments")
-    edges = np.concatenate([[0.0], np.cumsum(durations)])
-    return LoadProfile(edges, np.array(currents), np.array(voltages))
-
-
-def format_profile_spec(profile: LoadProfile) -> str:
-    widths = np.diff(profile.edges)
-    lines = [f"{w:.9g} {i:.9g} {v:.9g}"
-             for w, i, v in zip(widths, profile.current, profile.voltage)]
-    return "\n".join(lines) + "\n"
 
 
 def staircase_profile(levels: Iterable[float], dwell: float,

@@ -1,4 +1,4 @@
-"""Bus timing model: polling table, throughputs, jitter, config loading."""
+"""Bus timing model: polling table, throughputs, jitter."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from emeter.bus_timing import (
     SUPPORTED_SPEEDS_KHZ,
     UnsupportedOperatingPoint,
     expected_polls,
-    load_delay_config,
     read_delay,
     sample_period_us,
 )
@@ -119,18 +118,6 @@ class TestReadDelay:
 
 
 class TestDelayConfig:
-    def test_partial_override(self):
-        profiles = load_delay_config("bcm.500 = 99.0\n# comment\n")
-        assert profiles["bcm"].mean_delay_us(500) == 99.0
-        assert profiles["bcm"].mean_delay_us(800) == BCM_PROFILE.mean_delay_us(800)
-        assert profiles["linux"].mean_delay_us(500) == LINUX_PROFILE.mean_delay_us(500)
-
-    def test_bad_lines_rejected(self):
-        for text in ("nonsense", "bcm.500 99", "spi.500 = 10",
-                     "bcm.123 = 10", "bcm.500 = -4"):
-            with pytest.raises(ValueError):
-                load_delay_config(text)
-
     def test_period_is_conversion_bound(self):
         cfg = SensorConfig(resolution_bits=12)
         # at 12 bit every period is conversion-limited

@@ -1,8 +1,11 @@
 """Sampler loop, trapezoidal accumulation, triggers, hybrid sleep model."""
 
+import io
+
 import numpy as np
 import pytest
 
+from emeter.buffering import TwoBufferWriter
 from emeter.bus_timing import BCM_PROFILE, expected_polls
 from emeter.sampler import (
     EnergyAccumulator,
@@ -22,6 +25,7 @@ from emeter.sampler import (
     run_measurement,
 )
 from emeter.sensor import SensorConfig, SimulatedBus, SimulatedSensor
+from emeter.tracefile import TraceHeader, decode_trace, trace_to_records
 
 
 def s(ts_ns, volts, amps, flags=0):
@@ -312,3 +316,27 @@ class TestRunMeasurement:
         inside = (tr.timestamps_ns >= 200_000_000) & (tr.timestamps_ns <= 600_000_000)
         assert np.all((tr.flags[inside] & FLAG_POWER_SAVE) != 0)
         assert np.all((tr.flags[~inside] & FLAG_POWER_SAVE) == 0)
+
+    def test_energy_matches_streaming_accumulator(self):
+        events = [PowerModeEvent("enter", 0, 200_000_000),
+                  PowerModeEvent("exit", 0, 400_000_000)]
+        modes = [PowerSaveMode(0, 1e-6, 5.0)]
+        result = self.run(TriggerSpec.duration(1.0), load=lambda t: (0.2, 5.0),
+                          events=events, modes=modes,
+                          rng=np.random.default_rng(1))
+        tr = result.trace
+        assert np.any(tr.flags & FLAG_WARMUP) and np.any(tr.flags & FLAG_POWER_SAVE)
+        acc = EnergyAccumulator()
+        for i in range(len(tr)):
+            acc.add(tr[i], countable=not tr.flags[i] & (FLAG_WARMUP | FLAG_POWER_SAVE))
+        assert result.energy_j == pytest.approx(acc.energy, rel=1e-12)
+
+    def test_writer_gets_every_sample_in_order(self):
+        fh = io.BytesIO()
+        header = TraceHeader.from_config(self.CFG, "bcm", 2500)
+        writer = TwoBufferWriter(fh, header, 64, write_speed_bps=40e6)
+        result = self.run(TriggerSpec.duration(0.3), writer=writer)
+        writer.close()
+        assert result.overruns == 0
+        _, records = decode_trace(fh.getvalue())
+        assert records == trace_to_records(result.trace)

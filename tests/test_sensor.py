@@ -1,8 +1,11 @@
 """Sensor model: quantization, register semantics, conversion timing."""
 
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emeter.sensor import (
     BREAKOUT_BOARD,
@@ -10,6 +13,9 @@ from emeter.sensor import (
     REG_CONFIG,
     REG_SHUNT_VOLTAGE,
     SHIELD_BOARD,
+    VALID_BUS_RANGES,
+    VALID_PGA_DIVIDERS,
+    VALID_RESOLUTIONS,
     SensorConfig,
     SimulatedBus,
     SimulatedSensor,
@@ -23,7 +29,9 @@ from emeter.sensor import (
     dequantize_shunt,
     encode_config,
     quantize_bus,
+    quantize_bus_array,
     quantize_shunt,
+    quantize_shunt_array,
     shunt_count_from_word,
     shunt_saturates,
 )
@@ -113,6 +121,47 @@ class TestBusQuantization:
         for volts in rng.uniform(0, 16, 500):
             back = dequantize_bus(quantize_bus(volts, CFG12), CFG12)
             assert abs(back - volts) <= CFG12.bus_lsb_volts * (1 + 1e-9)
+
+
+ALL_CONFIGS = [SensorConfig(pga_divider=d, resolution_bits=r, bus_range=b)
+               for r in VALID_RESOLUTIONS for d in VALID_PGA_DIVIDERS
+               for b in VALID_BUS_RANGES]
+
+
+def near_count_boundaries(unit: float, max_count: int):
+    """Inputs at ``k * unit`` or one ulp either side, k up to 3 past full scale."""
+    k = st.integers(-max_count - 3, max_count + 3)
+    side = st.sampled_from([-math.inf, 0.0, math.inf])
+    return st.builds(lambda k, s: math.nextafter(k * unit, s) if s else k * unit,
+                     k, side)
+
+
+def inputs(unit: float, max_count: int):
+    span = 3 * unit * max_count
+    return st.lists(st.one_of(near_count_boundaries(unit, max_count),
+                              st.floats(-span, span)), min_size=1, max_size=40)
+
+
+class TestScalarArrayQuantizers:
+    """The chip's scalar latch and the pipeline's array path agree exactly."""
+
+    @pytest.mark.parametrize(
+        "config", ALL_CONFIGS,
+        ids=lambda c: f"{c.resolution_bits}b-div{c.pga_divider}-{c.bus_range:g}V")
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_element_by_element(self, config, data):
+        amps_unit = 1.0 / (config.shunt_counts_per_volt * config.shunt_resistance)
+        amps = data.draw(inputs(amps_unit, config.max_count))
+        counts, saturated = quantize_shunt_array(np.array(amps), config)
+        assert counts.tolist() == [quantize_shunt(a, config) for a in amps]
+        assert saturated.tolist() == [shunt_saturates(a, config) for a in amps]
+
+        volts = data.draw(inputs(config.bus_range / config.max_count,
+                                 config.max_count))
+        counts, saturated = quantize_bus_array(np.array(volts), config)
+        assert counts.tolist() == [quantize_bus(v, config) for v in volts]
+        assert saturated.tolist() == [bus_saturates(v, config) for v in volts]
 
 
 class TestConversionTiming:

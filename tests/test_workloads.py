@@ -9,9 +9,7 @@ from emeter.workloads import (
     ReferenceMeter,
     constant_profile,
     exact_energy,
-    format_profile_spec,
     generate_profile,
-    parse_profile_spec,
     staircase_profile,
 )
 
@@ -163,23 +161,3 @@ class TestReferenceMeter:
         profile = staircase_profile([0.1, 0.2, 0.3], 0.05, 5.0)
         assert profile.duration == pytest.approx(0.15)
         assert profile.current_at(0.074) == pytest.approx(0.2)
-
-
-class TestProfileSpecFile:
-    def test_round_trip(self):
-        text = "0.5 0.001 3.3\n0.25 0.030 3.3\n# tail comment\n0.5 0.001 3.3\n"
-        profile = parse_profile_spec(text)
-        assert profile.duration == pytest.approx(1.25)
-        assert profile.current_at(0.6) == pytest.approx(0.030)
-        back = parse_profile_spec(format_profile_spec(profile))
-        assert np.allclose(back.edges, profile.edges)
-        assert np.allclose(back.current, profile.current)
-        assert np.allclose(back.voltage, profile.voltage)
-
-    def test_bad_lines_rejected(self):
-        with pytest.raises(ValueError):
-            parse_profile_spec("0.5 0.001\n")
-        with pytest.raises(ValueError):
-            parse_profile_spec("-1 0.001 3.3\n")
-        with pytest.raises(ValueError):
-            parse_profile_spec("\n# only comments\n")
