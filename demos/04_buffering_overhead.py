@@ -7,6 +7,8 @@ the two-buffer scheme has a closed form that the buffer size cancels out of.
 
 import io
 
+import numpy as np
+
 from emeter.buffering import (
     CircularWriter,
     OverheadModel,
@@ -15,17 +17,21 @@ from emeter.buffering import (
     overhead_energy_schedule,
     simulate_overhead_power,
 )
-from emeter.tracefile import TraceHeader, TraceRecord, decode_trace
+from emeter.tracefile import RECORD, TraceHeader
 
 header = TraceHeader()
-records = [TraceRecord((k + 1) * 1_000_000, 5_000_000, 1000 * k) for k in range(10)]
+# one 16-byte record per sample: timestamp ns, bus microvolts, microamperes
+push_ns = np.arange(1, 11) * 1_000_000
+records = np.zeros(10, dtype=RECORD)
+records["t"] = push_ns
+records["uv"] = 5_000_000
+records["ua"] = 1000 * np.arange(10)
 
 out_two, out_ring = io.BytesIO(), io.BytesIO()
 two = TwoBufferWriter(out_two, header, capacity=4, write_speed_bps=1e9)
 ring = CircularWriter(out_ring, header, capacity=4, write_speed_bps=1e9)
 for writer in (two, ring):
-    for k, record in enumerate(records):
-        writer.push(record, (k + 1) * 1_000_000)
+    writer.extend(records, push_ns)
     writer.close()
 
 print("identical bytes:", out_two.getvalue() == out_ring.getvalue())
@@ -35,8 +41,7 @@ print()
 
 # starve the consumer: 128-bit records at 100 bits/s, pushes every 1ms
 slow = TwoBufferWriter(io.BytesIO(), header, capacity=4, write_speed_bps=100.0)
-for k in range(16):
-    slow.push(records[0], (k + 1) * 1_000_000)
+slow.extend(np.repeat(records[:1], 16), np.arange(1, 17) * 1_000_000)
 slow.close()
 print("overruns with a starved consumer:", slow.overruns,
       "(whole buffers dropped, gaps marked in-line)")

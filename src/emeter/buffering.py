@@ -27,17 +27,19 @@ The two forms are algebraically identical (the buffer size cancels).
 
 from __future__ import annotations
 
-from collections import deque
+import io
 from dataclasses import dataclass
 from typing import BinaryIO, Optional
 
-from emeter.sampler import Sample
+import numpy as np
+
 from emeter.tracefile import (
+    RECORD,
     RECORD_SIZE,
     TraceHeader,
-    TraceRecord,
     encode_header,
-    encode_record,
+    gap_records,
+    is_gap,
 )
 
 SAMPLE_BITS = RECORD_SIZE * 8  # 128 bits per entry
@@ -60,143 +62,157 @@ class BufferPolicy:
             raise ValueError("buffer capacity must be >= 1")
 
 
-def _as_record(item) -> TraceRecord:
-    if isinstance(item, Sample):
-        return TraceRecord.from_sample(item)
-    return item
-
-
-class TwoBufferWriter:
-    """Producer fills one buffer while the consumer flushes the other."""
+class _Writer:
+    """What both writers share: the header, the entry point and the counters."""
 
     def __init__(self, fh: BinaryIO, header: TraceHeader, capacity: int,
-                 write_speed_bps: float = DEFAULT_WRITE_SPEED_BPS):
+                 write_speed_bps: float):
         if capacity < 1:
             raise ValueError("buffer capacity must be >= 1")
         self.fh = fh
         self.capacity = capacity
         self.write_speed_bps = write_speed_bps
         self.overruns = 0
+        #: data records in the file; gap markers are not counted
         self.records_written = 0
         #: (timestamp_ns, record_count) per flush trigger
         self.flush_log: list[tuple[int, int]] = []
-        self._active: list[TraceRecord] = []
-        self._pending: Optional[list[TraceRecord]] = None
-        self._pending_done_ns = 0
         self._last_ns = 0
         fh.write(encode_header(header))
 
-    def _write_dur_ns(self, n_records: int) -> int:
-        return int(round(n_records * SAMPLE_BITS * 1e9 / self.write_speed_bps))
+    def push(self, record, t_ns: int) -> bool:
+        """Add one entry at ``t_ns``; False when the push forced a drop."""
+        return self.extend(np.array([record], dtype=RECORD), [t_ns]) == 0
 
-    def _complete_pending(self) -> None:
-        for record in self._pending:
-            self.fh.write(encode_record(record))
-            self.records_written += 1
-        self._pending = None
-
-    def push(self, item, t_ns: int) -> bool:
-        """Add one entry at simulation time ``t_ns``.
-
-        Returns False when the push forced a whole-buffer drop.
-        """
-        if t_ns < self._last_ns:
+    def extend(self, records, push_ns) -> int:
+        """Add a ``RECORD`` array, entry k pushed at the non-decreasing time
+        ``push_ns[k]``; returns the number of drops forced."""
+        records = np.asarray(records, dtype=RECORD)
+        push_ns = np.asarray(push_ns, dtype=np.int64)
+        if len(records) != len(push_ns):
+            raise ValueError("need one push time per record")
+        if not len(records):
+            return 0
+        if push_ns[0] < self._last_ns or np.any(np.diff(push_ns) < 0):
             raise ValueError("time must not regress")
-        self._last_ns = t_ns
-        if self._pending is not None and t_ns >= self._pending_done_ns:
-            self._complete_pending()
-        self._active.append(_as_record(item))
-        if len(self._active) < self.capacity:
-            return True
-        # buffer full: hand it to the consumer and keep producing
-        dropped = False
-        if self._pending is not None:
-            # both buffers full: drop the oldest unflushed buffer whole, but
-            # keep any gap markers it carried so drops stay visible
-            self.overruns += 1
-            dropped = True
-            carried = [r for r in self._pending if r.is_gap]
-            self._pending = None
-            self._active = carried + [TraceRecord.gap(t_ns)] + self._active
-        self.flush_log.append((t_ns, len(self._active)))
-        self._pending = self._active
-        self._pending_done_ns = t_ns + self._write_dur_ns(len(self._active))
-        self._active = []
-        return not dropped
+        self._last_ns = int(push_ns[-1])
+        drops = self._accept(records, push_ns.tolist())
+        self.overruns += drops
+        return drops
 
-    def close(self, t_ns: Optional[int] = None) -> None:
-        """Drain both buffers; partial data flushes on close."""
-        end = self._last_ns if t_ns is None else t_ns
-        if self._pending is not None:
-            self._complete_pending()
-        if self._active:
-            self.flush_log.append((max(end, self._last_ns), len(self._active)))
-            self._pending = self._active
-            self._active = []
-            self._complete_pending()
+    def _write(self, records: np.ndarray) -> None:
+        self.fh.write(records.tobytes())
+        self.records_written += len(records) - int(np.count_nonzero(is_gap(records)))
 
     def format_flush_log(self) -> str:
         return "\n".join(f"{ts} flush {n}" for ts, n in self.flush_log)
 
 
-class CircularWriter:
-    """Single shared ring; every entry is signaled to the consumer."""
+class TwoBufferWriter(_Writer):
+    """Producer fills one buffer while the consumer flushes the other."""
 
     def __init__(self, fh: BinaryIO, header: TraceHeader, capacity: int,
                  write_speed_bps: float = DEFAULT_WRITE_SPEED_BPS):
-        if capacity < 1:
-            raise ValueError("ring capacity must be >= 1")
-        self.fh = fh
-        self.capacity = capacity
-        self.write_speed_bps = write_speed_bps
-        self.overruns = 0
-        self.records_written = 0
-        self._ring: deque = deque()  # (seq, push_ns, record)
-        self._next_seq = 0
-        self._expect_seq = 0
-        self._consumer_free_ns = 0.0
-        self._last_ns = 0
-        fh.write(encode_header(header))
+        super().__init__(fh, header, capacity, write_speed_bps)
+        self._active = np.empty(0, dtype=RECORD)
+        self._pending: Optional[np.ndarray] = None
+        self._pending_done_ns = 0
 
-    def _entry_dur_ns(self) -> float:
-        return SAMPLE_BITS * 1e9 / self.write_speed_bps
-
-    def _drain_until(self, t_ns: float) -> None:
-        while self._ring:
-            seq, push_ns, record = self._ring[0]
-            start = max(float(push_ns), self._consumer_free_ns)
-            finish = start + self._entry_dur_ns()
-            if finish > t_ns:
+    def _accept(self, records: np.ndarray, push_ns: list[int]) -> int:
+        drops = i = 0
+        while i < len(records):
+            # the schedule only moves when a push fills the buffer
+            j = min(len(records), i + self.capacity - len(self._active))
+            t_ns = push_ns[j - 1]
+            if self._pending is not None and t_ns >= self._pending_done_ns:
+                self._write(self._pending)
+                self._pending = None
+            self._active = np.concatenate((self._active, records[i:j]))
+            i = j
+            if len(self._active) < self.capacity:
                 break
-            self._ring.popleft()
-            if seq != self._expect_seq:
-                # entries were overwritten while we were busy
-                self.fh.write(encode_record(TraceRecord.gap(push_ns)))
-            self._expect_seq = seq + 1
-            self.fh.write(encode_record(record))
-            self.records_written += 1
-            self._consumer_free_ns = finish
-
-    def push(self, item, t_ns: int) -> bool:
-        """Add one entry; returns False when it overwrote the oldest one."""
-        if t_ns < self._last_ns:
-            raise ValueError("time must not regress")
-        self._last_ns = t_ns
-        self._drain_until(float(t_ns))
-        dropped = False
-        if len(self._ring) >= self.capacity:
-            self._ring.popleft()
-            self.overruns += 1
-            dropped = True
-        self._ring.append((self._next_seq, t_ns, _as_record(item)))
-        self._next_seq += 1
-        return not dropped
+            # buffer full: hand it to the consumer and keep producing
+            if self._pending is not None:
+                # both buffers full: drop the oldest unflushed buffer whole,
+                # but keep any gap markers it carried so drops stay visible
+                drops += 1
+                self._active = np.concatenate((self._pending[is_gap(self._pending)],
+                                               gap_records([t_ns]), self._active))
+            self.flush_log.append((t_ns, len(self._active)))
+            self._pending, self._active = self._active, self._active[:0]
+            self._pending_done_ns = t_ns + int(round(
+                len(self._pending) * SAMPLE_BITS * 1e9 / self.write_speed_bps))
+        return drops
 
     def close(self, t_ns: Optional[int] = None) -> None:
-        self._drain_until(float("inf"))
+        """Drain both buffers; partial data flushes on close."""
+        if self._pending is not None:
+            self._write(self._pending)
+            self._pending = None
+        if len(self._active):
+            self.flush_log.append((max(self._last_ns, t_ns or 0), len(self._active)))
+            self._write(self._active)
+            self._active = self._active[:0]
 
-    def format_flush_log(self) -> str:
-        return ""
+
+class CircularWriter(_Writer):
+    """Single shared ring; every entry is signaled to the consumer.
+
+    The consumer writes the ring's entries oldest first, one entry duration
+    each; a gap marker precedes an entry that does not follow the last one.
+    """
+
+    def __init__(self, fh: BinaryIO, header: TraceHeader, capacity: int,
+                 write_speed_bps: float = DEFAULT_WRITE_SPEED_BPS):
+        super().__init__(fh, header, capacity, write_speed_bps)
+        self._ring = np.empty(0, dtype=RECORD)
+        self._ring_ns: list[int] = []
+        self._order: list[int] = []  # ring indices to write; i + len for a gap
+        self._expect = 0  # ring index the consumer writes next without a gap
+        self._consumer_free_ns = 0.0
+
+    def _drain(self, lo: int, hi: int, t_ns: float) -> int:
+        """Write ring entries lo..hi-1 done by ``t_ns``; returns the new lo."""
+        ring_ns, entry_ns = self._ring_ns, SAMPLE_BITS * 1e9 / self.write_speed_bps
+        free = self._consumer_free_ns
+        while lo < hi:
+            finish = max(ring_ns[lo], free) + entry_ns
+            if finish > t_ns:
+                break
+            if lo != self._expect:
+                # entries were overwritten while we were busy
+                self._order.append(len(ring_ns) + lo)
+            self._order.append(lo)
+            self._expect = lo + 1
+            free = finish
+            lo += 1
+        self._consumer_free_ns = free
+        return lo
+
+    def _accept(self, records: np.ndarray, push_ns: list[int]) -> int:
+        first = len(self._ring)
+        self._ring = np.concatenate((self._ring, records))
+        self._ring_ns += push_ns
+        lo = drops = 0
+        for k in range(first, len(self._ring)):
+            lo = self._drain(lo, k, self._ring_ns[k])
+            if k - lo >= self.capacity:
+                lo += 1  # the ring is full: overwrite the oldest entry
+                drops += 1
+        self._flush(lo)
+        return drops
+
+    def _flush(self, lo: int) -> None:
+        """Write the drained entries in one call; forget ring indices < lo."""
+        if self._order:
+            self._write(np.concatenate(
+                (self._ring, gap_records(self._ring_ns)))[self._order])
+        self._ring, self._order = self._ring[lo:], []
+        del self._ring_ns[:lo]
+        self._expect -= lo
+
+    def close(self, t_ns: Optional[int] = None) -> None:
+        self._flush(self._drain(0, len(self._ring), float("inf")))
 
 
 def make_writer(policy: BufferPolicy, fh: BinaryIO, header: TraceHeader,
@@ -281,17 +297,14 @@ def simulate_overhead_power(model: OverheadModel,
     default cycle count keeps the partial-final-flush edge effect well under
     a percent without replaying an unbounded number of samples.
     """
-    import io
-
     if n_buffers is None:
         n_buffers = max(25, min(400, 2_000_000 // model.buffer_samples))
     n_samples = n_buffers * model.buffer_samples
     period_ns = 1e9 / model.sample_rate_sps
     writer = TwoBufferWriter(io.BytesIO(), TraceHeader(),
                              model.buffer_samples, model.write_speed_bps)
-    record = TraceRecord(0, 0, 0)
-    for k in range(n_samples):
-        writer.push(record, int((k + 1) * period_ns))
+    push_ns = (np.arange(1, n_samples + 1) * period_ns).astype(np.int64)
+    writer.extend(np.zeros(n_samples, dtype=RECORD), push_ns)
     horizon_ns = n_samples * period_ns
     write_dur_ns = model.buffer_samples * model.sample_bits * 1e9 / model.write_speed_bps
     busy_ns = 0.0

@@ -28,7 +28,7 @@ quadratic); voltage error is a constant offset.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -312,43 +312,32 @@ class CalibrationCurve:
                 + self.current_gain * self.current_max_a)
 
     def serialize(self) -> str:
-        lines = [
-            f"current_form: {self.current_form}",
-            f"current_gain: {self.current_gain!r}",
-            f"current_quad: {self.current_quad!r}",
-            f"voltage_offset: {self.voltage_offset!r}",
-            f"rmse_a: {self.rmse_a!r}",
-            f"r_squared: {self.r_squared!r}",
-            f"rmse_v: {self.rmse_v!r}",
-            f"current_max_a: {self.current_max_a!r}",
-            f"voltage_min_v: {self.voltage_min_v!r}",
-            f"voltage_max_v: {self.voltage_max_v!r}",
-        ]
+        lines = [f"current_form: {self.current_form}"]
+        lines += [f"{name}: {getattr(self, name)!r}" for name in _CURVE_NUMBERS]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def parse(cls, text: str) -> "CalibrationCurve":
-        fields_seen = {}
+        seen = {"rmse_v": "0.0"}
         for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition(":")
-            fields_seen[key.strip()] = value.strip()
+            key, _, value = line.split("#", 1)[0].partition(":")
+            if key.strip():
+                seen[key.strip()] = value.strip()
         try:
-            return cls(current_form=fields_seen["current_form"],
-                       current_gain=float(fields_seen["current_gain"]),
-                       current_quad=float(fields_seen["current_quad"]),
-                       voltage_offset=float(fields_seen["voltage_offset"]),
-                       rmse_a=float(fields_seen["rmse_a"]),
-                       r_squared=float(fields_seen["r_squared"]),
-                       rmse_v=float(fields_seen.get("rmse_v", "0.0")),
-                       current_max_a=float(fields_seen["current_max_a"]),
-                       voltage_min_v=float(fields_seen["voltage_min_v"]),
-                       voltage_max_v=float(fields_seen["voltage_max_v"]))
+            form = seen["current_form"]
+            values = {name: float(seen[name]) for name in _CURVE_NUMBERS}
         except KeyError as exc:
             raise ValueError(f"calibration curve file missing {exc}")
+        for name, value in values.items():
+            if not np.isfinite(value):
+                raise ValueError(f"calibration curve {name} is {value!r}")
+        if values["current_gain"] <= 0:
+            raise ValueError("calibration curve current_gain must be positive, "
+                             f"got {values['current_gain']!r}")
+        return cls(current_form=form, **values)
 
+
+_CURVE_NUMBERS = [f.name for f in fields(CalibrationCurve) if f.name != "current_form"]
 
 #: RMSE must improve by this fraction before the quadratic form is preferred.
 QUADRATIC_RMSE_IMPROVEMENT = 0.25

@@ -38,7 +38,7 @@ from emeter.calibration import (
 from emeter.experiment import PipelineOptions, device_pipeline, run_experiment
 from emeter.sampler import TriggerSpec
 from emeter.sensor import BOARDS, VALID_RESOLUTIONS, VALID_SUPPLIES
-from emeter.tracefile import export_csv, load_trace, read_trace_file
+from emeter.tracefile import export_csv, load_trace, read_trace
 from emeter.workloads import PRESETS, ReferenceMeter
 
 
@@ -226,8 +226,7 @@ def _cmd_overhead(args) -> int:
 
 
 def _cmd_export_csv(args) -> int:
-    with open(args.trace, "rb") as fh:
-        header, records = read_trace_file(fh)
+    header, records = read_trace(args.trace)
     if args.out:
         with open(args.out, "w") as out:
             export_csv(out, header, records)

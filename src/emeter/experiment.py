@@ -242,14 +242,12 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
     modes = [PowerSaveMode(idx, amps, volts)
              for idx, amps, volts in profile.power_save_modes]
 
-    flush_log = ""
-    overruns = 0
+    flush_log, overruns = "", 0
     if trace_fh is not None:
         header = TraceHeader.from_config(config, driver.name, options.speed_khz)
         policy = options.buffering or BufferPolicy("two_buffer", 4096)
         writer = make_writer(policy, trace_fh, header, options.write_speed_bps)
-        for record, t in zip(trace_to_records(trace), trace.timestamps_ns):
-            writer.push(record, int(t))
+        writer.extend(trace_to_records(trace), trace.timestamps_ns)
         writer.close()
         overruns = writer.overruns
         flush_log = writer.format_flush_log()

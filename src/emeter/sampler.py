@@ -537,8 +537,8 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
         trigger, limit_ns, intervals, warmup_samples, config=config,
         driver_name=driver.name, bus_speed_khz=speed_khz)
     if writer is not None:
-        for i, t in enumerate(trace.timestamps_ns.tolist()):
-            writer.push(trace[i], t)
+        from emeter.tracefile import trace_to_records  # imports this module
+        writer.extend(trace_to_records(trace), trace.timestamps_ns)
     overruns = writer.overruns if writer is not None else 0
     return MeasurementResult(trace=trace, energy_j=gated_energy(trace),
                              overruns=overruns, status=status)

@@ -1,10 +1,10 @@
 """Bit-exact binary trace format.
 
-Every sample entry is 16 bytes, little-endian:
+Every sample entry is one 16-byte element of :data:`RECORD`, little-endian:
 
-    offset 0   u64  timestamp, nanoseconds since measurement start
-    offset 8   i32  bus voltage, microvolts
-    offset 12  i32  current, microamperes
+    offset 0   u64  t   timestamp, nanoseconds since measurement start
+    offset 8   i32  uv  bus voltage, microvolts
+    offset 12  i32  ua  current, microamperes
 
 Integer micro-units are lossless up to about 2.1kV / 2.1kA, far beyond the
 device range.  Records are preceded by one fixed 64-byte header:
@@ -21,39 +21,50 @@ device range.  Records are preceded by one fixed 64-byte header:
     offset 26  u64  start wall clock, nanoseconds
     offset 34  30x  reserved (zero)
 
-A dropped-buffer gap is recorded in-line as a gap marker: a record whose
-voltage and current fields both hold INT32_MIN.  Decoders must surface gaps
-rather than treat them as readings.
+The body is a plain ``RECORD`` array, written with ``tobytes`` and read
+with ``np.frombuffer``.  A dropped-buffer gap is recorded in-line as a gap
+marker: a record whose voltage and current fields both hold INT32_MIN.
+Decoders must surface gaps rather than treat them as readings.
 """
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable
+from typing import NamedTuple
 
 import numpy as np
 
-from emeter.sampler import Sample, Trace
+from emeter.sampler import Trace
 from emeter.sensor import SensorConfig
 
 MAGIC = b"EMP1"
 FORMAT_VERSION = 1
 HEADER_SIZE = 64
-RECORD_SIZE = 16
 GAP_SENTINEL = -(2 ** 31)
+RECORD = np.dtype([("t", "<u8"), ("uv", "<i4"), ("ua", "<i4")])
+RECORD_SIZE = RECORD.itemsize
 
 _HEADER = struct.Struct("<4sHBBBBI8sIQ30x")
-_RECORD = struct.Struct("<Qii")
 
 assert _HEADER.size == HEADER_SIZE
-assert _RECORD.size == RECORD_SIZE
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One decoded 16-byte entry."""
+def is_gap(records: np.ndarray) -> np.ndarray:
+    """Mask of the gap markers in a ``RECORD`` array."""
+    return (records["uv"] == GAP_SENTINEL) & (records["ua"] == GAP_SENTINEL)
+
+
+def gap_records(timestamps_ns) -> np.ndarray:
+    """Gap markers at the given timestamps, as a ``RECORD`` array."""
+    gaps = np.empty(len(timestamps_ns), dtype=RECORD)
+    gaps["t"] = timestamps_ns
+    gaps["uv"] = gaps["ua"] = GAP_SENTINEL
+    return gaps
+
+
+class TraceRecord(NamedTuple):
+    """One ``RECORD`` row as a tuple, for building and comparing small traces."""
 
     timestamp_ns: int
     bus_uv: int
@@ -67,28 +78,15 @@ class TraceRecord:
     def gap(cls, timestamp_ns: int) -> "TraceRecord":
         return cls(timestamp_ns, GAP_SENTINEL, GAP_SENTINEL)
 
-    @classmethod
-    def from_sample(cls, sample: Sample) -> "TraceRecord":
-        return cls(sample.timestamp_ns,
-                   int(round(sample.bus_voltage * 1e6)),
-                   int(round(sample.current * 1e6)))
-
-    def to_sample(self) -> Sample:
-        if self.is_gap:
-            raise ValueError("gap marker is not a reading")
-        return Sample(self.timestamp_ns, self.bus_uv * 1e-6,
-                      self.current_ua * 1e-6)
-
 
 def encode_record(record: TraceRecord) -> bytes:
-    return _RECORD.pack(record.timestamp_ns, record.bus_uv, record.current_ua)
+    return np.array([record], dtype=RECORD).tobytes()
 
 
 def decode_record(buf: bytes) -> TraceRecord:
     if len(buf) != RECORD_SIZE:
         raise ValueError(f"record must be exactly {RECORD_SIZE} bytes")
-    ts, bus_uv, cur_ua = _RECORD.unpack(buf)
-    return TraceRecord(ts, bus_uv, cur_ua)
+    return TraceRecord._make(np.frombuffer(buf, dtype=RECORD).item(0))
 
 
 @dataclass(frozen=True)
@@ -150,71 +148,73 @@ def decode_header(buf: bytes) -> TraceHeader:
 # Whole-file encode / decode
 # --------------------------------------------------------------------------
 
-def write_trace_file(fh: BinaryIO, header: TraceHeader,
-                     records: Iterable[TraceRecord]) -> int:
-    """Write header plus records; returns the number of records written."""
-    fh.write(encode_header(header))
-    n = 0
-    for record in records:
-        fh.write(encode_record(record))
-        n += 1
-    return n
+def encode_trace(header: TraceHeader, records) -> bytes:
+    """Header plus records (a ``RECORD`` array or rows of one) as file bytes."""
+    return encode_header(header) + np.asarray(records, dtype=RECORD).tobytes()
 
 
-def read_trace_file(fh: BinaryIO) -> tuple[TraceHeader, list[TraceRecord]]:
-    header = decode_header(fh.read(HEADER_SIZE))
-    records = []
-    while True:
-        buf = fh.read(RECORD_SIZE)
-        if not buf:
-            break
-        records.append(decode_record(buf))
-    return header, records
-
-
-def encode_trace(header: TraceHeader, records: Iterable[TraceRecord]) -> bytes:
-    out = io.BytesIO()
-    write_trace_file(out, header, records)
-    return out.getvalue()
+def _decode(data: bytes) -> tuple[TraceHeader, np.ndarray]:
+    header = decode_header(data[:HEADER_SIZE])
+    partial = (len(data) - HEADER_SIZE) % RECORD_SIZE
+    if partial:
+        raise ValueError(f"truncated trace: {partial}-byte partial record "
+                         f"at byte offset {len(data) - partial}")
+    return header, np.frombuffer(data, dtype=RECORD, offset=HEADER_SIZE)
 
 
 def decode_trace(data: bytes) -> tuple[TraceHeader, list[TraceRecord]]:
-    return read_trace_file(io.BytesIO(data))
+    header, records = _decode(data)
+    return header, list(map(TraceRecord._make, records.tolist()))
 
 
-def trace_to_records(trace: Trace) -> list[TraceRecord]:
-    bus_uv = np.round(trace.bus_voltage * 1e6).astype(np.int64)
-    cur_ua = np.round(trace.current * 1e6).astype(np.int64)
-    return [TraceRecord(int(t), int(v), int(i))
-            for t, v, i in zip(trace.timestamps_ns, bus_uv, cur_ua)]
+def read_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
+    """Header and ``RECORD`` array of a trace file; errors name the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return _decode(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def records_to_trace(header: TraceHeader,
-                     records: Iterable[TraceRecord]) -> Trace:
+def trace_to_records(trace: Trace) -> np.ndarray:
+    """The ``RECORD`` array a trace persists as: micro-units, half-even."""
+    if len(trace) and trace.timestamps_ns[0] < 0:
+        raise ValueError("sample 0: negative timestamp")
+    records = np.empty(len(trace), dtype=RECORD)
+    records["t"] = trace.timestamps_ns
+    for field, name in (("uv", "bus_voltage"), ("ua", "current")):
+        values = getattr(trace, name)
+        micro = np.round(values * 1e6)
+        # NaN fails both tests; INT32_MIN is reserved for gap markers
+        bad = ~((micro > GAP_SENTINEL) & (micro < 2 ** 31))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ValueError(f"sample {i}: {name} {float(values[i])!r} is outside "
+                             "the trace format's int32 micro-units")
+        records[field] = micro
+    return records
+
+
+def records_to_trace(header: TraceHeader, records) -> Trace:
     """Build an in-memory trace from decoded records (gaps skipped)."""
-    readings = [r for r in records if not r.is_gap]
-    return Trace([r.timestamp_ns for r in readings],
-                 [r.bus_uv * 1e-6 for r in readings],
-                 [r.current_ua * 1e-6 for r in readings],
-                 [0] * len(readings),
+    records = np.asarray(records, dtype=RECORD)
+    readings = records[~is_gap(records)]
+    return Trace(readings["t"], readings["uv"] * 1e-6, readings["ua"] * 1e-6,
+                 np.zeros(len(readings), dtype=np.uint8),
                  config=header.to_config(), driver_name=header.driver_name,
                  bus_speed_khz=header.bus_speed_khz,
                  start_clock_ns=header.start_clock_ns)
 
 
 def load_trace(path: str) -> Trace:
-    with open(path, "rb") as fh:
-        header, records = read_trace_file(fh)
-    return records_to_trace(header, records)
+    return records_to_trace(*read_trace(path))
 
 
-def export_csv(fh, header: TraceHeader, records: Iterable[TraceRecord]) -> int:
+def export_csv(fh, header: TraceHeader, records) -> int:
     """Write ``timestamp_ns,bus_mV,current_mA`` rows; returns the row count."""
-    fh.write("timestamp_ns,bus_mV,current_mA\n")
-    n = 0
-    for r in records:
-        if r.is_gap:
-            continue
-        fh.write(f"{r.timestamp_ns},{r.bus_uv / 1000.0:.3f},{r.current_ua / 1000.0:.3f}\n")
-        n += 1
-    return n
+    records = np.asarray(records, dtype=RECORD)
+    rows = records[~is_gap(records)].tolist()
+    fh.write("timestamp_ns,bus_mV,current_mA\n" + "".join(
+        f"{t},{uv / 1000.0:.3f},{ua / 1000.0:.3f}\n" for t, uv, ua in rows))
+    return len(rows)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from emeter.analysis import ecdf, ecdf_csv, voltage_effect
+from emeter.calibration import CalibrationCurve
 from emeter.cli import main
 from emeter.experiment import ExperimentReport, PipelineOptions, run_experiment
 from emeter.sampler import Trace
@@ -203,6 +204,27 @@ class TestCli:
         report = ExperimentReport.from_json(report_path.read_text())
         assert report.config["calibrated"] is True
         assert report.error_percent < 2.5
+
+    def test_truncated_trace_names_file_and_offset(self, trace_file, capsys):
+        size = os.path.getsize(trace_file)
+        with open(trace_file, "r+b") as fh:
+            fh.truncate(size - 5)  # a trailing 11-byte partial record
+        for command in ("export-csv", "ecdf", "voltage-effect"):
+            assert main([command, trace_file]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {trace_file}: ")
+            assert f"byte offset {size - 16}" in err
+
+    def test_invalid_calibration_gain_is_error(self, tmp_path, capsys):
+        curve = CalibrationCurve("linear", 0.0)
+        curve_path = tmp_path / "curve.txt"
+        curve_path.write_text(curve.serialize())
+        out = tmp_path / "t.bin"
+        code = main(["sample", "--trigger", "duration:1", "--duration", "1",
+                     "--calib", str(curve_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: calibration curve current_gain")
+        assert not out.exists()
 
     def test_circular_buffering_flag(self, tmp_path):
         path = tmp_path / "c.bin"

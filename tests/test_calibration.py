@@ -240,6 +240,17 @@ class TestApplyCalibration:
         with pytest.raises(ValueError):
             CalibrationCurve.parse("current_form: linear\n")
 
+    @pytest.mark.parametrize("field, value", [
+        ("current_gain", "0.0"), ("current_gain", "-0.99"), ("current_gain", "inf"),
+        ("current_gain", "nan"), ("voltage_offset", "nan"), ("current_max_a", "-inf"),
+    ])
+    def test_curve_file_bad_value_rejected(self, field, value):
+        text = CalibrationCurve("linear", 0.9956).serialize()
+        lines = [f"{field}: {value}" if line.startswith(f"{field}:") else line
+                 for line in text.splitlines()]
+        with pytest.raises(ValueError, match=field):
+            CalibrationCurve.parse("\n".join(lines))
+
 
 class TestSweep:
     def pipeline(self, **kw):

@@ -5,9 +5,10 @@ import io
 import numpy as np
 import pytest
 
-from emeter.sampler import Sample, Trace
+from emeter.sampler import Trace
 from emeter.tracefile import (
     HEADER_SIZE,
+    RECORD,
     RECORD_SIZE,
     TraceHeader,
     TraceRecord,
@@ -18,6 +19,7 @@ from emeter.tracefile import (
     encode_record,
     encode_trace,
     export_csv,
+    read_trace,
     records_to_trace,
     trace_to_records,
 )
@@ -48,16 +50,6 @@ class TestRecordCodec:
         gap = TraceRecord.gap(42)
         assert gap.is_gap
         assert decode_record(encode_record(gap)).is_gap
-        with pytest.raises(ValueError):
-            gap.to_sample()
-
-    def test_sample_conversion_round_trip(self):
-        sample = Sample(123456789, 4.996, 0.1372)
-        record = TraceRecord.from_sample(sample)
-        back = record.to_sample()
-        assert back.timestamp_ns == sample.timestamp_ns
-        assert back.bus_voltage == pytest.approx(sample.bus_voltage, abs=1e-6)
-        assert back.current == pytest.approx(sample.current, abs=1e-6)
 
     def test_short_buffer_rejected(self):
         with pytest.raises(ValueError):
@@ -122,11 +114,57 @@ class TestFileRoundTrip:
         assert np.array_equal(back.timestamps_ns, trace.timestamps_ns)
         assert np.allclose(back.current, trace.current, atol=1e-6)
 
+    def test_trace_to_records_is_the_record_dtype(self):
+        trace = Trace([5, 9], [3.3, 4.9999985], [12.345e-3, -2.5e-6], [0, 0])
+        records = trace_to_records(trace)
+        assert records.dtype == RECORD
+        # micro-units, halves rounded to even
+        assert records.tolist() == [(5, 3_300_000, 12_345), (9, 4_999_998, -2)]
+
+    @pytest.mark.parametrize("column, value, name", [
+        ("current", np.nan, "current"),
+        ("current", 3000.0, "current"),
+        ("current", -2147.483648, "current"),  # the gap sentinel itself
+        ("bus_voltage", np.inf, "bus_voltage"),
+    ])
+    def test_unrepresentable_reading_names_sample(self, column, value, name):
+        columns = {"bus_voltage": [5.0, 5.0, 5.0], "current": [0.1, 0.2, 0.3]}
+        columns[column][1] = value
+        trace = Trace([1, 2, 3], columns["bus_voltage"], columns["current"], [0, 0, 0])
+        with pytest.raises(ValueError, match=f"sample 1: {name} "):
+            trace_to_records(trace)
+
     def test_gap_records_skipped_on_load(self):
         records = [TraceRecord(100, 1, 1), TraceRecord.gap(150),
                    TraceRecord(200, 2, 2)]
         trace = records_to_trace(TraceHeader(), records)
         assert len(trace) == 2
+
+
+class TestReadTrace:
+    def test_reads_the_record_array(self, tmp_path):
+        records = random_records(np.random.default_rng(5), 9)
+        path = tmp_path / "t.bin"
+        path.write_bytes(encode_trace(TraceHeader(), records))
+        header, array = read_trace(str(path))
+        assert header == TraceHeader()
+        assert array.dtype == RECORD
+        assert array.tolist() == records
+
+    @pytest.mark.parametrize("extra", [1, 15])
+    def test_partial_record_names_file_and_offset(self, tmp_path, extra):
+        path = tmp_path / "t.bin"
+        path.write_bytes(encode_trace(TraceHeader(), random_records(
+            np.random.default_rng(6), 3)) + b"\x01" * extra)
+        offset = HEADER_SIZE + 3 * RECORD_SIZE
+        with pytest.raises(ValueError, match=f"{path}: .*byte offset {offset}"):
+            read_trace(str(path))
+
+    def test_short_header_names_file(self, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(b"EMP1")
+        with pytest.raises(ValueError, match=str(path)):
+            read_trace(str(path))
 
 
 class TestCsvExport:
