@@ -20,6 +20,11 @@ fixed loop overhead.  The per-speed delay defaults below are fitted so the
 model reproduces the measured polls-per-sample table at both resolutions and
 the measured throughputs (4350 sps at 9-bit/500kHz on the BCM stack, about
 3360 sps on the Linux stack, just under 1000 sps at 12 bit).
+
+Every read draws its own jittered delay.  The sampler loop takes those
+draws from the caller's generator in fixed-size blocks of the same stream
+(:func:`read_delays_us`) rather than one call per read; the delays, and the
+generator state the loop leaves behind, are those of one draw per read.
 """
 
 from __future__ import annotations
@@ -96,6 +101,19 @@ def validate_operating_point(profile: DriverProfile, speed_khz: int,
             "2500kHz at 3.3V gives very unreliable bus communication")
 
 
+def read_delays_us(mean_us: float, half_band_us: float,
+                   rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` jittered read delays in microseconds, uniform in ``mean_us +-
+    half_band_us``.
+
+    The only statement of the jitter: :func:`read_delay` is its one-draw
+    view and the sampler loop draws blocks of it.  Numpy's array ``uniform``
+    yields the same doubles as ``n`` scalar calls, so a block advances the
+    generator exactly as ``n`` one-draw reads would.
+    """
+    return mean_us + rng.uniform(-half_band_us, half_band_us, n)
+
+
 def read_delay(profile: DriverProfile, speed_khz: int,
                rng: Optional[np.random.Generator] = None,
                supply_voltage: float = 5.0) -> float:
@@ -108,8 +126,7 @@ def read_delay(profile: DriverProfile, speed_khz: int,
     mean = profile.mean_delay_us(speed_khz)
     if rng is None:
         return mean
-    half = profile.jitter_range_us / 2.0
-    return mean + rng.uniform(-half, half)
+    return float(read_delays_us(mean, profile.jitter_range_us / 2.0, rng, 1)[0])
 
 
 def sample_period_us(profile: DriverProfile, speed_khz: int,

@@ -15,7 +15,9 @@ All commands are deterministic under ``--seed``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import nullcontext, suppress
 
 from emeter import analysis
 from emeter.buffering import (
@@ -137,25 +139,34 @@ def _cmd_sample(args) -> int:
     if args.calib:
         with open(args.calib) as fh:
             curve = CalibrationCurve.parse(fh.read())
-    trace_fh = open(args.out, "wb") if args.out else None
+    # a run that fails after creating --out leaves none of its files behind:
+    # no header-only trace, no flush log, no report
+    created = []
     try:
-        result = run_experiment(args.preset, args.workload, options,
-                                trigger=trigger, calibration=curve,
-                                source=args.source, duration=args.duration,
-                                trace_fh=trace_fh)
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
-    if result.report.sample_count == 0:
-        print("error: no samples inside the trigger window", file=sys.stderr)
-        return 2
+        with open(args.out, "wb") if args.out else nullcontext() as trace_fh:
+            if args.out:
+                created.append(args.out)
+            result = run_experiment(args.preset, args.workload, options,
+                                    trigger=trigger, calibration=curve,
+                                    source=args.source, duration=args.duration,
+                                    trace_fh=trace_fh)
+        if result.report.sample_count == 0:
+            raise ValueError("no samples inside the trigger window")
+        sidecars = {}
+        if result.flush_log and args.out:
+            sidecars[args.out + ".flush.log"] = result.flush_log
+        if args.report:
+            sidecars[args.report] = result.report.to_json()
+        for path, text in sidecars.items():
+            with open(path, "w") as fh:
+                created.append(path)
+                fh.write(text + "\n")
+    except BaseException:
+        for path in created:
+            with suppress(OSError):
+                os.remove(path)
+        raise
     print(result.report.to_text())
-    if result.flush_log and args.out:
-        with open(args.out + ".flush.log", "w") as fh:
-            fh.write(result.flush_log + "\n")
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(result.report.to_json() + "\n")
     return 0
 
 

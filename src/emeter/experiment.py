@@ -43,6 +43,7 @@ from emeter.sampler import (
     gated_energy,
     hybrid_energy,
     naive_energy,
+    window_end_ns,
 )
 from emeter.sensor import (
     BOARDS,
@@ -258,7 +259,7 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
     e_device = e_hybrid if e_hybrid is not None else e_gated
 
     window_lo = max(start_ns, 0) * 1e-9
-    window_hi = limit_ns * 1e-9
+    window_hi = window_end_ns(trigger, trace.timestamps_ns, limit_ns) * 1e-9
     e_ref = exact_energy(profile, (window_lo, window_hi))
     error = abs(e_device - e_ref) / e_ref * 100.0 if e_ref > 0 else 0.0
 

@@ -30,7 +30,7 @@ from emeter.bus_timing import (
     DriverProfile,
     LOOP_OVERHEAD_US,
     TIMESTAMP_CALL_US,
-    read_delay,
+    read_delays_us,
     validate_operating_point,
 )
 from emeter.sensor import (
@@ -406,6 +406,16 @@ def flag_power_save(timestamps_ns: np.ndarray,
 # Readout stage shared by both samplers
 # --------------------------------------------------------------------------
 
+def window_end_ns(trigger: TriggerSpec, timestamps_ns: np.ndarray,
+                  limit_ns: Optional[int]) -> Optional[int]:
+    """Where the measurement window of the gated readings ``timestamps_ns``
+    closes: a count trigger at its last counted reading, any other trigger
+    (or a count trigger with no reading) at ``limit_ns``."""
+    if trigger.mode == "count" and len(timestamps_ns):
+        return int(timestamps_ns[-1])
+    return limit_ns
+
+
 def build_trace(timestamps_ns, bus_voltage, current, saturated, conversion_index,
                 trigger: TriggerSpec, limit_ns: Optional[int],
                 intervals: Sequence[tuple[int, int, int]],
@@ -417,10 +427,11 @@ def build_trace(timestamps_ns, bus_voltage, current, saturated, conversion_index
     the conversion it came from.  Readings outside the trigger window
     ``[start, limit_ns]`` (open-ended when ``limit_ns`` is None), and past
     the count of a count trigger, are dropped.  Power-save ``(start_ns,
-    end_ns, mode)`` intervals are clipped to the window and flag the
-    readings they cover.  Returns the trace, whose events are the clipped
-    intervals' enter/exit edges, and the trigger status: ``'unterminated'``
-    when the window never closed or the count was not reached.
+    end_ns, mode)`` intervals are clipped to the window, which
+    :func:`window_end_ns` closes, and flag the readings they cover.  Returns
+    the trace, whose events are the clipped intervals' enter/exit edges, and
+    the trigger status: ``'unterminated'`` when the window never closed or
+    the count was not reached.
     """
     start_ns, _, status = trigger.window_ns()
     ts = np.asarray(timestamps_ns, dtype=np.int64)
@@ -431,12 +442,13 @@ def build_trace(timestamps_ns, bus_voltage, current, saturated, conversion_index
         if hi - lo < trigger.sample_count:
             status = "unterminated"
     ts = ts[lo:hi]
+    end_ns = window_end_ns(trigger, ts, limit_ns)
 
     clipped = []
     for s, e, mode_index in intervals:
         s = max(s, start_ns)
-        if limit_ns is not None:
-            e = min(e, limit_ns)
+        if end_ns is not None:
+            e = min(e, end_ns)
         if e > s:
             clipped.append((s, e, mode_index))
     flags = flag_power_save(ts, clipped)
@@ -454,6 +466,10 @@ def build_trace(timestamps_ns, bus_voltage, current, saturated, conversion_index
 # --------------------------------------------------------------------------
 # Register-level measurement loop
 # --------------------------------------------------------------------------
+
+#: Read delays the polling loop draws from the generator at a time.
+_DELAY_BLOCK = 4096
+
 
 @dataclass
 class MeasurementResult:
@@ -482,17 +498,15 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
     and, in order and at their timestamps, to the optional buffered
     ``writer``.  ``horizon_ns`` bounds the run when the trigger itself never
     stops (an unterminated edge stream, or a count trigger the load cannot
-    satisfy).
+    satisfy).  With ``rng`` every read takes a jittered delay (see
+    :func:`~emeter.bus_timing.read_delay`); the loop draws them in blocks
+    and leaves ``rng`` in the state one draw per read would have left.
     """
     validate_operating_point(driver, speed_khz, config.supply_voltage)
     start_ns, stop_ns, _ = trigger.window_ns()
     limit_ns = stop_ns if stop_ns is not None else horizon_ns
     mode_map = {m.mode_index: m for m in modes}
     intervals = _validated_intervals(events, mode_map) if events else []
-
-    def sensor_step(now_ns: int):
-        amps, volts = load(now_ns)
-        bus.sensor.step(amps, volts, now_ns)
 
     overhead_ns = (LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
     count_target = trigger.sample_count if trigger.mode == "count" else None
@@ -501,33 +515,60 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
     now = 0.0  # simulation clock, ns
     conversions_seen = 0
 
-    def next_delay_ns() -> float:
-        return read_delay(driver, speed_khz, rng,
-                          config.supply_voltage) * 1000.0
+    # Read delays in ns, one per register read, popped from the end of a
+    # reversed block of draws.  The generator state before the current block
+    # is kept so that, however the loop ends, the caller's generator is left
+    # where one draw per read would have left it.
+    mean_us = driver.mean_delay_us(speed_khz)
+    half_us = driver.jitter_range_us / 2.0
+    delays: list[float] = []
+    block_state = None
 
-    while len(readings) < max_samples:
-        # poll the ready bit (the successful poll carries the bus value)
-        while True:
-            now += next_delay_ns()
-            sensor_step(int(now))
-            bus_word = bus.read_register(REG_BUS_VOLTAGE)
-            if conversion_ready(bus_word):
+    def next_block() -> float:
+        nonlocal block_state
+        if rng is None:
+            delays.extend([mean_us * 1000.0] * _DELAY_BLOCK)
+        else:
+            block_state = rng.bit_generator.state
+            block = (read_delays_us(mean_us, half_us, rng, _DELAY_BLOCK) * 1000.0).tolist()
+            block.reverse()
+            delays.extend(block)
+        return delays.pop()
+
+    read_register = bus.read_register
+    sensor_step = bus.sensor.step
+    try:
+        while len(readings) < max_samples:
+            # poll the ready bit (the successful poll carries the bus value)
+            while True:
+                now += delays.pop() if delays else next_block()
+                t = int(now)
+                amps, volts = load(t)
+                sensor_step(amps, volts, t)
+                bus_word = read_register(REG_BUS_VOLTAGE)
+                if conversion_ready(bus_word):
+                    break
+            conversions_seen += 1
+            now += delays.pop() if delays else next_block()
+            t = int(now)
+            amps, volts = load(t)
+            sensor_step(amps, volts, t)
+            shunt_word = read_register(REG_SHUNT_VOLTAGE)
+            now += overhead_ns
+            ts = int(now)
+
+            if ts >= start_ns and (limit_ns is None or ts <= limit_ns):
+                readings.append((ts, bus_count_from_word(bus_word),
+                                 shunt_count_from_word(shunt_word),
+                                 bus_overflow(bus_word), conversions_seen))
+            if len(readings) == count_target:
                 break
-        conversions_seen += 1
-        now += next_delay_ns()
-        sensor_step(int(now))
-        shunt_word = bus.read_register(REG_SHUNT_VOLTAGE)
-        now += overhead_ns
-        ts = int(now)
-
-        if ts >= start_ns and (limit_ns is None or ts <= limit_ns):
-            readings.append((ts, bus_count_from_word(bus_word),
-                             shunt_count_from_word(shunt_word),
-                             bus_overflow(bus_word), conversions_seen))
-        if len(readings) == count_target:
-            break
-        if limit_ns is not None and now > limit_ns:
-            break
+            if limit_ns is not None and now > limit_ns:
+                break
+    finally:
+        if block_state is not None:
+            rng.bit_generator.state = block_state
+            read_delays_us(mean_us, half_us, rng, _DELAY_BLOCK - len(delays))
 
     ts, bus_count, shunt_count, overflow, conv_index = \
         np.array(readings, dtype=np.int64).reshape(-1, 5).T

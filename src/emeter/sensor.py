@@ -314,25 +314,24 @@ class SimulatedSensor:
         """Advance the model to ``now_ns`` with the given applied load."""
         if now_ns < self._now_ns:
             raise ValueError("time must not regress")
-        self._advance_to(now_ns)
-        self._cur_i = current_a
-        self._cur_v = bus_v
-
-    def _advance_to(self, now_ns: int) -> None:
-        while now_ns - self._window_start_ns >= self._window_ns:
+        # integrate the held input up to each window boundary passed, latching
+        # that conversion, then up to now (one pass unless a window closed;
+        # this runs once per register read of the polling loop)
+        while True:
             boundary = self._window_start_ns + self._window_ns
-            self._accumulate(boundary)
+            to_ns = now_ns if now_ns < boundary else boundary
+            dt = to_ns - self._now_ns
+            if dt > 0:
+                self._acc_i += self._cur_i * dt
+                self._acc_i2 += self._cur_i * self._cur_i * dt
+                self._acc_v += self._cur_v * dt
+                self._now_ns = to_ns
+            if now_ns < boundary:
+                break
             self._latch_conversion()
             self._window_start_ns = boundary
-        self._accumulate(now_ns)
-
-    def _accumulate(self, to_ns: int) -> None:
-        dt = to_ns - self._now_ns
-        if dt > 0:
-            self._acc_i += self._cur_i * dt
-            self._acc_i2 += self._cur_i * self._cur_i * dt
-            self._acc_v += self._cur_v * dt
-            self._now_ns = to_ns
+        self._cur_i = current_a
+        self._cur_v = bus_v
 
     def _latch_conversion(self) -> None:
         window = float(self._window_ns)

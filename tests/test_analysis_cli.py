@@ -151,6 +151,27 @@ class TestCli:
         trace = load_trace(str(out))
         assert trace.timestamps_ns.max() <= 500_000_000
 
+    def test_failed_sample_leaves_no_files(self, tmp_path, capsys):
+        # the edges open and close between two readings: no sample in the window
+        edge_file = tmp_path / "edges.txt"
+        edge_file.write_text("900000000 fall\n900000100 rise\n")
+        out, report = tmp_path / "t.bin", tmp_path / "r.json"
+        code = main(["sample", "--duration", "1", "--trigger", f"edges:{edge_file}",
+                     "--out", str(out), "--report", str(report)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no samples inside the trigger window\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.txt"]
+
+    def test_failed_report_write_removes_trace(self, tmp_path, capsys):
+        out = tmp_path / "t.bin"
+        code = main(["sample", "--duration", "1", "--trigger", "duration:1",
+                     "--out", str(out), "--report", str(tmp_path / "no" / "r.json")])
+        assert code == 2
+        assert "r.json" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_ecdf_command(self, trace_file, tmp_path, capsys):
         csv_path = tmp_path / "e.csv"
         code = main(["ecdf", trace_file, "--out", str(csv_path), "--gnuplot"])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emeter.bus_timing import (
     BCM_PROFILE,
@@ -11,6 +13,7 @@ from emeter.bus_timing import (
     UnsupportedOperatingPoint,
     expected_polls,
     read_delay,
+    read_delays_us,
     sample_period_us,
 )
 from emeter.sensor import SensorConfig
@@ -115,6 +118,25 @@ class TestReadDelay:
             expected_polls(BCM_PROFILE, 2500, cfg)
         # the same point at 5V is fine
         expected_polls(BCM_PROFILE, 2500, SensorConfig(supply_voltage=5.0))
+
+
+class TestReadDelayBlocks:
+    """The polling loop draws delays in blocks; one-draw reads must see the
+    same doubles from the same generator stream."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(1, 300),
+           driver=st.sampled_from(sorted(PROFILES)),
+           speed=st.sampled_from(SUPPORTED_SPEEDS_KHZ))
+    def test_one_draw_view_equals_array_form(self, seed, n, driver, speed):
+        profile = PROFILES[driver]
+        one_by_one = np.random.default_rng(seed)
+        draws = [read_delay(profile, speed, one_by_one) for _ in range(n)]
+        block = np.random.default_rng(seed)
+        array = read_delays_us(profile.mean_delay_us(speed),
+                               profile.jitter_range_us / 2.0, block, n)
+        assert draws == array.tolist()
+        assert one_by_one.bit_generator.state == block.bit_generator.state
 
 
 class TestDelayConfig:

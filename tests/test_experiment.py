@@ -21,7 +21,7 @@ from emeter.sampler import (
 )
 from emeter.sensor import SensorConfig, SimulatedBus, SimulatedSensor
 from emeter.tracefile import decode_trace
-from emeter.workloads import constant_profile
+from emeter.workloads import constant_profile, exact_energy, generate_profile
 
 
 class TestDividerSelection:
@@ -77,6 +77,28 @@ class TestPipelineSemantics:
         result = run_pipeline(profile, PipelineOptions(), TriggerSpec.count(100))
         assert len(result.trace) == 100
         assert result.report.status == "complete"
+
+    def test_count_trigger_reference_closes_at_last_sample(self):
+        profile = generate_profile("rpi3", 1, seed=2, duration=3.0)
+        result = run_pipeline(profile, PipelineOptions(seed=2), TriggerSpec.count(2000))
+        last_s = result.trace.timestamps_ns[-1] * 1e-9
+        assert last_s < 2.5
+        assert result.report.e_reference_j == exact_energy(profile, (0.0, last_s))
+        # as accurate as the duration trigger that ends at the same sample
+        by_duration = run_pipeline(profile, PipelineOptions(seed=2),
+                                   TriggerSpec.duration(last_s))
+        assert len(by_duration.trace) == 2000
+        assert result.report.error_percent == pytest.approx(
+            by_duration.report.error_percent, abs=0.05)
+
+    def test_count_trigger_clips_sleep_to_last_sample(self):
+        # cc2650 announces its sleep states: the hybrid energy must not count
+        # sleep past the last counted sample
+        result = run_experiment("cc2650", 1, PipelineOptions(),
+                                trigger=TriggerSpec.count(200), duration=3.0)
+        last = int(result.trace.timestamps_ns[-1])
+        assert result.trace.events[-1].timestamp_ns == last
+        assert result.report.error_percent < 1.0
 
     def test_count_trigger_unreachable(self):
         profile = constant_profile(5e-3, 5.0, 0.5)

@@ -1,12 +1,13 @@
 """Sampler loop, trapezoidal accumulation, triggers, hybrid sleep model."""
 
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
 from emeter.buffering import TwoBufferWriter
-from emeter.bus_timing import BCM_PROFILE, expected_polls
+from emeter.bus_timing import BCM_PROFILE, PROFILES, expected_polls
 from emeter.sampler import (
     EnergyAccumulator,
     FLAG_POWER_SAVE,
@@ -24,7 +25,7 @@ from emeter.sampler import (
     parse_trigger_edges,
     run_measurement,
 )
-from emeter.sensor import SensorConfig, SimulatedBus, SimulatedSensor
+from emeter.sensor import SHIELD_BOARD, SensorConfig, SimulatedBus, SimulatedSensor
 from emeter.tracefile import HEADER_SIZE, TraceHeader, trace_to_records
 
 
@@ -339,3 +340,92 @@ class TestRunMeasurement:
         writer.close()
         assert result.overruns == 0
         assert fh.getvalue()[HEADER_SIZE:] == trace_to_records(result.trace).tobytes()
+
+
+class CountingBus(SimulatedBus):
+    def __init__(self, sensor):
+        super().__init__(sensor)
+        self.reads = 0
+
+    def read_register(self, addr):
+        self.reads += 1
+        return super().read_register(addr)
+
+
+def _stepped_load(t_ns):
+    """A 5 ms cycle of four current levels with a sagging supply."""
+    level = (t_ns // 1_250_000) % 4
+    return 0.02 + 0.045 * level, 5.0 - 0.01 * level
+
+
+class TestRegisterLoopExact:
+    """The polling loop's outputs and its use of the caller's generator are
+    pinned bit for bit: every run below spans several thousand reads, so
+    more than one block of jitter draws."""
+
+    # sha256 over the trace arrays, energy, status, register reads and
+    # conversions of each run, recorded from the one-draw-per-read loop
+    DIGESTS = {
+        ("bcm", 9):
+            "88028487e0724382b29c0ad9b792722ddd1c6a7ad0c7f5c62f0f56391a1bf13a",
+        ("bcm", 12):
+            "a7d4192ea8bfb4925cdb695d1c1ccdf478baacdc18606c1f1b424eb2c0592860",
+        ("linux", 9):
+            "97926465c19aba4664ee1718f8a35a2985a7be3ed37867c82bf035da0f086860",
+        ("linux", 12):
+            "c06b3a6f54115402921878cacf1df051722e64a0fb7456bc5f6ad57686bb5ef8",
+    }
+
+    @staticmethod
+    def run(driver, bits, seed=7, seconds=0.5):
+        config = SensorConfig(resolution_bits=bits, pga_divider=4)
+        bus = CountingBus(SimulatedSensor(config, board=SHIELD_BOARD))
+        events = [PowerModeEvent("enter", 0, 150_000_000),
+                  PowerModeEvent("exit", 0, 230_000_000)]
+        rng = np.random.default_rng(seed)
+        result = run_measurement(bus, _stepped_load, PROFILES[driver], 2500,
+                                 config, TriggerSpec.duration(seconds),
+                                 events=events, modes=[PowerSaveMode(0, 2e-6, 5.0)],
+                                 rng=rng)
+        return result, bus, rng
+
+    @pytest.mark.parametrize("driver,bits", sorted(DIGESTS))
+    def test_outputs_match_recorded_digest(self, driver, bits):
+        result, bus, _ = self.run(driver, bits)
+        assert bus.reads > 2 * 4096
+        tr = result.trace
+        h = hashlib.sha256()
+        for column in (tr.timestamps_ns, tr.bus_voltage, tr.current, tr.flags):
+            h.update(column.tobytes())
+        h.update(repr((result.energy_j, result.status, result.overruns, bus.reads,
+                       bus.sensor.conversions_done)).encode())
+        assert h.hexdigest() == self.DIGESTS[driver, bits]
+
+    @pytest.mark.parametrize("driver,bits", [("bcm", 12), ("linux", 9)])
+    def test_generator_left_as_one_draw_per_read(self, driver, bits):
+        _, bus, rng = self.run(driver, bits, seed=3)
+        fresh = np.random.default_rng(3)
+        fresh.uniform(size=bus.reads)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+    def test_generator_left_as_one_draw_per_read_on_error(self):
+        config = SensorConfig()
+        bus = CountingBus(SimulatedSensor(config))
+        calls = 0
+
+        def failing_load(t_ns):
+            nonlocal calls
+            calls += 1
+            if calls == 5000:
+                raise RuntimeError("load model failed")
+            return 0.05, 5.0
+
+        rng = np.random.default_rng(5)
+        with pytest.raises(RuntimeError):
+            run_measurement(bus, failing_load, BCM_PROFILE, 2500, config,
+                            TriggerSpec.duration(1.0), rng=rng)
+        # every read drew its delay before the load was asked for
+        fresh = np.random.default_rng(5)
+        fresh.uniform(size=5000)
+        assert bus.reads == 4999
+        assert rng.bit_generator.state == fresh.bit_generator.state
