@@ -24,7 +24,6 @@ The package models the full path from an analog load to an energy figure:
 
 from emeter.sensor import (
     SensorConfig,
-    ConversionTiming,
     quantize_shunt,
     dequantize_shunt,
     quantize_bus,
@@ -57,7 +56,6 @@ from emeter.experiment import ExperimentReport, run_experiment
 
 __all__ = [
     "SensorConfig",
-    "ConversionTiming",
     "quantize_shunt",
     "dequantize_shunt",
     "quantize_bus",

@@ -144,13 +144,13 @@ class TwoBufferWriter(_Writer):
                 len(self._pending) * SAMPLE_BITS * 1e9 / self.write_speed_bps))
         return drops
 
-    def close(self, t_ns: Optional[int] = None) -> None:
+    def close(self) -> None:
         """Drain both buffers; partial data flushes on close."""
         if self._pending is not None:
             self._write(self._pending)
             self._pending = None
         if len(self._active):
-            self.flush_log.append((max(self._last_ns, t_ns or 0), len(self._active)))
+            self.flush_log.append((self._last_ns, len(self._active)))
             self._write(self._active)
             self._active = self._active[:0]
 
@@ -211,7 +211,7 @@ class CircularWriter(_Writer):
         del self._ring_ns[:lo]
         self._expect -= lo
 
-    def close(self, t_ns: Optional[int] = None) -> None:
+    def close(self) -> None:
         self._flush(self._drain(0, len(self._ring), float("inf")))
 
 
@@ -287,18 +287,16 @@ def overhead_energy_closed(model: OverheadModel) -> float:
             * (model.write_power_w - model.buffer_power_w) / model.write_speed_bps)
 
 
-def simulate_overhead_power(model: OverheadModel,
-                            n_buffers: Optional[int] = None) -> float:
+def simulate_overhead_power(model: OverheadModel) -> float:
     """Replay the actual flush schedule and time-weight the two power levels.
 
-    Drives a real :class:`TwoBufferWriter` with ``n_buffers`` buffer fills at
+    Drives a real :class:`TwoBufferWriter` with a few hundred buffer fills at
     the model's sample rate, then averages ``buffer_power_w`` /
     ``write_power_w`` over the resulting write-activity intervals.  The
-    default cycle count keeps the partial-final-flush edge effect well under
-    a percent without replaying an unbounded number of samples.
+    cycle count keeps the partial-final-flush edge effect well under a
+    percent without replaying an unbounded number of samples.
     """
-    if n_buffers is None:
-        n_buffers = max(25, min(400, 2_000_000 // model.buffer_samples))
+    n_buffers = max(25, min(400, 2_000_000 // model.buffer_samples))
     n_samples = n_buffers * model.buffer_samples
     period_ns = 1e9 / model.sample_rate_sps
     writer = TwoBufferWriter(io.BytesIO(), TraceHeader(),

@@ -15,8 +15,9 @@ flag latches until read, a loop that keeps up collects every conversion:
     polls/sample   = max(1, ceil((T_conv - d - o) / d))
     sample period  = max(T_conv, 2*d + o)       [seconds of loop floor]
 
-with ``d`` the mean read delay, ``T_conv`` the conversion time and ``o`` the
-fixed loop overhead.  The per-speed delay defaults below are fitted so the
+with ``d`` the mean read delay, ``T_conv`` the conversion time (the fitted
+constant of :func:`emeter.sensor.conversion_time_us`) and ``o`` the fixed
+loop overhead.  The per-speed delay defaults below are fitted so the
 model reproduces the measured polls-per-sample table at both resolutions and
 the measured throughputs (4350 sps at 9-bit/500kHz on the BCM stack, about
 3360 sps on the Linux stack, just under 1000 sps at 12 bit).
@@ -35,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from emeter.sensor import SensorConfig, ConversionTiming, DEFAULT_TIMING, conversion_time_us
+from emeter.sensor import SensorConfig, conversion_time_us
 
 SUPPORTED_SPEEDS_KHZ = (200, 500, 800, 2500)
 
@@ -64,7 +65,6 @@ class DriverProfile:
     name: str
     read_delay_us: dict = field(default_factory=dict)
     jitter_range_us: float = 0.0
-    syscall_per_transaction: bool = False
 
     def mean_delay_us(self, speed_khz: int) -> float:
         if speed_khz not in self.read_delay_us:
@@ -75,9 +75,9 @@ class DriverProfile:
 
 
 BCM_PROFILE = DriverProfile("bcm", DEFAULT_READ_DELAYS_US["bcm"],
-                            DEFAULT_JITTER_US["bcm"], False)
+                            DEFAULT_JITTER_US["bcm"])
 LINUX_PROFILE = DriverProfile("linux", DEFAULT_READ_DELAYS_US["linux"],
-                              DEFAULT_JITTER_US["linux"], True)
+                              DEFAULT_JITTER_US["linux"])
 
 PROFILES = {"bcm": BCM_PROFILE, "linux": LINUX_PROFILE}
 
@@ -130,26 +130,24 @@ def read_delay(profile: DriverProfile, speed_khz: int,
 
 
 def sample_period_us(profile: DriverProfile, speed_khz: int,
-                     config: SensorConfig,
-                     timing: ConversionTiming = DEFAULT_TIMING) -> float:
+                     config: SensorConfig) -> float:
     """Mean time between collected samples, microseconds."""
     validate_operating_point(profile, speed_khz, config.supply_voltage)
     d = profile.mean_delay_us(speed_khz)
     overhead = LOOP_OVERHEAD_US + TIMESTAMP_CALL_US
     loop_floor = 2.0 * d + overhead
-    return max(conversion_time_us(config, timing), loop_floor)
+    return max(conversion_time_us(config), loop_floor)
 
 
 def expected_polls(profile: DriverProfile, speed_khz: int,
-                   config: SensorConfig,
-                   timing: ConversionTiming = DEFAULT_TIMING) -> PollingStats:
+                   config: SensorConfig) -> PollingStats:
     """Deterministic polling expectation using mean delays."""
     validate_operating_point(profile, speed_khz, config.supply_voltage)
     d = profile.mean_delay_us(speed_khz)
     overhead = LOOP_OVERHEAD_US + TIMESTAMP_CALL_US
-    t_conv = conversion_time_us(config, timing)
+    t_conv = conversion_time_us(config)
     polls = max(1, math.ceil((t_conv - overhead) / d) - 1)
-    period = sample_period_us(profile, speed_khz, config, timing)
+    period = sample_period_us(profile, speed_khz, config)
     return PollingStats(polls_per_sample=polls,
                         samples_per_second=1e6 / period)
 

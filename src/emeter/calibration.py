@@ -351,8 +351,8 @@ def _fit_stats(i_e: np.ndarray, predicted: np.ndarray) -> tuple[float, float]:
     return rmse, r_squared
 
 
-def fit_current(pairs: Sequence[MeasurementPair], form: str = "auto",
-                improvement: float = QUADRATIC_RMSE_IMPROVEMENT) -> CalibrationCurve:
+def fit_current(pairs: Sequence[MeasurementPair],
+                form: str = "auto") -> CalibrationCurve:
     """Least-squares fit of the device current response, through the origin."""
     if len(pairs) < 10:
         raise ValueError("need at least 10 measurement pairs")
@@ -376,7 +376,7 @@ def fit_current(pairs: Sequence[MeasurementPair], form: str = "auto",
     elif form == "quadratic":
         use_quad = True
     elif form == "auto":
-        use_quad = rmse_quad < (1.0 - improvement) * rmse_lin
+        use_quad = rmse_quad < (1.0 - QUADRATIC_RMSE_IMPROVEMENT) * rmse_lin
     else:
         raise ValueError(f"unknown fit form {form!r}")
 

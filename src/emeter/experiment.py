@@ -19,7 +19,7 @@ difference vanishes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -35,7 +35,6 @@ from emeter.bus_timing import (
 from emeter.buffering import BufferPolicy, make_writer
 from emeter.calibration import CalibrationCurve, apply_current, apply_voltage
 from emeter.sampler import (
-    DEFAULT_WARMUP_SAMPLES,
     PowerSaveMode,
     Trace,
     TriggerSpec,
@@ -48,8 +47,6 @@ from emeter.sampler import (
 from emeter.sensor import (
     BOARDS,
     BoardCharacter,
-    ConversionTiming,
-    DEFAULT_TIMING,
     SHUNT_FULL_SCALE_V,
     SensorConfig,
     conversion_time_us,
@@ -85,7 +82,6 @@ class PipelineOptions:
     board: str = "shield"
     noise_current_a: float = DEFAULT_CURRENT_NOISE_A
     noise_voltage_v: float = DEFAULT_VOLTAGE_NOISE_V
-    warmup_samples: int = DEFAULT_WARMUP_SAMPLES
     seed: int = 0
     buffering: Optional[BufferPolicy] = None
     write_speed_bps: float = 40e6
@@ -116,27 +112,13 @@ class ExperimentReport:
     config: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "e_device_j": self.e_device_j,
-            "e_reference_j": self.e_reference_j,
-            "error_percent": self.error_percent,
-            "sample_count": self.sample_count,
-            "overrun_count": self.overrun_count,
-            "status": self.status,
-            "config": self.config,
-        }
+        payload = {name: getattr(self, name) for name in _REPORT_FIELDS}
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
         payload = json.loads(text)
-        return cls(e_device_j=payload["e_device_j"],
-                   e_reference_j=payload["e_reference_j"],
-                   error_percent=payload["error_percent"],
-                   sample_count=payload["sample_count"],
-                   overrun_count=payload["overrun_count"],
-                   status=payload["status"],
-                   config=payload["config"])
+        return cls(**{name: payload[name] for name in _REPORT_FIELDS})
 
     def to_text(self) -> str:
         lines = [
@@ -150,6 +132,9 @@ class ExperimentReport:
         for key in sorted(self.config):
             lines.append(f"{key:17s}: {self.config[key]}")
         return "\n".join(lines)
+
+
+_REPORT_FIELDS = [f.name for f in fields(ExperimentReport)]
 
 
 @dataclass
@@ -202,8 +187,7 @@ def _readings(profile: LoadProfile, options: PipelineOptions,
 def run_pipeline(profile: LoadProfile, options: PipelineOptions,
                  trigger: TriggerSpec,
                  calibration: Optional[CalibrationCurve] = None,
-                 trace_fh=None,
-                 timing: ConversionTiming = DEFAULT_TIMING) -> PipelineResult:
+                 trace_fh=None) -> PipelineResult:
     """Sample a load profile through the simulated measurement chain."""
     driver = options.driver_profile()
     board = options.board_character()
@@ -213,8 +197,8 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
                           supply_voltage=options.supply_voltage)
     validate_operating_point(driver, options.speed_khz, config.supply_voltage)
 
-    period_ns = sample_period_us(driver, options.speed_khz, config, timing) * 1000.0
-    conv_ns = conversion_time_us(config, timing) * 1000.0
+    period_ns = sample_period_us(driver, options.speed_khz, config) * 1000.0
+    conv_ns = conversion_time_us(config) * 1000.0
     # timestamp lands after the final ready poll, the shunt read and the
     # bookkeeping; a constant offset past the conversion boundary
     tail_ns = (1.5 * driver.mean_delay_us(options.speed_khz)
@@ -237,9 +221,7 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
     intervals = [(int(round(s * 1e9)), int(round(e * 1e9)), mode_index)
                  for s, e, mode_index in profile.power_save_intervals]
     trace, status = build_trace(
-        ts, bus_v, current, saturated, conv_index, trigger, limit_ns,
-        intervals, options.warmup_samples, config=config,
-        driver_name=driver.name, bus_speed_khz=options.speed_khz)
+        ts, bus_v, current, saturated, conv_index, trigger, limit_ns, intervals)
     modes = [PowerSaveMode(idx, amps, volts)
              for idx, amps, volts in profile.power_save_modes]
 

@@ -116,8 +116,11 @@ class TriggerSpec:
 
     @classmethod
     def count(cls, n: int) -> "TriggerSpec":
-        if n <= 0:
-            raise ValueError("sample count must be positive")
+        if n < DEFAULT_WARMUP_SAMPLES + 2:
+            raise ValueError(
+                f"sample count must be at least {DEFAULT_WARMUP_SAMPLES + 2}: "
+                f"the first {DEFAULT_WARMUP_SAMPLES} samples are warm-up and "
+                f"a trapezoid needs two more, got {n}")
         return cls(mode="count", sample_count=n)
 
     @classmethod
@@ -198,14 +201,11 @@ def format_power_mode_events(events: Iterable[PowerModeEvent]) -> str:
 # --------------------------------------------------------------------------
 
 class Trace:
-    """Ordered sample arrays plus annotations and header metadata."""
+    """Ordered sample arrays plus power-save events; a trace file's metadata
+    is the header that :func:`~emeter.tracefile.read_trace` returns."""
 
     def __init__(self, timestamps_ns, bus_voltage, current, flags,
-                 events: Sequence[PowerModeEvent] = (),
-                 trigger_edges: Sequence[tuple] = (),
-                 config: Optional[SensorConfig] = None,
-                 driver_name: str = "bcm", bus_speed_khz: int = 2500,
-                 start_clock_ns: int = 0):
+                 events: Sequence[PowerModeEvent] = ()):
         self.timestamps_ns = np.asarray(timestamps_ns, dtype=np.int64)
         self.bus_voltage = np.asarray(bus_voltage, dtype=float)
         self.current = np.asarray(current, dtype=float)
@@ -216,11 +216,6 @@ class Trace:
         if n > 1 and np.any(np.diff(self.timestamps_ns) <= 0):
             raise ValueError("trace timestamps must be strictly increasing")
         self.events = list(events)
-        self.trigger_edges = list(trigger_edges)
-        self.config = config
-        self.driver_name = driver_name
-        self.bus_speed_khz = bus_speed_khz
-        self.start_clock_ns = start_clock_ns
 
     def __len__(self) -> int:
         return len(self.timestamps_ns)
@@ -418,13 +413,13 @@ def window_end_ns(trigger: TriggerSpec, timestamps_ns: np.ndarray,
 
 def build_trace(timestamps_ns, bus_voltage, current, saturated, conversion_index,
                 trigger: TriggerSpec, limit_ns: Optional[int],
-                intervals: Sequence[tuple[int, int, int]],
-                warmup_samples: int, **meta) -> tuple[Trace, str]:
+                intervals: Sequence[tuple[int, int, int]]) -> tuple[Trace, str]:
     """Gate, flag and annotate per-reading arrays into a trace.
 
     One entry per reading, in increasing timestamp order: its timestamp, bus
     volts and amperes, whether the chip saturated, and the 1-based index of
-    the conversion it came from.  Readings outside the trigger window
+    the conversion it came from; the first :data:`DEFAULT_WARMUP_SAMPLES`
+    conversions are flagged warm-up.  Readings outside the trigger window
     ``[start, limit_ns]`` (open-ended when ``limit_ns`` is None), and past
     the count of a count trigger, are dropped.  Power-save ``(start_ns,
     end_ns, mode)`` intervals are clipped to the window, which
@@ -453,13 +448,13 @@ def build_trace(timestamps_ns, bus_voltage, current, saturated, conversion_index
             clipped.append((s, e, mode_index))
     flags = flag_power_save(ts, clipped)
     flags[np.asarray(saturated, dtype=bool)[lo:hi]] |= FLAG_SATURATED
-    flags[np.asarray(conversion_index)[lo:hi] <= warmup_samples] |= FLAG_WARMUP
+    flags[np.asarray(conversion_index)[lo:hi] <= DEFAULT_WARMUP_SAMPLES] |= FLAG_WARMUP
 
     events = [PowerModeEvent("enter", m, s) for s, e, m in clipped]
     events += [PowerModeEvent("exit", m, e) for s, e, m in clipped]
     events.sort(key=lambda ev: ev.timestamp_ns)
     trace = Trace(ts, np.asarray(bus_voltage)[lo:hi], np.asarray(current)[lo:hi],
-                  flags, events=events, trigger_edges=list(trigger.edges), **meta)
+                  flags, events=events)
     return trace, status
 
 
@@ -483,7 +478,6 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
                     config: SensorConfig, trigger: TriggerSpec,
                     writer=None, events: Sequence[PowerModeEvent] = (),
                     modes: Sequence[PowerSaveMode] = (),
-                    warmup_samples: int = DEFAULT_WARMUP_SAMPLES,
                     rng: Optional[np.random.Generator] = None,
                     horizon_ns: Optional[int] = None,
                     max_samples: int = 2_000_000) -> MeasurementResult:
@@ -575,8 +569,7 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
     trace, status = build_trace(
         ts, dequantize_bus(bus_count, config),
         dequantize_shunt(shunt_count, config), overflow, conv_index,
-        trigger, limit_ns, intervals, warmup_samples, config=config,
-        driver_name=driver.name, bus_speed_khz=speed_khz)
+        trigger, limit_ns, intervals)
     if writer is not None:
         from emeter.tracefile import trace_to_records  # imports this module
         writer.extend(trace_to_records(trace), trace.timestamps_ns)

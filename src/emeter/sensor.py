@@ -23,13 +23,16 @@ are fixed by this package, not by any one silicon revision):
 The conversion-ready bit is set when a conversion completes and cleared by
 reading the bus-voltage register.  The ADC is modeled as an ideal averager:
 the registered value is the quantized mean of the analog input over the
-conversion window.
+conversion window.  The window length is fitted, not configured:
+:func:`conversion_time_us` states it once, from :data:`CONVERSION_US` and
+:data:`LOW_VOLTAGE_PENALTY_US`, for the chip model and the pipeline alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Protocol
 
 import numpy as np
@@ -92,11 +95,12 @@ class SensorConfig:
         """Full-scale shunt voltage for the configured divider (40..320mV)."""
         return SHUNT_FULL_SCALE_V * self.pga_divider
 
-    @property
+    # cached: the chip model's scalar quantizers read these on every conversion
+    @cached_property
     def max_count(self) -> int:
         return 2 ** self.resolution_bits - 1
 
-    @property
+    @cached_property
     def shunt_counts_per_volt(self) -> float:
         """Shunt register counts per volt across the shunt, this divider."""
         return self.max_count / (SHUNT_FULL_SCALE_V * self.pga_divider)
@@ -192,36 +196,23 @@ def dequantize_bus(count, config: SensorConfig):
 # Conversion timing
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConversionTiming:
-    """Effective sample preparation time of the ADC front end.
-
-    The datasheet conversion figures (532-586us at 12 bit, 84-93us at 9 bit)
-    understate the end-to-end sample preparation time; the defaults here are
-    fitted so the full polling pipeline reproduces the measured sampling
-    rates (about 950 sps at 12 bit, 4350 sps at 9 bit over a 500kHz bus with
-    the fast driver stack).  Running the chip at 3.3V instead of 5V slows the
-    decimator and adds a fixed penalty.
-    """
-
-    base_conversion_us: dict = field(
-        default_factory=lambda: {12: 1050.0, 9: 209.0})
-    low_voltage_penalty_us: float = 64.0
-
-    def conversion_us(self, config: SensorConfig) -> float:
-        base = self.base_conversion_us[config.resolution_bits]
-        if config.supply_voltage == 3.3:
-            return base + self.low_voltage_penalty_us
-        return base
+#: Effective time to prepare one averaged sample, microseconds, per
+#: resolution.  The datasheet conversion figures (532-586us at 12 bit, 84-93us
+#: at 9 bit) understate the end-to-end sample preparation time; these are
+#: fitted so the full polling pipeline reproduces the measured sampling rates
+#: (about 950 sps at 12 bit, 4350 sps at 9 bit over a 500kHz bus with the fast
+#: driver stack).
+CONVERSION_US = {12: 1050.0, 9: 209.0}
+#: Running the chip at 3.3V instead of 5V slows the decimator by this much.
+LOW_VOLTAGE_PENALTY_US = 64.0
 
 
-DEFAULT_TIMING = ConversionTiming()
-
-
-def conversion_time_us(config: SensorConfig,
-                       timing: ConversionTiming = DEFAULT_TIMING) -> float:
+def conversion_time_us(config: SensorConfig) -> float:
     """Time to prepare one averaged sample, in microseconds."""
-    return timing.conversion_us(config)
+    base = CONVERSION_US[config.resolution_bits]
+    if config.supply_voltage == 3.3:
+        return base + LOW_VOLTAGE_PENALTY_US
+    return base
 
 
 # --------------------------------------------------------------------------
@@ -288,18 +279,16 @@ class SimulatedSensor:
     """
 
     def __init__(self, config: SensorConfig,
-                 board: BoardCharacter = IDEAL_BOARD,
-                 timing: ConversionTiming = DEFAULT_TIMING):
+                 board: BoardCharacter = IDEAL_BOARD):
         self.config = config
         self.board = board
-        self.timing = timing
         self.registers = {
             REG_CONFIG: encode_config(config),
             REG_SHUNT_VOLTAGE: 0,
             REG_BUS_VOLTAGE: 0,
         }
         self.conversions_done = 0
-        self._window_ns = int(round(timing.conversion_us(config) * 1000.0))
+        self._window_ns = int(round(conversion_time_us(config) * 1000.0))
         self._window_start_ns = 0
         self._now_ns = 0
         self._cur_i = 0.0
@@ -370,7 +359,7 @@ class SimulatedSensor:
         self.registers[REG_CONFIG] = value & 0xFFFF
         self.config = decode_config(value, self.config.shunt_resistance,
                                     self.config.supply_voltage)
-        self._window_ns = int(round(self.timing.conversion_us(self.config) * 1000.0))
+        self._window_ns = int(round(conversion_time_us(self.config) * 1000.0))
 
 
 class SimulatedBus:

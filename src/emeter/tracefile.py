@@ -102,14 +102,13 @@ class TraceHeader:
 
     @classmethod
     def from_config(cls, config: SensorConfig, driver_name: str,
-                    bus_speed_khz: int, start_clock_ns: int = 0) -> "TraceHeader":
+                    bus_speed_khz: int) -> "TraceHeader":
         return cls(resolution_bits=config.resolution_bits,
                    pga_divider=config.pga_divider,
                    bus_range=int(config.bus_range),
                    supply_voltage=config.supply_voltage,
                    shunt_uohm=int(round(config.shunt_resistance * 1e6)),
-                   driver_name=driver_name, bus_speed_khz=bus_speed_khz,
-                   start_clock_ns=start_clock_ns)
+                   driver_name=driver_name, bus_speed_khz=bus_speed_khz)
 
     def to_config(self) -> SensorConfig:
         return SensorConfig(shunt_resistance=self.shunt_uohm / 1e6,
@@ -196,19 +195,17 @@ def trace_to_records(trace: Trace) -> np.ndarray:
     return records
 
 
-def records_to_trace(header: TraceHeader, records) -> Trace:
+def records_to_trace(records) -> Trace:
     """Build an in-memory trace from decoded records (gaps skipped)."""
     records = np.asarray(records, dtype=RECORD)
     readings = records[~is_gap(records)]
     return Trace(readings["t"], readings["uv"] * 1e-6, readings["ua"] * 1e-6,
-                 np.zeros(len(readings), dtype=np.uint8),
-                 config=header.to_config(), driver_name=header.driver_name,
-                 bus_speed_khz=header.bus_speed_khz,
-                 start_clock_ns=header.start_clock_ns)
+                 np.zeros(len(readings), dtype=np.uint8))
 
 
 def load_trace(path: str) -> Trace:
-    return records_to_trace(*read_trace(path))
+    """The readings of a trace file; its header is :func:`read_trace`'s."""
+    return records_to_trace(read_trace(path)[1])
 
 
 def export_csv(fh, header: TraceHeader, records) -> int:

@@ -183,7 +183,7 @@ def exact_energy(profile: LoadProfile, window: Optional[tuple] = None) -> float:
 # --------------------------------------------------------------------------
 
 def _spike_starts(dwell: float, width: float, duty: float,
-                  rng: Optional[np.random.Generator]) -> np.ndarray:
+                  rng: np.random.Generator) -> np.ndarray:
     """Spike start offsets inside one dwell: a jittered grid at given duty.
 
     The radio finishes its burst before the state scheduler switches, so
@@ -195,17 +195,13 @@ def _spike_starts(dwell: float, width: float, duty: float,
     span = max(dwell - 2.0 * width - 2e-3, width)
     pitch = span / n
     starts = np.arange(n) * pitch
-    if rng is not None:
-        starts = starts + rng.uniform(0.0, max(pitch - width, 0.0), size=n)
-    return starts
+    return starts + rng.uniform(0.0, max(pitch - width, 0.0), size=n)
 
 
-def _state_segments(level_base: float, level_peak: Optional[float],
+def _state_segments(level_base: float, level_peak: float,
                     t0: float, dwell: float, width: float, duty: float,
-                    rng: Optional[np.random.Generator]):
+                    rng: np.random.Generator):
     """Piece starts and levels for one state dwell [t0, t0+dwell)."""
-    if level_peak is None:
-        return [t0], [level_base]
     starts: list[float] = []
     levels: list[float] = []
     cursor = t0
@@ -274,7 +270,7 @@ def _source_voltage(edges: np.ndarray, current: np.ndarray, nominal: float,
 
 
 def generate_profile(preset: str | DevicePreset, workload: int,
-                     seed: Optional[int] = 0, duration: float = 30.0,
+                     seed: int = 0, duration: float = 30.0,
                      source: str = "supply") -> LoadProfile:
     """Build the load profile for one device preset and workload.
 
@@ -289,7 +285,7 @@ def generate_profile(preset: str | DevicePreset, workload: int,
             raise ValueError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
     if workload not in WORKLOAD_STATES:
         raise ValueError(f"workload must be one of {sorted(WORKLOAD_STATES)}")
-    rng = np.random.default_rng(seed) if seed is not None else None
+    rng = np.random.default_rng(seed)
     states = WORKLOAD_STATES[workload]
 
     edges: list[float] = []
@@ -321,7 +317,7 @@ def generate_profile(preset: str | DevicePreset, workload: int,
 
     edge_arr = np.asarray(edges)
     level_arr = np.asarray(levels)
-    if preset.activity_ripple_a > 0 and rng is not None:
+    if preset.activity_ripple_a > 0:
         edge_arr, level_arr = _apply_ripple(edge_arr, level_arr,
                                             preset.activity_ripple_a, rng)
     merged_edges, i_levels, v_levels = _source_voltage(

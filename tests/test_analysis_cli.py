@@ -164,6 +164,17 @@ class TestCli:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.txt"]
 
+    def test_count_inside_warmup_is_usage_error(self, tmp_path, capsys):
+        # all five samples would be warm-up: nothing would be integrated
+        out = tmp_path / "t.bin"
+        code = main(["sample", "--preset", "rpi3", "--trigger", "count:5",
+                     "--duration", "1", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "first 5 samples are warm-up" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_report_write_removes_trace(self, tmp_path, capsys):
         out = tmp_path / "t.bin"
         code = main(["sample", "--duration", "1", "--trigger", "duration:1",

@@ -1,5 +1,6 @@
 """Experiment pipeline: cross-checks against the register-level loop."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -143,3 +144,70 @@ class TestPipelineSemantics:
         without = run_experiment("rpi3", 1, PipelineOptions(), duration=2.0)
         assert with_modes.energy_hybrid_j is not None
         assert without.energy_hybrid_j is None
+
+
+class TestPipelineExact:
+    """``run_pipeline``'s outputs are pinned bit for bit: a change to any
+    reading, timestamp, flag, event, energy, report field or trace-file byte
+    fails here, not only in hand-run benchmark digests."""
+
+    # sha256 over the trace columns, events, energies, flush log and report of
+    # each 2 s workload-1 run, and over the file bytes of two buffered captures
+    DIGESTS = {
+        ("cc2650", 9, "bcm"):
+            "746e62e6671233f5a6fa7493e7faa052f637238f938e1f1ad1c2c54532484309",
+        ("cc2650", 9, "linux"):
+            "d5e9d1a8f050baadbacf96c4ad8355c3f63b88f141b6c6c202de0150de4ae864",
+        ("cc2650", 12, "bcm"):
+            "1a162f4d9cadab2ffd6eaabca258fd00f5b3d6cf620f1ada0ae11afd53a461cd",
+        ("cc2650", 12, "linux"):
+            "09ce9a19cd988fccf2bee64298a27ffe3d862eb1c04a0c037942a1664ed8aa33",
+        ("rpi3", 9, "bcm"):
+            "c1dfe814574a6cb0911def98717221f052d17d251176dba2f688e676c90dcfb6",
+        ("rpi3", 9, "linux"):
+            "15e25b1c1f6cd11035e24f4b8758f89036f799bfd1f706bdd830aacb7207932f",
+        ("rpi3", 12, "bcm"):
+            "b03b47153164c01fbe262d5dbf2ce1b810b048d6a7cacf08a8ec03038a5e1881",
+        ("rpi3", 12, "linux"):
+            "c03e3712bb06eff454f9baef2185a3c9041a0fa5ecf9820eb8d7761ec537faf5",
+    }
+    FILE_DIGESTS = {
+        "two_buffer":
+            "59af5724ac21dbdf26bb4639055e243f78fd234f559b5f7f21bcca4b5128d15d",
+        "circular":
+            "f4ec0fbeb7c9a2f97d3d191bb4f3b294c6f63bbd3cad084d75cfd14a1657f687",
+    }
+
+    @staticmethod
+    def digest(result, file_bytes=b""):
+        tr = result.trace
+        h = hashlib.sha256()
+        for column in (tr.timestamps_ns, tr.bus_voltage, tr.current, tr.flags):
+            h.update(column.tobytes())
+        h.update(repr([(e.kind, e.mode_index, e.timestamp_ns) for e in tr.events]).encode())
+        h.update(repr((result.energy_gated_j, result.energy_naive_j,
+                       result.energy_hybrid_j, result.flush_log)).encode())
+        h.update(result.report.to_json().encode())
+        h.update(file_bytes)
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("preset,bits,driver", sorted(DIGESTS))
+    def test_outputs_match_recorded_digest(self, preset, bits, driver):
+        options = PipelineOptions(resolution_bits=bits, driver=driver, seed=11)
+        result = run_experiment(preset, 1, options, duration=2.0)
+        assert self.digest(result) == self.DIGESTS[preset, bits, driver]
+
+    # the circular capture writes slower than the 9-bit rate, so it drops
+    # entries and carries gap markers
+    @pytest.mark.parametrize("kind,preset,bits,driver,write_speed_bps", [
+        ("two_buffer", "rpi3", 9, "linux", 40e6),
+        ("circular", "cc2650", 9, "bcm", 0.5e6),
+    ])
+    def test_trace_file_matches_recorded_digest(self, kind, preset, bits, driver,
+                                                write_speed_bps):
+        fh = io.BytesIO()
+        options = PipelineOptions(resolution_bits=bits, driver=driver, seed=11,
+                                  buffering=BufferPolicy(kind, 512),
+                                  write_speed_bps=write_speed_bps)
+        result = run_experiment(preset, 1, options, duration=2.0, trace_fh=fh)
+        assert self.digest(result, fh.getvalue()) == self.FILE_DIGESTS[kind]

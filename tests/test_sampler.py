@@ -9,6 +9,7 @@ import pytest
 from emeter.buffering import TwoBufferWriter
 from emeter.bus_timing import BCM_PROFILE, PROFILES, expected_polls
 from emeter.sampler import (
+    DEFAULT_WARMUP_SAMPLES,
     EnergyAccumulator,
     FLAG_POWER_SAVE,
     FLAG_WARMUP,
@@ -229,6 +230,26 @@ class TestTriggerSpec:
             TriggerSpec.parse("bogus:1")
         with pytest.raises(ValueError):
             TriggerSpec.parse("duration:0")
+
+    @pytest.mark.parametrize("n", [-1, 0, 1, 5, 6])
+    def test_count_must_reach_past_warmup(self, n):
+        # the first DEFAULT_WARMUP_SAMPLES samples integrate nothing, and a
+        # trapezoid needs two countable samples
+        with pytest.raises(ValueError, match="first 5 samples are warm-up"):
+            TriggerSpec.count(n)
+        with pytest.raises(ValueError, match="first 5 samples are warm-up"):
+            TriggerSpec.parse(f"count:{n}")
+
+    def test_smallest_count_integrates_one_trapezoid(self):
+        assert DEFAULT_WARMUP_SAMPLES + 2 == 7
+        config = SensorConfig()
+        result = run_measurement(SimulatedBus(SimulatedSensor(config)),
+                                 lambda t: (0.1, 5.0), BCM_PROFILE, 2500, config,
+                                 TriggerSpec.count(7))
+        assert len(result.trace) == 7
+        assert np.count_nonzero(result.trace.flags & FLAG_WARMUP) == 5
+        assert result.status == "complete"
+        assert result.energy_j > 0
 
     def test_edges_window(self):
         spec = TriggerSpec.external_edges([(0, "fall"), (500_000_000, "rise")])

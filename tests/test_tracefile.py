@@ -110,7 +110,7 @@ class TestFileRoundTrip:
         ts = np.array([1_000_000, 2_000_000, 3_000_000], dtype=np.int64)
         trace = Trace(ts, [5.0, 5.0, 4.996], [0.1, 0.2, 0.15], [0, 0, 0])
         records = trace_to_records(trace)
-        back = records_to_trace(TraceHeader(), records)
+        back = records_to_trace(records)
         assert np.array_equal(back.timestamps_ns, trace.timestamps_ns)
         assert np.allclose(back.current, trace.current, atol=1e-6)
 
@@ -137,7 +137,7 @@ class TestFileRoundTrip:
     def test_gap_records_skipped_on_load(self):
         records = [TraceRecord(100, 1, 1), TraceRecord.gap(150),
                    TraceRecord(200, 2, 2)]
-        trace = records_to_trace(TraceHeader(), records)
+        trace = records_to_trace(records)
         assert len(trace) == 2
 
 
