@@ -237,12 +237,12 @@ def _cmd_overhead(args) -> int:
 
 
 def _cmd_export_csv(args) -> int:
-    header, records = read_trace(args.trace)
+    _, records = read_trace(args.trace)
     if args.out:
         with open(args.out, "w") as out:
-            export_csv(out, header, records)
+            export_csv(out, records)
     else:
-        export_csv(sys.stdout, header, records)
+        export_csv(sys.stdout, records)
     return 0
 
 

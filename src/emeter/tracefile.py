@@ -208,7 +208,7 @@ def load_trace(path: str) -> Trace:
     return records_to_trace(read_trace(path)[1])
 
 
-def export_csv(fh, header: TraceHeader, records) -> int:
+def export_csv(fh, records) -> int:
     """Write ``timestamp_ns,bus_mV,current_mA`` rows; returns the row count."""
     records = np.asarray(records, dtype=RECORD)
     rows = records[~is_gap(records)].tolist()

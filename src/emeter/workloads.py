@@ -11,11 +11,17 @@ widths and duty cycles are plausible reconstructions, not measured values.
 Voltage comes from a source model: a regulated supply holds the nominal
 voltage within a small ripple band, while a battery sags proportionally to
 the drawn current through a per-device source resistance.
+
+A profile is assembled without a per-spike loop: one draw gives the spike
+offsets of every tx dwell, array slots place the base and spike pieces, and
+one merge splits those pieces at the activity-ripple steps and the supply
+half periods, giving each segment its state and step index on the way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -100,9 +106,9 @@ class LoadProfile:
     """Piecewise-constant (current, voltage) signal with exact integrals.
 
     ``edges`` has ``n+1`` breakpoints in seconds; ``current``/``voltage``
-    hold the ``n`` segment levels.  Cumulative integrals of i, i**2, v and
-    i*v are precomputed at the breakpoints, so window means and energies
-    reduce to exact linear interpolation.
+    hold the ``n`` segment levels.  Cumulative integrals of i, v and i*v
+    are precomputed at the breakpoints (that of i**2 on first use), so window
+    means and energies reduce to exact linear interpolation.
     """
 
     def __init__(self, edges: np.ndarray, current: np.ndarray,
@@ -116,7 +122,8 @@ class LoadProfile:
             raise ValueError("edges must have one more entry than levels")
         if len(voltage) != len(current):
             raise ValueError("current and voltage level counts differ")
-        if np.any(np.diff(edges) <= 0):
+        dt = np.diff(edges)
+        if np.any(dt <= 0):
             raise ValueError("edges must be strictly increasing")
         self.edges = edges
         self.current = current
@@ -125,11 +132,14 @@ class LoadProfile:
         self.power_save_intervals = power_save_intervals or []
         #: declared (mode_index, constant_current, nominal_voltage) triples
         self.power_save_modes = power_save_modes or []
-        dt = np.diff(edges)
         self._cum_i = np.concatenate([[0.0], np.cumsum(current * dt)])
-        self._cum_i2 = np.concatenate([[0.0], np.cumsum(current ** 2 * dt)])
         self._cum_v = np.concatenate([[0.0], np.cumsum(voltage * dt)])
         self._cum_p = np.concatenate([[0.0], np.cumsum(current * voltage * dt)])
+
+    @cached_property
+    def _cum_i2(self) -> np.ndarray:
+        # read only for a board whose error model has a quadratic term
+        return np.concatenate([[0.0], np.cumsum(self.current ** 2 * np.diff(self.edges))])
 
     @property
     def duration(self) -> float:
@@ -182,91 +192,62 @@ def exact_energy(profile: LoadProfile, window: Optional[tuple] = None) -> float:
 # Profile construction
 # --------------------------------------------------------------------------
 
-def _spike_starts(dwell: float, width: float, duty: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Spike start offsets inside one dwell: a jittered grid at given duty.
+def _state_pieces(t0: np.ndarray, dwell: np.ndarray, level: np.ndarray,
+                  tx: np.ndarray, preset: DevicePreset,
+                  rng: np.random.Generator) -> tuple:
+    """Piece starts and levels of the state dwells ``[t0, t0 + dwell)``.
 
-    The radio finishes its burst before the state scheduler switches, so
-    spikes keep clear of the last couple of milliseconds of the dwell.
+    A dwell holds its state's ``level``; a tx dwell carries a jittered grid
+    of spikes at the preset's duty, clear of the dwell's last couple of
+    milliseconds (the radio finishes its burst before the state switches).
+    A dwell with ``m`` spikes fills ``2m + 1`` slots: spikes at the odd ones,
+    base pieces at the even ones (from ``t0`` and from each spike's end),
+    and a base piece narrower than 1e-15 s is dropped.
     """
-    if duty <= 0 or width <= 0:
-        return np.empty(0)
-    n = max(1, int(round(duty * dwell / width)))
-    span = max(dwell - 2.0 * width - 2e-3, width)
-    pitch = span / n
-    starts = np.arange(n) * pitch
-    return starts + rng.uniform(0.0, max(pitch - width, 0.0), size=n)
+    width, duty = preset.spike_width_s, preset.spike_duty
+    end = t0 + dwell
+    spiky = np.flatnonzero(tx) if duty > 0 and width > 0 else np.empty(0, int)
+    n = np.maximum(1, np.rint(duty * dwell[spiky] / width).astype(int))
+    pitch = np.maximum(dwell[spiky] - 2.0 * width - 2e-3, width) / n
+    owner = np.repeat(spiky, n)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(n) - n, n)
+    jitter = rng.uniform(0.0, np.repeat(np.maximum(pitch - width, 0.0), n))
+    s = t0[owner] + (rank * np.repeat(pitch, n) + jitter)
+    # offsets increase, so the cut-off at the dwell's end drops a suffix
+    keep = s < end[owner]
+    s, owner, rank = s[keep], owner[keep], rank[keep]
+    e = np.minimum(s + width, end[owner])
+
+    m = np.bincount(owner, minlength=len(t0))
+    slots = 2 * m + 1
+    first = np.cumsum(slots) - slots
+    last = first + 2 * m
+    peak = first[owner] + 2 * rank + 1
+    starts = np.empty(int(slots.sum()))
+    starts[first] = t0
+    starts[peak] = s
+    starts[peak + 1] = e
+    levels = np.repeat(level, slots)
+    levels[peak] = preset.tx_peak_current
+    piece = np.ones(len(starts), dtype=bool)
+    piece[peak - 1] = s > starts[peak - 1] + 1e-15
+    piece[last] = ~tx | (starts[last] < end - 1e-15)
+    return starts[piece], levels[piece]
 
 
-def _state_segments(level_base: float, level_peak: float,
-                    t0: float, dwell: float, width: float, duty: float,
-                    rng: np.random.Generator):
-    """Piece starts and levels for one state dwell [t0, t0+dwell)."""
-    starts: list[float] = []
-    levels: list[float] = []
-    cursor = t0
-    for off in _spike_starts(dwell, width, duty, rng):
-        s = t0 + off
-        if s >= t0 + dwell:
-            break
-        e = min(s + width, t0 + dwell)
-        if s > cursor + 1e-15:
-            starts.append(cursor)
-            levels.append(level_base)
-        starts.append(s)
-        levels.append(level_peak)
-        cursor = e
-    if cursor < t0 + dwell - 1e-15:
-        starts.append(cursor)
-        levels.append(level_base)
-    return starts, levels
-
-
-def _refine(edges: np.ndarray, grid: np.ndarray) -> tuple:
-    """Split the segments of ``edges`` at the points of ``grid``.
-
-    Returns the merged breakpoints (clipped to the span of ``edges``), the
-    midpoint of each new segment and the index of the old segment it lies in.
-    """
-    t_end = edges[-1]
-    merged = np.union1d(edges, grid)
-    merged = merged[(merged >= edges[0]) & (merged <= t_end)]
-    if merged[-1] < t_end:
-        merged = np.append(merged, t_end)
-    mid = (merged[:-1] + merged[1:]) / 2.0
-    return merged, mid, _segment_of(edges, mid)
+def _merge(grids: list, indexed: int) -> tuple:
+    """Sorted union of the sorted ``grids``; for each of the first ``indexed``
+    grids, the index of its last point at or before each union point."""
+    points = np.concatenate(grids)
+    order = np.argsort(points, kind="stable")
+    points = points[order]
+    last = np.append(points[1:] != points[:-1], True)  # last of equal points
+    bounds = np.cumsum([0] + [len(g) for g in grids])
+    return points[last], [np.cumsum((order >= lo) & (order < hi))[last] - 1
+                          for lo, hi in zip(bounds, bounds[1:indexed + 1])]
 
 
 RIPPLE_PIECE_S = 1.3e-3
-
-
-def _apply_ripple(edges: np.ndarray, current: np.ndarray, amplitude: float,
-                  rng: np.random.Generator) -> tuple:
-    """Superimpose zero-mean uniform activity steps onto the state levels."""
-    grid = np.arange(0.0, float(edges[-1]), RIPPLE_PIECE_S)
-    merged, mid, base_idx = _refine(edges, grid)
-    ripple_levels = rng.uniform(-amplitude, amplitude, size=len(grid) + 1)
-    piece_idx = np.clip(np.searchsorted(grid, mid, side="right") - 1, 0,
-                        len(ripple_levels) - 1)
-    rippled = np.maximum(current[base_idx] + ripple_levels[piece_idx], 0.0)
-    return merged, rippled
-
-
-def _source_voltage(edges: np.ndarray, current: np.ndarray, nominal: float,
-                    source: str, battery_resistance: float) -> tuple:
-    """Per-segment voltage levels; may split segments for supply ripple."""
-    if source == "battery":
-        return edges, current, nominal - battery_resistance * current
-    if source != "supply":
-        raise ValueError(f"unknown source model {source!r}")
-    # regulated supply: square ripple of +-band/2, merged into the grid
-    half = SUPPLY_RIPPLE_BAND_V / 2.0
-    ripple_edges = np.arange(0.0, edges[-1], SUPPLY_RIPPLE_PERIOD_S / 2.0)
-    merged, mid, seg = _refine(edges, ripple_edges)
-    i_levels = current[seg]
-    phase = np.floor(mid / (SUPPLY_RIPPLE_PERIOD_S / 2.0)).astype(int) % 2
-    v_levels = nominal + np.where(phase == 0, half, -half)
-    return merged, i_levels, v_levels
 
 
 def generate_profile(preset: str | DevicePreset, workload: int,
@@ -285,49 +266,56 @@ def generate_profile(preset: str | DevicePreset, workload: int,
             raise ValueError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
     if workload not in WORKLOAD_STATES:
         raise ValueError(f"workload must be one of {sorted(WORKLOAD_STATES)}")
+    if source not in ("supply", "battery"):
+        raise ValueError(f"unknown source model {source!r}")
     rng = np.random.default_rng(seed)
     states = WORKLOAD_STATES[workload]
-
-    edges: list[float] = []
-    levels: list[float] = []
-    sleep_intervals = []
+    t0, dwell = [], []
     t = 0.0
-    k = 0
     while t < duration - 1e-12:
-        dwell = min(STATE_DWELL_S, duration - t)
-        state = states[k % len(states)]
-        if state == "sleep":
-            edges.append(t)
-            levels.append(preset.sleep_current)
-            if preset.sleep_is_power_save:
-                sleep_intervals.append((t, t + dwell, 0))
-        elif state == "processing":
-            edges.append(t)
-            levels.append(preset.processing_current)
-        else:
-            e, l = _state_segments(preset.tx_base_current,
-                                   preset.tx_peak_current, t, dwell,
-                                   preset.spike_width_s, preset.spike_duty,
-                                   rng)
-            edges.extend(e)
-            levels.extend(l)
-        t += dwell
-        k += 1
-    edges.append(duration)
+        t0.append(t)
+        dwell.append(min(STATE_DWELL_S, duration - t))
+        t += dwell[-1]
+    state = [states[k % len(states)] for k in range(len(t0))]
+    sleep_intervals = [(a, a + d, 0) for a, d, s in zip(t0, dwell, state)
+                       if s == "sleep" and preset.sleep_is_power_save]
+    level = {"sleep": preset.sleep_current, "tx": preset.tx_base_current,
+             "processing": preset.processing_current}
+    starts, levels = _state_pieces(
+        np.array(t0), np.array(dwell), np.array([level[s] for s in state]),
+        np.array([s == "tx" for s in state], dtype=bool), preset, rng)
 
-    edge_arr = np.asarray(edges)
-    level_arr = np.asarray(levels)
-    if preset.activity_ripple_a > 0:
-        edge_arr, level_arr = _apply_ripple(edge_arr, level_arr,
-                                            preset.activity_ripple_a, rng)
-    merged_edges, i_levels, v_levels = _source_voltage(
-        edge_arr, level_arr, preset.nominal_voltage, source,
-        preset.battery_resistance)
-
-    modes = []
-    if preset.sleep_is_power_save:
-        modes.append((0, preset.sleep_current, preset.nominal_voltage))
-    return LoadProfile(merged_edges, i_levels, v_levels,
+    # Every grid point lies in [0, duration) and the state breakpoints hold
+    # both ends, so the union needs no clipping.  A segment takes its state
+    # and step from the last breakpoint of each grid at or before its start.
+    # A midpoint lookup would differ only for a one-ulp segment ending on a
+    # state or step breakpoint; these grids' one-ulp segments all end on a
+    # supply half period (checked up to 3600 s).
+    grids = [np.append(starts, duration)]
+    ripple = preset.activity_ripple_a > 0
+    if ripple:
+        grids.append(np.arange(0.0, float(duration), RIPPLE_PIECE_S))
+    if source == "supply":
+        grids.append(np.arange(0.0, float(duration), SUPPLY_RIPPLE_PERIOD_S / 2.0))
+    edges, index = _merge(grids, 1 + ripple)
+    current = levels[index[0][:-1]]
+    if ripple:
+        # zero-mean uniform activity steps on top of the state levels
+        steps = rng.uniform(-preset.activity_ripple_a, preset.activity_ripple_a,
+                            size=len(grids[1]))
+        current = np.maximum(current + steps[index[1][:-1]], 0.0)
+    if source == "battery":
+        voltage = preset.nominal_voltage - preset.battery_resistance * current
+    else:
+        # regulated supply: square ripple of +-band/2, in phase
+        # floor(mid / half period) % 2 (mid >= 0, so truncating floors)
+        half = SUPPLY_RIPPLE_BAND_V / 2.0
+        mid = (edges[:-1] + edges[1:]) / 2.0
+        phase = (mid / (SUPPLY_RIPPLE_PERIOD_S / 2.0)).astype(int) & 1
+        voltage = (preset.nominal_voltage + np.array([half, -half]))[phase]
+    modes = ([(0, preset.sleep_current, preset.nominal_voltage)]
+             if preset.sleep_is_power_save else [])
+    return LoadProfile(edges, current, voltage,
                        power_save_intervals=sleep_intervals,
                        power_save_modes=modes)
 

@@ -5,6 +5,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emeter.buffering import TwoBufferWriter
 from emeter.bus_timing import BCM_PROFILE, PROFILES, expected_polls
@@ -18,7 +20,9 @@ from emeter.sampler import (
     Sample,
     Trace,
     TriggerSpec,
+    _enter_slivers,
     compute_energy,
+    flag_power_save,
     gated_energy,
     hybrid_energy,
     naive_energy,
@@ -220,6 +224,86 @@ class TestHybridEnergy:
         e_naive = naive_energy(tr)
         assert abs(e_hybrid - true_e) / true_e < 0.005
         assert abs(e_hybrid - true_e) < abs(e_naive - true_e)
+
+
+# The per-interval loops of the power-save stage, kept as oracles for the
+# vectorized flag_power_save and _enter_slivers.
+def flag_power_save_oracle(timestamps_ns, intervals):
+    flags = np.zeros(len(timestamps_ns), dtype=np.uint8)
+    for start_ns, end_ns, _ in intervals:
+        inside = (timestamps_ns >= start_ns) & (timestamps_ns <= end_ns)
+        flags[inside] |= FLAG_POWER_SAVE
+    return flags
+
+
+def enter_slivers_oracle(trace, intervals):
+    if not intervals or len(trace) == 0:
+        return 0.0
+    ts = trace.timestamps_ns
+    power = trace.power()
+    flagged = (trace.flags & FLAG_POWER_SAVE) != 0
+    awake_idx = np.nonzero((trace.flags & (FLAG_WARMUP | FLAG_POWER_SAVE)) == 0)[0]
+    if len(awake_idx) == 0:
+        return 0.0
+    awake_ts = ts[awake_idx]
+    energy = 0.0
+    for start_ns, _end_ns, _mode in intervals:
+        i = int(np.searchsorted(awake_ts, start_ns)) - 1
+        if i < 0:
+            continue
+        last = int(awake_idx[i])
+        if last + 1 < len(trace) and flagged[last + 1] and start_ns > ts[last]:
+            energy += float(power[last]) * (start_ns - int(ts[last])) * 1e-9
+    return energy
+
+
+@st.composite
+def power_save_cases(draw):
+    """A trace and sorted same-mode intervals.  Interval ends fall on a
+    timestamp, next to one or anywhere, also outside the trace, and the
+    intervals may overlap.  The power-save flags are either the intervals'
+    own or arbitrary, so every sliver condition is reached."""
+    gaps = draw(st.lists(st.integers(1, 1000), max_size=40))
+    ts = np.cumsum(np.array(gaps, dtype=np.int64))
+    n = len(ts)
+
+    def point():
+        if n and draw(st.booleans()):
+            return int(draw(st.sampled_from(ts.tolist()))) + draw(st.sampled_from([-1, 0, 1]))
+        return draw(st.integers(-2000, (int(ts[-1]) if n else 0) + 2000))
+
+    intervals = []
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = point(), point()
+        intervals.append((min(a, b), max(a, b) + (a == b), 0))
+    intervals.sort()
+    flag_values = [0, FLAG_WARMUP, FLAG_POWER_SAVE, FLAG_WARMUP | FLAG_POWER_SAVE]
+    flags = np.array(draw(st.lists(st.sampled_from(flag_values), min_size=n, max_size=n)),
+                     dtype=np.uint8)
+    if draw(st.booleans()):
+        flags = (flags & FLAG_WARMUP) | flag_power_save_oracle(ts, intervals)
+    reals = st.floats(-0.01, 1.0, allow_nan=False, allow_infinity=False)
+    current = draw(st.lists(reals, min_size=n, max_size=n))
+    volts = draw(st.lists(st.floats(0.5, 5.5), min_size=n, max_size=n))
+    return Trace(ts, volts, current, flags), intervals
+
+
+class TestPowerSaveStageOracle:
+    """The vectorized power-save stage equals its per-interval loops exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=power_save_cases())
+    def test_flags_equal_oracle(self, case):
+        trace, intervals = case
+        flags = flag_power_save(trace.timestamps_ns, intervals)
+        assert flags.dtype == np.uint8
+        assert np.array_equal(flags, flag_power_save_oracle(trace.timestamps_ns, intervals))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=power_save_cases())
+    def test_slivers_equal_oracle(self, case):
+        trace, intervals = case
+        assert _enter_slivers(trace, intervals) == enter_slivers_oracle(trace, intervals)
 
 
 class TestTriggerSpec:

@@ -171,7 +171,7 @@ class TestCsvExport:
     def test_format(self):
         records = [TraceRecord(1000, 5_000_000, 123_450)]
         out = io.StringIO()
-        n = export_csv(out, TraceHeader(), records)
+        n = export_csv(out, records)
         assert n == 1
         lines = out.getvalue().strip().splitlines()
         assert lines[0] == "timestamp_ns,bus_mV,current_mA"
@@ -179,5 +179,5 @@ class TestCsvExport:
 
     def test_gap_rows_skipped(self):
         out = io.StringIO()
-        n = export_csv(out, TraceHeader(), [TraceRecord.gap(5)])
+        n = export_csv(out, [TraceRecord.gap(5)])
         assert n == 0

@@ -1,5 +1,7 @@
 """Load profiles, device presets and the reference meter oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,74 @@ class TestGenerateProfile:
             generate_profile("nonsense", 1)
         with pytest.raises(ValueError):
             generate_profile("cc2650", 5)
+
+
+class TestProfileExact:
+    """``generate_profile``'s outputs are pinned bit for bit: a change to any
+    breakpoint, current or voltage level, or power-save interval fails here."""
+
+    # sha256 over edges, current, voltage, power-save intervals and modes of
+    # every {supply, battery} x {30 s, 2.3 s} x seeds {0, 11} profile
+    DIGESTS = {
+        ("bcm4343w", 1):
+            "610b178ff0bd16579ad3920d4b128d1aeae0274d337506cd4877db44a64541bb",
+        ("bcm4343w", 2):
+            "f74d3a1178ba14734c3fa684bea31a30cb80abfdbf9dc36c3aa07692059930b2",
+        ("bcm4343w", 3):
+            "60645a50740c370b141468377db5adcd8ab1c2bb20dcdb44162a3ed8811a0a22",
+        ("bcm4343w", 4):
+            "47dc406e487e0f86dc06d9652f46c3db06a9ed744363ae4a614242168e40126c",
+        ("cc2650", 1):
+            "029effc300df7f01c05bd9d0ca991597b12356c154bceb539f6001b7d1d3a5cb",
+        ("cc2650", 2):
+            "80c63f1532cc5ad4082cba0ade90583cc8ae7fc03373a3d9d0d52522ebd40b43",
+        ("cc2650", 3):
+            "7d2317d4e306ac9c15bab7a33447d9806a6c0befbf1ca661e025133629771bd7",
+        ("cc2650", 4):
+            "4edc383988f72e49f24182741c2acb88ede7a238d441229b4e5e2f9d8b70d05e",
+        ("cyw43907", 1):
+            "56d71aa52cec18f5180bc058d11e25fc962266ecfbb790288e9eaea175a633db",
+        ("cyw43907", 2):
+            "baafd697fdb567507b07896e3d6402ec3193cdd8ed318874b4032123ef127a01",
+        ("cyw43907", 3):
+            "0019d5dbb39f4b6befc6b4d9f26a79794978950534792756bcfc77765da2161c",
+        ("cyw43907", 4):
+            "3407c5678ec0cf421420a1296a0179d002a4dd6e32e5f106e8c5c842cb78cf96",
+        ("rpi3", 1):
+            "fa4a008ae6e2153f48b5bcdc28b8c32b2f748c0b3f5adac0cb3891ffad8a23eb",
+        ("rpi3", 2):
+            "06b349a644229648309820fafea7cee9d27f8d51efaa9ed4e90a83f00889ca76",
+        ("rpi3", 3):
+            "bf108f6c5a4ea78333f40d4cb7ee428c5e3a91fc7f42a6d013ce87c28e322b95",
+        ("rpi3", 4):
+            "eeb026b1ac31be5a6f4a395cfaddb84f7aca821a77d090d76b29e042d16766de",
+        ("rpizw", 1):
+            "bb1a166218456a389f78311fa19648cd40cbb3a15a9576d0c1824188ceae3256",
+        ("rpizw", 2):
+            "703dba6d1223be1e3de20b1aa343b6f6a61eec696b169cc421ec06223393c878",
+        ("rpizw", 3):
+            "4262945f3ab2734732eb4fe3a93124b74e0be7cdf4e367e5fa7c367435a20b52",
+        ("rpizw", 4):
+            "f86e701858ebe3d679b671177310f7c1d378b22b5e444aba3e9ba057737901f3",
+    }
+
+    @staticmethod
+    def digest(preset, workload):
+        h = hashlib.sha256()
+        for source in ("supply", "battery"):
+            for duration in (30.0, 2.3):
+                for seed in (0, 11):
+                    p = generate_profile(preset, workload, seed=seed,
+                                         duration=duration, source=source)
+                    for column in (p.edges, p.current, p.voltage):
+                        h.update(column.tobytes())
+                    h.update(repr((p.power_save_intervals,
+                                   p.power_save_modes)).encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("preset,workload", sorted(DIGESTS))
+    def test_profile_matches_recorded_digest(self, preset, workload):
+        assert self.digest(preset, workload) == self.DIGESTS[preset, workload]
 
 
 class TestSourceModels:
