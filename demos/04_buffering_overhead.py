@@ -1,8 +1,9 @@
 """Two-buffer vs circular persistence and the buffering power model.
 
-Both writers produce byte-identical files while the consumer keeps up; when
-it falls behind, drops are counted and marked in-line.  The average power of
-the two-buffer scheme has a closed form that the buffer size cancels out of.
+Both mechanisms produce byte-identical files while the consumer keeps up;
+when it falls behind, drops are counted and marked in-line.  The average
+power of the two-buffer scheme has a closed form that the buffer size
+cancels out of.
 """
 
 import io
@@ -10,11 +11,11 @@ import io
 import numpy as np
 
 from emeter.buffering import (
-    CircularWriter,
+    BufferPolicy,
     OverheadModel,
-    TwoBufferWriter,
     overhead_energy_closed,
     overhead_energy_schedule,
+    persist,
     simulate_overhead_power,
 )
 from emeter.tracefile import RECORD, TraceHeader
@@ -28,21 +29,18 @@ records["uv"] = 5_000_000
 records["ua"] = 1000 * np.arange(10)
 
 out_two, out_ring = io.BytesIO(), io.BytesIO()
-two = TwoBufferWriter(out_two, header, capacity=4, write_speed_bps=1e9)
-ring = CircularWriter(out_ring, header, capacity=4, write_speed_bps=1e9)
-for writer in (two, ring):
-    writer.extend(records, push_ns)
-    writer.close()
+two = persist(out_two, header, records, push_ns, BufferPolicy("two_buffer", 4), 1e9)
+persist(out_ring, header, records, push_ns, BufferPolicy("circular", 4), 1e9)
 
 print("identical bytes:", out_two.getvalue() == out_ring.getvalue())
 print("flush log (two-buffer, capacity 4):")
-print(two.format_flush_log())
+for ts, n in two.flush_log:
+    print(f"{ts} flush {n}")
 print()
 
 # starve the consumer: 128-bit records at 100 bits/s, pushes every 1ms
-slow = TwoBufferWriter(io.BytesIO(), header, capacity=4, write_speed_bps=100.0)
-slow.extend(np.repeat(records[:1], 16), np.arange(1, 17) * 1_000_000)
-slow.close()
+slow = persist(io.BytesIO(), header, np.repeat(records[:1], 16),
+               np.arange(1, 17) * 1_000_000, BufferPolicy("two_buffer", 4), 100.0)
 print("overruns with a starved consumer:", slow.overruns,
       "(whole buffers dropped, gaps marked in-line)")
 print()

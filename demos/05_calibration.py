@@ -41,8 +41,9 @@ currents = program.programmed_currents(pot, network)
 print("staircase: %d steps, %.3f mA .. %.1f mA, largest jump %.1f mA"
       % (len(program.steps), currents.min() * 1e3, currents.max() * 1e3,
          np.diff(currents).max() * 1e3))
-print("program file lines look like:")
-print("   " + "\n   ".join(program.serialize().splitlines()[:3]))
+print("first steps (pot code, switch mask, dwell):")
+for step in program.steps[:3]:
+    print(f"   {step.pot_code} {step.switch_mask:#x} {step.dwell_s * 1e3:g} ms")
 print()
 
 # sweep the simulated shield board against the reference meter and fit

@@ -12,8 +12,8 @@ The package models the full path from an analog load to an energy figure:
   accumulation, trigger gating, warm-up handling and the hybrid sleep-mode
   energy model.
 * :mod:`emeter.tracefile` / :mod:`emeter.buffering` -- the 16-byte binary
-  trace format, two-buffer and circular persistence, and the buffering
-  overhead model.
+  trace format, the one persistence stage (two-buffer or circular), and the
+  buffering overhead model.
 * :mod:`emeter.calibration` -- programmable-load model and least-squares
   calibration curves.
 * :mod:`emeter.workloads` -- synthetic device load profiles and the

@@ -8,6 +8,10 @@ the consumer individually under mutual exclusion.  Both modes produce
 byte-identical files for the same sample stream as long as the consumer
 keeps up.
 
+:func:`persist` is the one persistence stage: it replays either mechanism
+over a whole ``RECORD`` array and its push times, writes the file and
+returns the counters as :class:`PersistStats`.
+
 File writing takes simulated time (``write_speed_bps``); when the consumer
 falls behind, data is dropped loudly -- a whole buffer in two-buffer mode,
 the oldest ring entry in circular mode -- and a gap marker record lands in
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import BinaryIO, Optional
+from typing import BinaryIO
 
 import numpy as np
 
@@ -62,164 +66,99 @@ class BufferPolicy:
             raise ValueError("buffer capacity must be >= 1")
 
 
-class _Writer:
-    """What both writers share: the header, the entry point and the counters."""
-
-    def __init__(self, fh: BinaryIO, header: TraceHeader, capacity: int,
-                 write_speed_bps: float):
-        if capacity < 1:
-            raise ValueError("buffer capacity must be >= 1")
-        self.fh = fh
-        self.capacity = capacity
-        self.write_speed_bps = write_speed_bps
-        self.overruns = 0
-        #: data records in the file; gap markers are not counted
-        self.records_written = 0
-        #: (timestamp_ns, record_count) per flush trigger
-        self.flush_log: list[tuple[int, int]] = []
-        self._last_ns = 0
-        fh.write(encode_header(header))
-
-    def push(self, record, t_ns: int) -> bool:
-        """Add one entry at ``t_ns``; False when the push forced a drop."""
-        return self.extend(np.array([record], dtype=RECORD), [t_ns]) == 0
-
-    def extend(self, records, push_ns) -> int:
-        """Add a ``RECORD`` array, entry k pushed at the non-decreasing time
-        ``push_ns[k]``; returns the number of drops forced."""
-        records = np.asarray(records, dtype=RECORD)
-        push_ns = np.asarray(push_ns, dtype=np.int64)
-        if len(records) != len(push_ns):
-            raise ValueError("need one push time per record")
-        if not len(records):
-            return 0
-        if push_ns[0] < self._last_ns or np.any(np.diff(push_ns) < 0):
-            raise ValueError("time must not regress")
-        self._last_ns = int(push_ns[-1])
-        drops = self._accept(records, push_ns.tolist())
-        self.overruns += drops
-        return drops
-
-    def _write(self, records: np.ndarray) -> None:
-        self.fh.write(records.tobytes())
-        self.records_written += len(records) - int(np.count_nonzero(is_gap(records)))
-
-    def format_flush_log(self) -> str:
-        return "\n".join(f"{ts} flush {n}" for ts, n in self.flush_log)
+DEFAULT_POLICY = BufferPolicy("two_buffer", 4096)
 
 
-class TwoBufferWriter(_Writer):
-    """Producer fills one buffer while the consumer flushes the other."""
-
-    def __init__(self, fh: BinaryIO, header: TraceHeader, capacity: int,
-                 write_speed_bps: float = DEFAULT_WRITE_SPEED_BPS):
-        super().__init__(fh, header, capacity, write_speed_bps)
-        self._active = np.empty(0, dtype=RECORD)
-        self._pending: Optional[np.ndarray] = None
-        self._pending_done_ns = 0
-
-    def _accept(self, records: np.ndarray, push_ns: list[int]) -> int:
-        drops = i = 0
-        while i < len(records):
-            # the schedule only moves when a push fills the buffer
-            j = min(len(records), i + self.capacity - len(self._active))
-            t_ns = push_ns[j - 1]
-            if self._pending is not None and t_ns >= self._pending_done_ns:
-                self._write(self._pending)
-                self._pending = None
-            self._active = np.concatenate((self._active, records[i:j]))
-            i = j
-            if len(self._active) < self.capacity:
-                break
-            # buffer full: hand it to the consumer and keep producing
-            if self._pending is not None:
-                # both buffers full: drop the oldest unflushed buffer whole,
-                # but keep any gap markers it carried so drops stay visible
-                drops += 1
-                self._active = np.concatenate((self._pending[is_gap(self._pending)],
-                                               gap_records([t_ns]), self._active))
-            self.flush_log.append((t_ns, len(self._active)))
-            self._pending, self._active = self._active, self._active[:0]
-            self._pending_done_ns = t_ns + int(round(
-                len(self._pending) * SAMPLE_BITS * 1e9 / self.write_speed_bps))
-        return drops
-
-    def close(self) -> None:
-        """Drain both buffers; partial data flushes on close."""
-        if self._pending is not None:
-            self._write(self._pending)
-            self._pending = None
-        if len(self._active):
-            self.flush_log.append((self._last_ns, len(self._active)))
-            self._write(self._active)
-            self._active = self._active[:0]
+@dataclass(frozen=True)
+class PersistStats:
+    overruns: int
+    #: data records in the file; gap markers are not counted
+    records_written: int
+    #: (timestamp_ns, record_count) per two-buffer flush trigger
+    flush_log: tuple[tuple[int, int], ...]
 
 
-class CircularWriter(_Writer):
-    """Single shared ring; every entry is signaled to the consumer.
+def persist(fh: BinaryIO, header: TraceHeader, records, push_ns,
+            policy: BufferPolicy, write_speed_bps: float) -> PersistStats:
+    """Write ``header`` and the ``RECORD`` array ``records`` to ``fh`` as the
+    buffered consumer would, entry k handed over at the non-decreasing time
+    ``push_ns[k]``."""
+    records = np.asarray(records, dtype=RECORD)
+    push_ns = np.asarray(push_ns, dtype=np.int64)
+    if len(records) != len(push_ns):
+        raise ValueError("need one push time per record")
+    if len(push_ns) and (push_ns[0] < 0 or np.any(np.diff(push_ns) < 0)):
+        raise ValueError("time must not regress")
+    mechanism = _two_buffer if policy.kind == "two_buffer" else _circular
+    body, overruns, flush_log = mechanism(records, push_ns, policy.capacity,
+                                          write_speed_bps)
+    fh.write(encode_header(header))
+    fh.write(body.tobytes())
+    written = len(body) - int(np.count_nonzero(is_gap(body)))
+    return PersistStats(overruns, written, flush_log)
 
-    The consumer writes the ring's entries oldest first, one entry duration
-    each; a gap marker precedes an entry that does not follow the last one.
+
+def _two_buffer(records, push_ns, capacity, write_speed_bps):
+    """Body, overruns and flush log when the producer fills one buffer while
+    the consumer flushes the other.
+
+    The schedule only moves when a push fills a buffer; a partial last
+    buffer flushes at the last push time.
     """
+    pieces, flush_log, overruns = [], [], 0
+    pending, pending_done_ns = None, 0
+    n_full = len(records) // capacity * capacity
+    for i in range(0, n_full, capacity):
+        t_ns = int(push_ns[i + capacity - 1])
+        if pending is not None and t_ns >= pending_done_ns:
+            pieces.append(pending)
+            pending = None
+        full = records[i:i + capacity]
+        if pending is not None:
+            # both buffers full: drop the oldest unflushed buffer whole, but
+            # keep any gap markers it carried so drops stay visible
+            overruns += 1
+            full = np.concatenate((pending[is_gap(pending)], gap_records([t_ns]), full))
+        flush_log.append((t_ns, len(full)))
+        pending = full
+        pending_done_ns = t_ns + int(round(len(full) * SAMPLE_BITS * 1e9 / write_speed_bps))
+    if pending is not None:
+        pieces.append(pending)
+    if n_full < len(records):
+        flush_log.append((int(push_ns[-1]), len(records) - n_full))
+        pieces.append(records[n_full:])
+    body = np.concatenate(pieces) if pieces else records
+    return body, overruns, tuple(flush_log)
 
-    def __init__(self, fh: BinaryIO, header: TraceHeader, capacity: int,
-                 write_speed_bps: float = DEFAULT_WRITE_SPEED_BPS):
-        super().__init__(fh, header, capacity, write_speed_bps)
-        self._ring = np.empty(0, dtype=RECORD)
-        self._ring_ns: list[int] = []
-        self._order: list[int] = []  # ring indices to write; i + len for a gap
-        self._expect = 0  # ring index the consumer writes next without a gap
-        self._consumer_free_ns = 0.0
 
-    def _drain(self, lo: int, hi: int, t_ns: float) -> int:
-        """Write ring entries lo..hi-1 done by ``t_ns``; returns the new lo."""
-        ring_ns, entry_ns = self._ring_ns, SAMPLE_BITS * 1e9 / self.write_speed_bps
-        free = self._consumer_free_ns
-        while lo < hi:
-            finish = max(ring_ns[lo], free) + entry_ns
+def _circular(records, push_ns, capacity, write_speed_bps):
+    """Body, overruns and (no) flush log of a ring whose consumer writes
+    entries oldest first.
+
+    Each entry takes the consumer one entry duration from its push or from
+    the previous write, whichever is later.  A push that finds ``capacity``
+    entries unwritten overwrites the oldest; a gap marker at the push time
+    of the next kept entry stands for each run of overwritten entries.
+    """
+    entry_ns = SAMPLE_BITS * 1e9 / write_speed_bps
+    times = push_ns.tolist()
+    dropped = np.zeros(len(times), dtype=bool)
+    free, lo = 0.0, 0  # consumer idle from free; entries < lo written or dropped
+    for k, t_ns in enumerate(times):
+        while lo < k:
+            finish = max(times[lo], free) + entry_ns
             if finish > t_ns:
                 break
-            if lo != self._expect:
-                # entries were overwritten while we were busy
-                self._order.append(len(ring_ns) + lo)
-            self._order.append(lo)
-            self._expect = lo + 1
             free = finish
             lo += 1
-        self._consumer_free_ns = free
-        return lo
-
-    def _accept(self, records: np.ndarray, push_ns: list[int]) -> int:
-        first = len(self._ring)
-        self._ring = np.concatenate((self._ring, records))
-        self._ring_ns += push_ns
-        lo = drops = 0
-        for k in range(first, len(self._ring)):
-            lo = self._drain(lo, k, self._ring_ns[k])
-            if k - lo >= self.capacity:
-                lo += 1  # the ring is full: overwrite the oldest entry
-                drops += 1
-        self._flush(lo)
-        return drops
-
-    def _flush(self, lo: int) -> None:
-        """Write the drained entries in one call; forget ring indices < lo."""
-        if self._order:
-            self._write(np.concatenate(
-                (self._ring, gap_records(self._ring_ns)))[self._order])
-        self._ring, self._order = self._ring[lo:], []
-        del self._ring_ns[:lo]
-        self._expect -= lo
-
-    def close(self) -> None:
-        self._flush(self._drain(0, len(self._ring), float("inf")))
-
-
-def make_writer(policy: BufferPolicy, fh: BinaryIO, header: TraceHeader,
-                write_speed_bps: float = DEFAULT_WRITE_SPEED_BPS):
-    if policy.kind == "two_buffer":
-        return TwoBufferWriter(fh, header, policy.capacity, write_speed_bps)
-    return CircularWriter(fh, header, policy.capacity, write_speed_bps)
+        if k - lo >= capacity:
+            dropped[lo] = True
+            lo += 1
+    kept = ~dropped
+    after_drop = kept & np.concatenate(([False], dropped))[:-1]
+    at = np.flatnonzero(after_drop[kept])
+    body = np.insert(records[kept], at, gap_records(push_ns[after_drop]))
+    return body, int(np.count_nonzero(dropped)), ()
 
 
 # --------------------------------------------------------------------------
@@ -290,8 +229,8 @@ def overhead_energy_closed(model: OverheadModel) -> float:
 def simulate_overhead_power(model: OverheadModel) -> float:
     """Replay the actual flush schedule and time-weight the two power levels.
 
-    Drives a real :class:`TwoBufferWriter` with a few hundred buffer fills at
-    the model's sample rate, then averages ``buffer_power_w`` /
+    Persists a few hundred two-buffer fills at the model's sample rate with
+    :func:`persist`, then averages ``buffer_power_w`` /
     ``write_power_w`` over the resulting write-activity intervals.  The
     cycle count keeps the partial-final-flush edge effect well under a
     percent without replaying an unbounded number of samples.
@@ -299,14 +238,14 @@ def simulate_overhead_power(model: OverheadModel) -> float:
     n_buffers = max(25, min(400, 2_000_000 // model.buffer_samples))
     n_samples = n_buffers * model.buffer_samples
     period_ns = 1e9 / model.sample_rate_sps
-    writer = TwoBufferWriter(io.BytesIO(), TraceHeader(),
-                             model.buffer_samples, model.write_speed_bps)
     push_ns = (np.arange(1, n_samples + 1) * period_ns).astype(np.int64)
-    writer.extend(np.zeros(n_samples, dtype=RECORD), push_ns)
+    stats = persist(io.BytesIO(), TraceHeader(), np.zeros(n_samples, dtype=RECORD),
+                    push_ns, BufferPolicy("two_buffer", model.buffer_samples),
+                    model.write_speed_bps)
     horizon_ns = n_samples * period_ns
     write_dur_ns = model.buffer_samples * model.sample_bits * 1e9 / model.write_speed_bps
     busy_ns = 0.0
-    for ts, n in writer.flush_log:
+    for ts, n in stats.flush_log:
         end = min(ts + write_dur_ns * (n / model.buffer_samples), horizon_ns)
         busy_ns += max(0.0, end - ts)
     frac = busy_ns / horizon_ns

@@ -175,26 +175,6 @@ class LoadProgram:
         edges = np.concatenate([[0.0], np.cumsum(dwells)])
         return LoadProfile(edges, levels, np.full(len(levels), pot.v_in))
 
-    def serialize(self) -> str:
-        """``<code> <switch_mask_hex> <dwell_ms>`` lines."""
-        return "\n".join(f"{s.pot_code} {s.switch_mask:x} {s.dwell_s * 1e3:g}"
-                         for s in self.steps)
-
-    @classmethod
-    def parse(cls, text: str) -> "LoadProgram":
-        steps = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                code, mask, dwell_ms = line.split()
-                steps.append(LoadStep(int(code), int(mask, 16),
-                                      float(dwell_ms) * 1e-3))
-            except ValueError:
-                raise ValueError(f"bad load program line {lineno}: {line!r}")
-        return cls(steps)
-
 
 def _code_for_current(target_a: float, pot: PotentiometerModel) -> int:
     """Pot code whose output is nearest the target (clamped to range)."""

@@ -32,7 +32,7 @@ from emeter.bus_timing import (
     sample_period_us,
     validate_operating_point,
 )
-from emeter.buffering import BufferPolicy, make_writer
+from emeter.buffering import DEFAULT_POLICY, DEFAULT_WRITE_SPEED_BPS, BufferPolicy, persist
 from emeter.calibration import CalibrationCurve, apply_current, apply_voltage
 from emeter.sampler import (
     PowerSaveMode,
@@ -84,7 +84,7 @@ class PipelineOptions:
     noise_voltage_v: float = DEFAULT_VOLTAGE_NOISE_V
     seed: int = 0
     buffering: Optional[BufferPolicy] = None
-    write_speed_bps: float = 40e6
+    write_speed_bps: float = DEFAULT_WRITE_SPEED_BPS
 
     def driver_profile(self) -> DriverProfile:
         try:
@@ -228,12 +228,10 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
     flush_log, overruns = "", 0
     if trace_fh is not None:
         header = TraceHeader.from_config(config, driver.name, options.speed_khz)
-        policy = options.buffering or BufferPolicy("two_buffer", 4096)
-        writer = make_writer(policy, trace_fh, header, options.write_speed_bps)
-        writer.extend(trace_to_records(trace), trace.timestamps_ns)
-        writer.close()
-        overruns = writer.overruns
-        flush_log = writer.format_flush_log()
+        stats = persist(trace_fh, header, trace_to_records(trace), trace.timestamps_ns,
+                        options.buffering or DEFAULT_POLICY, options.write_speed_bps)
+        overruns = stats.overruns
+        flush_log = "\n".join(f"{ts} flush {n}" for ts, n in stats.flush_log)
 
     e_gated = gated_energy(trace)
     e_naive = naive_energy(trace)

@@ -488,7 +488,7 @@ class MeasurementResult:
 
 def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
                     config: SensorConfig, trigger: TriggerSpec,
-                    writer=None, events: Sequence[PowerModeEvent] = (),
+                    trace_fh=None, events: Sequence[PowerModeEvent] = (),
                     modes: Sequence[PowerSaveMode] = (),
                     rng: Optional[np.random.Generator] = None,
                     horizon_ns: Optional[int] = None,
@@ -500,9 +500,11 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
     ``(amperes, volts)`` pair.  The loop polls the bus-voltage register until
     the ready flag is set, reads the shunt register and timestamps the pair.
     The sensor is never power-cycled: readings outside the trigger window
-    are simply discarded.  The kept readings go through :func:`build_trace`
-    and, in order and at their timestamps, to the optional buffered
-    ``writer``.  ``horizon_ns`` bounds the run when the trigger itself never
+    are simply discarded.  The kept readings go through :func:`build_trace`;
+    with ``trace_fh`` they are persisted there, each handed over at its
+    timestamp, by :func:`~emeter.buffering.persist` under the default
+    two-buffer policy and write speed, and ``overruns`` counts the drops.
+    ``horizon_ns`` bounds the run when the trigger itself never
     stops (an unterminated edge stream, or a count trigger the load cannot
     satisfy).  With ``rng`` every read takes a jittered delay (see
     :func:`~emeter.bus_timing.read_delay`); the loop draws them in blocks
@@ -582,9 +584,13 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
         ts, dequantize_bus(bus_count, config),
         dequantize_shunt(shunt_count, config), overflow, conv_index,
         trigger, limit_ns, intervals)
-    if writer is not None:
-        from emeter.tracefile import trace_to_records  # imports this module
-        writer.extend(trace_to_records(trace), trace.timestamps_ns)
-    overruns = writer.overruns if writer is not None else 0
+    overruns = 0
+    if trace_fh is not None:
+        # tracefile imports this module, and buffering imports tracefile
+        from emeter.buffering import DEFAULT_POLICY, DEFAULT_WRITE_SPEED_BPS, persist
+        from emeter.tracefile import TraceHeader, trace_to_records
+        overruns = persist(trace_fh, TraceHeader.from_config(config, driver.name, speed_khz),
+                           trace_to_records(trace), trace.timestamps_ns,
+                           DEFAULT_POLICY, DEFAULT_WRITE_SPEED_BPS).overruns
     return MeasurementResult(trace=trace, energy_j=gated_energy(trace),
                              overruns=overruns, status=status)

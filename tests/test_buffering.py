@@ -1,4 +1,4 @@
-"""Two-buffer and circular writers, plus the overhead model identities."""
+"""Persistence under both buffering policies, plus the overhead model identities."""
 
 import io
 
@@ -7,17 +7,17 @@ import pytest
 
 from emeter.buffering import (
     BufferPolicy,
-    CircularWriter,
     OverheadModel,
     SustainedOverrunError,
-    TwoBufferWriter,
-    make_writer,
     overhead_energy_closed,
     overhead_energy_schedule,
+    persist,
     simulate_overhead_power,
 )
+from emeter.experiment import PipelineOptions, run_experiment
 from emeter.tracefile import (
     HEADER_SIZE,
+    RECORD,
     TraceHeader,
     TraceRecord,
     decode_trace,
@@ -26,10 +26,12 @@ from emeter.tracefile import (
 HEADER = TraceHeader()
 
 
-def push_all(writer, records, period_ns=1_000_000):
-    for k, record in enumerate(records):
-        writer.push(record, (k + 1) * period_ns)
-    writer.close()
+def persist_all(kind, capacity, write_speed_bps, records, period_ns=1_000_000):
+    out = io.BytesIO()
+    push_ns = (np.arange(len(records)) + 1) * period_ns
+    stats = persist(out, HEADER, np.array(records, dtype=RECORD), push_ns,
+                    BufferPolicy(kind, capacity), write_speed_bps)
+    return out, stats
 
 
 def records_n(n):
@@ -38,89 +40,87 @@ def records_n(n):
 
 class TestTwoBuffer:
     def test_flush_log_batches(self):
-        out = io.BytesIO()
-        writer = TwoBufferWriter(out, HEADER, capacity=4, write_speed_bps=1e9)
-        push_all(writer, records_n(10))
-        # full buffers at samples 4 and 8, remainder on close
-        assert [n for _, n in writer.flush_log] == [4, 4, 2]
-        assert writer.flush_log[0][0] == 4_000_000
-        assert writer.flush_log[1][0] == 8_000_000
-        ts = [t for t, _ in writer.flush_log]
+        _, stats = persist_all("two_buffer", 4, 1e9, records_n(10))
+        # full buffers at samples 4 and 8, remainder at the last push
+        assert [n for _, n in stats.flush_log] == [4, 4, 2]
+        assert stats.flush_log[0][0] == 4_000_000
+        assert stats.flush_log[1][0] == 8_000_000
+        ts = [t for t, _ in stats.flush_log]
         assert ts == sorted(ts)
 
     def test_file_length(self):
-        out = io.BytesIO()
-        writer = TwoBufferWriter(out, HEADER, capacity=4, write_speed_bps=1e9)
-        push_all(writer, records_n(10))
+        out, _ = persist_all("two_buffer", 4, 1e9, records_n(10))
         assert len(out.getvalue()) == HEADER_SIZE + 16 * 10
 
     def test_no_loss_or_reorder_when_consumer_keeps_up(self):
-        out = io.BytesIO()
-        writer = TwoBufferWriter(out, HEADER, capacity=8, write_speed_bps=1e8)
         records = records_n(100)
-        push_all(writer, records)
-        assert writer.overruns == 0
+        out, stats = persist_all("two_buffer", 8, 1e8, records)
+        assert stats.overruns == 0
         _, decoded = decode_trace(out.getvalue())
         assert decoded == records
 
     def test_overrun_drops_whole_buffer_with_gap(self):
-        out = io.BytesIO()
         # 128 bits per record at 100 bits/s: flushing 4 records takes 5.12s
         # of simulated time while pushes arrive every 1ms
-        writer = TwoBufferWriter(out, HEADER, capacity=4, write_speed_bps=100.0)
-        push_all(writer, records_n(12))
-        assert writer.overruns > 0
+        out, stats = persist_all("two_buffer", 4, 100.0, records_n(12))
+        assert stats.overruns > 0
         _, decoded = decode_trace(out.getvalue())
         gaps = [r for r in decoded if r.is_gap]
         data = [r for r in decoded if not r.is_gap]
-        assert len(gaps) == writer.overruns
-        assert len(data) == 12 - 4 * writer.overruns
+        assert len(gaps) == stats.overruns
+        assert len(data) == 12 - 4 * stats.overruns
         ts = [r.timestamp_ns for r in data]
         assert ts == sorted(ts)
 
+    def test_write_done_at_the_next_handoff_is_not_dropped(self):
+        # one record takes 128 bits / 128 kb/s = 1 ms to write, exactly the
+        # push period: each buffer is written by the time the next one fills
+        out, stats = persist_all("two_buffer", 1, 1.28e5, records_n(5))
+        assert stats.overruns == 0
+        assert len(out.getvalue()) == HEADER_SIZE + 16 * 5
+        _, late = persist_all("two_buffer", 1, 1.28e5 - 1, records_n(5))
+        assert late.overruns > 0
+
     def test_format_flush_log(self):
-        out = io.BytesIO()
-        writer = TwoBufferWriter(out, HEADER, capacity=2, write_speed_bps=1e9)
-        push_all(writer, records_n(4))
-        lines = writer.format_flush_log().splitlines()
+        # the pipeline reports the flush log as "<ns> flush <n>" lines
+        options = PipelineOptions(buffering=BufferPolicy("two_buffer", 2))
+        result = run_experiment("rpi3", 1, options, duration=0.01, trace_fh=io.BytesIO())
+        lines = result.flush_log.splitlines()
         assert lines[0].endswith(" flush 2")
+        assert len(lines) == (len(result.trace) + 1) // 2
+        assert int(lines[0].split()[0]) == result.trace.timestamps_ns[1]
 
 
 class TestCircular:
     def test_identical_output_to_two_buffer(self):
-        records = records_n(10)
-        out_a, out_b = io.BytesIO(), io.BytesIO()
-        two = TwoBufferWriter(out_a, HEADER, capacity=4, write_speed_bps=1e9)
-        ring = CircularWriter(out_b, HEADER, capacity=4, write_speed_bps=1e9)
-        push_all(two, records)
-        push_all(ring, records)
+        out_a, _ = persist_all("two_buffer", 4, 1e9, records_n(10))
+        out_b, _ = persist_all("circular", 4, 1e9, records_n(10))
         assert out_a.getvalue() == out_b.getvalue()
 
     def test_empty_stream_header_only(self):
-        out = io.BytesIO()
-        ring = CircularWriter(out, HEADER, capacity=4)
-        ring.close()
+        out, stats = persist_all("circular", 4, 40e6, [])
         assert len(out.getvalue()) == HEADER_SIZE
+        assert (stats.overruns, stats.records_written) == (0, 0)
 
     def test_interleaving_stress_gaps_in_order(self):
-        out = io.BytesIO()
         # each record write takes 128/800 = 0.16s; pushes every 16ms: the
         # producer runs 10x faster than the consumer with an 8-deep ring
-        ring = CircularWriter(out, HEADER, capacity=8, write_speed_bps=800.0)
-        push_all(ring, records_n(200), period_ns=16_000_000)
-        assert ring.overruns > 0
+        out, stats = persist_all("circular", 8, 800.0, records_n(200),
+                                 period_ns=16_000_000)
+        assert stats.overruns > 0
         _, decoded = decode_trace(out.getvalue())
         data = [r for r in decoded if not r.is_gap]
         assert any(r.is_gap for r in decoded)
         ts = [r.timestamp_ns for r in data]
         assert ts == sorted(ts)
-        assert len(data) == 200 - ring.overruns
+        assert len(data) == 200 - stats.overruns
 
     def test_policy_factory(self):
-        assert isinstance(make_writer(BufferPolicy("two_buffer", 4), io.BytesIO(), HEADER),
-                          TwoBufferWriter)
-        assert isinstance(make_writer(BufferPolicy("circular", 4), io.BytesIO(), HEADER),
-                          CircularWriter)
+        # persist dispatches on the policy: only the two-buffer scheme flushes
+        _, two = persist_all("two_buffer", 4, 1e9, records_n(10))
+        _, ring = persist_all("circular", 4, 1e9, records_n(10))
+        assert len(two.flush_log) == 3
+        assert ring.flush_log == ()
         with pytest.raises(ValueError):
             BufferPolicy("triple", 4)
         with pytest.raises(ValueError):

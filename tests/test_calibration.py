@@ -97,16 +97,6 @@ class TestLoadProgram:
         program = LoadProgram([LoadStep(10, 0, 0.05), LoadStep(20, 1, 0.05)])
         assert np.allclose(program.settling_instants_s(), [0.025, 0.075])
 
-    def test_file_round_trip(self):
-        program = LoadProgram([LoadStep(10, 0x1F, 0.05), LoadStep(200, 0, 0.02)])
-        text = program.serialize()
-        back = LoadProgram.parse(text)
-        assert back.steps == program.steps
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            LoadProgram.parse("10 zz 50")
-
     def test_staircase_covers_range_without_gaps(self):
         pot = PotentiometerModel()
         network = SwitchNetwork()

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emeter.buffering import TwoBufferWriter
 from emeter.bus_timing import BCM_PROFILE, PROFILES, expected_polls
 from emeter.sampler import (
     DEFAULT_WARMUP_SAMPLES,
@@ -31,7 +30,7 @@ from emeter.sampler import (
     run_measurement,
 )
 from emeter.sensor import SHIELD_BOARD, SensorConfig, SimulatedBus, SimulatedSensor
-from emeter.tracefile import HEADER_SIZE, TraceHeader, trace_to_records
+from emeter.tracefile import HEADER_SIZE, TraceHeader, encode_header, trace_to_records
 
 
 def s(ts_ns, volts, amps, flags=0):
@@ -439,11 +438,10 @@ class TestRunMeasurement:
 
     def test_writer_gets_every_sample_in_order(self):
         fh = io.BytesIO()
-        header = TraceHeader.from_config(self.CFG, "bcm", 2500)
-        writer = TwoBufferWriter(fh, header, 64, write_speed_bps=40e6)
-        result = self.run(TriggerSpec.duration(0.3), writer=writer)
-        writer.close()
+        result = self.run(TriggerSpec.duration(0.3), trace_fh=fh)
         assert result.overruns == 0
+        header = TraceHeader.from_config(self.CFG, "bcm", 2500)
+        assert fh.getvalue()[:HEADER_SIZE] == encode_header(header)
         assert fh.getvalue()[HEADER_SIZE:] == trace_to_records(result.trace).tobytes()
 
 

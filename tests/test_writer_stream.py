@@ -1,4 +1,5 @@
-"""The writers' array entry point: ``extend`` is ``push`` for many records."""
+"""``buffering.persist`` against the per-entry streaming writers it replaced,
+plus its input checks and the written-once-or-dropped invariant."""
 
 import io
 
@@ -7,10 +8,16 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from emeter.buffering import CircularWriter, TwoBufferWriter
+from emeter.buffering import BufferPolicy, persist
 from emeter.tracefile import HEADER_SIZE, RECORD, TraceHeader, is_gap
+from writer_oracle import CircularWriter, TwoBufferWriter
 
 HEADER = TraceHeader()
+KIND = {TwoBufferWriter: "two_buffer", CircularWriter: "circular"}
+# every write speed the package, its tests, demos and benchmark use: entry
+# times of 3.2 us up to 1.28 s against pushes up to 3 ms apart, so the
+# consumer keeps up on some streams and falls behind on others
+WRITE_SPEEDS = [40e6, 1e6, 0.5e6, 0.4e6, 1.28e5, 12_800.0, 800.0, 100.0]
 
 
 def stream(n, period_ns=1_000_000):
@@ -22,6 +29,12 @@ def stream(n, period_ns=1_000_000):
     return records, push_ns
 
 
+def run_persist(kind, capacity, bps, records, push_ns):
+    out = io.BytesIO()
+    stats = persist(out, HEADER, records, push_ns, BufferPolicy(kind, capacity), bps)
+    return out, stats
+
+
 def body(out):
     return np.frombuffer(out.getvalue(), dtype=RECORD, offset=HEADER_SIZE)
 
@@ -29,47 +42,46 @@ def body(out):
 class TestRecordsWritten:
     def test_two_buffer_counts_data_records_only(self):
         # flushing 4 records at 100 bits/s takes 5.12 s; pushes come every 1 ms
-        out = io.BytesIO()
-        writer = TwoBufferWriter(out, HEADER, capacity=4, write_speed_bps=100.0)
-        writer.extend(*stream(12))
-        writer.close()
-        assert writer.overruns == 2
+        out, stats = run_persist("two_buffer", 4, 100.0, *stream(12))
+        assert stats.overruns == 2
         rows = body(out)
         assert np.count_nonzero(is_gap(rows)) == 2
-        assert writer.records_written == 4 == np.count_nonzero(~is_gap(rows))
+        assert stats.records_written == 4 == np.count_nonzero(~is_gap(rows))
 
     def test_circular_counts_data_records_only(self):
-        out = io.BytesIO()
-        writer = CircularWriter(out, HEADER, capacity=8, write_speed_bps=800.0)
-        writer.extend(*stream(200, period_ns=16_000_000))
-        writer.close()
+        out, stats = run_persist("circular", 8, 800.0, *stream(200, period_ns=16_000_000))
         rows = body(out)
-        assert writer.overruns > 0
+        assert stats.overruns > 0
         assert np.count_nonzero(is_gap(rows)) > 0
-        assert writer.records_written == 200 - writer.overruns
-        assert writer.records_written == np.count_nonzero(~is_gap(rows))
+        assert stats.records_written == 200 - stats.overruns
+        assert stats.records_written == np.count_nonzero(~is_gap(rows))
 
 
 class TestExtendChecks:
+    """``persist`` rejects the streams the writers' ``extend`` rejected."""
+
     @pytest.mark.parametrize("cls", [TwoBufferWriter, CircularWriter])
     def test_time_must_not_regress(self, cls):
-        writer = cls(io.BytesIO(), HEADER, capacity=4)
         records, _ = stream(3)
-        with pytest.raises(ValueError, match="regress"):
-            writer.extend(records, [5, 4, 6])
-        writer.extend(records, [5, 5, 6])
-        with pytest.raises(ValueError, match="regress"):
-            writer.push(records[0], 5)
+        for push_ns in ([5, 4, 6], [-1, 4, 6]):
+            with pytest.raises(ValueError, match="regress"):
+                cls(io.BytesIO(), HEADER, capacity=4).extend(records, push_ns)
+            with pytest.raises(ValueError, match="regress"):
+                run_persist(KIND[cls], 4, 40e6, records, push_ns)
+        _, stats = run_persist(KIND[cls], 4, 40e6, records, [5, 5, 6])
+        assert stats.records_written == 3
 
     @pytest.mark.parametrize("cls", [TwoBufferWriter, CircularWriter])
     def test_one_push_time_per_record(self, cls):
-        writer = cls(io.BytesIO(), HEADER, capacity=4)
-        with pytest.raises(ValueError):
-            writer.extend(stream(3)[0], [1, 2])
+        with pytest.raises(ValueError, match="one push time"):
+            cls(io.BytesIO(), HEADER, capacity=4).extend(stream(3)[0], [1, 2])
+        with pytest.raises(ValueError, match="one push time"):
+            run_persist(KIND[cls], 4, 40e6, stream(3)[0], [1, 2])
 
 
 @st.composite
-def chunked_streams(draw):
+def streams(draw):
+    """Records tagged with their input index in ``ua``; push times may repeat."""
     n = draw(st.integers(0, 60))
     steps = draw(st.lists(st.one_of(st.just(0), st.integers(1, 3_000_000)),
                           min_size=n, max_size=n))
@@ -78,38 +90,54 @@ def chunked_streams(draw):
     records["t"] = push_ns
     records["uv"] = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))
     records["ua"] = np.arange(n)
-    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
-    return records, push_ns, [0] + cuts + [n]
+    return records, push_ns
 
 
-def replay(cls, capacity, bps, records, push_ns, bounds=None):
-    out = io.BytesIO()
-    writer = cls(out, HEADER, capacity, write_speed_bps=bps)
-    if bounds is None:
-        drops = sum(not writer.push(r, int(t)) for r, t in zip(records, push_ns))
-    else:
-        drops = sum(writer.extend(records[a:b], push_ns[a:b])
-                    for a, b in zip(bounds, bounds[1:]))
-    writer.close()
-    assert drops == writer.overruns
-    return (out.getvalue(), writer.flush_log, writer.overruns,
-            writer.records_written)
-
-
-# entry times of 1.28 s down to 3.2 us against pushes up to 3 ms apart: the
-# consumer keeps up on some streams and falls behind on others
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(cls=st.sampled_from([TwoBufferWriter, CircularWriter]),
-       capacity=st.integers(1, 16),
-       bps=st.sampled_from([100.0, 12_800.0, 1.28e5, 1e6, 40e6]),
-       stream=chunked_streams())
-def test_extend_in_chunks_equals_push_per_record(cls, capacity, bps, stream):
-    records, push_ns, bounds = stream
-    by_push = replay(cls, capacity, bps, records, push_ns)
-    assert replay(cls, capacity, bps, records, push_ns, bounds) == by_push
-    data, _, overruns, written = by_push
-    event(f"{cls.__name__} {'overran' if overruns else 'kept up'}")
-    rows = np.frombuffer(data, dtype=RECORD, offset=HEADER_SIZE)
-    assert written == np.count_nonzero(~is_gap(rows))
-    if overruns == 0:
-        assert rows.tobytes() == records.tobytes()
+       capacity=st.integers(1, 16), bps=st.sampled_from(WRITE_SPEEDS),
+       stream=streams())
+def test_persist_equals_push_per_record_oracle(cls, capacity, bps, stream):
+    records, push_ns = stream
+    expected = io.BytesIO()
+    writer = cls(expected, HEADER, capacity, write_speed_bps=bps)
+    for record, t_ns in zip(records, push_ns):
+        writer.push(record, int(t_ns))
+    writer.close()
+    out, stats = run_persist(KIND[cls], capacity, bps, records, push_ns)
+    event(f"{cls.__name__} {'overran' if writer.overruns else 'kept up'}")
+    assert out.getvalue() == expected.getvalue()
+    assert stats.overruns == writer.overruns
+    assert stats.records_written == writer.records_written
+    assert list(stats.flush_log) == writer.flush_log
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["two_buffer", "circular"]),
+       capacity=st.integers(1, 16), bps=st.sampled_from(WRITE_SPEEDS),
+       stream=streams())
+def test_every_record_written_once_or_dropped(kind, capacity, bps, stream):
+    records, push_ns = stream
+    out, stats = run_persist(kind, capacity, bps, records, push_ns)
+    rows = body(out)
+    gaps = is_gap(rows)
+    data = rows[~gaps]
+    index = data["ua"].astype(np.int64)
+    event(f"{kind} {'overran' if stats.overruns else 'kept up'}")
+
+    # the data rows are an in-order subsequence of the input, copied exactly
+    assert np.all(np.diff(index) > 0)
+    assert data.tobytes() == records[index].tobytes()
+    # every record not written is covered by a counted drop
+    dropped = len(records) - len(data)
+    assert stats.records_written == len(data)
+    assert dropped == stats.overruns * (capacity if kind == "two_buffer" else 1)
+    # a drop is never silent: gap markers sit right before the first written
+    # record after each run of dropped ones, and nowhere else
+    jumps = np.diff(index, prepend=-1) != 1
+    assert np.array_equal(np.concatenate(([False], gaps))[:-1][~gaps], jumps)
+    assert not len(rows) or not gaps[-1]
+    if kind == "two_buffer":
+        assert np.count_nonzero(gaps) == stats.overruns
+    else:
+        assert np.count_nonzero(gaps) == np.count_nonzero(jumps) <= stats.overruns
