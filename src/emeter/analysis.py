@@ -31,12 +31,13 @@ def ecdf_csv(values) -> str:
     return "\n".join(lines) + "\n"
 
 
-def gnuplot_script(csv_path: str, out_path: str = "ecdf.png") -> str:
+def gnuplot_script(csv_path: str) -> str:
+    """A gnuplot script that plots the ECDF CSV at ``csv_path`` to ecdf.png."""
     return "\n".join([
         "set datafile separator ','",
         "set ylabel 'cumulative probability'",
         "set xlabel 'current (A)'",
-        f"set output '{out_path}'",
+        "set output 'ecdf.png'",
         "set terminal png size 800,500",
         f"plot '{csv_path}' every ::1 using 1:2 with steps title 'ECDF'",
     ]) + "\n"

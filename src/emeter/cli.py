@@ -138,7 +138,11 @@ def _cmd_sample(args) -> int:
     curve = None
     if args.calib:
         with open(args.calib) as fh:
-            curve = CalibrationCurve.parse(fh.read())
+            text = fh.read()
+        try:
+            curve = CalibrationCurve.parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{args.calib}: {exc}") from None
     # a run that fails after creating --out leaves none of its files behind:
     # no header-only trace, no flush log, no report
     created = []

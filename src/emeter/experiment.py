@@ -8,12 +8,12 @@ math is vectorized over the whole run.
 
 The register-level loop in :mod:`emeter.sampler` shares everything after the
 register readings with this path: the quantizer expression, dequantization,
-:func:`~emeter.sampler.build_trace` (flags, window gating, power-save events)
-and the energy estimates.  One difference remains, in how the readings come
-about: this path integrates the exact mean of the profile over each
-conversion window, while the chip model holds the input constant between
-polls.  The tests cross-check the two on a constant load, where that
-difference vanishes.
+:func:`~emeter.sampler.build_trace` (window gating, flags, the power-save
+intervals clipped to the window) and the energy estimates.  One difference
+remains, in how the readings come about: this path integrates the exact
+mean of the profile over each conversion window, while the chip model holds
+the input constant between polls.  The tests cross-check the two on a
+constant load, where that difference vanishes.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from emeter.sampler import (
     gated_energy,
     hybrid_energy,
     naive_energy,
-    window_end_ns,
 )
 from emeter.sensor import (
     BOARDS,
@@ -62,10 +61,11 @@ DEFAULT_CURRENT_NOISE_A = 20e-6
 DEFAULT_VOLTAGE_NOISE_V = 0.2e-3
 
 
-def pick_pga_divider(max_current_a: float, config_shunt_ohm: float = 0.1) -> int:
-    """Smallest divider whose full scale covers the expected peak current."""
+def pick_pga_divider(max_current_a: float) -> int:
+    """Smallest divider whose full scale covers the expected peak current
+    across the default shunt, which every pipeline run uses."""
     for divider in (1, 2, 4, 8):
-        if max_current_a * config_shunt_ohm <= SHUNT_FULL_SCALE_V * divider:
+        if max_current_a * SensorConfig.shunt_resistance <= SHUNT_FULL_SCALE_V * divider:
             return divider
     return 8
 
@@ -204,15 +204,14 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
     tail_ns = (1.5 * driver.mean_delay_us(options.speed_khz)
                + LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
 
-    start_ns, stop_ns, _ = trigger.window_ns()
     horizon_ns = int(profile.duration * 1e9)
-    limit_ns = min(stop_ns, horizon_ns) if stop_ns is not None else horizon_ns
+    limit_ns = horizon_ns if trigger.stop_ns is None else min(trigger.stop_ns, horizon_ns)
 
     n_conversions = int((limit_ns - tail_ns) // period_ns) if limit_ns > tail_ns else 0
-    if trigger.mode == "count":
+    if trigger.sample_count is not None:
         # allow the count to be reached inside the horizon
         n_conversions = min(n_conversions,
-                            int(start_ns // period_ns) + trigger.sample_count + 1)
+                            int(trigger.start_ns // period_ns) + trigger.sample_count + 1)
     conv_index = np.arange(1, n_conversions + 1)
     ts = (conv_index * period_ns + tail_ns).astype(np.int64)
     bus_v, current, saturated = _readings(
@@ -220,7 +219,7 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
         conv_index * period_ns * 1e-9, conv_ns * 1e-9)
     intervals = [(int(round(s * 1e9)), int(round(e * 1e9)), mode_index)
                  for s, e, mode_index in profile.power_save_intervals]
-    trace, status = build_trace(
+    trace, status, end_ns = build_trace(
         ts, bus_v, current, saturated, conv_index, trigger, limit_ns, intervals)
     modes = [PowerSaveMode(idx, amps, volts)
              for idx, amps, volts in profile.power_save_modes]
@@ -238,9 +237,7 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
     e_hybrid = hybrid_energy(trace, modes) if modes else None
     e_device = e_hybrid if e_hybrid is not None else e_gated
 
-    window_lo = max(start_ns, 0) * 1e-9
-    window_hi = window_end_ns(trigger, trace.timestamps_ns, limit_ns) * 1e-9
-    e_ref = exact_energy(profile, (window_lo, window_hi))
+    e_ref = exact_energy(profile, (max(trigger.start_ns, 0) * 1e-9, end_ns * 1e-9))
     error = abs(e_device - e_ref) / e_ref * 100.0 if e_ref > 0 else 0.0
 
     report = ExperimentReport(

@@ -17,10 +17,15 @@ model replaces the unresolvable samples with declared-constant energy:
 
 where each sample's power is weighted by the time since its predecessor
 (see :func:`hybrid_energy` for the boundary handling).
+
+Both samplers end in :func:`build_trace`, the one place that closes the
+window a :class:`TriggerSpec` resolved and clips the sleep intervals to it;
+the trace carries those intervals, and every later stage reads them there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -64,10 +69,6 @@ class Sample:
     current: float
     flags: int = 0
 
-    @property
-    def warmup(self) -> bool:
-        return bool(self.flags & FLAG_WARMUP)
-
 
 @dataclass(frozen=True)
 class PowerSaveMode:
@@ -101,18 +102,22 @@ class PowerModeEvent:
 
 @dataclass(frozen=True)
 class TriggerSpec:
-    """Start/stop condition of a measurement."""
+    """Measurement window of a trigger, resolved when it is built.
 
-    mode: str  # 'duration' | 'count' | 'edges'
-    duration_s: float = 0.0
-    sample_count: int = 0
-    edges: tuple = ()  # ((ns, 'fall'|'rise'), ...)
+    Readings count from ``start_ns`` until ``stop_ns`` (None: open-ended,
+    the run's horizon closes it) or until ``sample_count`` readings were
+    kept (None: no count).
+    """
+
+    start_ns: int = 0
+    stop_ns: Optional[int] = None
+    sample_count: Optional[int] = None
 
     @classmethod
     def duration(cls, seconds: float) -> "TriggerSpec":
-        if seconds <= 0:
-            raise ValueError("duration must be positive")
-        return cls(mode="duration", duration_s=seconds)
+        if not (math.isfinite(seconds) and seconds > 0):
+            raise ValueError(f"duration must be finite and positive, got {seconds}")
+        return cls(stop_ns=int(round(seconds * 1e9)))
 
     @classmethod
     def count(cls, n: int) -> "TriggerSpec":
@@ -121,11 +126,18 @@ class TriggerSpec:
                 f"sample count must be at least {DEFAULT_WARMUP_SAMPLES + 2}: "
                 f"the first {DEFAULT_WARMUP_SAMPLES} samples are warm-up and "
                 f"a trapezoid needs two more, got {n}")
-        return cls(mode="count", sample_count=n)
+        return cls(sample_count=n)
 
     @classmethod
     def external_edges(cls, edges: Sequence[tuple]) -> "TriggerSpec":
-        return cls(mode="edges", edges=tuple(edges))
+        """The window from the first fall edge to the first rise after it
+        (open-ended when no rise follows)."""
+        falls = [t for t, kind in edges if kind == "fall"]
+        if not falls:
+            raise ValueError("edge trigger stream has no start (fall) edge")
+        start = falls[0]
+        rises = [t for t, kind in edges if kind == "rise" and t > start]
+        return cls(start_ns=start, stop_ns=rises[0] if rises else None)
 
     @classmethod
     def parse(cls, text: str) -> "TriggerSpec":
@@ -137,23 +149,12 @@ class TriggerSpec:
             return cls.count(int(value))
         if kind == "edges":
             with open(value) as fh:
-                return cls.external_edges(parse_trigger_edges(fh.read()))
+                lines = fh.read()
+            try:
+                return cls.external_edges(parse_trigger_edges(lines))
+            except ValueError as exc:
+                raise ValueError(f"{value}: {exc}") from None
         raise ValueError(f"unknown trigger spec {text!r}")
-
-    def window_ns(self) -> tuple[int, Optional[int], str]:
-        """(start_ns, stop_ns or None, status) implied by the trigger."""
-        if self.mode == "duration":
-            return 0, int(round(self.duration_s * 1e9)), "complete"
-        if self.mode == "count":
-            return 0, None, "complete"
-        falls = [t for t, kind in self.edges if kind == "fall"]
-        if not falls:
-            raise ValueError("edge trigger stream has no start (fall) edge")
-        start = falls[0]
-        rises = [t for t, kind in self.edges if kind == "rise" and t > start]
-        if not rises:
-            return start, None, "unterminated"
-        return start, rises[0], "complete"
 
 
 # --------------------------------------------------------------------------
@@ -201,11 +202,12 @@ def format_power_mode_events(events: Iterable[PowerModeEvent]) -> str:
 # --------------------------------------------------------------------------
 
 class Trace:
-    """Ordered sample arrays plus power-save events; a trace file's metadata
-    is the header that :func:`~emeter.tracefile.read_trace` returns."""
+    """Ordered sample arrays plus the power-save intervals inside them; a
+    trace file's metadata is the header that
+    :func:`~emeter.tracefile.read_trace` returns."""
 
     def __init__(self, timestamps_ns, bus_voltage, current, flags,
-                 events: Sequence[PowerModeEvent] = ()):
+                 intervals: Sequence[tuple[int, int, int]] = ()):
         self.timestamps_ns = np.asarray(timestamps_ns, dtype=np.int64)
         self.bus_voltage = np.asarray(bus_voltage, dtype=float)
         self.current = np.asarray(current, dtype=float)
@@ -215,14 +217,20 @@ class Trace:
             raise ValueError("trace column lengths differ")
         if n > 1 and np.any(np.diff(self.timestamps_ns) <= 0):
             raise ValueError("trace timestamps must be strictly increasing")
-        self.events = list(events)
+        #: sorted ``(start_ns, end_ns, mode_index)`` power-save intervals
+        self.intervals = sorted(intervals)
 
     def __len__(self) -> int:
         return len(self.timestamps_ns)
 
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(int(self.timestamps_ns[i]), float(self.bus_voltage[i]),
-                      float(self.current[i]), int(self.flags[i]))
+    @property
+    def events(self) -> list[PowerModeEvent]:
+        """The intervals' enter and exit edges in time order.  At equal
+        timestamps an exit comes first, so touching intervals pair back up."""
+        edges = sorted([(s, 1, m) for s, _, m in self.intervals]
+                       + [(e, 0, m) for _, e, m in self.intervals])
+        return [PowerModeEvent("enter" if enter else "exit", m, t)
+                for t, enter, m in edges]
 
     def power(self) -> np.ndarray:
         return self.bus_voltage * self.current
@@ -297,14 +305,29 @@ def naive_energy(trace: Trace) -> float:
                            _countable_mask(trace, exclude_power_save=False))
 
 
+def _checked_intervals(intervals: Sequence[tuple[int, int, int]],
+                       modes: dict[int, PowerSaveMode]) -> list[tuple[int, int, int]]:
+    """The sorted intervals, each of a declared mode, non-empty, and none
+    overlapping another (touching ones may follow each other)."""
+    intervals = sorted(intervals)
+    for start, end, mode_index in intervals:
+        if mode_index not in modes:
+            raise ValueError(f"interval references undeclared mode {mode_index}")
+        if end <= start:
+            raise ValueError("power-save exit must follow its enter")
+    for (_, e0, _), (s1, _, _) in zip(intervals, intervals[1:]):
+        if s1 < e0:
+            raise ValueError("overlapping power-save intervals")
+    return intervals
+
+
 def _validated_intervals(events: Sequence[PowerModeEvent],
                          modes: dict[int, PowerSaveMode]) -> list[tuple[int, int, int]]:
-    """Pair enter/exit events into (start, end, mode) intervals."""
+    """Pair enter/exit events into sorted (start, end, mode) intervals; at
+    equal timestamps an exit pairs before an enter."""
     open_enter: dict[int, int] = {}
     intervals = []
-    for ev in sorted(events, key=lambda e: e.timestamp_ns):
-        if ev.mode_index not in modes:
-            raise ValueError(f"event references undeclared mode {ev.mode_index}")
+    for ev in sorted(events, key=lambda e: (e.timestamp_ns, e.kind == "enter")):
         if ev.kind == "enter":
             if ev.mode_index in open_enter:
                 raise ValueError(f"double enter for mode {ev.mode_index}")
@@ -312,21 +335,13 @@ def _validated_intervals(events: Sequence[PowerModeEvent],
         else:
             if ev.mode_index not in open_enter:
                 raise ValueError(f"exit without enter for mode {ev.mode_index}")
-            start = open_enter.pop(ev.mode_index)
-            if ev.timestamp_ns <= start:
-                raise ValueError("power-save exit must follow its enter")
-            intervals.append((start, ev.timestamp_ns, ev.mode_index))
+            intervals.append((open_enter.pop(ev.mode_index), ev.timestamp_ns, ev.mode_index))
     if open_enter:
         raise ValueError(f"unmatched enter events for modes {sorted(open_enter)}")
-    intervals.sort()
-    for (s0, e0, m0), (s1, e1, m1) in zip(intervals, intervals[1:]):
-        if s1 < e0 and m0 != m1:
-            raise ValueError("overlapping power-save intervals of different modes")
-    return intervals
+    return _checked_intervals(intervals, modes)
 
 
-def hybrid_energy(trace: Trace, modes: Sequence[PowerSaveMode],
-                  events: Optional[Sequence[PowerModeEvent]] = None) -> float:
+def hybrid_energy(trace: Trace, modes: Sequence[PowerSaveMode]) -> float:
     """Declared-constant energy for sleep intervals plus the awake sum.
 
     Sleep intervals contribute ``(t_end - t_start) * v_nominal * i_mode``.
@@ -341,11 +356,10 @@ def hybrid_energy(trace: Trace, modes: Sequence[PowerSaveMode],
     is recovered by zero-order hold from the last awake sample, whose power
     is stable right before a sleep transition.  The first sample of a
     measurement has no predecessor and contributes nothing.  With no sleep
-    events the sum degenerates to the plain integral of the trace.
+    intervals the sum degenerates to the plain integral of the trace.
     """
     mode_map = {m.mode_index: m for m in modes}
-    ev = trace.events if events is None else events
-    intervals = _validated_intervals(ev, mode_map)
+    intervals = _checked_intervals(trace.intervals, mode_map)
     ts = trace.timestamps_ns
     power = trace.power()
     countable = _countable_mask(trace, exclude_power_save=True)
@@ -413,47 +427,39 @@ def flag_power_save(timestamps_ns: np.ndarray,
 # Readout stage shared by both samplers
 # --------------------------------------------------------------------------
 
-def window_end_ns(trigger: TriggerSpec, timestamps_ns: np.ndarray,
-                  limit_ns: Optional[int]) -> Optional[int]:
-    """Where the measurement window of the gated readings ``timestamps_ns``
-    closes: a count trigger at its last counted reading, any other trigger
-    (or a count trigger with no reading) at ``limit_ns``."""
-    if trigger.mode == "count" and len(timestamps_ns):
-        return int(timestamps_ns[-1])
-    return limit_ns
-
-
 def build_trace(timestamps_ns, bus_voltage, current, saturated, conversion_index,
                 trigger: TriggerSpec, limit_ns: Optional[int],
-                intervals: Sequence[tuple[int, int, int]]) -> tuple[Trace, str]:
+                intervals: Sequence[tuple[int, int, int]]
+                ) -> tuple[Trace, str, Optional[int]]:
     """Gate, flag and annotate per-reading arrays into a trace.
 
     One entry per reading, in increasing timestamp order: its timestamp, bus
     volts and amperes, whether the chip saturated, and the 1-based index of
     the conversion it came from; the first :data:`DEFAULT_WARMUP_SAMPLES`
-    conversions are flagged warm-up.  Readings outside the trigger window
-    ``[start, limit_ns]`` (open-ended when ``limit_ns`` is None), and past
-    the count of a count trigger, are dropped.  Power-save ``(start_ns,
-    end_ns, mode)`` intervals are clipped to the window, which
-    :func:`window_end_ns` closes, and flag the readings they cover.  Returns
-    the trace, whose events are the clipped intervals' enter/exit edges, and
-    the trigger status: ``'unterminated'`` when the window never closed or
-    the count was not reached.
+    conversions are flagged warm-up.  Readings outside ``[trigger.start_ns,
+    limit_ns]`` (open-ended when ``limit_ns`` is None), and past the count
+    of a count trigger, are dropped.  The window ends at ``end_ns``: the
+    last counted reading of a count trigger, else ``limit_ns``.  Power-save
+    ``(start_ns, end_ns, mode)`` intervals are clipped to the window, kept
+    on the trace, and flag the readings they cover.  Returns the trace, the
+    trigger status (``'unterminated'`` when the trigger sets neither a stop
+    nor a count, or the count was not reached) and ``end_ns``.
     """
-    start_ns, _, status = trigger.window_ns()
+    count = trigger.sample_count
     ts = np.asarray(timestamps_ns, dtype=np.int64)
-    lo = int(np.searchsorted(ts, start_ns, side="left"))
+    lo = int(np.searchsorted(ts, trigger.start_ns, side="left"))
     hi = len(ts) if limit_ns is None else int(np.searchsorted(ts, limit_ns, side="right"))
-    if trigger.mode == "count":
-        hi = min(hi, lo + trigger.sample_count)
-        if hi - lo < trigger.sample_count:
-            status = "unterminated"
+    end_ns = limit_ns
+    if count is not None:
+        hi = min(hi, lo + count)
+        if hi > lo:
+            end_ns = int(ts[hi - 1])
+    complete = (count is None and trigger.stop_ns is not None) or hi - lo == count
     ts = ts[lo:hi]
-    end_ns = window_end_ns(trigger, ts, limit_ns)
 
     clipped = []
     for s, e, mode_index in intervals:
-        s = max(s, start_ns)
+        s = max(s, trigger.start_ns)
         if end_ns is not None:
             e = min(e, end_ns)
         if e > s:
@@ -461,13 +467,9 @@ def build_trace(timestamps_ns, bus_voltage, current, saturated, conversion_index
     flags = flag_power_save(ts, clipped)
     flags[np.asarray(saturated, dtype=bool)[lo:hi]] |= FLAG_SATURATED
     flags[np.asarray(conversion_index)[lo:hi] <= DEFAULT_WARMUP_SAMPLES] |= FLAG_WARMUP
-
-    events = [PowerModeEvent("enter", m, s) for s, e, m in clipped]
-    events += [PowerModeEvent("exit", m, e) for s, e, m in clipped]
-    events.sort(key=lambda ev: ev.timestamp_ns)
     trace = Trace(ts, np.asarray(bus_voltage)[lo:hi], np.asarray(current)[lo:hi],
-                  flags, events=events)
-    return trace, status
+                  flags, intervals=clipped)
+    return trace, "complete" if complete else "unterminated", end_ns
 
 
 # --------------------------------------------------------------------------
@@ -476,6 +478,8 @@ def build_trace(timestamps_ns, bus_voltage, current, saturated, conversion_index
 
 #: Read delays the polling loop draws from the generator at a time.
 _DELAY_BLOCK = 4096
+#: Readings after which the polling loop stops whatever its trigger.
+_MAX_READINGS = 2_000_000
 
 
 @dataclass
@@ -491,8 +495,7 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
                     trace_fh=None, events: Sequence[PowerModeEvent] = (),
                     modes: Sequence[PowerSaveMode] = (),
                     rng: Optional[np.random.Generator] = None,
-                    horizon_ns: Optional[int] = None,
-                    max_samples: int = 2_000_000) -> MeasurementResult:
+                    horizon_ns: Optional[int] = None) -> MeasurementResult:
     """Run the polling sampler against a simulated bus.
 
     ``bus`` is a :class:`~emeter.sensor.BusBackend` whose sensor must be
@@ -500,7 +503,9 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
     ``(amperes, volts)`` pair.  The loop polls the bus-voltage register until
     the ready flag is set, reads the shunt register and timestamps the pair.
     The sensor is never power-cycled: readings outside the trigger window
-    are simply discarded.  The kept readings go through :func:`build_trace`;
+    are simply discarded.  ``events`` are the device's announced power-save
+    enter/exit edges, paired into intervals of the declared ``modes``
+    before the run.  The kept readings go through :func:`build_trace`;
     with ``trace_fh`` they are persisted there, each handed over at its
     timestamp, by :func:`~emeter.buffering.persist` under the default
     two-buffer policy and write speed, and ``overruns`` counts the drops.
@@ -511,13 +516,13 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
     and leaves ``rng`` in the state one draw per read would have left.
     """
     validate_operating_point(driver, speed_khz, config.supply_voltage)
-    start_ns, stop_ns, _ = trigger.window_ns()
-    limit_ns = stop_ns if stop_ns is not None else horizon_ns
+    start_ns = trigger.start_ns
+    limit_ns = trigger.stop_ns if trigger.stop_ns is not None else horizon_ns
     mode_map = {m.mode_index: m for m in modes}
     intervals = _validated_intervals(events, mode_map) if events else []
 
     overhead_ns = (LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
-    count_target = trigger.sample_count if trigger.mode == "count" else None
+    count_target = trigger.sample_count
     # (timestamp, bus count, shunt count, overflow, conversion index)
     readings: list[tuple[int, int, int, bool, int]] = []
     now = 0.0  # simulation clock, ns
@@ -546,7 +551,7 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
     read_register = bus.read_register
     sensor_step = bus.sensor.step
     try:
-        while len(readings) < max_samples:
+        while len(readings) < _MAX_READINGS:
             # poll the ready bit (the successful poll carries the bus value)
             while True:
                 now += delays.pop() if delays else next_block()
@@ -580,7 +585,7 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
 
     ts, bus_count, shunt_count, overflow, conv_index = \
         np.array(readings, dtype=np.int64).reshape(-1, 5).T
-    trace, status = build_trace(
+    trace, status, _ = build_trace(
         ts, dequantize_bus(bus_count, config),
         dequantize_shunt(shunt_count, config), overflow, conv_index,
         trigger, limit_ns, intervals)

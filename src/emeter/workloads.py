@@ -20,9 +20,10 @@ half periods, giving each segment its state and step index on the way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -268,6 +269,8 @@ def generate_profile(preset: str | DevicePreset, workload: int,
         raise ValueError(f"workload must be one of {sorted(WORKLOAD_STATES)}")
     if source not in ("supply", "battery"):
         raise ValueError(f"unknown source model {source!r}")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be finite and positive, got {duration}")
     rng = np.random.default_rng(seed)
     states = WORKLOAD_STATES[workload]
     t0, dwell = [], []
@@ -326,40 +329,24 @@ def constant_profile(current: float, voltage: float,
                        np.array([voltage]))
 
 
-def staircase_profile(levels: Iterable[float], dwell: float,
-                      voltage: float) -> LoadProfile:
-    """One constant-voltage step per level; used by calibration sweeps."""
-    levels = np.asarray(list(levels), dtype=float)
-    edges = np.arange(len(levels) + 1) * dwell
-    return LoadProfile(edges, levels, np.full(len(levels), voltage))
-
-
 # --------------------------------------------------------------------------
 # Reference meter
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReferenceMeter:
-    """High-rate ground-truth meter; samples the same analytic signal.
+#: The reference meter's current resolution: 18 bits over 1 A full scale.
+REFERENCE_LSB_A = 1.0 / 2 ** 18
 
-    Energy is the closed-form integral of the profile, so it is exact by
-    construction; sampled readings are quantized to the meter's resolution.
+
+class ReferenceMeter:
+    """Ground-truth meter; samples the same analytic signal.
+
+    Its energy is the closed-form :func:`exact_energy` of the profile;
+    sampled currents are quantized to :data:`REFERENCE_LSB_A`.
     """
 
-    sampling_rate: float = 500_000.0
-    resolution_bits: int = 18
-    full_scale_amps: float = 1.0
-
-    def energy(self, profile: LoadProfile, window: Optional[tuple] = None) -> float:
-        return exact_energy(profile, window)
-
     def sample_current(self, profile: LoadProfile, times) -> np.ndarray:
-        lsb = self.full_scale_amps / 2 ** self.resolution_bits
-        return np.round(profile.current_at(np.asarray(times)) / lsb) * lsb
+        counts = np.round(profile.current_at(np.asarray(times)) / REFERENCE_LSB_A)
+        return counts * REFERENCE_LSB_A
 
     def sample_voltage(self, profile: LoadProfile, times) -> np.ndarray:
         return np.asarray(profile.voltage_at(np.asarray(times)), dtype=float)
-
-    def sample_times(self, t0: float, t1: float) -> np.ndarray:
-        step = 1.0 / self.sampling_rate
-        return np.arange(t0, t1, step)

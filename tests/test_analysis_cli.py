@@ -135,6 +135,37 @@ class TestCli:
         code = main(["sample", "--trigger", "duration:0"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--trigger", "duration:inf"], ["--trigger", "duration:nan"],
+        ["--duration", "0"], ["--duration", "-1"], ["--duration", "nan"],
+        ["--duration", "inf"],
+    ])
+    def test_non_finite_or_non_positive_duration_is_error(self, flags, tmp_path, capsys):
+        out = tmp_path / "t.bin"
+        assert main(["sample", *flags, "--out", str(out)]) == 2
+        assert "duration must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("0 fall\n100 wiggle\n", "bad trigger edge line 2: '100 wiggle'"),
+        ("100 rise\n", "edge trigger stream has no start (fall) edge"),
+    ])
+    def test_edge_file_errors_name_the_file(self, text, message, tmp_path, capsys):
+        edge_file = tmp_path / "edges.txt"
+        edge_file.write_text(text)
+        code = main(["sample", "--duration", "1", "--trigger", f"edges:{edge_file}"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {edge_file}: {message}\n"
+
+    def test_calibration_file_errors_name_the_file(self, tmp_path, capsys):
+        curve_path = tmp_path / "curve.txt"
+        curve_path.write_text("current_form: linear\n")
+        code = main(["sample", "--trigger", "duration:1", "--duration", "1",
+                     "--calib", str(curve_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {curve_path}: calibration curve file missing 'current_gain'\n")
+
     def test_unreliable_operating_point_is_error(self, capsys):
         code = main(["sample", "--supply", "3.3", "--speed", "2500",
                      "--trigger", "duration:1", "--duration", "1"])
@@ -255,7 +286,8 @@ class TestCli:
         code = main(["sample", "--trigger", "duration:1", "--duration", "1",
                      "--calib", str(curve_path), "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: calibration curve current_gain")
+        assert capsys.readouterr().err.startswith(
+            f"error: {curve_path}: calibration curve current_gain")
         assert not out.exists()
 
     def test_circular_buffering_flag(self, tmp_path):

@@ -20,6 +20,8 @@ from emeter.sampler import (
     Trace,
     TriggerSpec,
     _enter_slivers,
+    _validated_intervals,
+    build_trace,
     compute_energy,
     flag_power_save,
     gated_energy,
@@ -89,11 +91,11 @@ class TestComputeEnergy:
             last = acc.energy
 
 
-def make_trace(ts_s, power_w, flags=None, events=(), volts=1.0):
+def make_trace(ts_s, power_w, flags=None, intervals=(), volts=1.0):
     ts = (np.asarray(ts_s) * 1e9).astype(np.int64)
     power = np.asarray(power_w, dtype=float)
     flags = np.zeros(len(ts), dtype=np.uint8) if flags is None else np.asarray(flags)
-    return Trace(ts, np.full(len(ts), volts), power / volts, flags, events=events)
+    return Trace(ts, np.full(len(ts), volts), power / volts, flags, intervals=intervals)
 
 
 class TestTraceEnergies:
@@ -137,36 +139,63 @@ class TestHybridEnergy:
         # 10s in a 1uA standby at 3.3V and nothing else: 33uJ
         ts = np.arange(0, 10.5, 0.5)
         flags = np.full(len(ts), FLAG_POWER_SAVE, dtype=np.uint8)
-        events = [PowerModeEvent("enter", 0, 0),
-                  PowerModeEvent("exit", 0, 10_000_000_000)]
-        tr = make_trace(ts, np.zeros(len(ts)), flags, events)
+        tr = make_trace(ts, np.zeros(len(ts)), flags, [(0, 10_000_000_000, 0)])
         assert hybrid_energy(tr, [self.MODE]) == pytest.approx(33e-6)
 
     def test_undeclared_mode_rejected(self):
-        tr = make_trace([0.0, 1.0], [1.0, 1.0],
-                        events=[PowerModeEvent("enter", 7, 100),
-                                PowerModeEvent("exit", 7, 200)])
-        with pytest.raises(ValueError):
+        tr = make_trace([0.0, 1.0], [1.0, 1.0], intervals=[(100, 200, 7)])
+        with pytest.raises(ValueError, match="undeclared mode 7"):
             hybrid_energy(tr, [self.MODE])
 
     def test_overlapping_modes_rejected(self):
-        events = [PowerModeEvent("enter", 0, 100),
-                  PowerModeEvent("enter", 1, 150),
-                  PowerModeEvent("exit", 0, 300),
-                  PowerModeEvent("exit", 1, 400)]
-        tr = make_trace([0.0, 1.0], [1.0, 1.0], events=events)
-        with pytest.raises(ValueError):
+        tr = make_trace([0.0, 1.0], [1.0, 1.0], intervals=[(100, 300, 0), (150, 400, 1)])
+        with pytest.raises(ValueError, match="overlapping"):
             hybrid_energy(tr, [self.MODE, PowerSaveMode(1, 2e-6, 3.3)])
 
+    @pytest.mark.parametrize("intervals", [
+        [(100, 300, 0), (150, 400, 0)],
+        [(100, 400, 0), (150, 200, 0)],
+        [(100, 200, 0), (100, 200, 0)],
+    ])
+    def test_same_mode_overlap_rejected(self, intervals):
+        tr = make_trace([0.0, 1.0], [1.0, 1.0], intervals=intervals)
+        with pytest.raises(ValueError, match="overlapping"):
+            hybrid_energy(tr, [self.MODE])
+
+    @pytest.mark.parametrize("interval", [(100, 100, 0), (200, 100, 0)])
+    def test_empty_interval_rejected(self, interval):
+        tr = make_trace([0.0, 1.0], [1.0, 1.0], intervals=[interval])
+        with pytest.raises(ValueError, match="exit must follow its enter"):
+            hybrid_energy(tr, [self.MODE])
+
+    def test_touching_intervals_accepted(self):
+        # one sleep span split at 5 s: the same energy as the whole span
+        ts = np.arange(0, 10.5, 0.5)
+        flags = np.full(len(ts), FLAG_POWER_SAVE, dtype=np.uint8)
+        split = make_trace(ts, np.zeros(len(ts)), flags,
+                           [(0, 5_000_000_000, 0), (5_000_000_000, 10_000_000_000, 0)])
+        assert hybrid_energy(split, [self.MODE]) == pytest.approx(33e-6)
+        assert split.events == [PowerModeEvent("enter", 0, 0),
+                                PowerModeEvent("exit", 0, 5_000_000_000),
+                                PowerModeEvent("enter", 0, 5_000_000_000),
+                                PowerModeEvent("exit", 0, 10_000_000_000)]
+        assert _validated_intervals(split.events, {0: self.MODE}) == split.intervals
+
     def test_malformed_events_rejected(self):
-        tr = make_trace([0.0, 1.0], [1.0, 1.0],
-                        events=[PowerModeEvent("exit", 0, 100)])
-        with pytest.raises(ValueError):
-            hybrid_energy(tr, [self.MODE])
-        tr = make_trace([0.0, 1.0], [1.0, 1.0],
-                        events=[PowerModeEvent("enter", 0, 100)])
-        with pytest.raises(ValueError):
-            hybrid_energy(tr, [self.MODE])
+        def ev(kind, t, mode=0):
+            return PowerModeEvent(kind, mode, t)
+
+        cases = [
+            ([ev("exit", 100)], "exit without enter"),
+            ([ev("enter", 100)], "unmatched enter"),
+            ([ev("enter", 100), ev("enter", 150), ev("exit", 200), ev("exit", 300)],
+             "double enter"),
+            ([ev("enter", 100), ev("exit", 100)], "exit without enter"),
+            ([ev("enter", 100, 7), ev("exit", 200, 7)], "undeclared mode 7"),
+        ]
+        for events, message in cases:
+            with pytest.raises(ValueError, match=message):
+                _validated_intervals(events, {0: self.MODE})
 
     def test_gating_identity(self):
         # flagging an interval removes its duration-weighted sample energy
@@ -181,9 +210,8 @@ class TestHybridEnergy:
         flags = np.zeros(n, dtype=np.uint8)
         inside = (ts >= t_s) & (ts <= t_e)
         flags[inside] = FLAG_POWER_SAVE
-        events = [PowerModeEvent("enter", 0, int(t_s * 1e9)),
-                  PowerModeEvent("exit", 0, int(t_e * 1e9))]
-        gated = hybrid_energy(make_trace(ts, power, flags, events), [self.MODE])
+        intervals = [(int(t_s * 1e9), int(t_e * 1e9), 0)]
+        gated = hybrid_energy(make_trace(ts, power, flags, intervals), [self.MODE])
 
         # independent accounting of the documented rule
         removed = 2.0 * (np.sum(np.diff(ts)[inside[1:]]))  # flagged dt*p terms
@@ -204,7 +232,7 @@ class TestHybridEnergy:
         sleep_spans = [(2.0005, 5.0005), (9.0005, 13.0005)]
         power = np.full(n, active)
         flags = np.zeros(n, dtype=np.uint8)
-        events = []
+        intervals = []
         true_e = 0.0
         mode = PowerSaveMode(0, 1e-6, 3.3)
         inside_any = np.zeros(n, dtype=bool)
@@ -213,12 +241,11 @@ class TestHybridEnergy:
             inside_any |= m
             power[m] = 0.0  # below one LSB quantizes to nothing
             flags[m] = FLAG_POWER_SAVE
-            events += [PowerModeEvent("enter", 0, int(t0 * 1e9)),
-                       PowerModeEvent("exit", 0, int(t1 * 1e9))]
+            intervals.append((int(t0 * 1e9), int(t1 * 1e9), 0))
         total_sleep = sum(t1 - t0 for t0, t1 in sleep_spans)
         true_e = active * (ts[-1] - ts[0] - total_sleep) + mode.power * total_sleep
 
-        tr = make_trace(ts, power, flags, events)
+        tr = make_trace(ts, power, flags, intervals)
         e_hybrid = hybrid_energy(tr, [mode])
         e_naive = naive_energy(tr)
         assert abs(e_hybrid - true_e) / true_e < 0.005
@@ -305,14 +332,88 @@ class TestPowerSaveStageOracle:
         assert _enter_slivers(trace, intervals) == enter_slivers_oracle(trace, intervals)
 
 
+@st.composite
+def build_trace_cases(draw):
+    """Readings at random increasing timestamps, sleep intervals of two
+    modes that may touch but never overlap, placed anywhere around the
+    readings, and a duration, count or edge trigger whose window a horizon
+    may cut short or, for a count or open edge trigger, close."""
+    gaps = draw(st.lists(st.integers(1, 1000), max_size=40))
+    ts = np.cumsum(np.array(gaps, dtype=np.int64))
+    n = len(ts)
+    span = (int(ts[-1]) if n else 0) + 500
+    cuts = sorted(draw(st.lists(st.integers(-500, span), max_size=12, unique=True)))
+    intervals = [(a, b, draw(st.sampled_from([0, 1])))
+                 for a, b in zip(cuts, cuts[1:]) if draw(st.booleans())]
+    kind = draw(st.sampled_from(["duration", "count", "edges"]))
+    if kind == "duration":
+        trigger = TriggerSpec.duration(draw(st.integers(1, span)) * 1e-9)
+    elif kind == "count":
+        trigger = TriggerSpec.count(draw(st.integers(DEFAULT_WARMUP_SAMPLES + 2, 50)))
+    else:
+        fall = draw(st.integers(-500, span))
+        edges = [(fall, "fall")]
+        if draw(st.booleans()):
+            edges.append((draw(st.integers(fall + 1, span + 1)), "rise"))
+        trigger = TriggerSpec.external_edges(edges)
+    horizon = draw(st.one_of(st.none(), st.integers(0, span)))
+    limit = trigger.stop_ns
+    if horizon is not None:
+        limit = horizon if limit is None else min(limit, horizon)
+    columns = dict(
+        bus_voltage=draw(st.lists(st.floats(0.5, 5.5), min_size=n, max_size=n)),
+        current=draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
+        saturated=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        conversion_index=np.arange(1, n + 1) + draw(st.integers(0, 3)))
+    return ts, columns, trigger, limit, intervals
+
+
+class TestBuildTrace:
+    MODES = {0: PowerSaveMode(0, 1e-6, 3.3), 1: PowerSaveMode(1, 2e-6, 3.3)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=build_trace_cases())
+    def test_window_flags_status_and_intervals(self, case):
+        ts, columns, trigger, limit, intervals = case
+        trace, status, end_ns = build_trace(
+            ts, columns["bus_voltage"], columns["current"], columns["saturated"],
+            columns["conversion_index"], trigger, limit, intervals)
+        count = trigger.sample_count
+
+        # the kept readings: those in [start, limit], cut at the count
+        inside = (ts >= trigger.start_ns) & (ts <= (np.inf if limit is None else limit))
+        assert np.array_equal(trace.timestamps_ns, ts[inside][:count])
+        if count is not None and len(trace):
+            assert end_ns == trace.timestamps_ns[-1]
+        else:
+            assert end_ns == limit
+
+        upper = np.inf if end_ns is None else end_ns
+        assert np.all((trace.timestamps_ns >= trigger.start_ns)
+                      & (trace.timestamps_ns <= upper))
+        assert trace.intervals == sorted(trace.intervals)
+        for start, end, _ in trace.intervals:
+            assert trigger.start_ns <= start < end <= upper
+
+        assert np.array_equal(trace.flags & FLAG_POWER_SAVE,
+                              flag_power_save(trace.timestamps_ns, trace.intervals))
+        unterminated = ((trigger.stop_ns is None and count is None)
+                        or (count is not None and len(trace) < count))
+        assert status == ("unterminated" if unterminated else "complete")
+        assert _validated_intervals(trace.events, self.MODES) == trace.intervals
+
+
 class TestTriggerSpec:
     def test_parse(self):
-        assert TriggerSpec.parse("duration:30").duration_s == 30.0
-        assert TriggerSpec.parse("count:500").sample_count == 500
+        assert TriggerSpec.parse("duration:30") == TriggerSpec(stop_ns=30_000_000_000)
+        assert TriggerSpec.parse("count:500") == TriggerSpec(sample_count=500)
         with pytest.raises(ValueError):
             TriggerSpec.parse("bogus:1")
-        with pytest.raises(ValueError):
-            TriggerSpec.parse("duration:0")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+    def test_duration_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="duration must be finite and positive"):
+            TriggerSpec.parse(f"duration:{value}")
 
     @pytest.mark.parametrize("n", [-1, 0, 1, 5, 6])
     def test_count_must_reach_past_warmup(self, n):
@@ -336,12 +437,19 @@ class TestTriggerSpec:
 
     def test_edges_window(self):
         spec = TriggerSpec.external_edges([(0, "fall"), (500_000_000, "rise")])
-        assert spec.window_ns() == (0, 500_000_000, "complete")
+        assert spec == TriggerSpec(start_ns=0, stop_ns=500_000_000)
+        # a rise before the first fall does not stop the window
+        spec = TriggerSpec.external_edges([(50, "rise"), (100, "fall"), (200, "fall"),
+                                           (300, "rise"), (400, "rise")])
+        assert spec == TriggerSpec(start_ns=100, stop_ns=300)
 
     def test_unterminated_stream(self):
         spec = TriggerSpec.external_edges([(100, "fall")])
-        start, stop, status = spec.window_ns()
-        assert (start, stop, status) == (100, None, "unterminated")
+        assert spec == TriggerSpec(start_ns=100, stop_ns=None)
+
+    def test_stream_without_fall_rejected(self):
+        with pytest.raises(ValueError, match="no start"):
+            TriggerSpec.external_edges([(100, "rise")])
 
     def test_edge_stream_parsing(self):
         edges = parse_trigger_edges("0 fall\n# note\n500 rise\n")
@@ -397,8 +505,8 @@ class TestRunMeasurement:
     def test_warmup_flagged_and_excluded(self):
         result = self.run(TriggerSpec.duration(1.0), load=lambda t: (0.2, 5.0))
         tr = result.trace
-        assert all(tr[i].warmup for i in range(5))
-        assert not tr[5].warmup
+        assert np.all(tr.flags[:5] & FLAG_WARMUP)
+        assert not tr.flags[5] & FLAG_WARMUP
         # constant 1W-ish source: energy about (1 - 6/rate) * P * 1s
         power = tr.bus_voltage[10] * tr.current[10]
         n = len(tr)
@@ -432,8 +540,9 @@ class TestRunMeasurement:
         tr = result.trace
         assert np.any(tr.flags & FLAG_WARMUP) and np.any(tr.flags & FLAG_POWER_SAVE)
         acc = EnergyAccumulator()
-        for i in range(len(tr)):
-            acc.add(tr[i], countable=not tr.flags[i] & (FLAG_WARMUP | FLAG_POWER_SAVE))
+        for t, v, i, f in zip(tr.timestamps_ns.tolist(), tr.bus_voltage.tolist(),
+                              tr.current.tolist(), tr.flags.tolist()):
+            acc.add(Sample(t, v, i, f), countable=not f & (FLAG_WARMUP | FLAG_POWER_SAVE))
         assert result.energy_j == pytest.approx(acc.energy, rel=1e-12)
 
     def test_writer_gets_every_sample_in_order(self):
