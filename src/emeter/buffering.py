@@ -17,6 +17,22 @@ falls behind, data is dropped loudly -- a whole buffer in two-buffer mode,
 the oldest ring entry in circular mode -- and a gap marker record lands in
 the file where the drop occurred.  Overruns are counted, never silent.
 
+Writing one entry takes ``d = round(sample_bits * 1e9 / write_speed)`` whole
+ns.  With push times ``t``, capacity ``K`` and ``C`` the consumer's last
+completion time (0 at the start), the ring's oldest unwritten entry ``j``
+survives iff ``max(t[j], C) + d <= t[j + K]``; otherwise push ``j + K``
+overwrites it.  An entry with ``j + K >= n`` is always written.  The ring is
+replayed stretch by stretch, each in one of two closed forms:
+
+    keep-up, from entry j0 at C0, while no entry is dropped:
+        C[j] = (j + 1) * d + max(C0 - j0 * d, cummax(t[i] - i * d)),
+        ending at the first j with C[j] > t[j + K] (j is dropped)
+    backlog, from entry j0 at C0, while the consumer is never idle:
+        the m-th write (m = 0, 1, ...) ends at C0 + (m + 1) * d and goes to
+        w[m] = m + max(j0, cummax(a(C0 + i * d) - i)),
+        a(c) = searchsorted(t[K:] - d, c), skipping the entries it overwrote;
+        ending at the first m with t[w[m]] > C0 + m * d
+
 The steady-state cost of the two-buffer scheme has a closed form.  With
 buffering-only power ``p_b``, buffering+writing power ``p_wb``, fill time
 ``t_b = buffer_samples / sample_rate`` and write time ``t_w = buffer_samples
@@ -83,6 +99,8 @@ def persist(fh: BinaryIO, header: TraceHeader, records, push_ns,
     """Write ``header`` and the ``RECORD`` array ``records`` to ``fh`` as the
     buffered consumer would, entry k handed over at the non-decreasing time
     ``push_ns[k]``."""
+    if not write_speed_bps > 0:
+        raise ValueError(f"write speed must be positive, got {write_speed_bps!r}")
     records = np.asarray(records, dtype=RECORD)
     push_ns = np.asarray(push_ns, dtype=np.int64)
     if len(records) != len(push_ns):
@@ -135,30 +153,100 @@ def _circular(records, push_ns, capacity, write_speed_bps):
     """Body, overruns and (no) flush log of a ring whose consumer writes
     entries oldest first.
 
-    Each entry takes the consumer one entry duration from its push or from
-    the previous write, whichever is later.  A push that finds ``capacity``
-    entries unwritten overwrites the oldest; a gap marker at the push time
-    of the next kept entry stands for each run of overwritten entries.
+    Each entry takes the consumer ``d`` whole ns from its push or from the
+    previous write, whichever is later.  A push that finds ``capacity``
+    entries unwritten overwrites the oldest: entry ``j`` survives iff
+    ``max(t[j], C) + d <= t[j + capacity]``.  :func:`_overwritten` applies
+    that rule in the keep-up and backlog closed forms of the module
+    docstring.  A gap marker at the push time of the next kept entry stands
+    for each run of overwritten entries.
     """
-    entry_ns = SAMPLE_BITS * 1e9 / write_speed_bps
-    times = push_ns.tolist()
-    dropped = np.zeros(len(times), dtype=bool)
-    free, lo = 0.0, 0  # consumer idle from free; entries < lo written or dropped
-    for k, t_ns in enumerate(times):
-        while lo < k:
-            finish = max(times[lo], free) + entry_ns
-            if finish > t_ns:
-                break
-            free = finish
-            lo += 1
-        if k - lo >= capacity:
-            dropped[lo] = True
-            lo += 1
+    dropped = _overwritten(push_ns, capacity, write_speed_bps)
     kept = ~dropped
     after_drop = kept & np.concatenate(([False], dropped))[:-1]
     at = np.flatnonzero(after_drop[kept])
     body = np.insert(records[kept], at, gap_records(push_ns[after_drop]))
     return body, int(np.count_nonzero(dropped)), ()
+
+
+#: entries (keep-up) or writes (backlog) a stretch of the ring scan looks
+#: ahead at first; the window doubles while the stretch lasts, so a stream
+#: that switches regime every few entries costs a few numpy calls per
+#: switch, not a scan to the stream's end
+_STRETCH_WINDOW = 64
+
+
+def _overwritten(t, capacity, write_speed_bps):
+    """Mask of the ring entries that a later push overwrites.
+
+    Replays the survival rule stretch by stretch: a keep-up stretch
+    (:func:`_keep_up`) while the consumer is idle at the oldest unwritten
+    entry, a backlog stretch (:func:`_backlog`) while it is busy.
+    """
+    dropped = np.zeros(len(t), dtype=bool)
+    if len(t) <= capacity:
+        return dropped
+    # whole ns, rounded as ``_two_buffer`` rounds its write time; a write
+    # longer than the whole stream fails every comparison either way, so the
+    # cap changes no outcome and keeps the int64 arithmetic from overflowing
+    d = min(int(round(SAMPLE_BITS * 1e9 / write_speed_bps)), int(t[-1]) + 1)
+    due = t[capacity:] - d  # entry j survives iff its write starts by due[j]
+    j, free = 0, 0  # the oldest unwritten entry; the consumer idles from free
+    while j < len(due):  # entries from len(due) on are never overwritten
+        stretch = _keep_up if t[j] > free else _backlog
+        j, free = stretch(t, due, d, j, free, dropped)
+    return dropped
+
+
+def _keep_up(t, due, d, j, free, dropped):
+    """Write entries ``j, j+1, ...`` until one is dropped.
+
+    Without drops the write of entry ``i`` starts at ``max(free, cummax(t[l]
+    - (l-j)*d for l in j..i)) + (i-j)*d``.  Returns the entry after the
+    dropped one and the consumer's free time then.
+    """
+    window = _STRETCH_WINDOW
+    while j < len(due):
+        end = min(j + window, len(due))
+        step = np.arange(end - j) * d
+        start = t[j:end] - step
+        start[0] = max(start[0], free)
+        start = np.maximum.accumulate(start) + step
+        late = start > due[j:end]
+        k = int(late.argmax())
+        if late[k]:
+            dropped[j + k] = True
+            return j + k + 1, int(start[k - 1]) + d if k else free
+        j, free = end, int(start[-1]) + d
+        window *= 2
+    return j, free
+
+
+def _backlog(t, due, d, j, free, dropped):
+    """Write while the consumer is never idle, skipping overwritten entries.
+
+    The m-th write from here starts at ``free + m*d``, on the first entry
+    after the previous write that is still due then: ``written[m] = m +
+    cummax(max(j, searchsorted(due, free + m*d) - m))``.  Stops at the first
+    entry the consumer would wait for and returns it with the consumer's
+    free time.
+    """
+    window = _STRETCH_WINDOW
+    while j < len(due):
+        m = np.arange(window + 1)
+        starts = free + m * d
+        written = np.maximum.accumulate(
+            np.maximum(np.searchsorted(due, starts) - m, j)) + m
+        stop = (written >= len(due)) | (t[np.minimum(written, len(due))] > starts)
+        stop[-1] = True  # the window's end: go on from there
+        k = int(stop.argmax())
+        dropped[j:written[k]] = True
+        dropped[written[:k]] = False
+        j, free = int(written[k]), free + k * d
+        if k < window:
+            break
+        window *= 2
+    return j, free
 
 
 # --------------------------------------------------------------------------

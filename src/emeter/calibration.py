@@ -298,16 +298,23 @@ class CalibrationCurve:
 
     @classmethod
     def parse(cls, text: str) -> "CalibrationCurve":
-        seen = {"rmse_v": "0.0"}
-        for line in text.splitlines():
+        seen = {"rmse_v": (0, "0.0")}  # key -> (line number, value)
+        for lineno, line in enumerate(text.splitlines(), 1):
             key, _, value = line.split("#", 1)[0].partition(":")
             if key.strip():
-                seen[key.strip()] = value.strip()
+                seen[key.strip()] = (lineno, value.strip())
         try:
-            form = seen["current_form"]
-            values = {name: float(seen[name]) for name in _CURVE_NUMBERS}
+            form = seen["current_form"][1]
+            numbers = {name: seen[name] for name in _CURVE_NUMBERS}
         except KeyError as exc:
             raise ValueError(f"calibration curve file missing {exc}")
+        values = {}
+        for name, (lineno, value) in numbers.items():
+            try:
+                values[name] = float(value)
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: {name} is not a number: {value!r}") from None
         for name, value in values.items():
             if not np.isfinite(value):
                 raise ValueError(f"calibration curve {name} is {value!r}")

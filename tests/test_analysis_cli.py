@@ -166,6 +166,18 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: {curve_path}: calibration curve file missing 'current_gain'\n")
 
+    def test_calibration_value_not_a_number_names_key_and_line(self, tmp_path, capsys):
+        curve_path = tmp_path / "curve.txt"
+        lines = CalibrationCurve("linear", 1.0).serialize().splitlines(keepends=True)
+        assert lines[1].startswith("current_gain: ")
+        lines[1] = "current_gain: abc\n"
+        curve_path.write_text("".join(lines))
+        code = main(["sample", "--trigger", "duration:1", "--duration", "1",
+                     "--calib", str(curve_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {curve_path}: line 2: current_gain is not a number: 'abc'\n")
+
     def test_unreliable_operating_point_is_error(self, capsys):
         code = main(["sample", "--supply", "3.3", "--speed", "2500",
                      "--trigger", "duration:1", "--duration", "1"])

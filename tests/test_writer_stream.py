@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from emeter.buffering import BufferPolicy, persist
+from emeter.buffering import SAMPLE_BITS, BufferPolicy, persist
 from emeter.tracefile import HEADER_SIZE, RECORD, TraceHeader, is_gap
 from writer_oracle import CircularWriter, TwoBufferWriter
 
@@ -18,6 +18,8 @@ KIND = {TwoBufferWriter: "two_buffer", CircularWriter: "circular"}
 # times of 3.2 us up to 1.28 s against pushes up to 3 ms apart, so the
 # consumer keeps up on some streams and falls behind on others
 WRITE_SPEEDS = [40e6, 1e6, 0.5e6, 0.4e6, 1.28e5, 12_800.0, 800.0, 100.0]
+#: the 9-bit pipeline's sample period: its push times are exactly periodic
+PIPELINE_9BIT_PERIOD_NS = 209_000
 
 
 def stream(n, period_ns=1_000_000):
@@ -141,3 +143,99 @@ def test_every_record_written_once_or_dropped(kind, capacity, bps, stream):
         assert np.count_nonzero(gaps) == stats.overruns
     else:
         assert np.count_nonzero(gaps) == np.count_nonzero(jumps) <= stats.overruns
+
+
+@pytest.mark.parametrize("bps", WRITE_SPEEDS)
+def test_entry_time_is_whole_ns(bps):
+    # the float oracle and the integer ring scan agree because of this
+    entry_ns = SAMPLE_BITS * 1e9 / bps
+    assert entry_ns == int(entry_ns)
+
+
+class TestWriteSpeedChecks:
+    @pytest.mark.parametrize("kind", ["two_buffer", "circular"])
+    @pytest.mark.parametrize("bps", [0.0, -1.0, float("nan")])
+    def test_non_positive_speed_rejected_before_writing(self, kind, bps):
+        out = io.BytesIO()
+        with pytest.raises(ValueError, match="write speed must be positive, got"):
+            persist(out, HEADER, *stream(3), BufferPolicy(kind, 2), bps)
+        assert out.getvalue() == b""
+
+    @pytest.mark.parametrize("kind", ["two_buffer", "circular"])
+    def test_infinite_speed_writes_instantly(self, kind):
+        records, push_ns = stream(10)
+        push_ns[:] = 7  # one instant: even a ring of one never overruns
+        out, stats = run_persist(kind, 1, float("inf"), records, push_ns)
+        assert stats.overruns == 0
+        assert body(out).tobytes() == records.tobytes()
+
+
+LONG_SHAPES = ["bursts", "near critical", "9-bit period"]
+
+
+def long_stream(shape, seed, capacity, bps):
+    """Up to ~3000 pushes of one of three shapes; ``ua`` tags the index.
+
+    ``bursts``: runs of ``capacity + 1`` equal push times with idle gaps of
+    up to three ring drains between them; ``near critical``: pushes about
+    one entry time apart, with jitter; ``9-bit period``: the pipeline's
+    periodic pushes.
+    """
+    rng = np.random.default_rng(seed)
+    entry_ns = SAMPLE_BITS * 1e9 / bps
+    n = int(rng.integers(1, 3001))
+    if shape == "bursts":
+        gaps = rng.integers(0, int(3 * (capacity + 1) * entry_ns) + 2,
+                            n // (capacity + 1) + 1)
+        push_ns = np.repeat(np.cumsum(gaps), capacity + 1)[:n]
+    elif shape == "near critical":
+        period = entry_ns * rng.uniform(0.9, 1.1)
+        steps = rng.normal(period, period * rng.uniform(0.0, 0.5), n)
+        push_ns = np.cumsum(np.maximum(steps, 0.0)).astype(np.int64)
+    else:
+        push_ns = (int(rng.integers(0, PIPELINE_9BIT_PERIOD_NS))
+                   + np.arange(n) * PIPELINE_9BIT_PERIOD_NS)
+    records = np.zeros(n, dtype=RECORD)
+    records["t"] = push_ns
+    records["ua"] = np.arange(n)
+    return records, push_ns.astype(np.int64)
+
+
+def regime_switches(push_ns, kept, entry_ns):
+    """Times the ring's consumer goes from keeping up to falling behind (an
+    entry is overwritten) or back (it waits for a kept entry's push)."""
+    switches, free, behind = 0, 0.0, False
+    for t_ns, keep in zip(push_ns.tolist(), kept.tolist()):
+        if not keep:
+            switches += not behind
+            behind = True
+            continue
+        if behind and t_ns > free:
+            switches += 1
+            behind = False
+        free = max(t_ns, free) + entry_ns
+    return switches
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(LONG_SHAPES), seed=st.integers(0, 2**32 - 1),
+       capacity=st.one_of(st.integers(1, 64), st.just(1024)),
+       bps=st.sampled_from(WRITE_SPEEDS))
+def test_long_circular_stream_equals_oracle(shape, seed, capacity, bps):
+    records, push_ns = long_stream(shape, seed, capacity, bps)
+    expected = io.BytesIO()
+    writer = CircularWriter(expected, HEADER, capacity, write_speed_bps=bps)
+    writer.extend(records, push_ns)
+    writer.close()
+    out, stats = run_persist("circular", capacity, bps, records, push_ns)
+    assert out.getvalue() == expected.getvalue()
+    assert stats.overruns == writer.overruns
+    assert stats.records_written == writer.records_written
+
+    rows = body(out)
+    kept = np.zeros(len(records), dtype=bool)
+    kept[rows["ua"][~is_gap(rows)]] = True
+    switches = regime_switches(push_ns, kept, SAMPLE_BITS * 1e9 / bps)
+    label = next(label for lo, label in [(100, "100+"), (10, "10-99"), (3, "3-9"),
+                                         (1, "1-2"), (0, "0")] if switches >= lo)
+    event(f"{shape}: {label} regime switches")
