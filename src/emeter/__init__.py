@@ -4,7 +4,7 @@ current/bus-voltage monitor.
 The package models the full path from an analog load to an energy figure:
 
 * :mod:`emeter.sensor` -- register-level monitor model (quantization, PGA
-  ranges, conversion timing, simulated bus backend).
+  ranges, conversion timing, simulated register bus).
 * :mod:`emeter.bus_timing` -- transaction-latency model for the sensor bus
   (BCM-like vs Linux-like driver stacks) and the resulting polling/throughput
   figures.
@@ -34,7 +34,6 @@ from emeter.bus_timing import DriverProfile, PollingStats, expected_polls, read_
 from emeter.sampler import (
     Sample,
     PowerSaveMode,
-    PowerModeEvent,
     TriggerSpec,
     Trace,
     compute_energy,
@@ -67,7 +66,6 @@ __all__ = [
     "read_delay",
     "Sample",
     "PowerSaveMode",
-    "PowerModeEvent",
     "TriggerSpec",
     "Trace",
     "compute_energy",

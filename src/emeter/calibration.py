@@ -159,9 +159,6 @@ class LoadProgram:
         starts = np.concatenate([[0.0], np.cumsum([s.dwell_s for s in self.steps])])
         return starts[:-1] + np.array([s.dwell_s for s in self.steps]) / 2.0
 
-    def duration_s(self) -> float:
-        return float(sum(s.dwell_s for s in self.steps))
-
     def programmed_currents(self, pot: PotentiometerModel,
                             network: SwitchNetwork) -> np.ndarray:
         return np.array([pot_current(s.pot_code, pot)
@@ -225,8 +222,7 @@ def run_calibration_sweep(program: LoadProgram,
                           device_pipeline: Callable[[LoadProfile], Trace],
                           reference: ReferenceMeter,
                           pot: Optional[PotentiometerModel] = None,
-                          network: Optional[SwitchNetwork] = None,
-                          device_clock_skew_ns: int = 0) -> list[MeasurementPair]:
+                          network: Optional[SwitchNetwork] = None) -> list[MeasurementPair]:
     """Drive both meters through the program and pair mid-dwell readings.
 
     Both meters are started by the same edge, so instants are shared; a
@@ -241,7 +237,7 @@ def run_calibration_sweep(program: LoadProgram,
         raise ValueError("device pipeline produced an empty trace")
     instants_s = program.settling_instants_s()
     dwells = np.array([s.dwell_s for s in program.steps])
-    device_ts = trace.timestamps_ns + device_clock_skew_ns
+    device_ts = trace.timestamps_ns
 
     pairs = []
     for instant, dwell in zip(instants_s, dwells):

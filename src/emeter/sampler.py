@@ -18,16 +18,19 @@ model replaces the unresolvable samples with declared-constant energy:
 where each sample's power is weighted by the time since its predecessor
 (see :func:`hybrid_energy` for the boundary handling).
 
-Both samplers end in :func:`build_trace`, the one place that closes the
-window a :class:`TriggerSpec` resolved and clips the sleep intervals to it;
-the trace carries those intervals, and every later stage reads them there.
+A sleep span is a ``(start_ns, end_ns, mode_index)`` interval throughout:
+the load profile declares it, the samplers take it, and :class:`Trace`
+holds it, sorted, non-empty and overlapping no other span.  Both samplers
+end in :func:`build_trace`, the one place that closes the window a
+:class:`TriggerSpec` resolved and clips the sleep intervals to it; the
+trace carries those intervals, and every later stage reads them there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -90,17 +93,6 @@ class PowerSaveMode:
 
 
 @dataclass(frozen=True)
-class PowerModeEvent:
-    kind: str  # 'enter' | 'exit'
-    mode_index: int
-    timestamp_ns: int
-
-    def __post_init__(self):
-        if self.kind not in ("enter", "exit"):
-            raise ValueError(f"event kind must be enter/exit, got {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class TriggerSpec:
     """Measurement window of a trigger, resolved when it is built.
 
@@ -158,7 +150,7 @@ class TriggerSpec:
 
 
 # --------------------------------------------------------------------------
-# Event stream parsing (simulation input files)
+# Trigger edge parsing (simulation input files)
 # --------------------------------------------------------------------------
 
 def parse_trigger_edges(text: str) -> list[tuple[int, str]]:
@@ -178,28 +170,21 @@ def parse_trigger_edges(text: str) -> list[tuple[int, str]]:
     return edges
 
 
-def parse_power_mode_events(text: str) -> list[PowerModeEvent]:
-    """Parse ``<ns> enter|exit <mode_index>`` lines."""
-    events = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            ts, kind, idx = line.split()
-            events.append(PowerModeEvent(kind, int(idx), int(ts)))
-        except ValueError:
-            raise ValueError(f"bad power-mode event line {lineno}: {line!r}")
-    return events
-
-
-def format_power_mode_events(events: Iterable[PowerModeEvent]) -> str:
-    return "\n".join(f"{e.timestamp_ns} {e.kind} {e.mode_index}" for e in events)
-
-
 # --------------------------------------------------------------------------
 # Trace container
 # --------------------------------------------------------------------------
+
+def _sorted_intervals(intervals: Sequence[tuple]) -> list[tuple]:
+    """The ``(start_ns, end_ns, mode_index)`` intervals in order, each
+    non-empty and none overlapping another (touching ones may follow each
+    other)."""
+    intervals = sorted(intervals)
+    if any(end <= start for start, end, _ in intervals):
+        raise ValueError("power-save exit must follow its enter")
+    if any(s1 < e0 for (_, e0, _), (s1, _, _) in zip(intervals, intervals[1:])):
+        raise ValueError("overlapping power-save intervals")
+    return intervals
+
 
 class Trace:
     """Ordered sample arrays plus the power-save intervals inside them; a
@@ -217,20 +202,11 @@ class Trace:
             raise ValueError("trace column lengths differ")
         if n > 1 and np.any(np.diff(self.timestamps_ns) <= 0):
             raise ValueError("trace timestamps must be strictly increasing")
-        #: sorted ``(start_ns, end_ns, mode_index)`` power-save intervals
-        self.intervals = sorted(intervals)
+        #: sorted, disjoint ``(start_ns, end_ns, mode_index)`` power-save intervals
+        self.intervals = _sorted_intervals(intervals)
 
     def __len__(self) -> int:
         return len(self.timestamps_ns)
-
-    @property
-    def events(self) -> list[PowerModeEvent]:
-        """The intervals' enter and exit edges in time order.  At equal
-        timestamps an exit comes first, so touching intervals pair back up."""
-        edges = sorted([(s, 1, m) for s, _, m in self.intervals]
-                       + [(e, 0, m) for _, e, m in self.intervals])
-        return [PowerModeEvent("enter" if enter else "exit", m, t)
-                for t, enter, m in edges]
 
     def power(self) -> np.ndarray:
         return self.bus_voltage * self.current
@@ -305,42 +281,6 @@ def naive_energy(trace: Trace) -> float:
                            _countable_mask(trace, exclude_power_save=False))
 
 
-def _checked_intervals(intervals: Sequence[tuple[int, int, int]],
-                       modes: dict[int, PowerSaveMode]) -> list[tuple[int, int, int]]:
-    """The sorted intervals, each of a declared mode, non-empty, and none
-    overlapping another (touching ones may follow each other)."""
-    intervals = sorted(intervals)
-    for start, end, mode_index in intervals:
-        if mode_index not in modes:
-            raise ValueError(f"interval references undeclared mode {mode_index}")
-        if end <= start:
-            raise ValueError("power-save exit must follow its enter")
-    for (_, e0, _), (s1, _, _) in zip(intervals, intervals[1:]):
-        if s1 < e0:
-            raise ValueError("overlapping power-save intervals")
-    return intervals
-
-
-def _validated_intervals(events: Sequence[PowerModeEvent],
-                         modes: dict[int, PowerSaveMode]) -> list[tuple[int, int, int]]:
-    """Pair enter/exit events into sorted (start, end, mode) intervals; at
-    equal timestamps an exit pairs before an enter."""
-    open_enter: dict[int, int] = {}
-    intervals = []
-    for ev in sorted(events, key=lambda e: (e.timestamp_ns, e.kind == "enter")):
-        if ev.kind == "enter":
-            if ev.mode_index in open_enter:
-                raise ValueError(f"double enter for mode {ev.mode_index}")
-            open_enter[ev.mode_index] = ev.timestamp_ns
-        else:
-            if ev.mode_index not in open_enter:
-                raise ValueError(f"exit without enter for mode {ev.mode_index}")
-            intervals.append((open_enter.pop(ev.mode_index), ev.timestamp_ns, ev.mode_index))
-    if open_enter:
-        raise ValueError(f"unmatched enter events for modes {sorted(open_enter)}")
-    return _checked_intervals(intervals, modes)
-
-
 def hybrid_energy(trace: Trace, modes: Sequence[PowerSaveMode]) -> float:
     """Declared-constant energy for sleep intervals plus the awake sum.
 
@@ -359,7 +299,6 @@ def hybrid_energy(trace: Trace, modes: Sequence[PowerSaveMode]) -> float:
     intervals the sum degenerates to the plain integral of the trace.
     """
     mode_map = {m.mode_index: m for m in modes}
-    intervals = _checked_intervals(trace.intervals, mode_map)
     ts = trace.timestamps_ns
     power = trace.power()
     countable = _countable_mask(trace, exclude_power_save=True)
@@ -367,10 +306,11 @@ def hybrid_energy(trace: Trace, modes: Sequence[PowerSaveMode]) -> float:
     if len(trace) >= 2:
         dt = np.diff(ts) * 1e-9
         energy = float(np.sum(power[1:][countable[1:]] * dt[countable[1:]]))
-    for start_ns, end_ns, mode_index in intervals:
-        mode = mode_map[mode_index]
-        energy += (end_ns - start_ns) * 1e-9 * mode.power
-    energy += _enter_slivers(trace, intervals)
+    for start_ns, end_ns, mode_index in trace.intervals:
+        if mode_index not in mode_map:
+            raise ValueError(f"interval references undeclared mode {mode_index}")
+        energy += (end_ns - start_ns) * 1e-9 * mode_map[mode_index].power
+    energy += _enter_slivers(trace, trace.intervals)
     return energy
 
 
@@ -492,20 +432,22 @@ class MeasurementResult:
 
 def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
                     config: SensorConfig, trigger: TriggerSpec,
-                    trace_fh=None, events: Sequence[PowerModeEvent] = (),
-                    modes: Sequence[PowerSaveMode] = (),
+                    trace_fh=None, intervals: Sequence[tuple[int, int, int]] = (),
                     rng: Optional[np.random.Generator] = None,
                     horizon_ns: Optional[int] = None) -> MeasurementResult:
     """Run the polling sampler against a simulated bus.
 
-    ``bus`` is a :class:`~emeter.sensor.BusBackend` whose sensor must be
-    advanced against the load; ``load`` maps a nanosecond timestamp to an
-    ``(amperes, volts)`` pair.  The loop polls the bus-voltage register until
-    the ready flag is set, reads the shunt register and timestamps the pair.
-    The sensor is never power-cycled: readings outside the trigger window
-    are simply discarded.  ``events`` are the device's announced power-save
-    enter/exit edges, paired into intervals of the declared ``modes``
-    before the run.  The kept readings go through :func:`build_trace`;
+    ``bus`` is a :class:`~emeter.sensor.SimulatedBus`: the loop reads
+    registers through its ``read_register`` and, before each read, advances
+    its ``sensor`` against the load with ``sensor.step``.  ``load`` maps a
+    nanosecond timestamp to an ``(amperes, volts)`` pair.  The loop polls
+    the bus-voltage register until the ready flag is set, reads the shunt
+    register and timestamps the pair.  The sensor is never power-cycled:
+    readings outside the trigger window are simply discarded.
+    ``intervals`` are the device's announced ``(start_ns, end_ns,
+    mode_index)`` power-save spans, as :func:`build_trace` takes them; an
+    empty or overlapping one fails before the first register read.  The
+    kept readings go through :func:`build_trace`;
     with ``trace_fh`` they are persisted there, each handed over at its
     timestamp, by :func:`~emeter.buffering.persist` under the default
     two-buffer policy and write speed, and ``overruns`` counts the drops.
@@ -518,8 +460,7 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
     validate_operating_point(driver, speed_khz, config.supply_voltage)
     start_ns = trigger.start_ns
     limit_ns = trigger.stop_ns if trigger.stop_ns is not None else horizon_ns
-    mode_map = {m.mode_index: m for m in modes}
-    intervals = _validated_intervals(events, mode_map) if events else []
+    intervals = _sorted_intervals(intervals)
 
     overhead_ns = (LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
     count_target = trigger.sample_count

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Protocol
+from typing import Optional
 
 import numpy as np
 
@@ -253,20 +253,8 @@ BOARDS = {b.name: b for b in (IDEAL_BOARD, SHIELD_BOARD, BREAKOUT_BOARD)}
 
 
 # --------------------------------------------------------------------------
-# Simulated chip + bus backend
+# Simulated chip + bus
 # --------------------------------------------------------------------------
-
-class BusBackend(Protocol):
-    """Transport abstraction between the sampler software and the chip.
-
-    A hardware implementation would talk to a real bus; only the simulated
-    backend is provided here.
-    """
-
-    def read_register(self, addr: int) -> int: ...
-
-    def write_register(self, addr: int, value: int) -> None: ...
-
 
 class SimulatedSensor:
     """Behavioral model of the monitor chip against an analog input.
@@ -363,7 +351,7 @@ class SimulatedSensor:
 
 
 class SimulatedBus:
-    """Simulated :class:`BusBackend` wired straight to a SimulatedSensor."""
+    """The register bus, wired straight to a :class:`SimulatedSensor`."""
 
     def __init__(self, sensor: SimulatedSensor):
         self.sensor = sensor

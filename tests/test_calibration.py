@@ -270,10 +270,16 @@ class TestSweep:
                                   dwell_s=0.05)
         base = run_calibration_sweep(program, self.pipeline(),
                                      ReferenceMeter(), pot=pot, network=network)
-        skewed = run_calibration_sweep(program, self.pipeline(),
-                                       ReferenceMeter(), pot=pot,
-                                       network=network,
-                                       device_clock_skew_ns=5_000_000)
+        pipeline = self.pipeline()
+
+        def skewed_pipeline(profile):
+            # the device clock runs 5 ms ahead of the reference's
+            trace = pipeline(profile)
+            trace.timestamps_ns = trace.timestamps_ns + 5_000_000
+            return trace
+
+        skewed = run_calibration_sweep(program, skewed_pipeline,
+                                       ReferenceMeter(), pot=pot, network=network)
         assert len(base) == len(skewed)
         for a, b in zip(base, skewed):
             assert a.i_a == b.i_a

@@ -98,7 +98,7 @@ class TestPipelineSemantics:
         result = run_experiment("cc2650", 1, PipelineOptions(),
                                 trigger=TriggerSpec.count(200), duration=3.0)
         last = int(result.trace.timestamps_ns[-1])
-        assert result.trace.events[-1].timestamp_ns == last
+        assert result.trace.intervals[-1][1] == last
         assert result.report.error_percent < 1.0
 
     def test_count_trigger_unreachable(self):
@@ -184,7 +184,12 @@ class TestPipelineExact:
         h = hashlib.sha256()
         for column in (tr.timestamps_ns, tr.bus_voltage, tr.current, tr.flags):
             h.update(column.tobytes())
-        h.update(repr([(e.kind, e.mode_index, e.timestamp_ns) for e in tr.events]).encode())
+        # the intervals as (kind, mode, t) edges, an exit before an enter
+        # at equal timestamps
+        edges = sorted([(start, 1, mode) for start, _, mode in tr.intervals]
+                       + [(end, 0, mode) for _, end, mode in tr.intervals])
+        h.update(repr([("enter" if enter else "exit", mode, t)
+                       for t, enter, mode in edges]).encode())
         h.update(repr((result.energy_gated_j, result.energy_naive_j,
                        result.energy_hybrid_j, result.flush_log)).encode())
         h.update(result.report.to_json().encode())

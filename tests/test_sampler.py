@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -14,20 +15,17 @@ from emeter.sampler import (
     EnergyAccumulator,
     FLAG_POWER_SAVE,
     FLAG_WARMUP,
-    PowerModeEvent,
     PowerSaveMode,
     Sample,
     Trace,
     TriggerSpec,
     _enter_slivers,
-    _validated_intervals,
     build_trace,
     compute_energy,
     flag_power_save,
     gated_energy,
     hybrid_energy,
     naive_energy,
-    parse_power_mode_events,
     parse_trigger_edges,
     run_measurement,
 )
@@ -121,6 +119,23 @@ class TestTraceEnergies:
         with pytest.raises(ValueError):
             Trace([0, 0], [1, 1], [1, 1], [0, 0])
 
+    @settings(max_examples=300, deadline=None)
+    @given(spans=st.lists(st.tuples(st.integers(0, 12), st.integers(-1, 4),
+                                    st.sampled_from([0, 1])), max_size=6))
+    def test_accepts_exactly_non_empty_disjoint_intervals(self, spans):
+        # dense starts and short lengths: empty, inverted, touching and
+        # overlapping intervals all come up
+        intervals = [(start, start + length, mode) for start, length, mode in spans]
+        valid = (all(start < end for start, end, _ in intervals)
+                 and all(max(a[0], b[0]) >= min(a[1], b[1])
+                         for a, b in itertools.combinations(intervals, 2)))
+        if valid:
+            trace = make_trace([0.0, 1.0], [1.0, 1.0], intervals=intervals)
+            assert trace.intervals == sorted(intervals)
+        else:
+            with pytest.raises(ValueError, match="exit must follow its enter|overlapping"):
+                make_trace([0.0, 1.0], [1.0, 1.0], intervals=intervals)
+
 
 class TestHybridEnergy:
     MODE = PowerSaveMode(0, 1e-6, 3.3)
@@ -148,9 +163,8 @@ class TestHybridEnergy:
             hybrid_energy(tr, [self.MODE])
 
     def test_overlapping_modes_rejected(self):
-        tr = make_trace([0.0, 1.0], [1.0, 1.0], intervals=[(100, 300, 0), (150, 400, 1)])
         with pytest.raises(ValueError, match="overlapping"):
-            hybrid_energy(tr, [self.MODE, PowerSaveMode(1, 2e-6, 3.3)])
+            make_trace([0.0, 1.0], [1.0, 1.0], intervals=[(100, 300, 0), (150, 400, 1)])
 
     @pytest.mark.parametrize("intervals", [
         [(100, 300, 0), (150, 400, 0)],
@@ -158,44 +172,22 @@ class TestHybridEnergy:
         [(100, 200, 0), (100, 200, 0)],
     ])
     def test_same_mode_overlap_rejected(self, intervals):
-        tr = make_trace([0.0, 1.0], [1.0, 1.0], intervals=intervals)
         with pytest.raises(ValueError, match="overlapping"):
-            hybrid_energy(tr, [self.MODE])
+            make_trace([0.0, 1.0], [1.0, 1.0], intervals=intervals)
 
     @pytest.mark.parametrize("interval", [(100, 100, 0), (200, 100, 0)])
     def test_empty_interval_rejected(self, interval):
-        tr = make_trace([0.0, 1.0], [1.0, 1.0], intervals=[interval])
         with pytest.raises(ValueError, match="exit must follow its enter"):
-            hybrid_energy(tr, [self.MODE])
+            make_trace([0.0, 1.0], [1.0, 1.0], intervals=[interval])
 
     def test_touching_intervals_accepted(self):
         # one sleep span split at 5 s: the same energy as the whole span
         ts = np.arange(0, 10.5, 0.5)
         flags = np.full(len(ts), FLAG_POWER_SAVE, dtype=np.uint8)
-        split = make_trace(ts, np.zeros(len(ts)), flags,
-                           [(0, 5_000_000_000, 0), (5_000_000_000, 10_000_000_000, 0)])
+        halves = [(5_000_000_000, 10_000_000_000, 0), (0, 5_000_000_000, 0)]
+        split = make_trace(ts, np.zeros(len(ts)), flags, halves)
+        assert split.intervals == sorted(halves)
         assert hybrid_energy(split, [self.MODE]) == pytest.approx(33e-6)
-        assert split.events == [PowerModeEvent("enter", 0, 0),
-                                PowerModeEvent("exit", 0, 5_000_000_000),
-                                PowerModeEvent("enter", 0, 5_000_000_000),
-                                PowerModeEvent("exit", 0, 10_000_000_000)]
-        assert _validated_intervals(split.events, {0: self.MODE}) == split.intervals
-
-    def test_malformed_events_rejected(self):
-        def ev(kind, t, mode=0):
-            return PowerModeEvent(kind, mode, t)
-
-        cases = [
-            ([ev("exit", 100)], "exit without enter"),
-            ([ev("enter", 100)], "unmatched enter"),
-            ([ev("enter", 100), ev("enter", 150), ev("exit", 200), ev("exit", 300)],
-             "double enter"),
-            ([ev("enter", 100), ev("exit", 100)], "exit without enter"),
-            ([ev("enter", 100, 7), ev("exit", 200, 7)], "undeclared mode 7"),
-        ]
-        for events, message in cases:
-            with pytest.raises(ValueError, match=message):
-                _validated_intervals(events, {0: self.MODE})
 
     def test_gating_identity(self):
         # flagging an interval removes its duration-weighted sample energy
@@ -400,7 +392,9 @@ class TestBuildTrace:
         unterminated = ((trigger.stop_ns is None and count is None)
                         or (count is not None and len(trace) < count))
         assert status == ("unterminated" if unterminated else "complete")
-        assert _validated_intervals(trace.events, self.MODES) == trace.intervals
+        for (_, e0, _), (s1, _, _) in zip(trace.intervals, trace.intervals[1:]):
+            assert e0 <= s1
+        assert {mode for _, _, mode in trace.intervals} <= set(self.MODES)
 
 
 class TestTriggerSpec:
@@ -457,11 +451,15 @@ class TestTriggerSpec:
         with pytest.raises(ValueError):
             parse_trigger_edges("12 wiggle")
 
-    def test_event_stream_parsing(self):
-        events = parse_power_mode_events("100 enter 0\n900 exit 0\n")
-        assert events[0] == PowerModeEvent("enter", 0, 100)
-        with pytest.raises(ValueError):
-            parse_power_mode_events("100 sleep 0")
+
+class CountingBus(SimulatedBus):
+    def __init__(self, sensor):
+        super().__init__(sensor)
+        self.reads = 0
+
+    def read_register(self, addr):
+        self.reads += 1
+        return super().read_register(addr)
 
 
 class TestRunMeasurement:
@@ -521,21 +519,15 @@ class TestRunMeasurement:
         assert np.allclose(tr.current[5:], expected)
 
     def test_power_save_flagging(self):
-        events = [PowerModeEvent("enter", 0, 200_000_000),
-                  PowerModeEvent("exit", 0, 600_000_000)]
-        modes = [PowerSaveMode(0, 1e-6, 5.0)]
-        result = self.run(TriggerSpec.duration(1.0), events=events, modes=modes)
+        result = self.run(TriggerSpec.duration(1.0), intervals=[(200_000_000, 600_000_000, 0)])
         tr = result.trace
         inside = (tr.timestamps_ns >= 200_000_000) & (tr.timestamps_ns <= 600_000_000)
         assert np.all((tr.flags[inside] & FLAG_POWER_SAVE) != 0)
         assert np.all((tr.flags[~inside] & FLAG_POWER_SAVE) == 0)
 
     def test_energy_matches_streaming_accumulator(self):
-        events = [PowerModeEvent("enter", 0, 200_000_000),
-                  PowerModeEvent("exit", 0, 400_000_000)]
-        modes = [PowerSaveMode(0, 1e-6, 5.0)]
         result = self.run(TriggerSpec.duration(1.0), load=lambda t: (0.2, 5.0),
-                          events=events, modes=modes,
+                          intervals=[(200_000_000, 400_000_000, 0)],
                           rng=np.random.default_rng(1))
         tr = result.trace
         assert np.any(tr.flags & FLAG_WARMUP) and np.any(tr.flags & FLAG_POWER_SAVE)
@@ -545,6 +537,21 @@ class TestRunMeasurement:
             acc.add(Sample(t, v, i, f), countable=not f & (FLAG_WARMUP | FLAG_POWER_SAVE))
         assert result.energy_j == pytest.approx(acc.energy, rel=1e-12)
 
+    @pytest.mark.parametrize("intervals,message", [
+        ([(400_000_000, 200_000_000, 0)], "exit must follow its enter"),
+        ([(200_000_000, 400_000_000, 0), (300_000_000, 500_000_000, 1)], "overlapping"),
+        # past the window, where clipping would drop it
+        ([(3_000_000_000, 2_000_000_000, 0)], "exit must follow its enter"),
+    ])
+    def test_bad_intervals_fail_before_any_read(self, intervals, message):
+        bus = CountingBus(SimulatedSensor(self.CFG))
+        fh = io.BytesIO()
+        with pytest.raises(ValueError, match=message):
+            run_measurement(bus, lambda t: (5e-3, 5.0), BCM_PROFILE, 2500, self.CFG,
+                            TriggerSpec.duration(1.0), trace_fh=fh, intervals=intervals)
+        assert bus.reads == 0
+        assert fh.getvalue() == b""
+
     def test_writer_gets_every_sample_in_order(self):
         fh = io.BytesIO()
         result = self.run(TriggerSpec.duration(0.3), trace_fh=fh)
@@ -552,16 +559,6 @@ class TestRunMeasurement:
         header = TraceHeader.from_config(self.CFG, "bcm", 2500)
         assert fh.getvalue()[:HEADER_SIZE] == encode_header(header)
         assert fh.getvalue()[HEADER_SIZE:] == trace_to_records(result.trace).tobytes()
-
-
-class CountingBus(SimulatedBus):
-    def __init__(self, sensor):
-        super().__init__(sensor)
-        self.reads = 0
-
-    def read_register(self, addr):
-        self.reads += 1
-        return super().read_register(addr)
 
 
 def _stepped_load(t_ns):
@@ -592,13 +589,10 @@ class TestRegisterLoopExact:
     def run(driver, bits, seed=7, seconds=0.5):
         config = SensorConfig(resolution_bits=bits, pga_divider=4)
         bus = CountingBus(SimulatedSensor(config, board=SHIELD_BOARD))
-        events = [PowerModeEvent("enter", 0, 150_000_000),
-                  PowerModeEvent("exit", 0, 230_000_000)]
         rng = np.random.default_rng(seed)
         result = run_measurement(bus, _stepped_load, PROFILES[driver], 2500,
                                  config, TriggerSpec.duration(seconds),
-                                 events=events, modes=[PowerSaveMode(0, 2e-6, 5.0)],
-                                 rng=rng)
+                                 intervals=[(150_000_000, 230_000_000, 0)], rng=rng)
         return result, bus, rng
 
     @pytest.mark.parametrize("driver,bits", sorted(DIGESTS))
