@@ -142,12 +142,11 @@ def sample_period_us(profile: DriverProfile, speed_khz: int,
 def expected_polls(profile: DriverProfile, speed_khz: int,
                    config: SensorConfig) -> PollingStats:
     """Deterministic polling expectation using mean delays."""
-    validate_operating_point(profile, speed_khz, config.supply_voltage)
+    period = sample_period_us(profile, speed_khz, config)
     d = profile.mean_delay_us(speed_khz)
     overhead = LOOP_OVERHEAD_US + TIMESTAMP_CALL_US
     t_conv = conversion_time_us(config)
     polls = max(1, math.ceil((t_conv - overhead) / d) - 1)
-    period = sample_period_us(profile, speed_khz, config)
     return PollingStats(polls_per_sample=polls,
                         samples_per_second=1e6 / period)
 

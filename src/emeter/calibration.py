@@ -45,9 +45,13 @@ class ExtrapolationWarning(UserWarning):
 # Potentiometer + switch network
 # --------------------------------------------------------------------------
 
-def fit_pot_constants(min_output_a: float = 0.476e-3,
-                      finest_resolution_a: float = 1.82e-6,
-                      v_in: float = 5.0, n_bits: int = 8) -> tuple[float, float]:
+POT_MIN_OUTPUT_A = 0.476e-3        # published minimum output, at full code
+POT_FINEST_RESOLUTION_A = 1.82e-6  # published finest step, between top codes
+POT_V_IN = 5.0
+POT_BITS = 8
+
+
+def fit_pot_constants() -> tuple[float, float]:
     """Solve (r_max, r_wiper) from the two published output figures.
 
     The minimum output pins the full-code resistance ``S = v_in /
@@ -56,10 +60,10 @@ def fit_pot_constants(min_output_a: float = 0.476e-3,
 
         finest = delta * v_in / (S * (S - delta))
     """
-    full_scale = v_in / min_output_a
-    delta = (finest_resolution_a * full_scale ** 2
-             / (v_in + finest_resolution_a * full_scale))
-    r_max = (2 ** n_bits) * delta
+    full_scale = POT_V_IN / POT_MIN_OUTPUT_A
+    delta = (POT_FINEST_RESOLUTION_A * full_scale ** 2
+             / (POT_V_IN + POT_FINEST_RESOLUTION_A * full_scale))
+    r_max = (2 ** POT_BITS) * delta
     r_wiper = full_scale - r_max
     return r_max, r_wiper
 
@@ -69,10 +73,10 @@ _DEFAULT_R_MAX, _DEFAULT_R_WIPER = fit_pot_constants()
 
 @dataclass(frozen=True)
 class PotentiometerModel:
-    n_bits: int = 8
+    n_bits: int = POT_BITS
     r_max: float = _DEFAULT_R_MAX
     r_wiper: float = _DEFAULT_R_WIPER
-    v_in: float = 5.0
+    v_in: float = POT_V_IN
 
     @property
     def code_count(self) -> int:

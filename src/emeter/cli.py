@@ -196,8 +196,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_ecdf(args) -> int:
     trace = load_trace(args.trace)
     if len(trace) == 0:
-        print("error: empty trace", file=sys.stderr)
-        return 2
+        raise ValueError("empty trace")
     csv_text = analysis.ecdf_csv(trace.current)
     if args.out:
         with open(args.out, "w") as fh:
@@ -211,11 +210,7 @@ def _cmd_ecdf(args) -> int:
 
 
 def _cmd_voltage_effect(args) -> int:
-    trace = load_trace(args.trace)
-    if len(trace) == 0:
-        print("error: empty trace", file=sys.stderr)
-        return 2
-    result = analysis.voltage_effect(trace)
+    result = analysis.voltage_effect(load_trace(args.trace))
     print(f"per-sample voltage energy : {result['e_per_sample_j']:.6g} J")
     print(f"mean-voltage energy       : {result['e_mean_voltage_j']:.6g} J")
     print(f"mean voltage              : {result['mean_voltage_v']:.4f} V")
@@ -242,11 +237,8 @@ def _cmd_overhead(args) -> int:
 
 def _cmd_export_csv(args) -> int:
     _, records = read_trace(args.trace)
-    if args.out:
-        with open(args.out, "w") as out:
-            export_csv(out, records)
-    else:
-        export_csv(sys.stdout, records)
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        export_csv(out, records)
     return 0
 
 

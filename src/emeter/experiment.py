@@ -1,19 +1,20 @@
 """End-to-end measurement experiments against synthetic loads.
 
-This module wires the pieces together: a load profile plays into the sensor
-model (window averaging, board transfer error, noise, quantization), the
-bus-timing model sets the sample grid, the sampler rules decide which
-samples count, and the reference meter supplies ground truth.  The sampling
-math is vectorized over the whole run.
+:func:`run_pipeline` is a sequence of stages, each vectorized over the run:
+:func:`schedule` (sample grid and timestamps), ``LoadProfile.window_means``,
+:func:`sense` (board transfer, then noise), :func:`quantize` and
+:func:`calibrate`, then :func:`~emeter.sampler.build_trace`, persistence,
+the energies, the reference and the report.  ``_readings`` runs the stages
+from window means to calibration and holds their outputs until it returns,
+so that those full-length arrays are freed together before the readout
+stages allocate theirs: freed stage by stage, or kept in
+:func:`run_pipeline`, they make the allocator trim and refault that memory
+on every run (measured 20-45 % slower per 9-bit op).
 
 The register-level loop in :mod:`emeter.sampler` shares everything after the
-register readings with this path: the quantizer expression, dequantization,
-:func:`~emeter.sampler.build_trace` (window gating, flags, the power-save
-intervals clipped to the window) and the energy estimates.  One difference
-remains, in how the readings come about: this path integrates the exact
-mean of the profile over each conversion window, while the chip model holds
-the input constant between polls.  The tests cross-check the two on a
-constant load, where that difference vanishes.
+register readings with this path.  It holds the input constant between
+polls, where this path integrates each conversion window exactly; the tests
+cross-check the two on a constant load, where that difference vanishes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from emeter.bus_timing import (
     LOOP_OVERHEAD_US,
     TIMESTAMP_CALL_US,
     sample_period_us,
-    validate_operating_point,
 )
 from emeter.buffering import DEFAULT_POLICY, DEFAULT_WRITE_SPEED_BPS, BufferPolicy, persist
 from emeter.calibration import CalibrationCurve, apply_current, apply_voltage
@@ -86,17 +86,12 @@ class PipelineOptions:
     buffering: Optional[BufferPolicy] = None
     write_speed_bps: float = DEFAULT_WRITE_SPEED_BPS
 
-    def driver_profile(self) -> DriverProfile:
-        try:
-            return PROFILES[self.driver]
-        except KeyError:
-            raise ValueError(f"unknown driver {self.driver!r}; have {sorted(PROFILES)}")
-
-    def board_character(self) -> BoardCharacter:
-        try:
-            return BOARDS[self.board]
-        except KeyError:
-            raise ValueError(f"unknown board {self.board!r}; have {sorted(BOARDS)}")
+    def named(self, kind: str, table: dict):
+        """The ``table`` entry this run's ``driver`` or ``board`` names."""
+        name = getattr(self, kind)
+        if name not in table:
+            raise ValueError(f"unknown {kind} {name!r}; have {sorted(table)}")
+        return table[name]
 
 
 @dataclass
@@ -144,44 +139,64 @@ class PipelineResult:
     energy_gated_j: float
     energy_naive_j: float
     energy_hybrid_j: Optional[float]
-    modes: list
     flush_log: str = ""
+
+
+def schedule(driver: DriverProfile, speed_khz: int, config: SensorConfig,
+             trigger: TriggerSpec, horizon_ns: int):
+    """(1-based conversion index, window end s, timestamp ns, limit ns) up to
+    the trigger's stop or the horizon; ``tail_ns`` puts a timestamp after
+    the final ready poll, the shunt read and the bookkeeping."""
+    period_ns = sample_period_us(driver, speed_khz, config) * 1000.0
+    tail_ns = (1.5 * driver.mean_delay_us(speed_khz)
+               + LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
+    limit_ns = horizon_ns if trigger.stop_ns is None else min(trigger.stop_ns, horizon_ns)
+    n_conversions = int((limit_ns - tail_ns) // period_ns) if limit_ns > tail_ns else 0
+    if trigger.sample_count is not None:
+        n_conversions = min(n_conversions,
+                            int(trigger.start_ns // period_ns) + trigger.sample_count + 1)
+    conv_index = np.arange(1, n_conversions + 1)
+    end_ns = conv_index * period_ns
+    return conv_index, end_ns * 1e-9, (end_ns + tail_ns).astype(np.int64), limit_ns
+
+
+def sense(options: PipelineOptions, board: BoardCharacter, mean_i, mean_i2, mean_v):
+    """(amperes, volts) at the chip: board transfer, then noise from
+    ``default_rng(options.seed)``, current first; clipped at zero amperes."""
+    rng = np.random.default_rng(options.seed)
+    sensed_i = board.sense_current(mean_i, mean_i2)
+    sensed_v = board.sense_voltage(mean_v)
+    if options.noise_current_a > 0:
+        sensed_i = sensed_i + rng.normal(0.0, options.noise_current_a, len(sensed_i))
+    if options.noise_voltage_v > 0:
+        sensed_v = sensed_v + rng.normal(0.0, options.noise_voltage_v, len(sensed_v))
+    return np.maximum(sensed_i, 0.0), sensed_v
+
+
+def quantize(current, bus_v, config: SensorConfig):
+    """(amperes, volts, saturated) as the chip's registers read them back."""
+    shunt_count, sat_i = quantize_shunt_array(current, config)
+    bus_count, sat_v = quantize_bus_array(bus_v, config)
+    return (dequantize_shunt(shunt_count, config), dequantize_bus(bus_count, config),
+            sat_i | sat_v)
+
+
+def calibrate(calibration: Optional[CalibrationCurve], current, bus_v):
+    """(amperes, volts) through ``calibration``; unchanged without one."""
+    if calibration is None:
+        return current, bus_v
+    return apply_current(calibration, current), apply_voltage(calibration, bus_v)
 
 
 def _readings(profile: LoadProfile, options: PipelineOptions,
               board: BoardCharacter, config: SensorConfig,
-              calibration: Optional[CalibrationCurve],
-              window_end_s: np.ndarray, window_s: float):
-    """(bus volts, amperes, saturated) of the conversion windows ending at
-    ``window_end_s``: window mean, board transfer, noise, quantization and
-    the optional calibration."""
-    # a function of its own so that the full-length intermediates are freed
-    # before the readout and energy stages allocate theirs: inline, the
-    # allocator trims and refaults that memory on every run (measured 10-30 %
-    # slower per 9-bit op)
-    window_start_s = window_end_s - window_s
-    rng = np.random.default_rng(options.seed)
-    mean_i = profile.integral_current(window_start_s, window_end_s) / window_s
-    mean_v = profile.integral_voltage(window_start_s, window_end_s) / window_s
-    mean_i2 = None
-    if board.current_quad != 0.0:
-        mean_i2 = profile.integral_current_sq(window_start_s, window_end_s) / window_s
-    sensed_i = board.sense_current(mean_i, mean_i2)
-    sensed_v = board.sense_voltage(mean_v)
-    if options.noise_current_a > 0:
-        sensed_i = sensed_i + rng.normal(0.0, options.noise_current_a, len(window_end_s))
-    if options.noise_voltage_v > 0:
-        sensed_v = sensed_v + rng.normal(0.0, options.noise_voltage_v, len(window_end_s))
-    sensed_i = np.maximum(sensed_i, 0.0)
-
-    shunt_count, sat_i = quantize_shunt_array(sensed_i, config)
-    bus_count, sat_v = quantize_bus_array(sensed_v, config)
-    current = dequantize_shunt(shunt_count, config)
-    bus_v = dequantize_bus(bus_count, config)
-    if calibration is not None:
-        current = apply_current(calibration, current)
-        bus_v = apply_voltage(calibration, bus_v)
-    return bus_v, current, sat_i | sat_v
+              calibration: Optional[CalibrationCurve], end_s):
+    """Window means to calibrated readings, outputs held (module docstring)."""
+    means = profile.window_means(end_s, conversion_time_us(config) * 1000.0 * 1e-9,
+                                 board.current_quad != 0.0)
+    sensed = sense(options, board, *means)
+    current, bus_v, saturated = quantize(*sensed, config)
+    return (*calibrate(calibration, current, bus_v), saturated)
 
 
 def run_pipeline(profile: LoadProfile, options: PipelineOptions,
@@ -189,40 +204,22 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
                  calibration: Optional[CalibrationCurve] = None,
                  trace_fh=None) -> PipelineResult:
     """Sample a load profile through the simulated measurement chain."""
-    driver = options.driver_profile()
-    board = options.board_character()
+    driver = options.named("driver", PROFILES)
+    board = options.named("board", BOARDS)
     divider = options.pga_divider or pick_pga_divider(float(profile.current.max()))
     config = SensorConfig(pga_divider=divider,
                           resolution_bits=options.resolution_bits,
                           supply_voltage=options.supply_voltage)
-    validate_operating_point(driver, options.speed_khz, config.supply_voltage)
 
-    period_ns = sample_period_us(driver, options.speed_khz, config) * 1000.0
-    conv_ns = conversion_time_us(config) * 1000.0
-    # timestamp lands after the final ready poll, the shunt read and the
-    # bookkeeping; a constant offset past the conversion boundary
-    tail_ns = (1.5 * driver.mean_delay_us(options.speed_khz)
-               + LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
-
-    horizon_ns = int(profile.duration * 1e9)
-    limit_ns = horizon_ns if trigger.stop_ns is None else min(trigger.stop_ns, horizon_ns)
-
-    n_conversions = int((limit_ns - tail_ns) // period_ns) if limit_ns > tail_ns else 0
-    if trigger.sample_count is not None:
-        # allow the count to be reached inside the horizon
-        n_conversions = min(n_conversions,
-                            int(trigger.start_ns // period_ns) + trigger.sample_count + 1)
-    conv_index = np.arange(1, n_conversions + 1)
-    ts = (conv_index * period_ns + tail_ns).astype(np.int64)
-    bus_v, current, saturated = _readings(
-        profile, options, board, config, calibration,
-        conv_index * period_ns * 1e-9, conv_ns * 1e-9)
+    conv_index, end_s, ts, limit_ns = schedule(
+        driver, options.speed_khz, config, trigger, round(profile.duration * 1e9))
+    current, bus_v, saturated = _readings(profile, options, board, config,
+                                          calibration, end_s)
+    del end_s
     intervals = [(int(round(s * 1e9)), int(round(e * 1e9)), mode_index)
                  for s, e, mode_index in profile.power_save_intervals]
     trace, status, end_ns = build_trace(
         ts, bus_v, current, saturated, conv_index, trigger, limit_ns, intervals)
-    modes = [PowerSaveMode(idx, amps, volts)
-             for idx, amps, volts in profile.power_save_modes]
 
     flush_log, overruns = "", 0
     if trace_fh is not None:
@@ -232,6 +229,8 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
         overruns = stats.overruns
         flush_log = "\n".join(f"{ts} flush {n}" for ts, n in stats.flush_log)
 
+    modes = [PowerSaveMode(idx, amps, volts)
+             for idx, amps, volts in profile.power_save_modes]
     e_gated = gated_energy(trace)
     e_naive = naive_energy(trace)
     e_hybrid = hybrid_energy(trace, modes) if modes else None
@@ -255,7 +254,7 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
         })
     return PipelineResult(trace=trace, report=report, energy_gated_j=e_gated,
                           energy_naive_j=e_naive, energy_hybrid_j=e_hybrid,
-                          modes=modes, flush_log=flush_log)
+                          flush_log=flush_log)
 
 
 def run_experiment(preset: str, workload: int, options: PipelineOptions,

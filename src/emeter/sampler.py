@@ -135,10 +135,13 @@ class TriggerSpec:
     def parse(cls, text: str) -> "TriggerSpec":
         """Parse ``duration:<s>``, ``count:<n>`` or ``edges:<file>``."""
         kind, _, value = text.partition(":")
-        if kind == "duration":
-            return cls.duration(float(value))
-        if kind == "count":
-            return cls.count(int(value))
+        try:
+            if kind == "duration":
+                return cls.duration(float(value))
+            if kind == "count":
+                return cls.count(int(value))
+        except ValueError as exc:
+            raise ValueError(f"trigger spec {text!r}: {exc}") from None
         if kind == "edges":
             with open(value) as fh:
                 lines = fh.read()
@@ -383,7 +386,8 @@ def build_trace(timestamps_ns, bus_voltage, current, saturated, conversion_index
     ``(start_ns, end_ns, mode)`` intervals are clipped to the window, kept
     on the trace, and flag the readings they cover.  Returns the trace, the
     trigger status (``'unterminated'`` when the trigger sets neither a stop
-    nor a count, or the count was not reached) and ``end_ns``.
+    nor a count, its stop lies past ``limit_ns``, or the count was not
+    reached) and ``end_ns``.
     """
     count = trigger.sample_count
     ts = np.asarray(timestamps_ns, dtype=np.int64)
@@ -394,7 +398,8 @@ def build_trace(timestamps_ns, bus_voltage, current, saturated, conversion_index
         hi = min(hi, lo + count)
         if hi > lo:
             end_ns = int(ts[hi - 1])
-    complete = (count is None and trigger.stop_ns is not None) or hi - lo == count
+    complete = ((count is None and trigger.stop_ns is not None and trigger.stop_ns <= limit_ns)
+                or hi - lo == count)
     ts = ts[lo:hi]
 
     clipped = []

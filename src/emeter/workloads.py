@@ -156,14 +156,14 @@ class LoadProfile:
         return (np.interp(t1, self.edges, cumulative)
                 - np.interp(t0, self.edges, cumulative))
 
-    def integral_current(self, t0, t1):
-        return self._integral(self._cum_i, t0, t1)
-
-    def integral_current_sq(self, t0, t1):
-        return self._integral(self._cum_i2, t0, t1)
-
-    def integral_voltage(self, t0, t1):
-        return self._integral(self._cum_v, t0, t1)
+    def window_means(self, end_s, window_s: float, squares: bool):
+        """Mean current, mean current squared (None unless ``squares``) and
+        mean voltage over the windows of ``window_s`` ending at ``end_s``."""
+        start_s = end_s - window_s
+        mean_i = self._integral(self._cum_i, start_s, end_s) / window_s
+        mean_v = self._integral(self._cum_v, start_s, end_s) / window_s
+        mean_i2 = self._integral(self._cum_i2, start_s, end_s) / window_s if squares else None
+        return mean_i, mean_i2, mean_v
 
     def integral_power(self, t0, t1):
         return self._integral(self._cum_p, t0, t1)

@@ -218,6 +218,19 @@ class TestCli:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_bad_trigger_number_names_the_spec(self, capsys):
+        assert main(["sample", "--trigger", "count:abc"]) == 2
+        assert capsys.readouterr().err == (
+            "error: trigger spec 'count:abc': "
+            "invalid literal for int() with base 10: 'abc'\n")
+
+    def test_trigger_window_cut_short_by_the_load_is_unterminated(self, capsys):
+        # the 1 s load ends before the 2 s trigger window does
+        code = main(["sample", "--preset", "rpi3", "--trigger", "duration:2",
+                     "--duration", "1"])
+        assert code == 0
+        assert "status           : unterminated" in capsys.readouterr().out.splitlines()
+
     def test_failed_report_write_removes_trace(self, tmp_path, capsys):
         out = tmp_path / "t.bin"
         code = main(["sample", "--duration", "1", "--trigger", "duration:1",

@@ -2,17 +2,28 @@
 
 import hashlib
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from emeter.buffering import BufferPolicy
-from emeter.bus_timing import BCM_PROFILE
+from emeter.bus_timing import (
+    BCM_PROFILE,
+    LINUX_PROFILE,
+    LOOP_OVERHEAD_US,
+    TIMESTAMP_CALL_US,
+    sample_period_us,
+)
+from emeter.calibration import CalibrationCurve
 from emeter.experiment import (
     PipelineOptions,
+    calibrate,
     pick_pga_divider,
     run_experiment,
     run_pipeline,
+    schedule,
+    sense,
 )
 from emeter.sampler import (
     FLAG_POWER_SAVE,
@@ -20,9 +31,9 @@ from emeter.sampler import (
     TriggerSpec,
     run_measurement,
 )
-from emeter.sensor import SensorConfig, SimulatedBus, SimulatedSensor
+from emeter.sensor import IDEAL_BOARD, SensorConfig, SimulatedBus, SimulatedSensor
 from emeter.tracefile import decode_trace
-from emeter.workloads import constant_profile, exact_energy, generate_profile
+from emeter.workloads import LoadProfile, constant_profile, exact_energy, generate_profile
 
 
 class TestDividerSelection:
@@ -216,3 +227,108 @@ class TestPipelineExact:
                                   write_speed_bps=write_speed_bps)
         result = run_experiment(preset, 1, options, duration=2.0, trace_fh=fh)
         assert self.digest(result, fh.getvalue()) == self.FILE_DIGESTS[kind]
+
+
+class TestStages:
+    """Each stage of ``run_pipeline`` on its own."""
+
+    @pytest.mark.parametrize("driver,speed,bits", [
+        (BCM_PROFILE, 2500, 12), (BCM_PROFILE, 500, 9), (LINUX_PROFILE, 800, 9)])
+    @pytest.mark.parametrize("trigger,horizon_ns,limit_ns", [
+        (TriggerSpec.duration(0.05), 10**9, 50_000_000),
+        (TriggerSpec.duration(2.0), 30_000_017, 30_000_017),
+        (TriggerSpec.count(10), 10**9, 10**9),
+        (TriggerSpec(start_ns=7_000_000, sample_count=12), 10**9, 10**9),
+    ])
+    def test_schedule_grid(self, driver, speed, bits, trigger, horizon_ns, limit_ns):
+        config = SensorConfig(resolution_bits=bits)
+        conv_index, end_s, ts, limit = schedule(driver, speed, config, trigger, horizon_ns)
+        period_ns = sample_period_us(driver, speed, config) * 1000.0
+        tail_ns = (1.5 * driver.mean_delay_us(speed)
+                   + LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
+        assert limit == limit_ns
+        assert conv_index.tolist() == list(range(1, len(conv_index) + 1))
+        assert np.array_equal(ts, (conv_index * period_ns + tail_ns).astype(np.int64))
+        assert np.array_equal(end_s, conv_index * period_ns * 1e-9)
+        n = len(conv_index)
+        if trigger.sample_count is None:
+            # every conversion whose reading lands inside the limit
+            assert n * period_ns + tail_ns <= limit < (n + 1) * period_ns + tail_ns
+        else:
+            # one past the conversion that reaches the count
+            assert n == trigger.start_ns // period_ns + trigger.sample_count + 1
+
+    def test_window_means_brute_force(self):
+        edges = np.array([0.0, 0.1, 0.25, 0.4, 0.42, 1.0])
+        current = np.array([0.2, 0.35, 0.05, 0.5, 0.1])
+        voltage = np.array([5.0, 4.9, 5.1, 4.8, 5.0])
+        profile = LoadProfile(edges, current, voltage)
+        window = 0.07
+        end_s = np.array([0.07, 0.1, 0.13, 0.3, 0.41, 0.45, 0.99])
+        mean_i, mean_i2, mean_v = profile.window_means(end_s, window, True)
+
+        def brute(levels, t1):
+            overlap = np.clip(np.minimum(edges[1:], t1)
+                              - np.maximum(edges[:-1], t1 - window), 0.0, None)
+            return float(np.sum(levels * overlap)) / window
+
+        for k, t1 in enumerate(end_s):
+            assert mean_i[k] == pytest.approx(brute(current, t1), rel=1e-12)
+            assert mean_i2[k] == pytest.approx(brute(current ** 2, t1), rel=1e-12)
+            assert mean_v[k] == pytest.approx(brute(voltage, t1), rel=1e-12)
+        assert profile.window_means(end_s, window, False)[1] is None
+
+    def test_window_means_constant_profile_exact(self):
+        # dyadic times and levels: every step of the closed form is exact
+        profile = constant_profile(0.5, 4.0, 1.0)
+        mean_i, mean_i2, mean_v = profile.window_means(
+            np.array([0.25, 0.5, 0.75, 1.0]), 0.25, True)
+        assert mean_i.tolist() == [0.5] * 4
+        assert mean_i2.tolist() == [0.25] * 4
+        assert mean_v.tolist() == [4.0] * 4
+
+    def test_sense_ideal_board_without_noise_is_identity(self):
+        rng = np.random.default_rng(1)
+        mean_i, mean_v = rng.uniform(0.0, 0.5, 100), rng.uniform(3.0, 5.0, 100)
+        options = PipelineOptions(noise_current_a=0.0, noise_voltage_v=0.0)
+        sensed_i, sensed_v = sense(options, IDEAL_BOARD, mean_i, None, mean_v)
+        assert np.array_equal(sensed_i, mean_i)
+        assert np.array_equal(sensed_v, mean_v)
+
+    def test_sense_noise_draws_current_then_voltage(self):
+        rng = np.random.default_rng(1)
+        mean_i, mean_v = rng.uniform(0.0, 0.5, 100), rng.uniform(3.0, 5.0, 100)
+        options = PipelineOptions(noise_current_a=3e-3, noise_voltage_v=2e-3, seed=5)
+        sensed_i, sensed_v = sense(options, IDEAL_BOARD, mean_i, None, mean_v)
+        draws = np.random.default_rng(5)
+        expected_i = np.maximum(mean_i + draws.normal(0.0, 3e-3, 100), 0.0)
+        expected_v = mean_v + draws.normal(0.0, 2e-3, 100)
+        assert np.array_equal(sensed_i, expected_i)
+        assert np.array_equal(sensed_v, expected_v)
+
+    def test_calibrate_without_curve_passes_through(self):
+        current, bus_v = np.array([0.1, 0.2]), np.array([5.0, 4.9])
+        out_i, out_v = calibrate(None, current, bus_v)
+        assert out_i is current and out_v is bus_v
+
+
+def test_traced_layers_fire(tmp_path, monkeypatch):
+    # perfbench times layers by wrapping names the program looks up in its
+    # modules; a refactor that stops calling one of them through
+    # emeter.experiment would silently read 0 for that layer
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import spans
+
+    tracer = spans.Tracer()
+    tracer.begin_op(0)
+    spans.install(tracer)
+    try:
+        with open(tmp_path / "run.bin", "wb") as fh:
+            run_experiment("rpi3", 1, PipelineOptions(), duration=1.0, trace_fh=fh,
+                           calibration=CalibrationCurve("linear", 0.9956,
+                                                        voltage_offset=0.027))
+    finally:
+        tracer.unpatch_all()
+    assert {span[3] for span in tracer.spans} >= {
+        "workloads.profile", "workloads.reference", "experiment.pipeline",
+        "calibration.apply", "sampler.energy", "tracefile.encode"}

@@ -32,3 +32,110 @@ def test_every_definition_is_used():
                     and words[node.name] <= 1):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+# Dead state the program keeps on purpose: name -> why it stays.
+KEPT_STATE = {
+    "MeasurementPair.instant_ns":
+        "the acceptance gate builds MeasurementPair from five positional arguments",
+}
+
+
+def _trees():
+    return [ast.parse(path.read_text())
+            for d in SOURCE_DIRS for path in sorted((ROOT / d).rglob("*.py"))]
+
+
+def _package_classes():
+    for path in sorted((ROOT / "src" / "emeter").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                yield node
+
+
+def _is_record_class(node: ast.ClassDef) -> bool:
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return (any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+            or any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases))
+
+
+def test_every_field_is_read():
+    # a dataclass or NamedTuple field that no code reads, as an attribute or
+    # by its string name, is state nothing needs; ``fields(Class)`` reads
+    # every field of the class
+    read, strings, all_fields_read = set(), set(), set()
+    for tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "fields" and node.args
+                    and isinstance(node.args[0], ast.Name)):
+                all_fields_read.add(node.args[0].id)
+    unread = []
+    for cls in _package_classes():
+        if not _is_record_class(cls) or cls.name in all_fields_read:
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                name = stmt.target.id
+                if (name not in read and name not in strings
+                        and f"{cls.name}.{name}" not in KEPT_STATE):
+                    unread.append(f"{cls.name}.{name}")
+    assert unread == []
+
+
+def _defaulted_parameters():
+    """(function name, positional index at a call or None, parameter name)
+    of every defaulted parameter of the package's non-dunder functions and
+    ``__init__`` methods; an ``__init__`` goes by its class's name, and a
+    method's index does not count ``self`` or ``cls``."""
+    for path in sorted((ROOT / "src" / "emeter").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {id(f): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for f in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name == "__init__" and id(node) in owners:
+                name = owners[id(node)].name
+            elif name.startswith("__") and name.endswith("__"):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            method = id(node) in owners and not static
+            positional = node.args.posonlyargs + node.args.args
+            for index in range(len(positional) - len(node.args.defaults), len(positional)):
+                yield name, index - method, positional[index].arg
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield name, None, arg.arg
+
+
+def test_every_default_is_overridden_somewhere():
+    # a parameter default that no call site in the program, its tests, demos
+    # or benchmark ever passes is a settable value with one value in use;
+    # a call is matched by the called name, a class call to its ``__init__``
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call: ast.Call, index, param: str) -> bool:
+        if any(k.arg is None or k.arg == param for k in call.keywords):
+            return True
+        starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+        return index is not None and (len(call.args) > index
+                                      or any(i <= index for i in starred))
+
+    never = [f"{name}({param}=)" for name, index, param in _defaulted_parameters()
+             if not any(passes(call, index, param) for call in calls.get(name, []))
+             and f"{name}.{param}" not in KEPT_STATE]
+    assert never == []

@@ -389,8 +389,10 @@ class TestBuildTrace:
 
         assert np.array_equal(trace.flags & FLAG_POWER_SAVE,
                               flag_power_save(trace.timestamps_ns, trace.intervals))
+        # a stop past the limit: the horizon cut the window short
         unterminated = ((trigger.stop_ns is None and count is None)
-                        or (count is not None and len(trace) < count))
+                        or (count is not None and len(trace) < count)
+                        or (trigger.stop_ns is not None and trigger.stop_ns > limit))
         assert status == ("unterminated" if unterminated else "complete")
         for (_, e0, _), (s1, _, _) in zip(trace.intervals, trace.intervals[1:]):
             assert e0 <= s1
@@ -403,6 +405,17 @@ class TestTriggerSpec:
         assert TriggerSpec.parse("count:500") == TriggerSpec(sample_count=500)
         with pytest.raises(ValueError):
             TriggerSpec.parse("bogus:1")
+
+    @pytest.mark.parametrize("spec,message", [
+        ("count:abc", "invalid literal for int() with base 10: 'abc'"),
+        ("count:2.5", "invalid literal for int() with base 10: '2.5'"),
+        ("duration:x", "could not convert string to float: 'x'"),
+        ("duration:", "could not convert string to float: ''"),
+    ])
+    def test_bad_number_names_the_spec(self, spec, message):
+        with pytest.raises(ValueError) as exc:
+            TriggerSpec.parse(spec)
+        assert str(exc.value) == f"trigger spec {spec!r}: {message}"
 
     @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
     def test_duration_must_be_finite_and_positive(self, value):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emeter.experiment import quantize
 from emeter.sensor import (
     BREAKOUT_BOARD,
     REG_BUS_VOLTAGE,
@@ -162,6 +163,26 @@ class TestScalarArrayQuantizers:
         counts, saturated = quantize_bus_array(np.array(volts), config)
         assert counts.tolist() == [quantize_bus(v, config) for v in volts]
         assert saturated.tolist() == [bus_saturates(v, config) for v in volts]
+
+    @pytest.mark.parametrize(
+        "config", ALL_CONFIGS,
+        ids=lambda c: f"{c.resolution_bits}b-div{c.pga_divider}-{c.bus_range:g}V")
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_pipeline_quantize_stage(self, config, data):
+        # the pipeline's quantize stage reads back what the chip latches
+        amps = data.draw(inputs(1.0 / (config.shunt_counts_per_volt
+                                       * config.shunt_resistance), config.max_count))
+        volts = data.draw(inputs(config.bus_range / config.max_count, config.max_count))
+        n = min(len(amps), len(volts))
+        amps, volts = amps[:n], volts[:n]
+        current, bus_v, saturated = quantize(np.array(amps), np.array(volts), config)
+        assert current.tolist() == [dequantize_shunt(quantize_shunt(a, config), config)
+                                    for a in amps]
+        assert bus_v.tolist() == [dequantize_bus(quantize_bus(v, config), config)
+                                  for v in volts]
+        assert saturated.tolist() == [shunt_saturates(a, config) or bus_saturates(v, config)
+                                      for a, v in zip(amps, volts)]
 
 
 class TestConversionTiming:
