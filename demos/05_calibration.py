@@ -39,11 +39,11 @@ print()
 program = build_staircase(pot, network, step_a=5e-3, max_a=0.8, dwell_s=0.05)
 currents = program.programmed_currents(pot, network)
 print("staircase: %d steps, %.3f mA .. %.1f mA, largest jump %.1f mA"
-      % (len(program.steps), currents.min() * 1e3, currents.max() * 1e3,
+      % (len(currents), currents.min() * 1e3, currents.max() * 1e3,
          np.diff(currents).max() * 1e3))
 print("first steps (pot code, switch mask, dwell):")
-for step in program.steps[:3]:
-    print(f"   {step.pot_code} {step.switch_mask:#x} {step.dwell_s * 1e3:g} ms")
+for code, mask in zip(program.pot_codes[:3], program.switch_masks[:3]):
+    print(f"   {code} {mask:#x} {program.dwell_s * 1e3:g} ms")
 print()
 
 # sweep the simulated shield board against the reference meter and fit

@@ -265,10 +265,19 @@ class OverheadModel:
     buffer_samples: int = 1024
 
     def __post_init__(self):
-        if self.write_power_w < self.buffer_power_w:
-            raise ValueError("write+buffer power cannot be below buffer power")
-        if self.sample_rate_sps <= 0 or self.buffer_samples < 1:
-            raise ValueError("sample rate and buffer size must be positive")
+        if not 0 <= self.buffer_power_w <= self.write_power_w < np.inf:
+            raise ValueError("powers must be finite with 0 <= buffer power <= write "
+                             f"power, got buffer power {self.buffer_power_w!r} W "
+                             f"and write power {self.write_power_w!r} W")
+        if not 0 < self.sample_rate_sps < np.inf:
+            raise ValueError("sample rate must be finite and positive, "
+                             f"got {self.sample_rate_sps!r}")
+        if not self.write_speed_bps > 0:
+            raise ValueError("write speed must be positive, "
+                             f"got {self.write_speed_bps!r}")
+        if not (self.sample_bits >= 1 and self.buffer_samples >= 1):
+            raise ValueError("sample bits and buffer samples must be >= 1, got "
+                             f"{self.sample_bits!r} and {self.buffer_samples!r}")
 
     @property
     def fill_time_s(self) -> float:
@@ -276,8 +285,6 @@ class OverheadModel:
 
     @property
     def write_time_s(self) -> float:
-        if self.write_speed_bps <= 0:
-            raise ValueError("write speed must be positive")
         return self.buffer_samples * self.sample_bits / self.write_speed_bps
 
 
@@ -303,8 +310,6 @@ def overhead_energy_closed(model: OverheadModel) -> float:
     ``(p_b * W + L_s * R_s * (p_wb - p_b)) / W`` rearranged around the base
     power for the same equal-power exactness as the schedule form.
     """
-    if model.write_speed_bps <= 0:
-        raise ValueError("write speed must be positive")
     if model.write_time_s > model.fill_time_s:
         raise SustainedOverrunError(
             "file writes take longer than buffer fills; the two-buffer "

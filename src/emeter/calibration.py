@@ -17,12 +17,16 @@ the finest step is 1.82uA at 5V; the nominal 10k end-to-end resistance and
 wiper resistance cannot reproduce both figures simultaneously, so both are
 fitted jointly (the result stays within the part's tolerance band).
 
-A calibration sweep steps the load through a staircase, records the output
-settling instant of every step at mid-dwell, and pairs the device-under-test
-sample nearest each instant with the reference meter reading at the same
-instant.  Mid-dwell pairing makes the procedure immune to meter clock skew
-below half a dwell.  Current curves are fitted through the origin (linear or
-quadratic); voltage error is a constant offset.
+A load program is a table: one pot code and one switch mask per step, and
+one dwell for every step.  The staircase program aims at evenly spaced
+targets; its levels rise only where the step is coarse enough for the
+pot's code grid, and repeat above the load's top.  A calibration sweep
+drives the program, takes the output settling instant of every step at
+mid-dwell, and pairs the device-under-test sample nearest each instant with
+the reference meter reading at the same instant.  Mid-dwell pairing makes
+the procedure immune to meter clock skew below half a dwell.  Current curves
+are fitted through the origin (linear or quadratic); voltage error is a
+constant offset.
 """
 
 from __future__ import annotations
@@ -92,15 +96,12 @@ class PotentiometerModel:
         return self.v_in / (self.r_max + self.r_wiper)
 
 
-def pot_resistance(code: int, model: PotentiometerModel) -> float:
-    """Programmed resistance at ``code``; exact formula value."""
-    if not 0 <= code <= model.code_count:
+def pot_resistance(code, model: PotentiometerModel):
+    """Programmed resistance at ``code``, one code or an array of them; exact
+    formula value."""
+    if not np.all((0 <= code) & (code <= model.code_count)):
         raise ValueError(f"code {code} out of range [0, {model.code_count}]")
     return (code / model.code_count) * model.r_max + model.r_wiper
-
-
-def pot_current(code: int, model: PotentiometerModel) -> float:
-    return model.v_in / pot_resistance(code, model)
 
 
 def current_resolution(code: int, model: PotentiometerModel) -> float:
@@ -124,16 +125,6 @@ class SwitchNetwork:
     branch_resistances: list[float] = field(default_factory=default_branch_set)
     v_in: float = 5.0
 
-    def branch_current(self, index: int) -> float:
-        return self.v_in / self.branch_resistances[index]
-
-    def current_for_mask(self, mask: int) -> float:
-        total = 0.0
-        for j, r in enumerate(self.branch_resistances):
-            if mask & (1 << j):
-                total += self.v_in / r
-        return total
-
     def max_current(self, pot: PotentiometerModel) -> float:
         """Pot at code 0 plus every branch enabled."""
         total = pot.max_current
@@ -147,64 +138,76 @@ class SwitchNetwork:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LoadStep:
-    pot_code: int
-    switch_mask: int
+class LoadProgram:
+    """The load as a table: a pot code and a switch mask per step (bit ``j``
+    enables branch ``j``), every step held for the same dwell."""
+
+    pot_codes: np.ndarray
+    switch_masks: np.ndarray
     dwell_s: float
 
-
-@dataclass
-class LoadProgram:
-    """Ordered load steps plus their mid-dwell settling instants."""
-
-    steps: list[LoadStep]
+    def _edges_s(self) -> np.ndarray:
+        dwells = np.full(len(self.pot_codes), self.dwell_s)
+        return np.concatenate([[0.0], np.cumsum(dwells)])
 
     def settling_instants_s(self) -> np.ndarray:
-        starts = np.concatenate([[0.0], np.cumsum([s.dwell_s for s in self.steps])])
-        return starts[:-1] + np.array([s.dwell_s for s in self.steps]) / 2.0
+        """Mid-dwell instant of every step."""
+        return self._edges_s()[:-1] + self.dwell_s / 2.0
 
     def programmed_currents(self, pot: PotentiometerModel,
                             network: SwitchNetwork) -> np.ndarray:
-        return np.array([pot_current(s.pot_code, pot)
-                         + network.current_for_mask(s.switch_mask)
-                         for s in self.steps])
+        """Pot current plus the enabled branches, added in branch order."""
+        masks = np.asarray(self.switch_masks)
+        branches = np.zeros(len(masks))
+        for j, r in enumerate(network.branch_resistances):
+            branches += np.where(masks >> j & 1, network.v_in / r, 0.0)
+        return pot.v_in / pot_resistance(np.asarray(self.pot_codes), pot) + branches
 
     def to_profile(self, pot: PotentiometerModel,
                    network: SwitchNetwork) -> LoadProfile:
         levels = self.programmed_currents(pot, network)
-        dwells = [s.dwell_s for s in self.steps]
-        edges = np.concatenate([[0.0], np.cumsum(dwells)])
-        return LoadProfile(edges, levels, np.full(len(levels), pot.v_in))
-
-
-def _code_for_current(target_a: float, pot: PotentiometerModel) -> int:
-    """Pot code whose output is nearest the target (clamped to range)."""
-    target_a = min(max(target_a, pot.min_current), pot.max_current)
-    resistance = pot.v_in / target_a
-    code = round((resistance - pot.r_wiper) * pot.code_count / pot.r_max)
-    return int(min(max(code, 0), pot.code_count))
+        return LoadProfile(self._edges_s(), levels, np.full(len(levels), pot.v_in))
 
 
 def build_staircase(pot: PotentiometerModel, network: SwitchNetwork,
                     step_a: float = 5e-3, max_a: float = 0.8,
                     dwell_s: float = 0.05) -> LoadProgram:
-    """Monotone staircase: coarse branch steps, pot fine-tuning in between."""
-    branches = network.branch_resistances
-    steps = []
-    target = pot.min_current
-    while target <= max_a + 1e-12:
-        remainder = target
-        mask = 0
-        # enable branches largest-current-first until the pot can cover the rest
-        for j in sorted(range(len(branches)), key=lambda j: -network.branch_current(j)):
-            amp = network.branch_current(j)
-            if remainder - amp >= pot.min_current - 1e-9:
-                mask |= 1 << j
-                remainder -= amp
-        code = _code_for_current(remainder, pot)
-        steps.append(LoadStep(code, mask, dwell_s))
-        target += step_a
-    return LoadProgram(steps)
+    """Staircase from the pot's minimum output to ``max_a`` in ``step_a``
+    steps: coarse branch steps, the pot fine-tuning in between.
+
+    Each target enables branches largest-current-first (ties in bank order)
+    while the pot can still cover the rest, then takes the pot code nearest
+    that rest.  The levels rise only where ``step_a`` is coarse enough for
+    the code grid around them; above ``network.max_current`` they repeat
+    the top.  A step below the pot's finest step would round adjacent
+    targets to one code and is rejected.
+    """
+    finest = current_resolution(pot.code_count, pot)
+    if not finest <= step_a < np.inf:
+        raise ValueError(f"staircase step must be at least the pot's finest step "
+                         f"{finest:.3g} A, got {step_a!r} A")
+    if not pot.min_current <= max_a < np.inf:
+        raise ValueError(f"staircase maximum must be finite and at least the pot's "
+                         f"minimum output {pot.min_current:.3g} A, got {max_a!r} A")
+    if not 0 < dwell_s < np.inf:
+        raise ValueError(f"dwell must be finite and positive, got {dwell_s!r} s")
+    n_steps = (max_a - pot.min_current) / step_a
+    if n_steps > network.max_current(pot) / finest:
+        raise ValueError(f"a staircase to {max_a!r} A in {step_a!r} A steps is longer "
+                         "than the load's range in its finest steps")
+    # summed in order, as a running target would be
+    targets = np.cumsum(np.r_[pot.min_current, np.full(int(n_steps) + 2, step_a)])
+    remainder = targets[targets <= max_a + 1e-12]
+    masks = np.zeros(len(remainder), dtype=np.int64)
+    amps = network.v_in / np.asarray(network.branch_resistances, dtype=float)
+    for j in np.argsort(-amps, kind="stable"):
+        take = remainder - amps[j] >= pot.min_current - 1e-9
+        masks |= take.astype(np.int64) << j
+        remainder = np.where(take, remainder - amps[j], remainder)
+    resistance = pot.v_in / np.clip(remainder, pot.min_current, pot.max_current)
+    codes = np.round((resistance - pot.r_wiper) * pot.code_count / pot.r_max)
+    codes = np.clip(codes, 0, pot.code_count).astype(np.int64)
+    return LoadProgram(codes, masks, dwell_s)
 
 
 # --------------------------------------------------------------------------
@@ -231,7 +234,9 @@ def run_calibration_sweep(program: LoadProgram,
 
     Both meters are started by the same edge, so instants are shared; a
     device clock skew below half a dwell shifts which raw sample is nearest
-    an instant but never re-pairs readings across steps.
+    an instant but never re-pairs readings across steps.  Each instant takes
+    the nearer of the device samples around it (the earlier on a tie); an
+    instant with no device sample within half a dwell fails the sweep.
     """
     pot = pot or PotentiometerModel()
     network = network or SwitchNetwork(v_in=pot.v_in)
@@ -240,26 +245,20 @@ def run_calibration_sweep(program: LoadProgram,
     if len(trace) == 0:
         raise ValueError("device pipeline produced an empty trace")
     instants_s = program.settling_instants_s()
-    dwells = np.array([s.dwell_s for s in program.steps])
-    device_ts = trace.timestamps_ns
-
-    pairs = []
-    for instant, dwell in zip(instants_s, dwells):
-        instant_ns = int(round(instant * 1e9))
-        idx = int(np.searchsorted(device_ts, instant_ns))
-        candidates = [i for i in (idx - 1, idx) if 0 <= i < len(trace)]
-        best = min(candidates, key=lambda i: abs(int(device_ts[i]) - instant_ns))
-        if abs(int(device_ts[best]) - instant_ns) > dwell * 1e9 / 2.0:
-            warnings.warn(f"no device sample within half a dwell of t={instant:.4f}s;"
-                          " pair skipped", stacklevel=2)
-            continue
-        pairs.append(MeasurementPair(
-            i_a=float(reference.sample_current(profile, instant)),
-            i_e=float(trace.current[best]),
-            v_a=float(reference.sample_voltage(profile, instant)),
-            v_e=float(trace.bus_voltage[best]),
-            instant_ns=instant_ns))
-    return pairs
+    instant_ns = np.round(instants_s * 1e9).astype(np.int64)
+    ts = trace.timestamps_ns
+    after = np.minimum(np.searchsorted(ts, instant_ns), len(ts) - 1)
+    before = np.maximum(after - 1, 0)
+    earlier = np.abs(ts[before] - instant_ns) <= np.abs(ts[after] - instant_ns)
+    best = np.where(earlier, before, after)
+    unpaired = np.count_nonzero(np.abs(ts[best] - instant_ns) > program.dwell_s * 1e9 / 2)
+    if unpaired:
+        raise ValueError(f"{unpaired} of {len(instant_ns)} settling instants have no "
+                         f"device sample within half the {program.dwell_s!r} s dwell")
+    columns = (reference.sample_current(profile, instants_s), trace.current[best],
+               reference.sample_voltage(profile, instants_s), trace.bus_voltage[best],
+               instant_ns)
+    return [MeasurementPair(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 # --------------------------------------------------------------------------
@@ -405,23 +404,15 @@ def apply_current(curve: CalibrationCurve, i_e):
     fitted output range raise :class:`ExtrapolationWarning` but still return
     the extrapolated value.
     """
-    i_e_arr = np.asarray(i_e, dtype=float)
-    limit = curve.output_max_a
-    if np.any(i_e_arr < -1e-12) or np.any(i_e_arr > limit * (1 + 1e-9)):
+    i_e = np.asarray(i_e, dtype=float)
+    if np.any(i_e < -1e-12) or np.any(i_e > curve.output_max_a * (1 + 1e-9)):
         warnings.warn("device reading outside the calibrated range; "
                       "value extrapolated", ExtrapolationWarning, stacklevel=2)
     if curve.current_form == "linear" or curve.current_quad == 0.0:
-        result = i_e_arr / curve.current_gain
-    else:
-        disc = np.sqrt(curve.current_gain ** 2 + 4.0 * curve.current_quad * i_e_arr)
-        result = 2.0 * i_e_arr / (curve.current_gain + disc)
-    if np.isscalar(i_e) or np.ndim(i_e) == 0:
-        return float(result)
-    return result
+        return i_e / curve.current_gain
+    disc = np.sqrt(curve.current_gain ** 2 + 4.0 * curve.current_quad * i_e)
+    return 2.0 * i_e / (curve.current_gain + disc)
 
 
 def apply_voltage(curve: CalibrationCurve, v_e):
-    result = np.asarray(v_e, dtype=float) + curve.voltage_offset
-    if np.isscalar(v_e) or np.ndim(v_e) == 0:
-        return float(result)
-    return result
+    return np.asarray(v_e, dtype=float) + curve.voltage_offset

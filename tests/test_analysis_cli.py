@@ -3,10 +3,14 @@
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emeter
 from emeter.analysis import ecdf, ecdf_csv, voltage_effect
 from emeter.calibration import CalibrationCurve
 from emeter.cli import main
@@ -266,6 +270,26 @@ class TestCli:
         assert code == 2
         assert "cannot sustain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--buffer-power", "nan", "buffer power nan W"),
+        ("--buffer-power", "-1", "buffer power -1.0 W"),
+        ("--write-power", "inf", "write power inf W"),
+        ("--rate", "nan", "sample rate must be finite and positive, got nan"),
+        ("--rate", "inf", "sample rate must be finite and positive, got inf"),
+        ("--write-speed", "0", "write speed must be positive, got 0.0"),
+        ("--write-speed", "nan", "write speed must be positive, got nan"),
+        ("--sample-bits", "0", "got 0 and 1024"),
+        ("--buffer-samples", "0", "got 128 and 0"),
+    ])
+    def test_overhead_bad_value_is_named(self, flag, value, named, capsys):
+        values = {"--buffer-power": "1.26", "--write-power": "2.46",
+                  "--write-speed": "1.28e6", "--rate": "1000", flag: value}
+        argv = ["overhead"] + [item for pair in values.items() for item in pair]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+
     def test_export_csv_command(self, trace_file, tmp_path):
         out = tmp_path / "t.csv"
         assert main(["export-csv", trace_file, "--out", str(out)]) == 0
@@ -280,6 +304,35 @@ class TestCli:
         from emeter.calibration import CalibrationCurve
         curve = CalibrationCurve.parse(curve_path.read_text())
         assert curve.current_gain == pytest.approx(0.9956, abs=5e-4)
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--step-ma", "-1"], "finest step 1.82e-06 A, got -0.001 A"),
+        (["--step-ma", "nan"], "got nan A"),
+        (["--step-ma", "0.001"], "got 1e-06 A"),
+        (["--dwell-ms", "0"], "dwell must be finite and positive, got 0.0 s"),
+        (["--max-ma", "0.1"], "minimum output 0.000476 A, got 0.0001 A"),
+        (["--dwell-ms", "0.1"], "145 of 160 settling instants have no device "
+                                "sample within half the 0.0001 s dwell"),
+    ])
+    def test_calibrate_bad_input_is_named(self, flags, named, tmp_path, capsys):
+        curve_path = tmp_path / "curve.txt"
+        assert main(["calibrate", "--out", str(curve_path)] + flags) == 2
+        assert named in capsys.readouterr().err
+        assert not curve_path.exists()
+
+    def test_calibrate_zero_step_is_error_not_a_hang(self, tmp_path):
+        # in a subprocess with a timeout: a regression to an endless
+        # staircase fails here instead of hanging the suite
+        curve_path = tmp_path / "curve.txt"
+        src = str(Path(emeter.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "emeter.cli", "calibrate",
+                               "--step-ma", "0", "--out", str(curve_path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "finest step 1.82e-06 A, got 0.0 A" in proc.stderr
+        assert not curve_path.exists()
 
     def test_sample_with_calibration(self, tmp_path):
         curve_path = tmp_path / "curve.txt"

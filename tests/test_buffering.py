@@ -187,6 +187,10 @@ class TestOverheadModel:
         with pytest.raises(ValueError):
             model(p_wb=1.0)
 
+    def test_infinite_write_speed_accepted(self):
+        m = model(w=float("inf"))
+        assert overhead_energy_closed(m) == overhead_energy_schedule(m) == 1.26
+
     @pytest.mark.parametrize("l_b", [64, 1024, 65536])
     def test_event_replay_matches_closed_form(self, l_b):
         m = model(l_b=l_b)

@@ -1,14 +1,17 @@
 """Programmable load model, sweep pairing and curve fitting."""
 
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import calibration_oracle as oracle
 from emeter.calibration import (
     CalibrationCurve,
     ExtrapolationWarning,
     LoadProgram,
-    LoadStep,
     MeasurementPair,
     PotentiometerModel,
     SwitchNetwork,
@@ -23,6 +26,7 @@ from emeter.calibration import (
     run_calibration_sweep,
 )
 from emeter.experiment import PipelineOptions, device_pipeline
+from emeter.sampler import Trace
 from emeter.workloads import ReferenceMeter
 
 
@@ -86,15 +90,19 @@ class TestSwitchNetwork:
         assert 0.98 < total <= 1.0
 
     def test_mask_currents(self):
+        pot = PotentiometerModel()
         network = SwitchNetwork([250.0, 50.0], v_in=5.0)
-        assert network.current_for_mask(0b01) == pytest.approx(0.02)
-        assert network.current_for_mask(0b10) == pytest.approx(0.10)
-        assert network.current_for_mask(0b11) == pytest.approx(0.12)
+        program = LoadProgram(np.full(3, 100), np.array([0b01, 0b10, 0b11]), 0.05)
+        branches = (program.programmed_currents(pot, network)
+                    - pot.v_in / pot_resistance(100, pot))
+        assert branches[0] == pytest.approx(0.02)
+        assert branches[1] == pytest.approx(0.10)
+        assert branches[2] == pytest.approx(0.12)
 
 
 class TestLoadProgram:
     def test_settling_instants_mid_dwell(self):
-        program = LoadProgram([LoadStep(10, 0, 0.05), LoadStep(20, 1, 0.05)])
+        program = LoadProgram(np.array([10, 20]), np.array([0, 1]), 0.05)
         assert np.allclose(program.settling_instants_s(), [0.025, 0.075])
 
     def test_staircase_covers_range_without_gaps(self):
@@ -106,6 +114,45 @@ class TestLoadProgram:
         assert currents.max() >= 0.78
         assert np.all(np.diff(currents) > 0)
         assert np.max(np.diff(currents)) <= 0.020 + 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(v_in=st.sampled_from([3.3, 5.0]),
+           bank=st.lists(st.sampled_from([33.0, 50.0, 100.0, 250.0, 1000.0]),
+                         max_size=15),
+           step_exp=st.floats(0.0, 4.5), span_frac=st.floats(0.0, 1.0),
+           dwell_s=st.floats(1e-4, 1.0))
+    def test_staircase_matches_oracle(self, v_in, bank, step_exp, span_frac, dwell_s):
+        pot = PotentiometerModel(v_in=v_in)
+        network = SwitchNetwork(bank, v_in=v_in)
+        step_a = current_resolution(pot.code_count, pot) * 10 ** step_exp
+        max_a = pot.min_current + span_frac * min(1.3, 600 * step_a)
+        program = build_staircase(pot, network, step_a=step_a, max_a=max_a,
+                                  dwell_s=dwell_s)
+        steps = oracle.build_staircase(pot, network, step_a, max_a)
+        assert list(zip(program.pot_codes.tolist(),
+                        program.switch_masks.tolist())) == steps
+        currents = program.programmed_currents(pot, network)
+        assert currents.tolist() == [oracle.step_current(code, mask, pot, network)
+                                     for code, mask in steps]
+        edges = np.concatenate([[0.0], np.cumsum([dwell_s] * len(steps))])
+        assert program.to_profile(pot, network).edges.tolist() == edges.tolist()
+        assert program.settling_instants_s().tolist() == (
+            edges[:-1] + np.array([dwell_s] * len(steps)) / 2.0).tolist()
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"step_a": 0.0}, "finest step 1.82e-06 A, got 0.0 A"),
+        ({"step_a": -1e-3}, "got -0.001 A"),
+        ({"step_a": float("nan")}, "got nan A"),
+        ({"step_a": 1e-6}, "got 1e-06 A"),
+        ({"max_a": 1e-4}, "minimum output 0.000476 A, got 0.0001 A"),
+        ({"max_a": float("inf")}, "got inf A"),
+        ({"dwell_s": 0.0}, "dwell must be finite and positive, got 0.0 s"),
+        ({"dwell_s": float("nan")}, "got nan s"),
+        ({"step_a": 2e-6, "max_a": 1e3}, "to 1000.0 A in 2e-06 A steps is longer"),
+    ])
+    def test_bad_staircase_input_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            build_staircase(PotentiometerModel(), SwitchNetwork(), **kwargs)
 
 
 def synthetic_pairs(rng, gain=0.9956, quad=0.0, noise_a=100e-6, n=160,
@@ -247,12 +294,42 @@ class TestSweep:
         return device_pipeline(PipelineOptions(seed=3, **kw))
 
     def test_constant_load_identical_pairs(self):
-        program = LoadProgram([LoadStep(100, 0, 0.05)] * 3)
+        program = LoadProgram(np.full(3, 100), np.zeros(3, dtype=np.int64), 0.05)
         pairs = run_calibration_sweep(program, self.pipeline(),
                                       ReferenceMeter())
         assert len(pairs) == 3
         assert len({round(p.i_a, 9) for p in pairs}) == 1
         assert max(p.i_e for p in pairs) - min(p.i_e for p in pairs) < 3e-4
+
+    @settings(max_examples=200, deadline=None)
+    @given(dwell_s=st.sampled_from([0.002, 0.01, 0.05]),
+           offsets=st.lists(st.lists(st.integers(-12, 12), min_size=1, max_size=3),
+                            min_size=8, max_size=8))
+    def test_pairing_matches_oracle(self, dwell_s, offsets):
+        # up to three samples around each instant on a grid of a twentieth of
+        # a dwell: an instant may lie halfway between two of them, or have
+        # none within half a dwell (ten ticks)
+        pot = PotentiometerModel()
+        network = SwitchNetwork()
+        program = build_staircase(pot, network, step_a=0.1, max_a=0.8,
+                                  dwell_s=dwell_s)
+        ticks = {20 * k + 10 + o for k, ks in enumerate(offsets) for o in ks}
+        ts = np.array(sorted(ticks)) * round(dwell_s * 1e9 / 20)
+        trace = Trace(ts, 5.0 - ts * 1e-12, 0.01 + ts * 1e-12, np.zeros(len(ts)))
+        expected, unpaired = oracle.pair(
+            program.settling_instants_s(), dwell_s, trace,
+            program.to_profile(pot, network), ReferenceMeter())
+
+        def sweep():
+            return run_calibration_sweep(program, lambda profile: trace,
+                                         ReferenceMeter(), pot=pot, network=network)
+
+        if unpaired:
+            with pytest.raises(ValueError, match=f"{unpaired} of 8 settling instants"):
+                sweep()
+        else:
+            assert [(p.i_a, p.i_e, p.v_a, p.v_e, p.instant_ns)
+                    for p in sweep()] == expected
 
     def test_pairs_monotone_in_programmed_current(self):
         pot = PotentiometerModel()
@@ -308,3 +385,38 @@ class TestSweep:
         assert curve.current_form == "quadratic"
         assert curve.current_quad == pytest.approx(0.0074, rel=0.25)
         assert curve.current_gain == pytest.approx(0.982, rel=0.01)
+
+
+class TestCalibrationExact:
+    """The default staircase's pairs are pinned bit for bit: a change to any
+    programmed level, settling instant, paired sample or reference reading
+    fails here."""
+
+    # sha256 over the i_a, i_e, v_a, v_e and instant_ns columns of the pairs
+    # of the default staircase (5 mA steps to 0.8 A, 50 ms dwell) at seed 1
+    DIGESTS = {
+        ("shield", 12):
+            "c20449169709f48facfa054341395c2fbc59eaaf7f85627769cbeb148bc981a1",
+        ("shield", 9):
+            "7dddcd8ecfe3d178eda72f13aacc10c3826a79bd3ad6e975f505512d06fd9bbf",
+        ("breakout", 12):
+            "fe1323f129eeefe9f9b6ec08ff504ecea4d7ddd40dd151788c85b4317172656a",
+        ("breakout", 9):
+            "020bbc29d848f493efaa5e2257d927ab23dc04e26a73931dcf857475bf1373b1",
+    }
+
+    @pytest.mark.parametrize("board, bits", sorted(DIGESTS))
+    def test_default_staircase_pairs(self, board, bits):
+        pot = PotentiometerModel()
+        network = SwitchNetwork()
+        program = build_staircase(pot, network, step_a=5e-3, max_a=0.8,
+                                  dwell_s=0.05)
+        options = PipelineOptions(seed=1, resolution_bits=bits, board=board)
+        pairs = run_calibration_sweep(program, device_pipeline(options),
+                                      ReferenceMeter(), pot=pot, network=network)
+        assert len(pairs) == 160
+        h = hashlib.sha256()
+        for name in ("i_a", "i_e", "v_a", "v_e"):
+            h.update(np.array([getattr(p, name) for p in pairs]).tobytes())
+        h.update(np.array([p.instant_ns for p in pairs], dtype=np.int64).tobytes())
+        assert h.hexdigest() == self.DIGESTS[board, bits]
