@@ -160,13 +160,26 @@ def _circular(records, push_ns, capacity, write_speed_bps):
     that rule in the keep-up and backlog closed forms of the module
     docstring.  A gap marker at the push time of the next kept entry stands
     for each run of overwritten entries.
+
+    The body is scattered into place: the k-th marker goes k rows after
+    the number of kept entries before it, and the kept entries fill the
+    rest in order.  Rows move whole through a ``V16`` view, which copies
+    16 bytes at a time where the structured ``RECORD`` dtype copies field
+    by field.
     """
     dropped = _overwritten(push_ns, capacity, write_speed_bps)
     kept = ~dropped
     after_drop = kept & np.concatenate(([False], dropped))[:-1]
     at = np.flatnonzero(after_drop[kept])
-    body = np.insert(records[kept], at, gap_records(push_ns[after_drop]))
-    return body, int(np.count_nonzero(dropped)), ()
+    at += np.arange(len(at))
+    overruns = int(np.count_nonzero(dropped))
+    body = np.empty(len(records) - overruns + len(at), dtype=RECORD)
+    slot = np.ones(len(body), dtype=bool)
+    slot[at] = False
+    rows = body.view("V16")
+    rows[slot] = records.view("V16")[kept]
+    rows[at] = gap_records(push_ns[after_drop]).view("V16")
+    return body, overruns, ()
 
 
 #: entries (keep-up) or writes (backlog) a stretch of the ring scan looks

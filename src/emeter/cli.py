@@ -15,6 +15,7 @@ All commands are deterministic under ``--seed``.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import nullcontext, suppress
@@ -73,7 +74,10 @@ def _sensor_options(args, **kwargs) -> PipelineOptions:
         supply_voltage=args.supply, board=args.board, seed=args.seed, **kwargs)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing keeps no state on the parser, and
+    # _OnceAction keeps its seen-flags on each call's namespace
     parser = argparse.ArgumentParser(
         prog="emeter",
         description="simulated energy-measurement pipeline and analysis")
@@ -253,8 +257,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -25,6 +25,16 @@ The body is a plain ``RECORD`` array, written with ``tobytes`` and read
 with ``np.frombuffer``.  A dropped-buffer gap is recorded in-line as a gap
 marker: a record whose voltage and current fields both hold INT32_MIN.
 Decoders must surface gaps rather than treat them as readings.
+
+:func:`export_csv` writes the readings as text: the line
+``timestamp_ns,bus_mV,current_mA``, then one line per reading with the
+timestamp in integer nanoseconds and the voltage and current in mV and mA
+with exactly three decimals.  Gap markers are skipped.  A micro-unit
+integer divided by 1000 has exactly three decimals, so each value is
+printed from its integer digits (sign, ``|v| // 1000``, ``.``, ``|v| %
+1000``) with no float formatting; that is the same text as
+``f"{v / 1000.0:.3f}"``, since an int32 over 1000.0 is far closer to its
+decimal than half a unit in the third place.
 """
 
 from __future__ import annotations
@@ -208,10 +218,56 @@ def load_trace(path: str) -> Trace:
     return records_to_trace(read_trace(path)[1])
 
 
+_POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)  # 1 .. 10**19
+_BLANK = ord(" ")
+
+
+def _decimal(values: np.ndarray, shown: int) -> np.ndarray:
+    """ASCII matrix of uint64 ``values``, one right-aligned row each.
+
+    The matrix is as wide as the largest value needs, and at least
+    ``shown``.  The last ``shown`` digits are always printed; zeros left of
+    them are blank.  The width comes from a search in the powers of ten,
+    which is exact over all of uint64 where a float log10 is not.
+    """
+    width = max(shown, int(np.searchsorted(_POWERS_OF_TEN, values.max(initial=0),
+                                           side="right")))
+    out = np.empty((len(values), width), dtype=np.uint8)
+    for col in range(width - 1, -1, -1):
+        quotient = values // 10
+        digit = (values - quotient * 10).astype(np.uint8) + ord("0")
+        out[:, col] = np.where(values == 0, _BLANK, digit) if col < width - shown else digit
+        values = quotient
+    return out
+
+
+def _column(char: str, n: int) -> np.ndarray:
+    return np.full((n, 1), ord(char), dtype=np.uint8)
+
+
+def _milli(micro: np.ndarray) -> np.ndarray:
+    """ASCII matrix of int32 micro-units as milli-units with three decimals:
+    a sign (blank when not negative), the integer part, a point and the
+    fraction."""
+    micro = micro.astype(np.int64)
+    digits = _decimal(np.abs(micro).astype(np.uint64), 4)
+    sign = np.where(micro < 0, ord("-"), _BLANK).astype(np.uint8)
+    return np.hstack((sign[:, None], digits[:, :-3], _column(".", len(micro)),
+                      digits[:, -3:]))
+
+
 def export_csv(fh, records) -> int:
-    """Write ``timestamp_ns,bus_mV,current_mA`` rows; returns the row count."""
+    """Write ``timestamp_ns,bus_mV,current_mA`` rows; returns the row count.
+
+    Every column becomes a blank-padded ASCII matrix, the rows are joined
+    into one byte string and the padding is dropped: a CSV line never holds
+    a space.
+    """
     records = np.asarray(records, dtype=RECORD)
-    rows = records[~is_gap(records)].tolist()
-    fh.write("timestamp_ns,bus_mV,current_mA\n" + "".join(
-        f"{t},{uv / 1000.0:.3f},{ua / 1000.0:.3f}\n" for t, uv, ua in rows))
-    return len(rows)
+    rows = records[~is_gap(records)]
+    n = len(rows)
+    table = np.hstack((_decimal(rows["t"], 1), _column(",", n), _milli(rows["uv"]),
+                       _column(",", n), _milli(rows["ua"]), _column("\n", n)))
+    fh.write("timestamp_ns,bus_mV,current_mA\n"
+             + table.tobytes().replace(b" ", b"").decode("ascii"))
+    return n

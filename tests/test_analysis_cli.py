@@ -134,6 +134,10 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["sample", "--trigger", "duration:1", "--trigger", "count:5"])
         assert exc.value.code == 2
+        assert "conflicting --trigger flags" in capsys.readouterr().err
+        # the parser is built once per process: a flag seen in one call must
+        # not count as seen in the next
+        assert main(["sample", "--trigger", "duration:0.2", "--duration", "0.2"]) == 0
 
     def test_zero_duration_is_error(self, capsys):
         code = main(["sample", "--trigger", "duration:0"])

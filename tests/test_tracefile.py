@@ -4,9 +4,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from csv_oracle import export_csv_rows
 from emeter.sampler import Trace
 from emeter.tracefile import (
+    GAP_SENTINEL,
     HEADER_SIZE,
     RECORD,
     RECORD_SIZE,
@@ -181,3 +185,52 @@ class TestCsvExport:
         out = io.StringIO()
         n = export_csv(out, [TraceRecord.gap(5)])
         assert n == 0
+
+    def test_empty_and_all_gap_write_only_the_header(self):
+        for records in ([], [TraceRecord.gap(5), TraceRecord.gap(9)]):
+            out = io.StringIO()
+            assert export_csv(out, records) == 0
+            assert out.getvalue() == "timestamp_ns,bus_mV,current_mA\n"
+
+    def test_small_negative_reading_keeps_its_sign(self):
+        out = io.StringIO()
+        export_csv(out, [TraceRecord(7, -1, -999), TraceRecord(8, 0, -1000)])
+        assert out.getvalue().splitlines()[1:] == ["7,-0.001,-0.999", "8,0.000,-1.000"]
+
+    def test_timestamp_extremes(self):
+        out = io.StringIO()
+        export_csv(out, [TraceRecord(0, 1, 1), TraceRecord(2**64 - 1, 1, 1)])
+        assert out.getvalue().splitlines()[1:] == [
+            "0,0.001,0.001", "18446744073709551615,0.001,0.001"]
+
+    def test_one_sentinel_field_is_a_reading(self):
+        # only both fields at INT32_MIN make a gap marker
+        out = io.StringIO()
+        n = export_csv(out, [TraceRecord(1, GAP_SENTINEL, 5),
+                             TraceRecord(2, 5, GAP_SENTINEL)])
+        assert n == 2
+        assert out.getvalue().splitlines()[1:] == [
+            "1,-2147483.648,0.005", "2,0.005,-2147483.648"]
+
+
+_U64 = st.integers(0, 2**64 - 1)
+_INT32 = st.integers(-2**31, 2**31 - 1)
+_ROW = st.one_of(
+    st.tuples(_U64, _INT32, _INT32),
+    # gap markers, and readings with one field at the gap sentinel
+    st.tuples(_U64, st.just(GAP_SENTINEL), st.just(GAP_SENTINEL)),
+    st.tuples(_U64, st.just(GAP_SENTINEL), _INT32),
+    st.tuples(_U64, _INT32, st.just(GAP_SENTINEL)),
+    # values whose digit counts sit next to the powers of ten
+    st.tuples(st.sampled_from([0, 9, 10, 2**53 + 1, 10**19 - 1, 10**19, 2**64 - 1]),
+              st.integers(-1000, 1000), st.integers(-10**6, 10**6)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_ROW, max_size=40))
+def test_export_csv_equals_per_row_oracle(rows):
+    records = np.array(rows, dtype=RECORD)
+    batched, per_row = io.StringIO(), io.StringIO()
+    assert export_csv(batched, records) == export_csv_rows(per_row, records)
+    assert batched.getvalue() == per_row.getvalue()
