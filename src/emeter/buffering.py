@@ -96,9 +96,9 @@ class PersistStats:
 
 def persist(fh: BinaryIO, header: TraceHeader, records, push_ns,
             policy: BufferPolicy, write_speed_bps: float) -> PersistStats:
-    """Write ``header`` and the ``RECORD`` array ``records`` to ``fh`` as the
-    buffered consumer would, entry k handed over at the non-decreasing time
-    ``push_ns[k]``."""
+    """Write ``header`` and the ``RECORD`` array ``records`` (readings, no
+    gap markers) to ``fh`` as the buffered consumer would, entry k handed
+    over at the non-decreasing time ``push_ns[k]``."""
     if not write_speed_bps > 0:
         raise ValueError(f"write speed must be positive, got {write_speed_bps!r}")
     records = np.asarray(records, dtype=RECORD)
@@ -108,17 +108,17 @@ def persist(fh: BinaryIO, header: TraceHeader, records, push_ns,
     if len(push_ns) and (push_ns[0] < 0 or np.any(np.diff(push_ns) < 0)):
         raise ValueError("time must not regress")
     mechanism = _two_buffer if policy.kind == "two_buffer" else _circular
-    body, overruns, flush_log = mechanism(records, push_ns, policy.capacity,
-                                          write_speed_bps)
+    body, overruns, dropped, flush_log = mechanism(records, push_ns, policy.capacity,
+                                                   write_speed_bps)
     fh.write(encode_header(header))
     fh.write(body.tobytes())
-    written = len(body) - int(np.count_nonzero(is_gap(body)))
-    return PersistStats(overruns, written, flush_log)
+    return PersistStats(overruns, len(records) - dropped, flush_log)
 
 
 def _two_buffer(records, push_ns, capacity, write_speed_bps):
-    """Body, overruns and flush log when the producer fills one buffer while
-    the consumer flushes the other.
+    """Body, overruns, dropped entries and flush log when the producer fills
+    one buffer while the consumer flushes the other; an overrun drops one
+    buffer of ``capacity`` entries.
 
     The schedule only moves when a push fills a buffer; a partial last
     buffer flushes at the last push time.
@@ -146,12 +146,12 @@ def _two_buffer(records, push_ns, capacity, write_speed_bps):
         flush_log.append((int(push_ns[-1]), len(records) - n_full))
         pieces.append(records[n_full:])
     body = np.concatenate(pieces) if pieces else records
-    return body, overruns, tuple(flush_log)
+    return body, overruns, overruns * capacity, tuple(flush_log)
 
 
 def _circular(records, push_ns, capacity, write_speed_bps):
-    """Body, overruns and (no) flush log of a ring whose consumer writes
-    entries oldest first.
+    """Body, overruns, dropped entries (one per overrun) and (no) flush log
+    of a ring whose consumer writes entries oldest first.
 
     Each entry takes the consumer ``d`` whole ns from its push or from the
     previous write, whichever is later.  A push that finds ``capacity``
@@ -179,7 +179,7 @@ def _circular(records, push_ns, capacity, write_speed_bps):
     rows = body.view("V16")
     rows[slot] = records.view("V16")[kept]
     rows[at] = gap_records(push_ns[after_drop]).view("V16")
-    return body, overruns, ()
+    return body, overruns, overruns, ()
 
 
 #: entries (keep-up) or writes (backlog) a stretch of the ring scan looks

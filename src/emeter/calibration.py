@@ -405,13 +405,19 @@ def apply_current(curve: CalibrationCurve, i_e):
     the extrapolated value.
     """
     i_e = np.asarray(i_e, dtype=float)
-    if np.any(i_e < -1e-12) or np.any(i_e > curve.output_max_a * (1 + 1e-9)):
+    # min() and max() propagate NaN, which fails both tests
+    if i_e.size and (i_e.min() < -1e-12 or i_e.max() > curve.output_max_a * (1 + 1e-9)):
         warnings.warn("device reading outside the calibrated range; "
                       "value extrapolated", ExtrapolationWarning, stacklevel=2)
     if curve.current_form == "linear" or curve.current_quad == 0.0:
         return i_e / curve.current_gain
-    disc = np.sqrt(curve.current_gain ** 2 + 4.0 * curve.current_quad * i_e)
-    return 2.0 * i_e / (curve.current_gain + disc)
+    disc = 4.0 * curve.current_quad * i_e
+    disc += curve.current_gain ** 2
+    disc = np.sqrt(disc)  # a 0-d reading gives a scalar, which has no out=
+    disc += curve.current_gain
+    amps = 2.0 * i_e
+    amps /= disc
+    return amps
 
 
 def apply_voltage(curve: CalibrationCurve, v_e):

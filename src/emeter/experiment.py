@@ -4,12 +4,19 @@
 :func:`schedule` (sample grid and timestamps), ``LoadProfile.window_means``,
 :func:`sense` (board transfer, then noise), :func:`quantize` and
 :func:`calibrate`, then :func:`~emeter.sampler.build_trace`, persistence,
-the energies, the reference and the report.  ``_readings`` runs the stages
-from window means to calibration and holds their outputs until it returns,
-so that those full-length arrays are freed together before the readout
-stages allocate theirs: freed stage by stage, or kept in
-:func:`run_pipeline`, they make the allocator trim and refault that memory
-on every run (measured 20-45 % slower per 9-bit op).
+the energies, the reference and the report.
+
+A stage allocates only the arrays it returns and does its arithmetic in
+place on arrays it allocated itself; it never writes to its inputs.  A 30 s
+run at 9 bit has ~143k readings, so each full-length array is 1.1 MB, and
+whenever the allocator has trimmed the heap between runs every such
+allocation faults its pages in anew.  ``_readings`` runs the stages from
+window means to calibration and holds their outputs until it returns, so
+that those arrays are freed together before the readout stages allocate
+theirs.  Run as perfbench's accuracy_sweep runs them (seed 3, fitted
+curves, the previous result alive), a 9-bit run takes a median of 260-281
+minor page faults, and took 809 when every arithmetic step allocated a fresh
+array.
 
 The register-level loop in :mod:`emeter.sampler` shares everything after the
 register readings with this path.  It holds the input constant between
@@ -49,8 +56,6 @@ from emeter.sensor import (
     SHUNT_FULL_SCALE_V,
     SensorConfig,
     conversion_time_us,
-    dequantize_bus,
-    dequantize_shunt,
     quantize_bus_array,
     quantize_shunt_array,
 )
@@ -157,7 +162,9 @@ def schedule(driver: DriverProfile, speed_khz: int, config: SensorConfig,
                             int(trigger.start_ns // period_ns) + trigger.sample_count + 1)
     conv_index = np.arange(1, n_conversions + 1)
     end_ns = conv_index * period_ns
-    return conv_index, end_ns * 1e-9, (end_ns + tail_ns).astype(np.int64), limit_ns
+    end_s = end_ns * 1e-9
+    end_ns += tail_ns
+    return conv_index, end_s, end_ns.astype(np.int64), limit_ns
 
 
 def sense(options: PipelineOptions, board: BoardCharacter, mean_i, mean_i2, mean_v):
@@ -166,19 +173,23 @@ def sense(options: PipelineOptions, board: BoardCharacter, mean_i, mean_i2, mean
     rng = np.random.default_rng(options.seed)
     sensed_i = board.sense_current(mean_i, mean_i2)
     sensed_v = board.sense_voltage(mean_v)
-    if options.noise_current_a > 0:
-        sensed_i = sensed_i + rng.normal(0.0, options.noise_current_a, len(sensed_i))
-    if options.noise_voltage_v > 0:
-        sensed_v = sensed_v + rng.normal(0.0, options.noise_voltage_v, len(sensed_v))
-    return np.maximum(sensed_i, 0.0), sensed_v
+    # normal(0.0, s, n) is 0.0 + s * standard_normal(n): the same readings
+    # and the same generator state
+    for sensed, sigma in ((sensed_i, options.noise_current_a),
+                          (sensed_v, options.noise_voltage_v)):
+        if sigma > 0:
+            noise = rng.standard_normal(len(sensed))
+            noise *= sigma
+            sensed += noise
+    return np.maximum(sensed_i, 0.0, out=sensed_i), sensed_v
 
 
 def quantize(current, bus_v, config: SensorConfig):
     """(amperes, volts, saturated) as the chip's registers read them back."""
-    shunt_count, sat_i = quantize_shunt_array(current, config)
-    bus_count, sat_v = quantize_bus_array(bus_v, config)
-    return (dequantize_shunt(shunt_count, config), dequantize_bus(bus_count, config),
-            sat_i | sat_v)
+    current, saturated = quantize_shunt_array(current, config)
+    bus_v, sat_v = quantize_bus_array(bus_v, config)
+    saturated |= sat_v
+    return current, bus_v, saturated
 
 
 def calibrate(calibration: Optional[CalibrationCurve], current, bus_v):
@@ -232,7 +243,8 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
     modes = [PowerSaveMode(idx, amps, volts)
              for idx, amps, volts in profile.power_save_modes]
     e_gated = gated_energy(trace)
-    e_naive = naive_energy(trace)
+    # no interval, no power-save flag: the naive mask is the gated one
+    e_naive = naive_energy(trace) if trace.intervals else e_gated
     e_hybrid = hybrid_energy(trace, modes) if modes else None
     e_device = e_hybrid if e_hybrid is not None else e_gated
 

@@ -255,10 +255,11 @@ def _segment_energy(ts_ns: np.ndarray, power: np.ndarray,
                     countable: np.ndarray) -> float:
     if len(ts_ns) < 2:
         return 0.0
-    dt = np.diff(ts_ns) * 1e-9
     both = countable[:-1] & countable[1:]
-    mids = (power[:-1] + power[1:]) / 2.0
-    return float(np.sum(mids[both] * dt[both]))
+    mids = power[:-1] + power[1:]
+    mids /= 2.0
+    mids *= np.diff(ts_ns) * 1e-9
+    return float(np.sum(mids[both]))
 
 
 def _countable_mask(trace: Trace, exclude_power_save: bool) -> np.ndarray:
@@ -307,8 +308,9 @@ def hybrid_energy(trace: Trace, modes: Sequence[PowerSaveMode]) -> float:
     countable = _countable_mask(trace, exclude_power_save=True)
     energy = 0.0
     if len(trace) >= 2:
-        dt = np.diff(ts) * 1e-9
-        energy = float(np.sum(power[1:][countable[1:]] * dt[countable[1:]]))
+        weighted = np.diff(ts) * 1e-9
+        weighted *= power[1:]
+        energy = float(np.sum(weighted[countable[1:]]))
     for start_ns, end_ns, mode_index in trace.intervals:
         if mode_index not in mode_map:
             raise ValueError(f"interval references undeclared mode {mode_index}")

@@ -205,10 +205,17 @@ def trace_to_records(trace: Trace) -> np.ndarray:
     return records
 
 
+def _without_gaps(records) -> np.ndarray:
+    """The ``RECORD`` rows of ``records`` that are not gap markers.  Rows
+    move whole through a ``V16`` view, which copies 16 bytes at a time where
+    the structured dtype copies field by field."""
+    records = np.asarray(records, dtype=RECORD)
+    return records.view("V16")[~is_gap(records)].view(RECORD)
+
+
 def records_to_trace(records) -> Trace:
     """Build an in-memory trace from decoded records (gaps skipped)."""
-    records = np.asarray(records, dtype=RECORD)
-    readings = records[~is_gap(records)]
+    readings = _without_gaps(records)
     return Trace(readings["t"], readings["uv"] * 1e-6, readings["ua"] * 1e-6,
                  np.zeros(len(readings), dtype=np.uint8))
 
@@ -263,8 +270,7 @@ def export_csv(fh, records) -> int:
     into one byte string and the padding is dropped: a CSV line never holds
     a space.
     """
-    records = np.asarray(records, dtype=RECORD)
-    rows = records[~is_gap(records)]
+    rows = _without_gaps(records)
     n = len(rows)
     table = np.hstack((_decimal(rows["t"], 1), _column(",", n), _milli(rows["uv"]),
                        _column(",", n), _milli(rows["ua"]), _column("\n", n)))

@@ -153,17 +153,23 @@ class LoadProfile:
         return self.voltage[_segment_of(self.edges, t)]
 
     def _integral(self, cumulative: np.ndarray, t0, t1):
-        return (np.interp(t1, self.edges, cumulative)
-                - np.interp(t0, self.edges, cumulative))
+        total = np.interp(t1, self.edges, cumulative)
+        total -= np.interp(t0, self.edges, cumulative)
+        return total
 
     def window_means(self, end_s, window_s: float, squares: bool):
         """Mean current, mean current squared (None unless ``squares``) and
         mean voltage over the windows of ``window_s`` ending at ``end_s``."""
         start_s = end_s - window_s
-        mean_i = self._integral(self._cum_i, start_s, end_s) / window_s
-        mean_v = self._integral(self._cum_v, start_s, end_s) / window_s
-        mean_i2 = self._integral(self._cum_i2, start_s, end_s) / window_s if squares else None
-        return mean_i, mean_i2, mean_v
+
+        def mean(cumulative):
+            total = self._integral(cumulative, start_s, end_s)
+            total /= window_s
+            return total
+
+        mean_i = mean(self._cum_i)
+        mean_v = mean(self._cum_v)
+        return mean_i, mean(self._cum_i2) if squares else None, mean_v
 
     def integral_power(self, t0, t1):
         return self._integral(self._cum_p, t0, t1)

@@ -1,6 +1,7 @@
 """Programmable load model, sweep pairing and curve fitting."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,22 @@ class TestApplyCalibration:
         with pytest.warns(ExtrapolationWarning):
             value = apply_current(curve, 1.0)
         assert value == pytest.approx(1.0 / 0.9956)
+
+    @pytest.mark.parametrize("curve", [
+        CalibrationCurve("linear", 0.9956, current_max_a=0.8),
+        CalibrationCurve("quadratic", 0.982, 0.0074, current_max_a=0.8),
+    ], ids=["linear", "quadratic"])
+    def test_extrapolation_range_edges(self, curve):
+        top = curve.output_max_a
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            empty = apply_current(curve, np.empty(0))
+            apply_current(curve, np.array([-1e-12, 0.0, top * (1 + 1e-9)]))
+            apply_current(curve, np.array([np.nan, 0.1]))
+        assert empty.shape == (0,)
+        for outside in (-2e-12, top * (1 + 2e-9)):
+            with pytest.warns(ExtrapolationWarning):
+                apply_current(curve, np.array([0.1, outside, 0.2]))
 
     def test_curve_file_round_trip(self):
         curve = CalibrationCurve("quadratic", 0.982, 0.0074, 0.027,

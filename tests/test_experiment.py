@@ -15,11 +15,12 @@ from emeter.bus_timing import (
     TIMESTAMP_CALL_US,
     sample_period_us,
 )
-from emeter.calibration import CalibrationCurve
+from emeter.calibration import CalibrationCurve, apply_current
 from emeter.experiment import (
     PipelineOptions,
     calibrate,
     pick_pga_divider,
+    quantize,
     run_experiment,
     run_pipeline,
     schedule,
@@ -29,11 +30,27 @@ from emeter.sampler import (
     FLAG_POWER_SAVE,
     FLAG_WARMUP,
     TriggerSpec,
+    naive_energy,
     run_measurement,
 )
-from emeter.sensor import IDEAL_BOARD, SensorConfig, SimulatedBus, SimulatedSensor
+from emeter.sensor import (
+    BREAKOUT_BOARD,
+    IDEAL_BOARD,
+    SHIELD_BOARD,
+    SensorConfig,
+    SimulatedBus,
+    SimulatedSensor,
+    quantize_bus_array,
+    quantize_shunt_array,
+)
 from emeter.tracefile import decode_trace
-from emeter.workloads import LoadProfile, constant_profile, exact_energy, generate_profile
+from emeter.workloads import (
+    PRESETS,
+    LoadProfile,
+    constant_profile,
+    exact_energy,
+    generate_profile,
+)
 
 
 class TestDividerSelection:
@@ -155,6 +172,21 @@ class TestPipelineSemantics:
         without = run_experiment("rpi3", 1, PipelineOptions(), duration=2.0)
         assert with_modes.energy_hybrid_j is not None
         assert without.energy_hybrid_j is None
+
+    @pytest.mark.parametrize("bits", [12, 9])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_naive_energy_skipped_only_without_sleep(self, preset, bits):
+        # a trace with no power-save interval has no power-save flag, so
+        # run_pipeline reuses the gated energy as the naive one
+        result = run_experiment(preset, 1, PipelineOptions(resolution_bits=bits, seed=3),
+                                duration=2.0)
+        assert result.energy_naive_j == naive_energy(result.trace)
+        if result.trace.intervals:
+            assert preset == "cc2650"
+            assert result.energy_naive_j != result.energy_gated_j
+        else:
+            assert preset != "cc2650"
+            assert result.energy_naive_j == result.energy_gated_j
 
 
 class TestPipelineExact:
@@ -310,6 +342,61 @@ class TestStages:
         current, bus_v = np.array([0.1, 0.2]), np.array([5.0, 4.9])
         out_i, out_v = calibrate(None, current, bus_v)
         assert out_i is current and out_v is bus_v
+
+
+def assert_inputs_unchanged(stage, *inputs):
+    """Call ``stage(*inputs)`` and check that no input array changed."""
+    before = [np.array(a, copy=True) for a in inputs]
+    stage(*inputs)
+    for k, (now, then) in enumerate(zip(inputs, before)):
+        assert np.asarray(now).tobytes() == then.tobytes(), f"input {k} was written"
+
+
+class TestStagesLeaveInputs:
+    """Stages work in place only on arrays they allocated themselves."""
+
+    CONFIG = SensorConfig(resolution_bits=9)
+    # negative, in range and over full scale on both channels
+    CURRENT = np.linspace(-0.05, 0.5, 257)
+    BUS_V = np.linspace(-1.0, 18.0, 257)
+
+    def test_schedule_outputs_are_separate(self):
+        _, end_s, ts, _ = schedule(BCM_PROFILE, 2500, self.CONFIG,
+                                   TriggerSpec.duration(0.05), 10**9)
+        # the timestamps are the window ends shifted in place after end_s
+        assert not np.shares_memory(end_s, ts)
+
+    @pytest.mark.parametrize("squares", [False, True])
+    def test_window_means(self, squares):
+        profile = generate_profile("rpi3", 1, seed=1, duration=0.5)
+        end_s = np.linspace(0.01, 0.5, 300)
+        assert_inputs_unchanged(
+            lambda end, *_: profile.window_means(end, 0.001, squares), end_s,
+            profile.edges, profile._cum_i, profile._cum_v, profile._cum_p, profile._cum_i2)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    @pytest.mark.parametrize("board", [SHIELD_BOARD, BREAKOUT_BOARD], ids=lambda b: b.name)
+    def test_sense(self, board, noise):
+        options = PipelineOptions(noise_current_a=noise, noise_voltage_v=noise)
+        squares = board.current_quad != 0.0
+        assert_inputs_unchanged(
+            lambda i, i2, v: sense(options, board, i, i2 if squares else None, v),
+            self.CURRENT, self.CURRENT ** 2, self.BUS_V)
+
+    def test_quantize(self):
+        assert_inputs_unchanged(lambda i, v: quantize(i, v, self.CONFIG),
+                                self.CURRENT, self.BUS_V)
+        assert_inputs_unchanged(lambda i: quantize_shunt_array(i, self.CONFIG), self.CURRENT)
+        assert_inputs_unchanged(lambda v: quantize_bus_array(v, self.CONFIG), self.BUS_V)
+
+    @pytest.mark.parametrize("curve", [
+        CalibrationCurve("linear", 0.9956, voltage_offset=0.027, current_max_a=0.8),
+        CalibrationCurve("quadratic", 0.982, 0.0074, 0.097, current_max_a=0.8),
+    ], ids=["linear", "quadratic"])
+    def test_calibrate(self, curve):
+        current = np.linspace(0.0, 0.5, 257)
+        assert_inputs_unchanged(lambda i, v: calibrate(curve, i, v), current, self.BUS_V)
+        assert_inputs_unchanged(lambda i: apply_current(curve, i), current)
 
 
 def test_traced_layers_fire(tmp_path, monkeypatch):

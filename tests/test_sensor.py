@@ -154,14 +154,16 @@ class TestScalarArrayQuantizers:
     def test_element_by_element(self, config, data):
         amps_unit = 1.0 / (config.shunt_counts_per_volt * config.shunt_resistance)
         amps = data.draw(inputs(amps_unit, config.max_count))
-        counts, saturated = quantize_shunt_array(np.array(amps), config)
-        assert counts.tolist() == [quantize_shunt(a, config) for a in amps]
+        current, saturated = quantize_shunt_array(np.array(amps), config)
+        assert current.tolist() == [dequantize_shunt(quantize_shunt(a, config), config)
+                                    for a in amps]
         assert saturated.tolist() == [shunt_saturates(a, config) for a in amps]
 
         volts = data.draw(inputs(config.bus_range / config.max_count,
                                  config.max_count))
-        counts, saturated = quantize_bus_array(np.array(volts), config)
-        assert counts.tolist() == [quantize_bus(v, config) for v in volts]
+        bus_v, saturated = quantize_bus_array(np.array(volts), config)
+        assert bus_v.tolist() == [dequantize_bus(quantize_bus(v, config), config)
+                                  for v in volts]
         assert saturated.tolist() == [bus_saturates(v, config) for v in volts]
 
     @pytest.mark.parametrize(
