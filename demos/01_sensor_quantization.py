@@ -1,7 +1,8 @@
 """Walk through the monitor's quantization and register behavior.
 
 The chip digitizes the shunt voltage drop (current channel) and the bus
-voltage.  This script prints the effective step sizes, shows a few
+voltage into two read-only registers, under a configuration fixed when the
+sensor is built.  This script prints the effective step sizes, shows a few
 quantization round trips, and pokes the simulated register file.
 """
 
@@ -29,21 +30,22 @@ print("conversion time: %.0f us (12 bit, 5V supply)" % conversion_time_us(cfg))
 print()
 
 for amps in (0.0, 10e-3, 137.4e-3, 399.9e-3):
-    code = quantize_shunt(amps, cfg)
+    code, saturated = quantize_shunt(amps, cfg)
     back = dequantize_shunt(code, cfg)
     print(f"{amps * 1e3:8.2f} mA -> code {code:5d} -> {back * 1e3:8.3f} mA "
-          f"(error {abs(back - amps) * 1e6:6.1f} uA)")
+          f"(error {abs(back - amps) * 1e6:6.1f} uA, saturated {saturated})")
 print()
 
-print("bus 5.000 V -> count", quantize_bus(5.0, cfg))
-print("bus 16.00 V -> count", quantize_bus(16.0, cfg), "(full scale)")
+print("bus 5.000 V -> (count, saturated)", quantize_bus(5.0, cfg))
+print("bus 16.00 V -> (count, saturated)", quantize_bus(16.0, cfg), "(full scale)")
 print()
 
 # out-of-range current clamps at full scale instead of wrapping
 hot = SensorConfig(pga_divider=1)
-print("450mA at divider 1 ->", quantize_shunt(0.45, hot),
+print("450mA at divider 1 -> (count, saturated)", quantize_shunt(0.45, hot),
       "(clamped to", hot.max_count, "counts)")
-print("same at divider 2  ->", quantize_shunt(0.45, SensorConfig(pga_divider=2)))
+print("same at divider 2  -> (count, saturated)",
+      quantize_shunt(0.45, SensorConfig(pga_divider=2)))
 print()
 
 # drive the register file: conversions latch window averages and set the

@@ -345,9 +345,10 @@ def simulate_overhead_power(model: OverheadModel) -> float:
     n_samples = n_buffers * model.buffer_samples
     period_ns = 1e9 / model.sample_rate_sps
     push_ns = (np.arange(1, n_samples + 1) * period_ns).astype(np.int64)
+    # persist writes SAMPLE_BITS per record: give each the model's write time
     stats = persist(io.BytesIO(), TraceHeader(), np.zeros(n_samples, dtype=RECORD),
                     push_ns, BufferPolicy("two_buffer", model.buffer_samples),
-                    model.write_speed_bps)
+                    model.write_speed_bps * SAMPLE_BITS / model.sample_bits)
     horizon_ns = n_samples * period_ns
     write_dur_ns = model.buffer_samples * model.sample_bits * 1e9 / model.write_speed_bps
     busy_ns = 0.0

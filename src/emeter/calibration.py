@@ -77,14 +77,13 @@ _DEFAULT_R_MAX, _DEFAULT_R_WIPER = fit_pot_constants()
 
 @dataclass(frozen=True)
 class PotentiometerModel:
-    n_bits: int = POT_BITS
     r_max: float = _DEFAULT_R_MAX
     r_wiper: float = _DEFAULT_R_WIPER
     v_in: float = POT_V_IN
 
     @property
     def code_count(self) -> int:
-        return 2 ** self.n_bits
+        return 2 ** POT_BITS
 
     @property
     def max_current(self) -> float:

@@ -22,6 +22,7 @@ from contextlib import nullcontext, suppress
 
 from emeter import analysis
 from emeter.buffering import (
+    SAMPLE_BITS,
     BufferPolicy,
     OverheadModel,
     overhead_energy_closed,
@@ -125,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="watts while buffering and writing")
     p.add_argument("--write-speed", type=float, required=True, help="bits/s")
     p.add_argument("--rate", type=float, required=True, help="samples/s")
-    p.add_argument("--sample-bits", type=int, default=128)
+    p.add_argument("--sample-bits", type=int, default=SAMPLE_BITS)
     p.add_argument("--buffer-samples", type=int, default=1024)
 
     p = sub.add_parser("export-csv", help="binary trace to CSV")

@@ -235,9 +235,9 @@ def compute_energy(prev: Sample, new: Sample) -> float:
 class EnergyAccumulator:
     """Streaming trapezoid accumulator; uncountable samples break the chain."""
 
-    energy: float = 0.0
-    prev_sample: Optional[Sample] = None
-    _prev_countable: bool = field(default=False, repr=False)
+    energy: float = field(default=0.0, init=False)
+    prev_sample: Optional[Sample] = field(default=None, init=False)
+    _prev_countable: bool = field(default=False, init=False, repr=False)
 
     def add(self, sample: Sample, countable: bool = True) -> float:
         increment = 0.0
@@ -446,11 +446,12 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
 
     ``bus`` is a :class:`~emeter.sensor.SimulatedBus`: the loop reads
     registers through its ``read_register`` and, before each read, advances
-    its ``sensor`` against the load with ``sensor.step``.  ``load`` maps a
-    nanosecond timestamp to an ``(amperes, volts)`` pair.  The loop polls
-    the bus-voltage register until the ready flag is set, reads the shunt
-    register and timestamps the pair.  The sensor is never power-cycled:
-    readings outside the trigger window are simply discarded.
+    its ``sensor`` against the load with ``sensor.step``.  ``config`` must
+    equal the sensor's own, which quantized the counts the loop reads back.
+    ``load`` maps a nanosecond timestamp to an ``(amperes, volts)`` pair.
+    The loop polls the bus-voltage register until the ready flag is set,
+    reads the shunt register and timestamps the pair.  The sensor is never
+    power-cycled: readings outside the trigger window are simply discarded.
     ``intervals`` are the device's announced ``(start_ns, end_ns,
     mode_index)`` power-save spans, as :func:`build_trace` takes them; an
     empty or overlapping one fails before the first register read.  The
@@ -464,6 +465,9 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
     :func:`~emeter.bus_timing.read_delay`); the loop draws them in blocks
     and leaves ``rng`` in the state one draw per read would have left.
     """
+    if config != bus.sensor.config:
+        raise ValueError(f"config {config} differs from the sensor's "
+                         f"{bus.sensor.config}, which quantizes the readings")
     validate_operating_point(driver, speed_khz, config.supply_voltage)
     start_ns = trigger.start_ns
     limit_ns = trigger.stop_ns if trigger.stop_ns is not None else horizon_ns

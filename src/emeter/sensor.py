@@ -11,14 +11,12 @@ range, about 4mV per count at 12 bit.
 Register map (frozen for golden tests; bit positions beyond the ready flag
 are fixed by this package, not by any one silicon revision):
 
-    0x00  CONFIG        [13] bus range (0=16V, 1=32V)
-                        [12:11] PGA divider (00=/1 01=/2 10=/4 11=/8)
-                        [10:7] bus ADC resolution code (0b0000=9b, 0b0011=12b)
-                        [6:3]  shunt ADC resolution code (same encoding)
-                        [2:0]  mode (0b111 = continuous shunt+bus)
     0x01  SHUNT_VOLTAGE signed 16-bit count, two's complement
     0x02  BUS_VOLTAGE   [15:3] unsigned count, [1] conversion ready (CNVR),
                         [0] overflow (OVF)
+
+The configuration (divider, resolution, bus range, supply) is fixed when a
+:class:`SimulatedSensor` is built, and so is its conversion window.
 
 The conversion-ready bit is set when a conversion completes and cleared by
 reading the bus-voltage register.  The ADC is modeled as an ideal averager:
@@ -33,11 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
-REG_CONFIG = 0x00
 REG_SHUNT_VOLTAGE = 0x01
 REG_BUS_VOLTAGE = 0x02
 
@@ -46,9 +42,6 @@ VALID_PGA_DIVIDERS = (1, 2, 4, 8)
 VALID_RESOLUTIONS = (9, 12)
 VALID_BUS_RANGES = (16.0, 32.0)
 VALID_SUPPLIES = (3.3, 5.0)
-
-_PGA_BITS = {1: 0b00, 2: 0b01, 4: 0b10, 8: 0b11}
-_ADC_BITS = {9: 0b0000, 12: 0b0011}
 
 _CNVR_BIT = 0x2
 _OVF_BIT = 0x1
@@ -90,11 +83,6 @@ class SensorConfig:
     def bus_lsb_volts(self) -> float:
         return self.bus_range / (2 ** self.resolution_bits - 1)
 
-    @property
-    def shunt_full_scale_volts(self) -> float:
-        """Full-scale shunt voltage for the configured divider (40..320mV)."""
-        return SHUNT_FULL_SCALE_V * self.pga_divider
-
     # cached: the chip model's scalar quantizers read these on every conversion
     @cached_property
     def max_count(self) -> int:
@@ -111,56 +99,24 @@ class SensorConfig:
         return self.shunt_counts_per_volt * self.shunt_resistance
 
 
-def encode_config(config: SensorConfig) -> int:
-    """Pack a SensorConfig into the 16-bit CONFIG register word."""
-    word = 0
-    if config.bus_range == 32.0:
-        word |= 1 << 13
-    word |= _PGA_BITS[config.pga_divider] << 11
-    word |= _ADC_BITS[config.resolution_bits] << 7
-    word |= _ADC_BITS[config.resolution_bits] << 3
-    word |= 0b111
-    return word
-
-
-def decode_config(word: int, shunt_resistance: float = 0.1,
-                  supply_voltage: float = 5.0) -> SensorConfig:
-    """Inverse of :func:`encode_config` (shunt value and supply are physical,
-    not register-held, so they must be supplied)."""
-    bus_range = 32.0 if word & (1 << 13) else 16.0
-    pga = {v: k for k, v in _PGA_BITS.items()}[(word >> 11) & 0b11]
-    res = {v: k for k, v in _ADC_BITS.items()}[(word >> 7) & 0b1111]
-    return SensorConfig(shunt_resistance=shunt_resistance, pga_divider=pga,
-                        resolution_bits=res, bus_range=bus_range,
-                        supply_voltage=supply_voltage)
-
-
 # --------------------------------------------------------------------------
 # Quantization
 # --------------------------------------------------------------------------
 
 # The scalar forms serve the chip model's per-conversion latch, the array
 # forms the vectorized pipeline, which reads the registers back at once; both
-# evaluate the same expressions in the same order, so they agree bit for bit.
+# evaluate the same expressions in the same order, so they agree bit for bit,
+# and both return the reading with whether the full-scale clamp moved it.
 # The array forms work in place on the arrays they allocate: at 9 bit a 30 s
 # run is ~143k readings, and every fresh full-length array is 1.1 MB.
 
-def quantize_shunt(current_a: float, config: SensorConfig) -> int:
-    """Current -> signed shunt register count.
-
-    floor(current * R / (lsb * divider)), clamped to the signed full-scale
-    count.  Use :func:`shunt_saturates` to detect clamping.
-    """
+def quantize_shunt(current_a: float, config: SensorConfig) -> tuple[int, bool]:
+    """Current -> (signed shunt register count, saturated): floor(current *
+    R / (lsb * divider)), clamped to the signed full-scale count."""
     raw = math.floor(current_a * config.shunt_resistance
                      * config.shunt_counts_per_volt)
-    return max(-config.max_count, min(config.max_count, raw))
-
-
-def shunt_saturates(current_a: float, config: SensorConfig) -> bool:
-    """True when the current clamps at +-full scale for this divider."""
-    raw = math.floor(current_a * config.shunt_resistance
-                     * config.shunt_counts_per_volt)
-    return raw > config.max_count or raw < -config.max_count
+    count = max(-config.max_count, min(config.max_count, raw))
+    return count, count != raw
 
 
 def quantize_shunt_array(current_a: np.ndarray, config: SensorConfig):
@@ -180,15 +136,11 @@ def dequantize_shunt(count, config: SensorConfig):
     return count / config.shunt_counts_per_amp
 
 
-def quantize_bus(voltage_v: float, config: SensorConfig) -> int:
-    """Bus voltage -> register count; clamped to [0, full scale]."""
+def quantize_bus(voltage_v: float, config: SensorConfig) -> tuple[int, bool]:
+    """Bus voltage -> (register count clamped to [0, full scale], saturated)."""
     raw = math.floor(voltage_v * config.max_count / config.bus_range)
-    return max(0, min(config.max_count, raw))
-
-
-def bus_saturates(voltage_v: float, config: SensorConfig) -> bool:
-    raw = math.floor(voltage_v * config.max_count / config.bus_range)
-    return raw > config.max_count or raw < 0
+    count = max(0, min(config.max_count, raw))
+    return count, count != raw
 
 
 def quantize_bus_array(voltage_v: np.ndarray, config: SensorConfig):
@@ -251,11 +203,9 @@ class BoardCharacter:
     current_quad: float = 0.0
     voltage_offset: float = 0.0
 
-    def sense_current(self, mean_i: float, mean_i_sq: Optional[float] = None) -> float:
+    def sense_current(self, mean_i: float, mean_i_sq: float | None) -> float:
         if self.current_quad == 0.0:
             return self.current_gain * mean_i
-        if mean_i_sq is None:
-            mean_i_sq = mean_i * mean_i
         return self.current_quad * mean_i_sq + self.current_gain * mean_i
 
     def sense_voltage(self, mean_v: float) -> float:
@@ -287,11 +237,7 @@ class SimulatedSensor:
                  board: BoardCharacter = IDEAL_BOARD):
         self.config = config
         self.board = board
-        self.registers = {
-            REG_CONFIG: encode_config(config),
-            REG_SHUNT_VOLTAGE: 0,
-            REG_BUS_VOLTAGE: 0,
-        }
+        self.registers = {REG_SHUNT_VOLTAGE: 0, REG_BUS_VOLTAGE: 0}
         self.conversions_done = 0
         self._window_ns = int(round(conversion_time_us(config) * 1000.0))
         self._window_start_ns = 0
@@ -337,14 +283,12 @@ class SimulatedSensor:
         sensed_i = self.board.sense_current(mean_i, mean_i2)
         sensed_v = self.board.sense_voltage(mean_v)
 
-        overflow = shunt_saturates(sensed_i, self.config) or \
-            bus_saturates(sensed_v, self.config)
-        shunt_count = quantize_shunt(sensed_i, self.config)
-        bus_count = quantize_bus(sensed_v, self.config)
+        shunt_count, shunt_over = quantize_shunt(sensed_i, self.config)
+        bus_count, bus_over = quantize_bus(sensed_v, self.config)
 
         self.registers[REG_SHUNT_VOLTAGE] = shunt_count & 0xFFFF
         word = (bus_count << 3) | _CNVR_BIT
-        if overflow:
+        if shunt_over or bus_over:
             word |= _OVF_BIT
         self.registers[REG_BUS_VOLTAGE] = word
         self.conversions_done += 1
@@ -358,14 +302,6 @@ class SimulatedSensor:
             self.registers[REG_BUS_VOLTAGE] = value & ~_CNVR_BIT
         return value
 
-    def write_register(self, addr: int, value: int) -> None:
-        if addr != REG_CONFIG:
-            raise ValueError(f"register 0x{addr:02x} is read-only")
-        self.registers[REG_CONFIG] = value & 0xFFFF
-        self.config = decode_config(value, self.config.shunt_resistance,
-                                    self.config.supply_voltage)
-        self._window_ns = int(round(conversion_time_us(self.config) * 1000.0))
-
 
 class SimulatedBus:
     """The register bus, wired straight to a :class:`SimulatedSensor`."""
@@ -375,9 +311,6 @@ class SimulatedBus:
 
     def read_register(self, addr: int) -> int:
         return self.sensor.read_register(addr)
-
-    def write_register(self, addr: int, value: int) -> None:
-        self.sensor.write_register(addr, value)
 
 
 def conversion_ready(bus_word: int) -> bool:

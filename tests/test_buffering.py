@@ -191,8 +191,13 @@ class TestOverheadModel:
         m = model(w=float("inf"))
         assert overhead_energy_closed(m) == overhead_energy_schedule(m) == 1.26
 
-    @pytest.mark.parametrize("l_b", [64, 1024, 65536])
-    def test_event_replay_matches_closed_form(self, l_b):
-        m = model(l_b=l_b)
+    @pytest.mark.parametrize("m", [
+        pytest.param(model(l_b=64), id="64"),
+        pytest.param(model(l_b=1024), id="1024"),
+        pytest.param(model(l_b=65536), id="65536"),
+        # 64-bit records at a rate that 128-bit records could not sustain
+        pytest.param(model(l_s=64, r_s=12000.0), id="ls64-rs12000"),
+    ])
+    def test_event_replay_matches_closed_form(self, m):
         replay = simulate_overhead_power(m)
         assert replay == pytest.approx(overhead_energy_closed(m), rel=0.01)

@@ -87,11 +87,34 @@ def test_every_field_is_read():
     assert unread == []
 
 
+def _init_false(value) -> bool:
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "field"
+            and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in value.keywords))
+
+
+def _defaulted_fields(cls: ast.ClassDef):
+    """(class name, positional index, field name) of every field of a
+    dataclass or NamedTuple that has a default and is an ``__init__``
+    parameter."""
+    init_fields = [stmt for stmt in cls.body
+                   if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                   and not _init_false(stmt.value)]
+    for index, stmt in enumerate(init_fields):
+        if stmt.value is not None:
+            yield cls.name, index, stmt.target.id
+
+
 def _defaulted_parameters():
     """(function name, positional index at a call or None, parameter name)
     of every defaulted parameter of the package's non-dunder functions and
-    ``__init__`` methods; an ``__init__`` goes by its class's name, and a
-    method's index does not count ``self`` or ``cls``."""
+    ``__init__`` methods, and of every defaulted record-class field; an
+    ``__init__`` goes by its class's name, and a method's index does not
+    count ``self`` or ``cls``."""
+    for cls in _package_classes():
+        if _is_record_class(cls):
+            yield from _defaulted_fields(cls)
     for path in sorted((ROOT / "src" / "emeter").glob("*.py")):
         tree = ast.parse(path.read_text())
         owners = {id(f): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
@@ -116,9 +139,10 @@ def _defaulted_parameters():
 
 
 def test_every_default_is_overridden_somewhere():
-    # a parameter default that no call site in the program, its tests, demos
-    # or benchmark ever passes is a settable value with one value in use;
-    # a call is matched by the called name, a class call to its ``__init__``
+    # a parameter or field default that no call site in the program, its
+    # tests, demos or benchmark ever passes is a settable value with one
+    # value in use; a call is matched by the called name, a class call to its
+    # ``__init__`` or its fields
     calls: dict[str, list[ast.Call]] = {}
     for tree in _trees():
         for node in ast.walk(tree):

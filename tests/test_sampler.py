@@ -528,7 +528,9 @@ class TestRunMeasurement:
         result = self.run(TriggerSpec.count(20), load=lambda t: (5e-3, 5.0))
         tr = result.trace
         from emeter.sensor import dequantize_shunt, quantize_shunt
-        expected = dequantize_shunt(quantize_shunt(5e-3, self.CFG), self.CFG)
+        count, saturated = quantize_shunt(5e-3, self.CFG)
+        assert not saturated
+        expected = dequantize_shunt(count, self.CFG)
         assert np.allclose(tr.current[5:], expected)
 
     def test_power_save_flagging(self):
@@ -564,6 +566,18 @@ class TestRunMeasurement:
                             TriggerSpec.duration(1.0), trace_fh=fh, intervals=intervals)
         assert bus.reads == 0
         assert fh.getvalue() == b""
+
+    def test_config_must_equal_the_sensors(self):
+        # the loop would dequantize 9-bit counts with the 12-bit scale
+        bus = CountingBus(SimulatedSensor(SensorConfig(resolution_bits=9)))
+        with pytest.raises(ValueError, match="resolution_bits=12.*resolution_bits=9"):
+            run_measurement(bus, lambda t: (5e-3, 5.0), BCM_PROFILE, 2500, self.CFG,
+                            TriggerSpec.duration(1.0))
+        assert bus.reads == 0
+        # an equal config built apart is the same config
+        result = run_measurement(bus, lambda t: (5e-3, 5.0), BCM_PROFILE, 2500,
+                                 SensorConfig(resolution_bits=9), TriggerSpec.count(20))
+        assert len(result.trace) == 20
 
     def test_writer_gets_every_sample_in_order(self):
         fh = io.BytesIO()

@@ -11,30 +11,24 @@ from emeter.experiment import quantize
 from emeter.sensor import (
     BREAKOUT_BOARD,
     REG_BUS_VOLTAGE,
-    REG_CONFIG,
     REG_SHUNT_VOLTAGE,
     SHIELD_BOARD,
     VALID_BUS_RANGES,
     VALID_PGA_DIVIDERS,
     VALID_RESOLUTIONS,
     SensorConfig,
-    SimulatedBus,
     SimulatedSensor,
     bus_count_from_word,
     bus_overflow,
-    bus_saturates,
     conversion_ready,
     conversion_time_us,
-    decode_config,
     dequantize_bus,
     dequantize_shunt,
-    encode_config,
     quantize_bus,
     quantize_bus_array,
     quantize_shunt,
     quantize_shunt_array,
     shunt_count_from_word,
-    shunt_saturates,
 )
 
 CFG12 = SensorConfig()
@@ -63,64 +57,63 @@ class TestShuntQuantization:
         # 10mA across 0.1 ohm is 1mV; with the exact 40mV/4095 LSB that is
         # floor(1mV / 9.768uV) = 102 counts (the nominal "10uV, 100uA per
         # count" arithmetic would say 100)
-        assert quantize_shunt(10e-3, CFG12) == 102
-        assert quantize_shunt(10e-3, CFG12) == brute_force_shunt_code(10e-3, CFG12)
+        assert quantize_shunt(10e-3, CFG12) == (102, False)
+        assert quantize_shunt(10e-3, CFG12) == (brute_force_shunt_code(10e-3, CFG12), False)
 
     def test_zero_is_zero(self):
-        assert quantize_shunt(0.0, CFG12) == 0
+        assert quantize_shunt(0.0, CFG12) == (0, False)
 
     def test_divider8_against_code_table(self):
         cfg = SensorConfig(pga_divider=8)
         # frozen from the brute-force enumeration of all codes
         assert brute_force_shunt_code(799.95e-3, cfg) == 1023
-        assert quantize_shunt(799.95e-3, cfg) == 1023
+        assert quantize_shunt(799.95e-3, cfg) == (1023, False)
 
     def test_round_trip_within_one_lsb(self):
         rng = np.random.default_rng(7)
         for cfg in (CFG12, CFG9, SensorConfig(pga_divider=4)):
-            full_scale = cfg.shunt_full_scale_volts / cfg.shunt_resistance
+            full_scale = cfg.max_count / cfg.shunt_counts_per_amp
             lsb = cfg.current_lsb_amps * cfg.pga_divider
             for current in rng.uniform(-full_scale, full_scale, 500):
-                code = quantize_shunt(current, cfg)
+                code, saturated = quantize_shunt(current, cfg)
+                assert not saturated
                 back = dequantize_shunt(code, cfg)
                 assert abs(back - current) <= lsb * (1 + 1e-9)
 
     def test_saturation_clamps_and_flags(self):
         cfg = SensorConfig(pga_divider=1)
         over = 0.45  # 45mV across the shunt, beyond the 40mV range
-        assert shunt_saturates(over, cfg)
-        assert quantize_shunt(over, cfg) == cfg.max_count
-        assert shunt_saturates(-over, cfg)
-        assert quantize_shunt(-over, cfg) == -cfg.max_count
+        assert quantize_shunt(over, cfg) == (cfg.max_count, True)
+        assert quantize_shunt(-over, cfg) == (-cfg.max_count, True)
         # exactly at full scale is still in range
-        assert not shunt_saturates(0.4, cfg)
-        assert quantize_shunt(0.4, cfg) == cfg.max_count
+        assert quantize_shunt(0.4, cfg) == (cfg.max_count, False)
 
     def test_full_scale_per_divider(self):
         for divider, mv in ((1, 40), (2, 80), (4, 160), (8, 320)):
             cfg = SensorConfig(pga_divider=divider)
-            assert cfg.shunt_full_scale_volts == pytest.approx(mv * 1e-3)
+            assert cfg.max_count / cfg.shunt_counts_per_volt == pytest.approx(mv * 1e-3)
 
 
 class TestBusQuantization:
     def test_five_volts(self):
         # direct evaluation of the LSB formula: floor(5 * 4095 / 16) = 1279
-        assert quantize_bus(5.0, CFG12) == 1279
+        assert quantize_bus(5.0, CFG12) == (1279, False)
         assert 5.0 - dequantize_bus(1279, CFG12) <= CFG12.bus_lsb_volts
 
     def test_zero_and_full_scale(self):
-        assert quantize_bus(0.0, CFG12) == 0
-        assert quantize_bus(16.0, CFG12) == 4095
+        assert quantize_bus(0.0, CFG12) == (0, False)
+        assert quantize_bus(16.0, CFG12) == (4095, False)
 
     def test_saturation(self):
-        assert bus_saturates(16.2, CFG12)
-        assert quantize_bus(16.2, CFG12) == 4095
-        assert not bus_saturates(16.0, CFG12)
+        assert quantize_bus(16.2, CFG12) == (4095, True)
+        assert quantize_bus(-0.1, CFG12) == (0, True)
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         for volts in rng.uniform(0, 16, 500):
-            back = dequantize_bus(quantize_bus(volts, CFG12), CFG12)
+            count, saturated = quantize_bus(volts, CFG12)
+            assert not saturated
+            back = dequantize_bus(count, CFG12)
             assert abs(back - volts) <= CFG12.bus_lsb_volts * (1 + 1e-9)
 
 
@@ -155,16 +148,16 @@ class TestScalarArrayQuantizers:
         amps_unit = 1.0 / (config.shunt_counts_per_volt * config.shunt_resistance)
         amps = data.draw(inputs(amps_unit, config.max_count))
         current, saturated = quantize_shunt_array(np.array(amps), config)
-        assert current.tolist() == [dequantize_shunt(quantize_shunt(a, config), config)
-                                    for a in amps]
-        assert saturated.tolist() == [shunt_saturates(a, config) for a in amps]
+        assert list(zip(current.tolist(), saturated.tolist())) == [
+            (dequantize_shunt(count, config), over)
+            for count, over in (quantize_shunt(a, config) for a in amps)]
 
         volts = data.draw(inputs(config.bus_range / config.max_count,
                                  config.max_count))
         bus_v, saturated = quantize_bus_array(np.array(volts), config)
-        assert bus_v.tolist() == [dequantize_bus(quantize_bus(v, config), config)
-                                  for v in volts]
-        assert saturated.tolist() == [bus_saturates(v, config) for v in volts]
+        assert list(zip(bus_v.tolist(), saturated.tolist())) == [
+            (dequantize_bus(count, config), over)
+            for count, over in (quantize_bus(v, config) for v in volts)]
 
     @pytest.mark.parametrize(
         "config", ALL_CONFIGS,
@@ -179,12 +172,13 @@ class TestScalarArrayQuantizers:
         n = min(len(amps), len(volts))
         amps, volts = amps[:n], volts[:n]
         current, bus_v, saturated = quantize(np.array(amps), np.array(volts), config)
-        assert current.tolist() == [dequantize_shunt(quantize_shunt(a, config), config)
-                                    for a in amps]
-        assert bus_v.tolist() == [dequantize_bus(quantize_bus(v, config), config)
-                                  for v in volts]
-        assert saturated.tolist() == [shunt_saturates(a, config) or bus_saturates(v, config)
-                                      for a, v in zip(amps, volts)]
+        expected = []
+        for a, v in zip(amps, volts):
+            shunt_count, shunt_over = quantize_shunt(a, config)
+            bus_count, bus_over = quantize_bus(v, config)
+            expected.append((dequantize_shunt(shunt_count, config),
+                             dequantize_bus(bus_count, config), shunt_over or bus_over))
+        assert list(zip(current.tolist(), bus_v.tolist(), saturated.tolist())) == expected
 
 
 class TestConversionTiming:
@@ -203,12 +197,6 @@ class TestConversionTiming:
 
 
 class TestConfigRegister:
-    def test_round_trip(self):
-        for cfg in (CFG12, CFG9, SensorConfig(pga_divider=8, bus_range=32.0)):
-            word = encode_config(cfg)
-            back = decode_config(word, cfg.shunt_resistance, cfg.supply_voltage)
-            assert back == cfg
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SensorConfig(pga_divider=3)
@@ -233,8 +221,9 @@ class TestSimulatedSensor:
         assert conversion_ready(word)
         shunt = shunt_count_from_word(sensor.read_register(REG_SHUNT_VOLTAGE))
         # constant 5mA averages to the quantized constant exactly
-        assert shunt == quantize_shunt(5e-3, CFG12)
-        assert bus_count_from_word(word) == quantize_bus(5.0, CFG12)
+        assert (shunt, False) == quantize_shunt(5e-3, CFG12)
+        assert (bus_count_from_word(word), False) == quantize_bus(5.0, CFG12)
+        assert not bus_overflow(word)
 
     def test_alternating_input_averages_inside_window(self):
         sensor = SimulatedSensor(CFG12)
@@ -245,7 +234,7 @@ class TestSimulatedSensor:
             sensor.step(0.0 if k % 2 == 0 else 100e-3, 5.0, k * w // steps)
         sensor.step(0.0, 5.0, w)
         shunt = shunt_count_from_word(sensor.read_register(REG_SHUNT_VOLTAGE))
-        expected = quantize_shunt(50e-3, CFG12)
+        expected, _ = quantize_shunt(50e-3, CFG12)
         assert abs(shunt - expected) <= 1
 
     def test_time_regression_rejected(self):
@@ -285,20 +274,21 @@ class TestSimulatedSensor:
         shunt = shunt_count_from_word(sensor.read_register(REG_SHUNT_VOLTAGE))
         assert shunt == cfg.max_count  # clamps, never wraps
 
-    def test_bus_backend_interface(self):
+    def test_bus_overflow_sets_ovf_and_clamps_bus_count_only(self):
         sensor = SimulatedSensor(CFG12)
-        bus = SimulatedBus(sensor)
-        assert bus.read_register(REG_CONFIG) == encode_config(CFG12)
-        new_cfg = SensorConfig(resolution_bits=9)
-        bus.write_register(REG_CONFIG, encode_config(new_cfg))
-        assert sensor.config.resolution_bits == 9
-        with pytest.raises(ValueError):
-            bus.write_register(REG_SHUNT_VOLTAGE, 0)
+        w = self.window_ns(sensor)
+        sensor.step(5e-3, 16.5, 0)  # above the 16V bus range
+        sensor.step(5e-3, 16.5, w)
+        word = sensor.read_register(REG_BUS_VOLTAGE)
+        assert bus_overflow(word)
+        assert bus_count_from_word(word) == CFG12.max_count
+        shunt = shunt_count_from_word(sensor.read_register(REG_SHUNT_VOLTAGE))
+        assert (shunt, False) == quantize_shunt(5e-3, CFG12)
 
 
 class TestBoardCharacters:
     def test_shield_gain(self):
-        assert SHIELD_BOARD.sense_current(0.5) == pytest.approx(0.4978)
+        assert SHIELD_BOARD.sense_current(0.5, 0.25) == pytest.approx(0.4978)
         assert SHIELD_BOARD.sense_voltage(5.027) == pytest.approx(5.0)
 
     def test_breakout_quadratic(self):
