@@ -18,10 +18,10 @@ curves, the previous result alive), a 9-bit run takes a median of 260-281
 minor page faults, and took 809 when every arithmetic step allocated a fresh
 array.
 
-The register-level loop in :mod:`emeter.sampler` shares everything after the
-register readings with this path.  It holds the input constant between
-polls, where this path integrates each conversion window exactly; the tests
-cross-check the two on a constant load, where that difference vanishes.
+The polling loop in :mod:`emeter.sampler` shares ``build_trace`` and
+``gated_energy`` with this path and writes no file.  It holds the input
+constant between polls, where this path integrates each window exactly; the
+tests cross-check the two on a constant load, where that difference vanishes.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class PipelineOptions:
     noise_current_a: float = DEFAULT_CURRENT_NOISE_A
     noise_voltage_v: float = DEFAULT_VOLTAGE_NOISE_V
     seed: int = 0
-    buffering: Optional[BufferPolicy] = None
+    buffering: BufferPolicy = DEFAULT_POLICY
     write_speed_bps: float = DEFAULT_WRITE_SPEED_BPS
 
     def named(self, kind: str, table: dict):
@@ -144,7 +144,7 @@ class PipelineResult:
     energy_gated_j: float
     energy_naive_j: float
     energy_hybrid_j: Optional[float]
-    flush_log: str = ""
+    flush_log: str
 
 
 def schedule(driver: DriverProfile, speed_khz: int, config: SensorConfig,
@@ -236,7 +236,7 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
     if trace_fh is not None:
         header = TraceHeader.from_config(config, driver.name, options.speed_khz)
         stats = persist(trace_fh, header, trace_to_records(trace), trace.timestamps_ns,
-                        options.buffering or DEFAULT_POLICY, options.write_speed_bps)
+                        options.buffering, options.write_speed_bps)
         overruns = stats.overruns
         flush_log = "\n".join(f"{ts} flush {n}" for ts, n in stats.flush_log)
 

@@ -433,13 +433,13 @@ _MAX_READINGS = 2_000_000
 class MeasurementResult:
     trace: Trace
     energy_j: float
-    overruns: int
+    overruns: int  # always 0: no file is written; kept for the perfbench digest
     status: str  # 'complete' | 'unterminated'
 
 
 def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
                     config: SensorConfig, trigger: TriggerSpec,
-                    trace_fh=None, intervals: Sequence[tuple[int, int, int]] = (),
+                    intervals: Sequence[tuple[int, int, int]] = (),
                     rng: Optional[np.random.Generator] = None,
                     horizon_ns: Optional[int] = None) -> MeasurementResult:
     """Run the polling sampler against a simulated bus.
@@ -455,15 +455,13 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
     ``intervals`` are the device's announced ``(start_ns, end_ns,
     mode_index)`` power-save spans, as :func:`build_trace` takes them; an
     empty or overlapping one fails before the first register read.  The
-    kept readings go through :func:`build_trace`;
-    with ``trace_fh`` they are persisted there, each handed over at its
-    timestamp, by :func:`~emeter.buffering.persist` under the default
-    two-buffer policy and write speed, and ``overruns`` counts the drops.
-    ``horizon_ns`` bounds the run when the trigger itself never
-    stops (an unterminated edge stream, or a count trigger the load cannot
-    satisfy).  With ``rng`` every read takes a jittered delay (see
-    :func:`~emeter.bus_timing.read_delay`); the loop draws them in blocks
-    and leaves ``rng`` in the state one draw per read would have left.
+    result is the :func:`build_trace` of the kept readings and its
+    :func:`gated_energy`; no file is written.  ``horizon_ns`` bounds the run
+    when the trigger itself never stops (an unterminated edge stream, or a
+    count trigger the load cannot satisfy).  With ``rng`` every read takes a
+    jittered delay (see :func:`~emeter.bus_timing.read_delay`); the loop
+    draws them in blocks and leaves ``rng`` in the state one draw per read
+    would have left.
     """
     if config != bus.sensor.config:
         raise ValueError(f"config {config} differs from the sensor's "
@@ -541,13 +539,5 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
         ts, dequantize_bus(bus_count, config),
         dequantize_shunt(shunt_count, config), overflow, conv_index,
         trigger, limit_ns, intervals)
-    overruns = 0
-    if trace_fh is not None:
-        # tracefile imports this module, and buffering imports tracefile
-        from emeter.buffering import DEFAULT_POLICY, DEFAULT_WRITE_SPEED_BPS, persist
-        from emeter.tracefile import TraceHeader, trace_to_records
-        overruns = persist(trace_fh, TraceHeader.from_config(config, driver.name, speed_khz),
-                           trace_to_records(trace), trace.timestamps_ns,
-                           DEFAULT_POLICY, DEFAULT_WRITE_SPEED_BPS).overruns
     return MeasurementResult(trace=trace, energy_j=gated_energy(trace),
-                             overruns=overruns, status=status)
+                             overruns=0, status=status)

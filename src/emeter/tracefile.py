@@ -221,8 +221,17 @@ def records_to_trace(records) -> Trace:
 
 
 def load_trace(path: str) -> Trace:
-    """The readings of a trace file; its header is :func:`read_trace`'s."""
-    return records_to_trace(read_trace(path)[1])
+    """The readings of a trace file; its header is :func:`read_trace`'s.  A
+    reading out of time order fails naming the file, the record (gap markers
+    counted) and its byte offset."""
+    records = read_trace(path)[1]
+    try:
+        return records_to_trace(records)
+    except ValueError as exc:  # Trace's test, on the same int64 timestamps
+        kept = np.flatnonzero(~is_gap(records))
+        k = int(kept[1 + np.argmax(np.diff(records["t"][kept].astype(np.int64)) <= 0)])
+        raise ValueError(f"{path}: record {k} at byte offset "
+                         f"{HEADER_SIZE + k * RECORD_SIZE}: {exc}") from None
 
 
 _POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)  # 1 .. 10**19

@@ -16,7 +16,7 @@ from emeter.calibration import CalibrationCurve
 from emeter.cli import main
 from emeter.experiment import ExperimentReport, PipelineOptions, run_experiment
 from emeter.sampler import Trace
-from emeter.tracefile import load_trace
+from emeter.tracefile import TraceHeader, TraceRecord, encode_trace, load_trace
 
 
 class TestEcdf:
@@ -359,6 +359,23 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {trace_file}: ")
             assert f"byte offset {size - 16}" in err
+
+    @pytest.mark.parametrize("timestamps,record,offset", [
+        ([10, 20, 20, 30], 2, 96),
+        # the record index counts the gap markers (None) before it
+        ([10, None, None, 20, 20], 4, 128),
+    ])
+    def test_out_of_order_trace_names_file_record_and_offset(self, timestamps, record,
+                                                             offset, tmp_path, capsys):
+        path = tmp_path / "out_of_order.bin"
+        path.write_bytes(encode_trace(TraceHeader(), [
+            TraceRecord.gap(0) if t is None else TraceRecord(t, 5_000_000, 1000)
+            for t in timestamps]))
+        for command in ("ecdf", "voltage-effect"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err == (f"error: {path}: record {record} at byte offset {offset}: "
+                           "trace timestamps must be strictly increasing\n")
 
     def test_invalid_calibration_gain_is_error(self, tmp_path, capsys):
         curve = CalibrationCurve("linear", 0.0)

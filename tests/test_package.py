@@ -34,6 +34,18 @@ def test_every_definition_is_used():
     assert unused == []
 
 
+def test_no_import_inside_a_function():
+    # an import in a function body hides a dependency, often an import cycle,
+    # from the head of its module
+    inside = sorted({f"{path.name}:{node.lineno}"
+                     for path in sorted((ROOT / "src" / "emeter").glob("*.py"))
+                     for func in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     for node in ast.walk(func)
+                     if isinstance(node, (ast.Import, ast.ImportFrom))})
+    assert inside == []
+
+
 # Dead state the program keeps on purpose: name -> why it stays.
 KEPT_STATE = {
     "MeasurementPair.instant_ns":

@@ -1,7 +1,6 @@
 """Sampler loop, trapezoidal accumulation, triggers, hybrid sleep model."""
 
 import hashlib
-import io
 import itertools
 
 import numpy as np
@@ -30,7 +29,6 @@ from emeter.sampler import (
     run_measurement,
 )
 from emeter.sensor import SHIELD_BOARD, SensorConfig, SimulatedBus, SimulatedSensor
-from emeter.tracefile import HEADER_SIZE, TraceHeader, encode_header, trace_to_records
 
 
 def s(ts_ns, volts, amps, flags=0):
@@ -560,12 +558,10 @@ class TestRunMeasurement:
     ])
     def test_bad_intervals_fail_before_any_read(self, intervals, message):
         bus = CountingBus(SimulatedSensor(self.CFG))
-        fh = io.BytesIO()
         with pytest.raises(ValueError, match=message):
             run_measurement(bus, lambda t: (5e-3, 5.0), BCM_PROFILE, 2500, self.CFG,
-                            TriggerSpec.duration(1.0), trace_fh=fh, intervals=intervals)
+                            TriggerSpec.duration(1.0), intervals=intervals)
         assert bus.reads == 0
-        assert fh.getvalue() == b""
 
     def test_config_must_equal_the_sensors(self):
         # the loop would dequantize 9-bit counts with the 12-bit scale
@@ -578,14 +574,6 @@ class TestRunMeasurement:
         result = run_measurement(bus, lambda t: (5e-3, 5.0), BCM_PROFILE, 2500,
                                  SensorConfig(resolution_bits=9), TriggerSpec.count(20))
         assert len(result.trace) == 20
-
-    def test_writer_gets_every_sample_in_order(self):
-        fh = io.BytesIO()
-        result = self.run(TriggerSpec.duration(0.3), trace_fh=fh)
-        assert result.overruns == 0
-        header = TraceHeader.from_config(self.CFG, "bcm", 2500)
-        assert fh.getvalue()[:HEADER_SIZE] == encode_header(header)
-        assert fh.getvalue()[HEADER_SIZE:] == trace_to_records(result.trace).tobytes()
 
 
 def _stepped_load(t_ns):
