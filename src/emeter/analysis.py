@@ -1,10 +1,21 @@
-"""Trace analysis: empirical CDFs and the voltage-neglect comparison."""
+"""Trace analysis: empirical CDFs and the voltage-neglect comparison.
+
+:func:`ecdf` returns the distinct values of a sample in ascending order and,
+for each, the fraction of the sample at or below it; the last fraction is
+exactly 1.  Its steps are those of ``np.unique`` on the sorted sample: a run
+of equal values is one step, valued at the run's first element (so a run of
+``-0.0`` and ``0.0`` keeps whichever sorted first), and all NaNs, which sort
+last, make one step.  :func:`ecdf_csv` prints it as the line
+``current_a,cum_prob`` and one ``%.9g,%.9g`` line per step: nine
+significant digits, exponent notation below 1e-4 and from 1e9 up, and
+``nan``, ``inf`` and ``-0`` spelled as Python spells them.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from emeter.sampler import Trace, _countable_mask, _segment_energy
+from emeter.sampler import Trace, _countable_mask, _steps, _trapezoid
 
 
 def ecdf(values) -> tuple[np.ndarray, np.ndarray]:
@@ -18,17 +29,21 @@ def ecdf(values) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("empty sample set has no ECDF")
     xs = np.sort(values)
     n = len(xs)
-    uniq, first_index = np.unique(xs, return_index=True)
+    first = np.empty(n, dtype=bool)  # first element of each run of equals
+    first[0] = True
+    np.not_equal(xs[1:], xs[:-1], out=first[1:])
+    if np.isnan(xs[-1]):  # NaN != NaN: keep only the first NaN's step
+        first[np.searchsorted(xs, xs[-1], side="left") + 1:] = False
     # probability at a value = fraction of samples <= value
-    counts = np.append(first_index[1:], n)
-    return uniq, counts / n
+    counts = np.append(np.flatnonzero(first)[1:], n)
+    return xs[first], counts / n
 
 
 def ecdf_csv(values) -> str:
+    """The ECDF of ``values`` as CSV text, every row formatted in one call."""
     xs, ps = ecdf(values)
-    lines = ["current_a,cum_prob"]
-    lines += [f"{x:.9g},{p:.9g}" for x, p in zip(xs, ps)]
-    return "\n".join(lines) + "\n"
+    flat = np.column_stack((xs, ps)).ravel().tolist()
+    return "current_a,cum_prob\n" + ("%.9g,%.9g\n" * len(xs)) % tuple(flat)
 
 
 def gnuplot_script(csv_path: str) -> str:
@@ -52,10 +67,11 @@ def voltage_effect(trace: Trace) -> dict:
     if len(trace) == 0:
         raise ValueError("empty trace")
     mask = _countable_mask(trace, exclude_power_save=True)
-    ts = trace.timestamps_ns
     mean_v = float(np.mean(trace.bus_voltage[mask])) if mask.any() else 0.0
-    e_per_sample = _segment_energy(ts, trace.power(), mask)
-    e_mean = _segment_energy(ts, mean_v * trace.current, mask)
+    # the gated trapezoid twice, over steps and pairs computed once
+    steps = _steps(trace.timestamps_ns, mask)
+    e_per_sample = _trapezoid(trace.power(), *steps)
+    e_mean = _trapezoid(mean_v * trace.current, *steps)
     delta = (abs(e_mean - e_per_sample) / e_per_sample * 100.0
              if e_per_sample > 0 else 0.0)
     return {

@@ -203,7 +203,8 @@ class Trace:
         n = len(self.timestamps_ns)
         if not (len(self.bus_voltage) == len(self.current) == len(self.flags) == n):
             raise ValueError("trace column lengths differ")
-        if n > 1 and np.any(np.diff(self.timestamps_ns) <= 0):
+        # compared, not differenced: a difference can overflow int64
+        if np.any(self.timestamps_ns[1:] <= self.timestamps_ns[:-1]):
             raise ValueError("trace timestamps must be strictly increasing")
         #: sorted, disjoint ``(start_ns, end_ns, mode_index)`` power-save intervals
         self.intervals = _sorted_intervals(intervals)
@@ -251,15 +252,25 @@ class EnergyAccumulator:
         return increment
 
 
+def _steps(ts_ns: np.ndarray, countable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid step lengths in seconds, and the mask of steps whose two
+    samples are both countable."""
+    return np.diff(ts_ns) * 1e-9, countable[:-1] & countable[1:]
+
+
+def _trapezoid(power: np.ndarray, dt_s: np.ndarray, both: np.ndarray) -> float:
+    """Sum of the trapezoids of ``power`` over the ``both`` steps."""
+    mids = power[:-1] + power[1:]
+    mids /= 2.0
+    mids *= dt_s
+    return float(np.sum(mids[both]))
+
+
 def _segment_energy(ts_ns: np.ndarray, power: np.ndarray,
                     countable: np.ndarray) -> float:
     if len(ts_ns) < 2:
         return 0.0
-    both = countable[:-1] & countable[1:]
-    mids = power[:-1] + power[1:]
-    mids /= 2.0
-    mids *= np.diff(ts_ns) * 1e-9
-    return float(np.sum(mids[both]))
+    return _trapezoid(power, *_steps(ts_ns, countable))
 
 
 def _countable_mask(trace: Trace, exclude_power_save: bool) -> np.ndarray:

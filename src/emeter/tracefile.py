@@ -25,6 +25,18 @@ The body is a plain ``RECORD`` array, written with ``tobytes`` and read
 with ``np.frombuffer``.  A dropped-buffer gap is recorded in-line as a gap
 marker: a record whose voltage and current fields both hold INT32_MIN.
 Decoders must surface gaps rather than treat them as readings.
+:func:`is_gap` finds them with one compare per record: it views the
+``(uv, ua)`` pair as one 8-byte word and tests it against the marker's
+word, through a view of the same 16-byte record size, so a strided slice
+works too.
+
+:func:`read_trace` is the one reader of trace files, and the one place a
+file's time order is checked: the readings, gap markers left out, must
+have strictly increasing timestamps, as :class:`~emeter.sampler.Trace`
+requires.  A file that breaks this fails naming the file, the record
+(gap markers counted) and its byte offset, ``64 + 16 * k``, so ``export-csv``
+rejects the same files as the commands that build a ``Trace``.  A gap
+marker's own timestamp is not checked.
 
 :func:`export_csv` writes the readings as text: the line
 ``timestamp_ns,bus_mV,current_mA``, then one line per reading with the
@@ -60,17 +72,22 @@ _HEADER = struct.Struct("<4sHBBBBI8sIQ30x")
 assert _HEADER.size == HEADER_SIZE
 
 
-def is_gap(records: np.ndarray) -> np.ndarray:
-    """Mask of the gap markers in a ``RECORD`` array."""
-    return (records["uv"] == GAP_SENTINEL) & (records["ua"] == GAP_SENTINEL)
-
-
 def gap_records(timestamps_ns) -> np.ndarray:
     """Gap markers at the given timestamps, as a ``RECORD`` array."""
     gaps = np.empty(len(timestamps_ns), dtype=RECORD)
     gaps["t"] = timestamps_ns
     gaps["uv"] = gaps["ua"] = GAP_SENTINEL
     return gaps
+
+
+# a record's (uv, ua) fields as one 8-byte word
+_PAIR = np.dtype([("t", "<u8"), ("pair", "<u8")])
+_GAP_PAIR = gap_records([0]).view(_PAIR)["pair"][0]
+
+
+def is_gap(records: np.ndarray) -> np.ndarray:
+    """Mask of the gap markers in a ``RECORD`` array."""
+    return records.view(_PAIR)["pair"] == _GAP_PAIR
 
 
 class TraceRecord(NamedTuple):
@@ -177,13 +194,27 @@ def decode_trace(data: bytes) -> tuple[TraceHeader, list[TraceRecord]]:
 
 
 def read_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
-    """Header and ``RECORD`` array of a trace file; errors name the file."""
+    """Header and ``RECORD`` array of a trace file; errors name the file.
+
+    A reading out of time order fails naming the record (gap markers
+    counted) and its byte offset.  The test is :class:`Trace`'s, on the
+    readings only, so every file read here also loads as a ``Trace``.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return _decode(data)
+        header, records = _decode(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    kept = ~is_gap(records)
+    t = records["t"].view(np.int64)[kept]  # Trace's timestamps, and its test
+    unordered = t[1:] <= t[:-1]
+    if unordered.any():
+        k = int(np.flatnonzero(kept)[1 + np.argmax(unordered)])
+        raise ValueError(f"{path}: record {k} at byte offset "
+                         f"{HEADER_SIZE + k * RECORD_SIZE}: "
+                         "trace timestamps must be strictly increasing")
+    return header, records
 
 
 def trace_to_records(trace: Trace) -> np.ndarray:
@@ -221,17 +252,8 @@ def records_to_trace(records) -> Trace:
 
 
 def load_trace(path: str) -> Trace:
-    """The readings of a trace file; its header is :func:`read_trace`'s.  A
-    reading out of time order fails naming the file, the record (gap markers
-    counted) and its byte offset."""
-    records = read_trace(path)[1]
-    try:
-        return records_to_trace(records)
-    except ValueError as exc:  # Trace's test, on the same int64 timestamps
-        kept = np.flatnonzero(~is_gap(records))
-        k = int(kept[1 + np.argmax(np.diff(records["t"][kept].astype(np.int64)) <= 0)])
-        raise ValueError(f"{path}: record {k} at byte offset "
-                         f"{HEADER_SIZE + k * RECORD_SIZE}: {exc}") from None
+    """The readings of a trace file; its header is :func:`read_trace`'s."""
+    return records_to_trace(read_trace(path)[1])
 
 
 _POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)  # 1 .. 10**19

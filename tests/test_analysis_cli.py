@@ -9,13 +9,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import emeter
+from ecdf_oracle import ecdf_csv_rows, ecdf_unique
 from emeter.analysis import ecdf, ecdf_csv, voltage_effect
 from emeter.calibration import CalibrationCurve
 from emeter.cli import main
 from emeter.experiment import ExperimentReport, PipelineOptions, run_experiment
-from emeter.sampler import Trace
+from emeter.sampler import (
+    FLAG_POWER_SAVE,
+    FLAG_SATURATED,
+    FLAG_WARMUP,
+    Trace,
+    _countable_mask,
+    _segment_energy,
+)
 from emeter.tracefile import TraceHeader, TraceRecord, encode_trace, load_trace
 
 
@@ -52,6 +62,35 @@ class TestEcdf:
         assert len(lines) == 3
 
 
+# a few distinct values per sample, drawn again and again so that runs of
+# equal values are common; the specials cover signed zeros, NaN, infinities,
+# exponent notation below 1e-4 and from 1e9 up, and negatives
+_SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-5, -3.2e-7, 1e-4,
+            0.1, -0.25, 1e9, -1e9, 2.5e12, 5e-324]
+_VALUE = st.one_of(st.sampled_from(_SPECIAL), st.floats(), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _samples(draw):
+    pool = draw(st.lists(_VALUE, min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_samples())
+@example(values=[4e-3])
+@example(values=[0.0, -0.0, 0.0, -0.0, 1e-5])
+@example(values=[np.nan, 1.0, -np.nan, np.nan, np.inf, -np.inf])
+@example(values=[1e9, 3.3e10, -1e9, 7e-5, 7e-5])
+def test_ecdf_equals_unique_oracle(values):
+    xs, ps = ecdf(values)
+    ref_xs, ref_ps = ecdf_unique(values)
+    assert np.array_equal(xs, ref_xs, equal_nan=True)
+    assert np.array_equal(np.signbit(xs), np.signbit(ref_xs))
+    assert np.array_equal(ps, ref_ps)
+    assert ecdf_csv(values) == ecdf_csv_rows(values)
+
+
 class TestVoltageEffect:
     def test_constant_voltage_zero_delta(self):
         ts = (np.arange(1, 100) * 1e7).astype(np.int64)
@@ -74,6 +113,29 @@ class TestVoltageEffect:
         assert result["e_mean_voltage_j"] == pytest.approx(e_mean)
         assert result["delta_percent"] == pytest.approx(
             abs(e_mean - e_per) / e_per * 100)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.integers(1, 10**9), st.floats(0.0, 20.0), st.floats(-0.1, 2.0),
+        st.sampled_from([0, FLAG_WARMUP, FLAG_POWER_SAVE, FLAG_SATURATED,
+                         FLAG_WARMUP | FLAG_POWER_SAVE])), min_size=1, max_size=30))
+    @example(rows=[(5, 3.3, 0.01, 0)])
+    @example(rows=[(5, 3.3, 0.01, 0), (9, 3.2, 0.02, 0)])
+    @example(rows=[(5, 3.3, 0.01, FLAG_WARMUP), (9, 3.2, 0.02, FLAG_POWER_SAVE)])
+    def test_equals_two_segment_energies(self, rows):
+        steps, v, i, flags = map(np.array, zip(*rows))
+        trace = Trace(np.cumsum(steps), v, i, flags)
+        mask = _countable_mask(trace, exclude_power_save=True)
+        mean_v = float(np.mean(v[mask])) if mask.any() else 0.0
+        ts = trace.timestamps_ns
+        result = voltage_effect(trace)
+        assert (result["e_per_sample_j"], result["e_mean_voltage_j"],
+                result["mean_voltage_v"]) == (_segment_energy(ts, v * i, mask),
+                                              _segment_energy(ts, mean_v * i, mask), mean_v)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty trace"):
+            voltage_effect(Trace([], [], [], []))
 
     def test_battery_wifi_delta_in_band(self):
         result = run_experiment("cyw43907", 1, PipelineOptions(seed=0),
@@ -371,11 +433,13 @@ class TestCli:
         path.write_bytes(encode_trace(TraceHeader(), [
             TraceRecord.gap(0) if t is None else TraceRecord(t, 5_000_000, 1000)
             for t in timestamps]))
-        for command in ("ecdf", "voltage-effect"):
+        for command in ("export-csv", "ecdf", "voltage-effect"):
             assert main([command, str(path)]) == 2
-            err = capsys.readouterr().err
-            assert err == (f"error: {path}: record {record} at byte offset {offset}: "
-                           "trace timestamps must be strictly increasing\n")
+            captured = capsys.readouterr()
+            assert captured.err == (f"error: {path}: record {record} at byte offset "
+                                    f"{offset}: trace timestamps must be strictly "
+                                    "increasing\n")
+            assert captured.out == ""
 
     def test_invalid_calibration_gain_is_error(self, tmp_path, capsys):
         curve = CalibrationCurve("linear", 0.0)
@@ -396,3 +460,25 @@ class TestCli:
                      "--out", str(path)])
         assert code == 0
         assert len(load_trace(str(path))) > 900
+
+
+def test_traced_replay_layers_fire(trace_file, tmp_path, monkeypatch):
+    # the replay counterpart of test_experiment's test_traced_layers_fire:
+    # perfbench's trace_replay layers read 0 if the CLI stops calling these
+    # names through their modules
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import spans
+
+    tracer = spans.Tracer()
+    tracer.begin_op(0)
+    spans.install(tracer)
+    try:
+        for argv in (["export-csv", trace_file],
+                     ["ecdf", trace_file, "--out", str(tmp_path / "e.csv")],
+                     ["voltage-effect", trace_file]):
+            assert emeter.cli.main(argv) == 0  # as perfbench calls it
+    finally:
+        tracer.unpatch_all()
+    assert {span[3] for span in tracer.spans} >= {
+        "cli.main", "tracefile.to_trace", "tracefile.csv", "analysis.ecdf",
+        "analysis.voltage_effect"}

@@ -117,6 +117,12 @@ class TestTraceEnergies:
         with pytest.raises(ValueError):
             Trace([0, 0], [1, 1], [1, 1], [0, 0])
 
+    def test_order_test_does_not_overflow(self):
+        # both differences overflow int64: the first pair rises, the second falls
+        assert len(Trace([-2**63, 2**63 - 1], [1, 1], [1, 1], [0, 0])) == 2
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trace([2**62 + 1, -2**62 - 1], [1, 1], [1, 1], [0, 0])
+
     @settings(max_examples=300, deadline=None)
     @given(spans=st.lists(st.tuples(st.integers(0, 12), st.integers(-1, 4),
                                     st.sampled_from([0, 1])), max_size=6))

@@ -23,6 +23,7 @@ from emeter.tracefile import (
     encode_record,
     encode_trace,
     export_csv,
+    is_gap,
     read_trace,
     records_to_trace,
     trace_to_records,
@@ -170,6 +171,50 @@ class TestReadTrace:
         with pytest.raises(ValueError, match=str(path)):
             read_trace(str(path))
 
+    def test_out_of_order_reading_names_file_record_and_offset(self, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(encode_trace(TraceHeader(), [
+            TraceRecord(10, 1, 1), TraceRecord.gap(5), TraceRecord(30, 1, 1),
+            TraceRecord(30, 1, 1)]))
+        offset = HEADER_SIZE + 3 * RECORD_SIZE
+        with pytest.raises(ValueError, match=f"^{path}: record 3 at byte offset {offset}: "
+                                             "trace timestamps must be strictly increasing$"):
+            read_trace(str(path))
+
+    def test_gap_marker_times_are_not_checked(self, tmp_path):
+        # only readings must be in time order; a gap marker carries the time
+        # of the dropped span, which the check leaves alone
+        records = [TraceRecord(10, 1, 1), TraceRecord.gap(50), TraceRecord.gap(50),
+                   TraceRecord(20, 1, 1)]
+        path = tmp_path / "t.bin"
+        path.write_bytes(encode_trace(TraceHeader(), records))
+        assert read_trace(str(path))[1].tolist() == records
+
+
+_GAP_OR_READING = st.one_of(
+    st.none(),
+    # timestamps from 2**63 up are negative as Trace's int64 timestamps
+    st.integers(0, 40), st.sampled_from([2**63 - 1, 2**63, 2**64 - 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(times=st.lists(_GAP_OR_READING, max_size=12))
+def test_read_trace_accepts_what_trace_accepts(tmp_path_factory, times):
+    # None is a gap marker at time 0; every file read_trace accepts must
+    # also build a Trace, so no reader meets an order error without a file
+    path = tmp_path_factory.mktemp("order") / "t.bin"
+    path.write_bytes(encode_trace(TraceHeader(), [
+        TraceRecord.gap(0) if t is None else TraceRecord(t, 1, 1) for t in times]))
+    readings = [t for t in times if t is not None]
+    try:
+        Trace(np.array(readings, dtype=np.uint64), np.ones(len(readings)),
+              np.ones(len(readings)), np.zeros(len(readings)))
+    except ValueError:
+        with pytest.raises(ValueError, match=f"^{path}: record "):
+            read_trace(str(path))
+    else:
+        assert len(records_to_trace(read_trace(str(path))[1])) == len(readings)
+
 
 class TestCsvExport:
     def test_format(self):
@@ -234,3 +279,14 @@ def test_export_csv_equals_per_row_oracle(rows):
     batched, per_row = io.StringIO(), io.StringIO()
     assert export_csv(batched, records) == export_csv_rows(per_row, records)
     assert batched.getvalue() == per_row.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_ROW, max_size=40))
+def test_is_gap_equals_two_field_test(rows):
+    # half-gap rows (one field at the sentinel) come from _ROW; the slices
+    # are strided views of the record array
+    records = np.array(rows, dtype=RECORD)
+    for view in (records, records[::2], records[1::3], records[::-1]):
+        expected = (view["uv"] == GAP_SENTINEL) & (view["ua"] == GAP_SENTINEL)
+        assert np.array_equal(is_gap(view), expected)
