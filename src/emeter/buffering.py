@@ -8,9 +8,15 @@ the consumer individually under mutual exclusion.  Both modes produce
 byte-identical files for the same sample stream as long as the consumer
 keeps up.
 
-:func:`persist` is the one persistence stage: it replays either mechanism
-over a whole ``RECORD`` array and its push times, writes the file and
-returns the counters as :class:`PersistStats`.
+A mechanism is a schedule over push times: from the push times, the
+capacity and the write speed alone it decides which entries are dropped,
+and returns that mask, the overrun count, the gap markers (as the number of
+kept entries before each marker, and its time) and the flush log.  It never
+sees a record, so two record arrays with the same push times drop the same
+entries.  :func:`persist` is the one persistence stage and the one
+assembler of a trace body: it runs the mechanism of a policy, lays the kept
+records and the gap markers out in file order, writes the file and returns
+the counters as :class:`PersistStats`.
 
 File writing takes simulated time (``write_speed_bps``); when the consumer
 falls behind, data is dropped loudly -- a whole buffer in two-buffer mode,
@@ -47,7 +53,6 @@ The two forms are algebraically identical (the buffer size cancels).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -59,7 +64,6 @@ from emeter.tracefile import (
     TraceHeader,
     encode_header,
     gap_records,
-    is_gap,
 )
 
 SAMPLE_BITS = RECORD_SIZE * 8  # 128 bits per entry
@@ -98,7 +102,13 @@ def persist(fh: BinaryIO, header: TraceHeader, records, push_ns,
             policy: BufferPolicy, write_speed_bps: float) -> PersistStats:
     """Write ``header`` and the ``RECORD`` array ``records`` (readings, no
     gap markers) to ``fh`` as the buffered consumer would, entry k handed
-    over at the non-decreasing time ``push_ns[k]``."""
+    over at the non-decreasing time ``push_ns[k]``.
+
+    The k-th gap marker goes k rows after the number of kept entries before
+    it, and the kept entries fill the rest in order.  Rows move whole
+    through a ``V16`` view, which copies 16 bytes at a time where the
+    structured ``RECORD`` dtype copies field by field.
+    """
     if not write_speed_bps > 0:
         raise ValueError(f"write speed must be positive, got {write_speed_bps!r}")
     records = np.asarray(records, dtype=RECORD)
@@ -108,78 +118,67 @@ def persist(fh: BinaryIO, header: TraceHeader, records, push_ns,
     if len(push_ns) and (push_ns[0] < 0 or np.any(np.diff(push_ns) < 0)):
         raise ValueError("time must not regress")
     mechanism = _two_buffer if policy.kind == "two_buffer" else _circular
-    body, overruns, dropped, flush_log = mechanism(records, push_ns, policy.capacity,
-                                                   write_speed_bps)
+    dropped, overruns, marker_at, marker_ns, flush_log = mechanism(
+        push_ns, policy.capacity, write_speed_bps)
+    kept = ~dropped
+    at = marker_at + np.arange(len(marker_at))
+    body = np.empty(len(records) + len(at) - int(np.count_nonzero(dropped)), dtype=RECORD)
+    slot = np.ones(len(body), dtype=bool)
+    slot[at] = False
+    rows = body.view("V16")
+    rows[slot] = records.view("V16")[kept]
+    rows[at] = gap_records(marker_ns).view("V16")
     fh.write(encode_header(header))
     fh.write(body.tobytes())
-    return PersistStats(overruns, len(records) - dropped, flush_log)
+    return PersistStats(overruns, len(body) - len(at), flush_log)
 
 
-def _two_buffer(records, push_ns, capacity, write_speed_bps):
-    """Body, overruns, dropped entries and flush log when the producer fills
-    one buffer while the consumer flushes the other; an overrun drops one
-    buffer of ``capacity`` entries.
+def _two_buffer(push_ns, capacity, write_speed_bps):
+    """The schedule of a producer that fills one buffer while the consumer
+    flushes the other; an overrun drops one buffer of ``capacity`` entries.
 
     The schedule only moves when a push fills a buffer; a partial last
-    buffer flushes at the last push time.
+    buffer flushes at the last push time.  A dropped buffer hands the gap
+    markers it carried on to the buffer that replaced it, which flushes
+    them ahead of its entries.
     """
-    pieces, flush_log, overruns = [], [], 0
-    pending, pending_done_ns = None, 0
-    n_full = len(records) // capacity * capacity
+    dropped = np.zeros(len(push_ns), dtype=bool)
+    marker_at, marker_ns, flush_log = [], [], []
+    carried = done_ns = 0  # the previous buffer's gap markers and flush end
+    n_full = len(push_ns) // capacity * capacity
     for i in range(0, n_full, capacity):
         t_ns = int(push_ns[i + capacity - 1])
-        if pending is not None and t_ns >= pending_done_ns:
-            pieces.append(pending)
-            pending = None
-        full = records[i:i + capacity]
-        if pending is not None:
-            # both buffers full: drop the oldest unflushed buffer whole, but
-            # keep any gap markers it carried so drops stay visible
-            overruns += 1
-            full = np.concatenate((pending[is_gap(pending)], gap_records([t_ns]), full))
-        flush_log.append((t_ns, len(full)))
-        pending = full
-        pending_done_ns = t_ns + int(round(len(full) * SAMPLE_BITS * 1e9 / write_speed_bps))
-    if pending is not None:
-        pieces.append(pending)
-    if n_full < len(records):
-        flush_log.append((int(push_ns[-1]), len(records) - n_full))
-        pieces.append(records[n_full:])
-    body = np.concatenate(pieces) if pieces else records
-    return body, overruns, overruns * capacity, tuple(flush_log)
+        if t_ns < done_ns:  # both buffers full: drop the unflushed one whole
+            dropped[i - capacity:i] = True
+            carried += 1
+            marker_ns.append(t_ns)
+            marker_at.append(i - len(marker_ns) * capacity)
+        else:
+            carried = 0
+        flush_log.append((t_ns, capacity + carried))
+        done_ns = t_ns + int(round((capacity + carried) * SAMPLE_BITS * 1e9 / write_speed_bps))
+    if n_full < len(push_ns):
+        flush_log.append((int(push_ns[-1]), len(push_ns) - n_full))
+    return (dropped, len(marker_ns), np.array(marker_at, dtype=np.int64),
+            np.array(marker_ns, dtype=np.int64), tuple(flush_log))
 
 
-def _circular(records, push_ns, capacity, write_speed_bps):
-    """Body, overruns, dropped entries (one per overrun) and (no) flush log
-    of a ring whose consumer writes entries oldest first.
+def _circular(push_ns, capacity, write_speed_bps):
+    """The schedule of a ring whose consumer writes entries oldest first; an
+    overrun drops one entry, and there is no flush log.
 
     Each entry takes the consumer ``d`` whole ns from its push or from the
     previous write, whichever is later.  A push that finds ``capacity``
     entries unwritten overwrites the oldest: entry ``j`` survives iff
     ``max(t[j], C) + d <= t[j + capacity]``.  :func:`_overwritten` applies
     that rule in the keep-up and backlog closed forms of the module
-    docstring.  A gap marker at the push time of the next kept entry stands
-    for each run of overwritten entries.
-
-    The body is scattered into place: the k-th marker goes k rows after
-    the number of kept entries before it, and the kept entries fill the
-    rest in order.  Rows move whole through a ``V16`` view, which copies
-    16 bytes at a time where the structured ``RECORD`` dtype copies field
-    by field.
+    docstring.  One gap marker stands for each run of overwritten entries.
     """
     dropped = _overwritten(push_ns, capacity, write_speed_bps)
     kept = ~dropped
     after_drop = kept & np.concatenate(([False], dropped))[:-1]
-    at = np.flatnonzero(after_drop[kept])
-    at += np.arange(len(at))
-    overruns = int(np.count_nonzero(dropped))
-    body = np.empty(len(records) - overruns + len(at), dtype=RECORD)
-    slot = np.ones(len(body), dtype=bool)
-    slot[at] = False
-    rows = body.view("V16")
-    rows[slot] = records.view("V16")[kept]
-    rows[at] = gap_records(push_ns[after_drop]).view("V16")
-    return body, overruns, overruns, ()
+    return (dropped, int(np.count_nonzero(dropped)), np.flatnonzero(after_drop[kept]),
+            push_ns[after_drop], ())
 
 
 #: entries (keep-up) or writes (backlog) a stretch of the ring scan looks
@@ -301,18 +300,22 @@ class OverheadModel:
         return self.buffer_samples * self.sample_bits / self.write_speed_bps
 
 
+def _require_sustained(model: OverheadModel) -> None:
+    if model.write_time_s > model.fill_time_s:
+        raise SustainedOverrunError(
+            "file writes take longer than buffer fills; the two-buffer "
+            "schedule cannot sustain this rate")
+
+
 def overhead_energy_schedule(model: OverheadModel) -> float:
     """Average watts from the explicit fill/flush schedule.
 
     ``p_b * (t_b - t_w)/t_b + p_wb * t_w/t_b``, evaluated as the base power
     plus the write-time-weighted excess so the equal-power case is exact.
     """
+    _require_sustained(model)
     t_b = model.fill_time_s
     t_w = model.write_time_s
-    if t_w > t_b:
-        raise SustainedOverrunError(
-            "file writes take longer than buffer fills; the two-buffer "
-            "schedule cannot sustain this rate")
     return (model.buffer_power_w
             + (model.write_power_w - model.buffer_power_w) * (t_w / t_b))
 
@@ -323,10 +326,7 @@ def overhead_energy_closed(model: OverheadModel) -> float:
     ``(p_b * W + L_s * R_s * (p_wb - p_b)) / W`` rearranged around the base
     power for the same equal-power exactness as the schedule form.
     """
-    if model.write_time_s > model.fill_time_s:
-        raise SustainedOverrunError(
-            "file writes take longer than buffer fills; the two-buffer "
-            "schedule cannot sustain this rate")
+    _require_sustained(model)
     return (model.buffer_power_w
             + model.sample_bits * model.sample_rate_sps
             * (model.write_power_w - model.buffer_power_w) / model.write_speed_bps)
@@ -335,24 +335,24 @@ def overhead_energy_closed(model: OverheadModel) -> float:
 def simulate_overhead_power(model: OverheadModel) -> float:
     """Replay the actual flush schedule and time-weight the two power levels.
 
-    Persists a few hundred two-buffer fills at the model's sample rate with
-    :func:`persist`, then averages ``buffer_power_w`` /
-    ``write_power_w`` over the resulting write-activity intervals.  The
-    cycle count keeps the partial-final-flush edge effect well under a
-    percent without replaying an unbounded number of samples.
+    Runs the two-buffer schedule over a few hundred fills' push times at the
+    model's sample rate (no records: the schedule depends on the push times
+    alone), then averages ``buffer_power_w`` / ``write_power_w`` over the
+    resulting write-activity intervals.  The cycle count keeps the
+    partial-final-flush edge effect well under a percent without replaying
+    an unbounded number of samples.
     """
     n_buffers = max(25, min(400, 2_000_000 // model.buffer_samples))
     n_samples = n_buffers * model.buffer_samples
     period_ns = 1e9 / model.sample_rate_sps
     push_ns = (np.arange(1, n_samples + 1) * period_ns).astype(np.int64)
-    # persist writes SAMPLE_BITS per record: give each the model's write time
-    stats = persist(io.BytesIO(), TraceHeader(), np.zeros(n_samples, dtype=RECORD),
-                    push_ns, BufferPolicy("two_buffer", model.buffer_samples),
-                    model.write_speed_bps * SAMPLE_BITS / model.sample_bits)
+    # the schedule writes SAMPLE_BITS per entry: give each the model's write time
+    *_, flush_log = _two_buffer(push_ns, model.buffer_samples,
+                                model.write_speed_bps * SAMPLE_BITS / model.sample_bits)
     horizon_ns = n_samples * period_ns
     write_dur_ns = model.buffer_samples * model.sample_bits * 1e9 / model.write_speed_bps
     busy_ns = 0.0
-    for ts, n in stats.flush_log:
+    for ts, n in flush_log:
         end = min(ts + write_dur_ns * (n / model.buffer_samples), horizon_ns)
         busy_ns += max(0.0, end - ts)
     frac = busy_ns / horizon_ns
