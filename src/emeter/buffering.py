@@ -10,13 +10,15 @@ keeps up.
 
 A mechanism is a schedule over push times: from the push times, the
 capacity and the write speed alone it decides which entries are dropped,
-and returns that mask, the overrun count, the gap markers (as the number of
-kept entries before each marker, and its time) and the flush log.  It never
-sees a record, so two record arrays with the same push times drop the same
-entries.  :func:`persist` is the one persistence stage and the one
-assembler of a trace body: it runs the mechanism of a policy, lays the kept
-records and the gap markers out in file order, writes the file and returns
-the counters as :class:`PersistStats`.
+and returns that mask, the overrun count, the places of the gap markers (the
+number of kept entries before each) and the flush log.  It never sees a
+record, so two record arrays with the same push times drop the same entries.
+:func:`persist` is the one persistence stage and the one assembler of a
+trace body: it runs the mechanism of a policy, lays the kept records and the
+gap markers out in file order, writes the file and returns the counters as
+:class:`PersistStats`.  A gap marker takes the push time of the kept entry
+that follows it, so it lies between the readings around it in time as well
+as in order.
 
 File writing takes simulated time (``write_speed_bps``); when the consumer
 falls behind, data is dropped loudly -- a whole buffer in two-buffer mode,
@@ -118,16 +120,16 @@ def persist(fh: BinaryIO, header: TraceHeader, records, push_ns,
     if len(push_ns) and (push_ns[0] < 0 or np.any(np.diff(push_ns) < 0)):
         raise ValueError("time must not regress")
     mechanism = _two_buffer if policy.kind == "two_buffer" else _circular
-    dropped, overruns, marker_at, marker_ns, flush_log = mechanism(
-        push_ns, policy.capacity, write_speed_bps)
-    kept = ~dropped
+    dropped, overruns, marker_at, flush_log = mechanism(push_ns, policy.capacity,
+                                                        write_speed_bps)
+    kept = np.flatnonzero(~dropped)
     at = marker_at + np.arange(len(marker_at))
-    body = np.empty(len(records) + len(at) - int(np.count_nonzero(dropped)), dtype=RECORD)
+    body = np.empty(len(kept) + len(at), dtype=RECORD)
     slot = np.ones(len(body), dtype=bool)
     slot[at] = False
     rows = body.view("V16")
     rows[slot] = records.view("V16")[kept]
-    rows[at] = gap_records(marker_ns).view("V16")
+    rows[at] = gap_records(push_ns[kept[marker_at]]).view("V16")
     fh.write(encode_header(header))
     fh.write(body.tobytes())
     return PersistStats(overruns, len(body) - len(at), flush_log)
@@ -143,7 +145,7 @@ def _two_buffer(push_ns, capacity, write_speed_bps):
     them ahead of its entries.
     """
     dropped = np.zeros(len(push_ns), dtype=bool)
-    marker_at, marker_ns, flush_log = [], [], []
+    marker_at, flush_log = [], []
     carried = done_ns = 0  # the previous buffer's gap markers and flush end
     n_full = len(push_ns) // capacity * capacity
     for i in range(0, n_full, capacity):
@@ -151,16 +153,14 @@ def _two_buffer(push_ns, capacity, write_speed_bps):
         if t_ns < done_ns:  # both buffers full: drop the unflushed one whole
             dropped[i - capacity:i] = True
             carried += 1
-            marker_ns.append(t_ns)
-            marker_at.append(i - len(marker_ns) * capacity)
+            marker_at.append(i - (len(marker_at) + 1) * capacity)
         else:
             carried = 0
         flush_log.append((t_ns, capacity + carried))
         done_ns = t_ns + int(round((capacity + carried) * SAMPLE_BITS * 1e9 / write_speed_bps))
     if n_full < len(push_ns):
         flush_log.append((int(push_ns[-1]), len(push_ns) - n_full))
-    return (dropped, len(marker_ns), np.array(marker_at, dtype=np.int64),
-            np.array(marker_ns, dtype=np.int64), tuple(flush_log))
+    return dropped, len(marker_at), np.array(marker_at, dtype=np.int64), tuple(flush_log)
 
 
 def _circular(push_ns, capacity, write_speed_bps):
@@ -177,8 +177,7 @@ def _circular(push_ns, capacity, write_speed_bps):
     dropped = _overwritten(push_ns, capacity, write_speed_bps)
     kept = ~dropped
     after_drop = kept & np.concatenate(([False], dropped))[:-1]
-    return (dropped, int(np.count_nonzero(dropped)), np.flatnonzero(after_drop[kept]),
-            push_ns[after_drop], ())
+    return dropped, int(np.count_nonzero(dropped)), np.flatnonzero(after_drop[kept]), ()
 
 
 #: entries (keep-up) or writes (backlog) a stretch of the ring scan looks

@@ -145,6 +145,50 @@ def test_every_record_written_once_or_dropped(kind, capacity, bps, stream):
         assert np.count_nonzero(gaps) == np.count_nonzero(jumps) <= stats.overruns
 
 
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["two_buffer", "circular"]),
+       capacity=st.integers(1, 16), bps=st.sampled_from(WRITE_SPEEDS),
+       stream=streams())
+def test_gap_marker_time_lies_between_its_readings(kind, capacity, bps, stream):
+    records, push_ns = stream
+    out, stats = run_persist(kind, capacity, bps, records, push_ns)
+    rows = body(out)
+    gaps = is_gap(rows)
+    event(f"{kind} {'overran' if stats.overruns else 'kept up'}")
+    # the row of the nearest reading before and after each row
+    t, index = rows["t"], np.arange(len(rows))
+    before = np.maximum.accumulate(np.where(gaps, -1, index))
+    after = np.minimum.accumulate(np.where(gaps, len(rows), index)[::-1])[::-1]
+    for k in np.flatnonzero(gaps):
+        assert before[k] < 0 or t[before[k]] <= t[k]
+        assert t[k] <= t[after[k]]  # a reading follows every marker
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["two_buffer", "circular"]),
+       capacity=st.integers(1, 16), bps=st.sampled_from(WRITE_SPEEDS),
+       stream=streams(), seed=st.integers(0, 2**32 - 1))
+def test_drops_depend_on_push_times_only(kind, capacity, bps, stream, seed):
+    records, push_ns = stream
+    rng = np.random.default_rng(seed)
+    other = records.copy()
+    other["t"] = rng.integers(0, 2**63, len(records), dtype=np.uint64)
+    other["uv"] = rng.integers(-10**6, 10**6, len(records))
+    out, stats = run_persist(kind, capacity, bps, records, push_ns)
+    other_out, other_stats = run_persist(kind, capacity, bps, other, push_ns)
+    event(f"{kind} {'overran' if stats.overruns else 'kept up'}")
+    assert other_stats == stats
+    rows, other_rows = body(out), body(other_out)
+    gaps = is_gap(rows)
+    assert np.array_equal(is_gap(other_rows), gaps)
+    assert rows[gaps].tobytes() == other_rows[gaps].tobytes()
+    # the same entries are kept; each body holds its own array's readings
+    index = rows["ua"][~gaps]
+    assert np.array_equal(other_rows["ua"][~gaps], index)
+    assert rows[~gaps].tobytes() == records[index].tobytes()
+    assert other_rows[~gaps].tobytes() == other[index].tobytes()
+
+
 @pytest.mark.parametrize("bps", WRITE_SPEEDS)
 def test_entry_time_is_whole_ns(bps):
     # the float oracle and the integer ring scan agree because of this

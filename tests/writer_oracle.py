@@ -2,9 +2,11 @@
 reproduce byte for byte.
 
 These are the two-buffer and circular writers as the package shipped them
-before persistence became one array stage.  They take records one ``push``
-(or one ``extend``) at a time and run the consumer rule entry by entry, so
-they are slow but easy to check against the prose of the mechanisms.
+before persistence became one array stage, except that a two-buffer gap
+marker takes the push time of the first entry written after its drop, as a
+ring marker does.  They take records one ``push`` (or one ``extend``) at a
+time and run the consumer rule entry by entry, so they are slow but easy to
+check against the prose of the mechanisms.
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ class TwoBufferWriter(_Writer):
             if self._pending is not None and t_ns >= self._pending_done_ns:
                 self._write(self._pending)
                 self._pending = None
+            if not len(self._active):
+                self._first_ns = push_ns[i]
             self._active = np.concatenate((self._active, records[i:j]))
             i = j
             if len(self._active) < self.capacity:
@@ -86,10 +90,12 @@ class TwoBufferWriter(_Writer):
             # buffer full: hand it to the consumer and keep producing
             if self._pending is not None:
                 # both buffers full: drop the oldest unflushed buffer whole,
-                # but keep any gap markers it carried so drops stay visible
+                # but keep any gap markers it carried so drops stay visible;
+                # they all take the push time of this buffer's first entry
                 drops += 1
-                self._active = np.concatenate((self._pending[is_gap(self._pending)],
-                                               gap_records([t_ns]), self._active))
+                markers = np.count_nonzero(is_gap(self._pending)) + 1
+                self._active = np.concatenate(
+                    (gap_records([self._first_ns] * markers), self._active))
             self.flush_log.append((t_ns, len(self._active)))
             self._pending, self._active = self._active, self._active[:0]
             self._pending_done_ns = t_ns + int(round(
