@@ -25,6 +25,8 @@ def ecdf(values) -> tuple[np.ndarray, np.ndarray]:
     step.  The last probability is exactly 1.
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"ECDF needs a 1-D sample, got shape {values.shape}")
     if len(values) == 0:
         raise ValueError("empty sample set has no ECDF")
     xs = np.sort(values)

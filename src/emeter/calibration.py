@@ -280,8 +280,6 @@ class CalibrationCurve:
     r_squared: float = 1.0
     rmse_v: float = 0.0
     current_max_a: float = 0.8
-    voltage_min_v: float = 0.0
-    voltage_max_v: float = 5.5
 
     @property
     def output_max_a(self) -> float:
@@ -389,8 +387,6 @@ def fit_voltage(pairs: Sequence[MeasurementPair],
         curve = CalibrationCurve(current_form="linear", current_gain=1.0)
     curve.voltage_offset = offset
     curve.rmse_v = rmse
-    curve.voltage_min_v = float(v_e.min())
-    curve.voltage_max_v = float(v_e.max())
     return curve
 
 

@@ -55,6 +55,12 @@ class TestEcdf:
         with pytest.raises(ValueError):
             ecdf([])
 
+    @pytest.mark.parametrize("values, shape", [
+        ([[3, 1, np.nan], [1, -0.0, 0.0]], r"\(2, 3\)"), (0.5, r"\(\)")])
+    def test_not_one_dimensional_rejected(self, values, shape):
+        with pytest.raises(ValueError, match=f"1-D sample, got shape {shape}"):
+            ecdf(values)
+
     def test_csv_shape(self):
         text = ecdf_csv([1e-3, 3e-3])
         lines = text.strip().splitlines()

@@ -228,8 +228,7 @@ class TestApplyCalibration:
         assert apply_current(curve, 0.49780) == pytest.approx(0.50000, abs=1e-9)
 
     def test_voltage_offset(self):
-        curve = CalibrationCurve("linear", 1.0, voltage_offset=0.027,
-                                 voltage_min_v=2.0, voltage_max_v=5.5)
+        curve = CalibrationCurve("linear", 1.0, voltage_offset=0.027)
         assert apply_voltage(curve, 5.000) == pytest.approx(5.027)
 
     def test_round_trip_identity(self):
@@ -285,10 +284,20 @@ class TestApplyCalibration:
     def test_curve_file_round_trip(self):
         curve = CalibrationCurve("quadratic", 0.982, 0.0074, 0.027,
                                  rmse_a=1.5e-4, r_squared=0.99991,
-                                 rmse_v=2e-4, current_max_a=0.8,
-                                 voltage_min_v=2.0, voltage_max_v=5.5)
+                                 rmse_v=2e-4, current_max_a=0.8)
         back = CalibrationCurve.parse(curve.serialize())
         assert back == curve
+
+    def test_curve_file_with_voltage_range_lines(self):
+        # curve files once carried the sweep's voltage range; those lines
+        # are ignored, and every other field reads as before
+        text = ("current_form: quadratic\ncurrent_gain: 0.982\n"
+                "current_quad: 0.0074\nvoltage_offset: 0.027\nrmse_a: 0.00015\n"
+                "r_squared: 0.99991\nrmse_v: 0.0002\ncurrent_max_a: 0.8\n"
+                "voltage_min_v: 3.2999\nvoltage_max_v: 3.3001\n")
+        assert CalibrationCurve.parse(text) == CalibrationCurve(
+            "quadratic", 0.982, 0.0074, 0.027, rmse_a=1.5e-4, r_squared=0.99991,
+            rmse_v=2e-4, current_max_a=0.8)
 
     def test_curve_file_missing_field(self):
         with pytest.raises(ValueError):
