@@ -13,12 +13,12 @@ capacity and the write speed alone it decides which entries are dropped,
 and returns that mask, the overrun count, the places of the gap markers (the
 number of kept entries before each) and the flush log.  It never sees a
 record, so two record arrays with the same push times drop the same entries.
-:func:`persist` is the one persistence stage and the one assembler of a
-trace body: it runs the mechanism of a policy, lays the kept records and the
-gap markers out in file order, writes the file and returns the counters as
-:class:`PersistStats`.  A gap marker takes the push time of the kept entry
-that follows it, so it lies between the readings around it in time as well
-as in order.
+:func:`persist` is the one persistence stage: it runs the mechanism of a
+policy, stamps the gap markers and hands the kept records, the marker places
+and the marker times to :func:`~emeter.tracefile.write_trace`, which owns
+the body layout, then returns the counters as :class:`PersistStats`.  A
+gap marker takes the push time of the kept entry that follows it, so it
+lies between the readings around it in time as well as in order.
 
 File writing takes simulated time (``write_speed_bps``); when the consumer
 falls behind, data is dropped loudly -- a whole buffer in two-buffer mode,
@@ -60,13 +60,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from emeter.tracefile import (
-    RECORD,
-    RECORD_SIZE,
-    TraceHeader,
-    encode_header,
-    gap_records,
-)
+from emeter.tracefile import RECORD, RECORD_SIZE, TraceHeader, write_trace
 
 SAMPLE_BITS = RECORD_SIZE * 8  # 128 bits per entry
 DEFAULT_WRITE_SPEED_BPS = 40e6
@@ -106,10 +100,8 @@ def persist(fh: BinaryIO, header: TraceHeader, records, push_ns,
     gap markers) to ``fh`` as the buffered consumer would, entry k handed
     over at the non-decreasing time ``push_ns[k]``.
 
-    The k-th gap marker goes k rows after the number of kept entries before
-    it, and the kept entries fill the rest in order.  Rows move whole
-    through a ``V16`` view, which copies 16 bytes at a time where the
-    structured ``RECORD`` dtype copies field by field.
+    Runs the policy's mechanism and hands the kept rows, the marker places
+    and the marker times to :func:`~emeter.tracefile.write_trace`.
     """
     if not write_speed_bps > 0:
         raise ValueError(f"write speed must be positive, got {write_speed_bps!r}")
@@ -123,16 +115,8 @@ def persist(fh: BinaryIO, header: TraceHeader, records, push_ns,
     dropped, overruns, marker_at, flush_log = mechanism(push_ns, policy.capacity,
                                                         write_speed_bps)
     kept = np.flatnonzero(~dropped)
-    at = marker_at + np.arange(len(marker_at))
-    body = np.empty(len(kept) + len(at), dtype=RECORD)
-    slot = np.ones(len(body), dtype=bool)
-    slot[at] = False
-    rows = body.view("V16")
-    rows[slot] = records.view("V16")[kept]
-    rows[at] = gap_records(push_ns[kept[marker_at]]).view("V16")
-    fh.write(encode_header(header))
-    fh.write(body.tobytes())
-    return PersistStats(overruns, len(body) - len(at), flush_log)
+    write_trace(fh, header, records[kept], marker_at, push_ns[kept[marker_at]])
+    return PersistStats(overruns, len(kept), flush_log)
 
 
 def _two_buffer(push_ns, capacity, write_speed_bps):

@@ -31,7 +31,7 @@ generator state the loop leaves behind, are those of one draw per read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -63,8 +63,8 @@ class DriverProfile:
     """Latency profile of one driver stack."""
 
     name: str
-    read_delay_us: dict = field(default_factory=dict)
-    jitter_range_us: float = 0.0
+    read_delay_us: dict
+    jitter_range_us: float
 
     def mean_delay_us(self, speed_khz: int) -> float:
         if speed_khz not in self.read_delay_us:

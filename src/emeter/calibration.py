@@ -300,7 +300,7 @@ class CalibrationCurve:
             if key.strip():
                 seen[key.strip()] = (lineno, value.strip())
         try:
-            form = seen["current_form"][1]
+            form_line, form = seen["current_form"]
             numbers = {name: seen[name] for name in _CURVE_NUMBERS}
         except KeyError as exc:
             raise ValueError(f"calibration curve file missing {exc}")
@@ -317,6 +317,12 @@ class CalibrationCurve:
         if values["current_gain"] <= 0:
             raise ValueError("calibration curve current_gain must be positive, "
                              f"got {values['current_gain']!r}")
+        if form not in ("linear", "quadratic"):
+            raise ValueError(f"line {form_line}: current_form must be linear or quadratic, "
+                             f"got {form!r}")
+        if form == "linear" and values["current_quad"] != 0:
+            raise ValueError(f"line {numbers['current_quad'][0]}: a linear curve has "
+                             f"no current_quad, got {values['current_quad']!r}")
         return cls(current_form=form, **values)
 
 

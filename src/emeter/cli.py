@@ -199,6 +199,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_ecdf(args) -> int:
+    if args.gnuplot and not args.out:
+        raise ValueError("--gnuplot needs --out: the script plots the CSV file")
     trace = load_trace(args.trace)
     if len(trace) == 0:
         raise ValueError("empty trace")
@@ -241,9 +243,9 @@ def _cmd_overhead(args) -> int:
 
 
 def _cmd_export_csv(args) -> int:
-    _, records = read_trace(args.trace)
+    _, readings = read_trace(args.trace)
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
-        export_csv(out, records)
+        export_csv(out, readings)
     return 0
 
 

@@ -27,7 +27,7 @@ tests cross-check the two on a constant load, where that difference vanishes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -109,7 +109,7 @@ class ExperimentReport:
     sample_count: int
     overrun_count: int
     status: str
-    config: dict = field(default_factory=dict)
+    config: dict
 
     def to_json(self) -> str:
         payload = {name: getattr(self, name) for name in _REPORT_FIELDS}

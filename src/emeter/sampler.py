@@ -70,7 +70,6 @@ class Sample:
     timestamp_ns: int
     bus_voltage: float
     current: float
-    flags: int = 0
 
 
 @dataclass(frozen=True)

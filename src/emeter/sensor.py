@@ -198,10 +198,10 @@ class BoardCharacter:
     gain * i`` and ``v_sensed = v + voltage_offset``.
     """
 
-    name: str = "shield"
-    current_gain: float = 1.0
-    current_quad: float = 0.0
-    voltage_offset: float = 0.0
+    name: str
+    current_gain: float
+    current_quad: float
+    voltage_offset: float
 
     def sense_current(self, mean_i: float, mean_i_sq: float | None) -> float:
         if self.current_quad == 0.0:

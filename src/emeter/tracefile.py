@@ -30,23 +30,28 @@ Decoders must surface gaps rather than treat them as readings.
 word, through a view of the same 16-byte record size, so a strided slice
 works too.
 
-:func:`read_trace` is the one reader of trace files, and the one place a
-file's time order is checked: the readings, gap markers left out, must
-have strictly increasing timestamps, as :class:`~emeter.sampler.Trace`
-requires.  A file that breaks this fails naming the file, the record
-(gap markers counted) and its byte offset, ``64 + 16 * k``, so ``export-csv``
+This module owns the body layout both ways.  Where a boolean mask moves
+rows, they move whole as ``V16``, 16 bytes at a time, where ``RECORD``
+copies field by field.  :func:`write_trace` puts each gap marker after the
+readings placed before it, stamped with the time given for it;
+:mod:`emeter.buffering` picks both.  :func:`read_trace`, the one reader of
+trace files, is the one place markers are separated: it returns the
+readings alone, which :func:`records_to_trace` and :func:`export_csv` take.
+It is also the one place a file's time order is checked, as
+:class:`~emeter.sampler.Trace` checks it: strictly increasing reading
+timestamps.  A file that breaks this fails naming the file, the record (gap
+markers counted) and its byte offset, ``64 + 16 * k``, so ``export-csv``
 rejects the same files as the commands that build a ``Trace``.  A gap
-marker's own timestamp is not checked.
+marker's own time is not checked.
 
 :func:`export_csv` writes the readings as text: the line
 ``timestamp_ns,bus_mV,current_mA``, then one line per reading with the
 timestamp in integer nanoseconds and the voltage and current in mV and mA
-with exactly three decimals.  Gap markers are skipped.  A micro-unit
-integer divided by 1000 has exactly three decimals, so each value is
-printed from its integer digits (sign, ``|v| // 1000``, ``.``, ``|v| %
-1000``) with no float formatting; that is the same text as
-``f"{v / 1000.0:.3f}"``, since an int32 over 1000.0 is far closer to its
-decimal than half a unit in the third place.
+with exactly three decimals.  A micro-unit integer divided by 1000 has
+exactly three decimals, so each value is printed from its integer digits
+(sign, ``|v| // 1000``, ``.``, ``|v| % 1000``) with no float formatting;
+that is the same text as ``f"{v / 1000.0:.3f}"``, since an int32 over
+1000.0 is far closer to its decimal than half a unit in the third place.
 """
 
 from __future__ import annotations
@@ -193,13 +198,19 @@ def decode_trace(data: bytes) -> tuple[TraceHeader, list[TraceRecord]]:
     return header, list(map(TraceRecord._make, records.tolist()))
 
 
-def read_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
-    """Header and ``RECORD`` array of a trace file; errors name the file.
+def write_trace(fh, header: TraceHeader, readings, marker_at, marker_ns) -> None:
+    """Write ``header`` and a body of ``readings`` (a ``RECORD`` array) to
+    ``fh``; gap marker k, stamped ``marker_ns[k]``, follows the first
+    ``marker_at[k]`` readings (``marker_at`` sorted)."""
+    body = np.insert(readings.view("V16"), marker_at, gap_records(marker_ns).view("V16"))
+    fh.write(encode_header(header))
+    fh.write(body.tobytes())
 
-    A reading out of time order fails naming the record (gap markers
-    counted) and its byte offset.  The test is :class:`Trace`'s, on the
-    readings only, so every file read here also loads as a ``Trace``.
-    """
+
+def read_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
+    """Header and readings (``RECORD`` rows, gap markers left out) of a
+    trace file; errors name the file.  The order test is :class:`Trace`'s,
+    so every file read here also loads as a ``Trace``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -207,14 +218,15 @@ def read_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     kept = ~is_gap(records)
-    t = records["t"].view(np.int64)[kept]  # Trace's timestamps, and its test
+    readings = records.view("V16")[kept].view(RECORD)
+    t = readings["t"].view(np.int64)  # Trace's timestamps, and its test
     unordered = t[1:] <= t[:-1]
     if unordered.any():
         k = int(np.flatnonzero(kept)[1 + np.argmax(unordered)])
         raise ValueError(f"{path}: record {k} at byte offset "
                          f"{HEADER_SIZE + k * RECORD_SIZE}: "
                          "trace timestamps must be strictly increasing")
-    return header, records
+    return header, readings
 
 
 def trace_to_records(trace: Trace) -> np.ndarray:
@@ -236,17 +248,9 @@ def trace_to_records(trace: Trace) -> np.ndarray:
     return records
 
 
-def _without_gaps(records) -> np.ndarray:
-    """The ``RECORD`` rows of ``records`` that are not gap markers.  Rows
-    move whole through a ``V16`` view, which copies 16 bytes at a time where
-    the structured dtype copies field by field."""
-    records = np.asarray(records, dtype=RECORD)
-    return records.view("V16")[~is_gap(records)].view(RECORD)
-
-
-def records_to_trace(records) -> Trace:
-    """Build an in-memory trace from decoded records (gaps skipped)."""
-    readings = _without_gaps(records)
+def records_to_trace(readings) -> Trace:
+    """Build an in-memory trace from readings (``RECORD`` rows, no gap markers)."""
+    readings = np.asarray(readings, dtype=RECORD)
     return Trace(readings["t"], readings["uv"] * 1e-6, readings["ua"] * 1e-6,
                  np.zeros(len(readings), dtype=np.uint8))
 
@@ -294,14 +298,15 @@ def _milli(micro: np.ndarray) -> np.ndarray:
                       digits[:, -3:]))
 
 
-def export_csv(fh, records) -> int:
-    """Write ``timestamp_ns,bus_mV,current_mA`` rows; returns the row count.
+def export_csv(fh, readings) -> int:
+    """Write ``timestamp_ns,bus_mV,current_mA`` rows, one per reading
+    (``RECORD`` rows, no gap markers); returns the row count.
 
     Every column becomes a blank-padded ASCII matrix, the rows are joined
     into one byte string and the padding is dropped: a CSV line never holds
     a space.
     """
-    rows = _without_gaps(records)
+    rows = np.asarray(readings, dtype=RECORD)
     n = len(rows)
     table = np.hstack((_decimal(rows["t"], 1), _column(",", n), _milli(rows["uv"]),
                        _column(",", n), _milli(rows["ua"]), _column("\n", n)))

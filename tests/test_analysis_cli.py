@@ -254,6 +254,17 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: {curve_path}: line 2: current_gain is not a number: 'abc'\n")
 
+    def test_calibration_form_it_cannot_apply_is_error(self, tmp_path, capsys):
+        curve_path = tmp_path / "curve.txt"
+        curve_path.write_text(CalibrationCurve("linear", 1.0).serialize().replace(
+            "current_form: linear", "current_form: cubic"))
+        code = main(["sample", "--trigger", "duration:1", "--duration", "1",
+                     "--calib", str(curve_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {curve_path}: line 1: current_form must be linear or "
+            "quadratic, got 'cubic'\n")
+
     def test_unreliable_operating_point_is_error(self, capsys):
         code = main(["sample", "--supply", "3.3", "--speed", "2500",
                      "--trigger", "duration:1", "--duration", "1"])
@@ -323,6 +334,14 @@ class TestCli:
         assert lines[0] == "current_a,cum_prob"
         assert float(lines[-1].split(",")[1]) == 1.0
         assert (tmp_path / "e.csv.gp").exists()
+
+    def test_ecdf_gnuplot_needs_out(self, tmp_path, capsys):
+        # fails before the trace is read: the path does not exist
+        code = main(["ecdf", str(tmp_path / "missing.bin"), "--gnuplot"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --gnuplot needs --out: the script plots the CSV file\n"
 
     def test_voltage_effect_command(self, trace_file, capsys):
         assert main(["voltage-effect", trace_file]) == 0

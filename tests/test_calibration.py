@@ -299,6 +299,19 @@ class TestApplyCalibration:
             "quadratic", 0.982, 0.0074, 0.027, rmse_a=1.5e-4, r_squared=0.99991,
             rmse_v=2e-4, current_max_a=0.8)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("current_form: linear", "current_form: cubic",
+         "^line 1: current_form must be linear or quadratic, got 'cubic'$"),
+        # apply_current ignores the term on a linear curve; output_max_a counts it
+        ("current_quad: 0.0", "current_quad: 0.0074",
+         "^line 3: a linear curve has no current_quad, got 0.0074$"),
+    ])
+    def test_curve_file_form_it_cannot_apply_rejected(self, old, new, message):
+        text = CalibrationCurve("linear", 0.9956).serialize()
+        assert old in text
+        with pytest.raises(ValueError, match=message):
+            CalibrationCurve.parse(text.replace(old, new))
+
     def test_curve_file_missing_field(self):
         with pytest.raises(ValueError):
             CalibrationCurve.parse("current_form: linear\n")

@@ -147,11 +147,9 @@ def _defaulted_parameters():
                     yield name, None, arg.arg
 
 
-def test_every_default_is_overridden_somewhere():
-    # a parameter or field default that no call site in the program, its
-    # tests, demos or benchmark ever passes is a settable value with one
-    # value in use; a call is matched by the called name, a class call to its
-    # ``__init__`` or its fields
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in the program, its tests, demos and benchmark, by the
+    called name."""
     calls: dict[str, list[ast.Call]] = {}
     for tree in _trees():
         for node in ast.walk(tree):
@@ -160,6 +158,15 @@ def test_every_default_is_overridden_somewhere():
                 name = (func.id if isinstance(func, ast.Name)
                         else func.attr if isinstance(func, ast.Attribute) else None)
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def test_every_default_is_overridden_somewhere():
+    # a parameter or field default that no call site in the program, its
+    # tests, demos or benchmark ever passes is a settable value with one
+    # value in use; a call is matched by the called name, a class call to its
+    # ``__init__`` or its fields
+    calls = _calls()
 
     def passes(call: ast.Call, index, param: str) -> bool:
         if any(k.arg is None or k.arg == param for k in call.keywords):
@@ -172,3 +179,22 @@ def test_every_default_is_overridden_somewhere():
              if not any(passes(call, index, param) for call in calls.get(name, []))
              and f"{name}.{param}" not in KEPT_STATE]
     assert never == []
+
+
+def test_every_default_is_used_somewhere():
+    # a default that every call site overrides is never used: the value is
+    # required in all but name.  A call through ``*args`` or ``**kwargs``
+    # that does not name the parameter counts as using the default, as the
+    # staircase tests use ``build_staircase``'s through ``**kwargs``
+    calls = _calls()
+
+    def names(call: ast.Call, index, param: str) -> bool:
+        if any(k.arg == param for k in call.keywords):
+            return True
+        return (index is not None and len(call.args) > index
+                and not any(isinstance(a, ast.Starred) for a in call.args[:index + 1]))
+
+    always = [f"{name}({param}=)" for name, index, param in _defaulted_parameters()
+              if all(names(call, index, param) for call in calls.get(name, []))
+              and f"{name}.{param}" not in KEPT_STATE]
+    assert always == []

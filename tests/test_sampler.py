@@ -31,8 +31,8 @@ from emeter.sampler import (
 from emeter.sensor import SHIELD_BOARD, SensorConfig, SimulatedBus, SimulatedSensor
 
 
-def s(ts_ns, volts, amps, flags=0):
-    return Sample(int(ts_ns), volts, amps, flags)
+def s(ts_ns, volts, amps):
+    return Sample(int(ts_ns), volts, amps)
 
 
 class TestComputeEnergy:
@@ -553,7 +553,7 @@ class TestRunMeasurement:
         acc = EnergyAccumulator()
         for t, v, i, f in zip(tr.timestamps_ns.tolist(), tr.bus_voltage.tolist(),
                               tr.current.tolist(), tr.flags.tolist()):
-            acc.add(Sample(t, v, i, f), countable=not f & (FLAG_WARMUP | FLAG_POWER_SAVE))
+            acc.add(Sample(t, v, i), countable=not f & (FLAG_WARMUP | FLAG_POWER_SAVE))
         assert result.energy_j == pytest.approx(acc.energy, rel=1e-12)
 
     @pytest.mark.parametrize("intervals,message", [

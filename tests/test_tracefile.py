@@ -24,9 +24,11 @@ from emeter.tracefile import (
     encode_trace,
     export_csv,
     is_gap,
+    load_trace,
     read_trace,
     records_to_trace,
     trace_to_records,
+    write_trace,
 )
 
 
@@ -139,11 +141,14 @@ class TestFileRoundTrip:
         with pytest.raises(ValueError, match=f"sample 1: {name} "):
             trace_to_records(trace)
 
-    def test_gap_records_skipped_on_load(self):
+    def test_gap_records_skipped_on_load(self, tmp_path):
         records = [TraceRecord(100, 1, 1), TraceRecord.gap(150),
                    TraceRecord(200, 2, 2)]
-        trace = records_to_trace(records)
-        assert len(trace) == 2
+        path = tmp_path / "t.bin"
+        path.write_bytes(encode_trace(TraceHeader(), records))
+        trace = load_trace(str(path))
+        assert trace.timestamps_ns.tolist() == [100, 200]
+        assert trace.current.tolist() == [1e-6, 2e-6]
 
 
 class TestReadTrace:
@@ -188,7 +193,7 @@ class TestReadTrace:
                    TraceRecord(20, 1, 1)]
         path = tmp_path / "t.bin"
         path.write_bytes(encode_trace(TraceHeader(), records))
-        assert read_trace(str(path))[1].tolist() == records
+        assert read_trace(str(path))[1].tolist() == [records[0], records[3]]
 
 
 _GAP_OR_READING = st.one_of(
@@ -226,15 +231,20 @@ class TestCsvExport:
         assert lines[0] == "timestamp_ns,bus_mV,current_mA"
         assert lines[1] == "1000,5000.000,123.450"
 
-    def test_gap_rows_skipped(self):
+    def test_gap_rows_skipped(self, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(encode_trace(TraceHeader(), [
+            TraceRecord.gap(5), TraceRecord(7, 1000, 2000), TraceRecord.gap(9)]))
         out = io.StringIO()
-        n = export_csv(out, [TraceRecord.gap(5)])
-        assert n == 0
+        assert export_csv(out, read_trace(str(path))[1]) == 1
+        assert out.getvalue().splitlines()[1:] == ["7,1.000,2.000"]
 
-    def test_empty_and_all_gap_write_only_the_header(self):
+    def test_empty_and_all_gap_write_only_the_header(self, tmp_path):
+        path = tmp_path / "t.bin"
         for records in ([], [TraceRecord.gap(5), TraceRecord.gap(9)]):
+            path.write_bytes(encode_trace(TraceHeader(), records))
             out = io.StringIO()
-            assert export_csv(out, records) == 0
+            assert export_csv(out, read_trace(str(path))[1]) == 0
             assert out.getvalue() == "timestamp_ns,bus_mV,current_mA\n"
 
     def test_small_negative_reading_keeps_its_sign(self):
@@ -275,10 +285,52 @@ _ROW = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(rows=st.lists(_ROW, max_size=40))
 def test_export_csv_equals_per_row_oracle(rows):
+    # export_csv takes readings, as read_trace returns them; the oracle
+    # skips the gap markers itself
     records = np.array(rows, dtype=RECORD)
+    readings = records[~is_gap(records)]
     batched, per_row = io.StringIO(), io.StringIO()
-    assert export_csv(batched, records) == export_csv_rows(per_row, records)
+    assert export_csv(batched, readings) == export_csv_rows(per_row, records)
     assert batched.getvalue() == per_row.getvalue()
+
+
+_NOT_SENTINEL = _INT32.filter(lambda v: v != GAP_SENTINEL)
+# a reading's (uv, ua): both fields at the sentinel would be a gap marker
+_READING = st.one_of(st.tuples(_INT32, _NOT_SENTINEL), st.tuples(_NOT_SENTINEL, _INT32))
+
+
+@st.composite
+def _readings_and_markers(draw):
+    """Readings with strictly increasing times, and sorted marker places in
+    ``[0, n]`` with marker times."""
+    times = sorted(draw(st.sets(st.integers(0, 2**63 - 1), max_size=30)))
+    values = draw(st.lists(_READING, min_size=len(times), max_size=len(times)))
+    readings = np.array([(t, uv, ua) for t, (uv, ua) in zip(times, values)], dtype=RECORD)
+    marker_at = sorted(draw(st.lists(st.integers(0, len(times)), max_size=8)))
+    marker_ns = draw(st.lists(_U64, min_size=len(marker_at), max_size=len(marker_at)))
+    return readings, marker_at, marker_ns
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=_readings_and_markers(),
+       header=st.builds(TraceHeader, resolution_bits=st.sampled_from([9, 10, 11, 12]),
+                        driver_name=st.sampled_from(["bcm", "linux"]),
+                        start_clock_ns=_U64))
+def test_write_trace_round_trip(tmp_path_factory, body, header):
+    readings, marker_at, marker_ns = body
+    out = io.BytesIO()
+    write_trace(out, header, readings, marker_at, marker_ns)
+    path = tmp_path_factory.mktemp("round") / "t.bin"
+    path.write_bytes(out.getvalue())
+    header_read, readings_read = read_trace(str(path))
+    assert header_read == header
+    assert readings_read.dtype == RECORD
+    assert readings_read.tobytes() == readings.tobytes()
+    _, records = decode_trace(out.getvalue())
+    assert len(records) == len(readings) + len(marker_at)
+    at = (np.array(marker_at, dtype=np.int64) + np.arange(len(marker_at))).tolist()
+    assert [k for k, r in enumerate(records) if r.is_gap] == at
+    assert [records[k].timestamp_ns for k in at] == marker_ns
 
 
 @settings(max_examples=300, deadline=None)
