@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from emeter.sampler import Trace, _countable_mask, _steps, _trapezoid
+from emeter.sampler import Trace, countable_mask, trapezoid, trapezoid_steps
 
 
 def ecdf(values) -> tuple[np.ndarray, np.ndarray]:
@@ -68,12 +68,12 @@ def voltage_effect(trace: Trace) -> dict:
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
-    mask = _countable_mask(trace, exclude_power_save=True)
+    mask = countable_mask(trace, exclude_power_save=True)
     mean_v = float(np.mean(trace.bus_voltage[mask])) if mask.any() else 0.0
     # the gated trapezoid twice, over steps and pairs computed once
-    steps = _steps(trace.timestamps_ns, mask)
-    e_per_sample = _trapezoid(trace.power(), *steps)
-    e_mean = _trapezoid(mean_v * trace.current, *steps)
+    steps = trapezoid_steps(trace.timestamps_ns, mask)
+    e_per_sample = trapezoid(trace.power(), *steps)
+    e_mean = trapezoid(mean_v * trace.current, *steps)
     delta = (abs(e_mean - e_per_sample) / e_per_sample * 100.0
              if e_per_sample > 0 else 0.0)
     return {

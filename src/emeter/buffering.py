@@ -328,11 +328,14 @@ def simulate_overhead_power(model: OverheadModel) -> float:
     n_buffers = max(25, min(400, 2_000_000 // model.buffer_samples))
     n_samples = n_buffers * model.buffer_samples
     period_ns = 1e9 / model.sample_rate_sps
+    horizon_ns = n_samples * period_ns
+    if horizon_ns >= 2 ** 63:
+        raise ValueError(f"sample rate {model.sample_rate_sps!r} is too low to replay: "
+                         f"{n_samples} push times overflow int64 nanoseconds")
     push_ns = (np.arange(1, n_samples + 1) * period_ns).astype(np.int64)
     # the schedule writes SAMPLE_BITS per entry: give each the model's write time
     *_, flush_log = _two_buffer(push_ns, model.buffer_samples,
                                 model.write_speed_bps * SAMPLE_BITS / model.sample_bits)
-    horizon_ns = n_samples * period_ns
     write_dur_ns = model.buffer_samples * model.sample_bits * 1e9 / model.write_speed_bps
     busy_ns = 0.0
     for ts, n in flush_log:

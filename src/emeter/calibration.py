@@ -294,11 +294,15 @@ class CalibrationCurve:
 
     @classmethod
     def parse(cls, text: str) -> "CalibrationCurve":
-        seen = {"rmse_v": (0, "0.0")}  # key -> (line number, value)
+        seen = {}  # key -> (line number, value)
         for lineno, line in enumerate(text.splitlines(), 1):
             key, _, value = line.split("#", 1)[0].partition(":")
-            if key.strip():
-                seen[key.strip()] = (lineno, value.strip())
+            key = key.strip()
+            if key in seen:
+                raise ValueError(f"line {lineno}: {key} repeats line {seen[key][0]}")
+            if key:
+                seen[key] = (lineno, value.strip())
+        seen.setdefault("rmse_v", (0, "0.0"))
         try:
             form_line, form = seen["current_form"]
             numbers = {name: seen[name] for name in _CURVE_NUMBERS}

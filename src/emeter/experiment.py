@@ -19,7 +19,8 @@ minor page faults, and took 809 when every arithmetic step allocated a fresh
 array.
 
 The polling loop in :mod:`emeter.sampler` shares ``build_trace`` and
-``gated_energy`` with this path and writes no file.  It holds the input
+``gated_energy`` with this path and writes no file; both hand ``build_trace``
+every reading up to the trigger's ``limit_ns``.  The loop holds the input
 constant between polls, where this path integrates each window exactly; the
 tests cross-check the two on a constant load, where that difference vanishes.
 """
@@ -149,22 +150,21 @@ class PipelineResult:
 
 def schedule(driver: DriverProfile, speed_khz: int, config: SensorConfig,
              trigger: TriggerSpec, horizon_ns: int):
-    """(1-based conversion index, window end s, timestamp ns, limit ns) up to
-    the trigger's stop or the horizon; ``tail_ns`` puts a timestamp after
-    the final ready poll, the shunt read and the bookkeeping."""
+    """(window end s, timestamp ns) of every conversion up to the trigger's
+    limit at ``horizon_ns``; ``tail_ns`` puts a timestamp after the final
+    ready poll, the shunt read and the bookkeeping."""
     period_ns = sample_period_us(driver, speed_khz, config) * 1000.0
     tail_ns = (1.5 * driver.mean_delay_us(speed_khz)
                + LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
-    limit_ns = horizon_ns if trigger.stop_ns is None else min(trigger.stop_ns, horizon_ns)
+    limit_ns = trigger.limit_ns(horizon_ns)
     n_conversions = int((limit_ns - tail_ns) // period_ns) if limit_ns > tail_ns else 0
     if trigger.sample_count is not None:
         n_conversions = min(n_conversions,
                             int(trigger.start_ns // period_ns) + trigger.sample_count + 1)
-    conv_index = np.arange(1, n_conversions + 1)
-    end_ns = conv_index * period_ns
+    end_ns = np.arange(1, n_conversions + 1) * period_ns
     end_s = end_ns * 1e-9
     end_ns += tail_ns
-    return conv_index, end_s, end_ns.astype(np.int64), limit_ns
+    return end_s, end_ns.astype(np.int64)
 
 
 def sense(options: PipelineOptions, board: BoardCharacter, mean_i, mean_i2, mean_v):
@@ -222,15 +222,15 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
                           resolution_bits=options.resolution_bits,
                           supply_voltage=options.supply_voltage)
 
-    conv_index, end_s, ts, limit_ns = schedule(
-        driver, options.speed_khz, config, trigger, round(profile.duration * 1e9))
+    horizon_ns = round(profile.duration * 1e9)
+    end_s, ts = schedule(driver, options.speed_khz, config, trigger, horizon_ns)
     current, bus_v, saturated = _readings(profile, options, board, config,
                                           calibration, end_s)
     del end_s
     intervals = [(int(round(s * 1e9)), int(round(e * 1e9)), mode_index)
                  for s, e, mode_index in profile.power_save_intervals]
     trace, status, end_ns = build_trace(
-        ts, bus_v, current, saturated, conv_index, trigger, limit_ns, intervals)
+        ts, bus_v, current, saturated, trigger, horizon_ns, intervals)
 
     flush_log, overruns = "", 0
     if trace_fh is not None:

@@ -21,9 +21,9 @@ where each sample's power is weighted by the time since its predecessor
 A sleep span is a ``(start_ns, end_ns, mode_index)`` interval throughout:
 the load profile declares it, the samplers take it, and :class:`Trace`
 holds it, sorted, non-empty and overlapping no other span.  Both samplers
-end in :func:`build_trace`, the one place that closes the window a
-:class:`TriggerSpec` resolved and clips the sleep intervals to it; the
-trace carries those intervals, and every later stage reads them there.
+hand :func:`build_trace` every reading of the run; it is the one gate of the
+window a :class:`TriggerSpec` resolved, and clips the sleep intervals to it;
+the trace carries those intervals, and every later stage reads them there.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class TriggerSpec:
 
     Readings count from ``start_ns`` until ``stop_ns`` (None: open-ended,
     the run's horizon closes it) or until ``sample_count`` readings were
-    kept (None: no count).
+    kept (None: no count); :meth:`limit_ns` is the window's last instant.
     """
 
     start_ns: int = 0
@@ -106,9 +106,14 @@ class TriggerSpec:
 
     @classmethod
     def duration(cls, seconds: float) -> "TriggerSpec":
-        if not (math.isfinite(seconds) and seconds > 0):
-            raise ValueError(f"duration must be finite and positive, got {seconds}")
+        if not 0 < seconds * 1e9 < 2 ** 63:
+            raise ValueError("duration must be finite and positive, and fit in int64 "
+                             f"nanoseconds, got {seconds}")
         return cls(stop_ns=int(round(seconds * 1e9)))
+
+    def limit_ns(self, horizon_ns: Optional[int]) -> Optional[int]:
+        """The stop cut at the run's ``horizon_ns``; None when neither is set."""
+        return min((t for t in (self.stop_ns, horizon_ns) if t is not None), default=None)
 
     @classmethod
     def count(cls, n: int) -> "TriggerSpec":
@@ -251,13 +256,14 @@ class EnergyAccumulator:
         return increment
 
 
-def _steps(ts_ns: np.ndarray, countable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def trapezoid_steps(ts_ns: np.ndarray,
+                    countable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoid step lengths in seconds, and the mask of steps whose two
     samples are both countable."""
     return np.diff(ts_ns) * 1e-9, countable[:-1] & countable[1:]
 
 
-def _trapezoid(power: np.ndarray, dt_s: np.ndarray, both: np.ndarray) -> float:
+def trapezoid(power: np.ndarray, dt_s: np.ndarray, both: np.ndarray) -> float:
     """Sum of the trapezoids of ``power`` over the ``both`` steps."""
     mids = power[:-1] + power[1:]
     mids /= 2.0
@@ -267,12 +273,10 @@ def _trapezoid(power: np.ndarray, dt_s: np.ndarray, both: np.ndarray) -> float:
 
 def _segment_energy(ts_ns: np.ndarray, power: np.ndarray,
                     countable: np.ndarray) -> float:
-    if len(ts_ns) < 2:
-        return 0.0
-    return _trapezoid(power, *_steps(ts_ns, countable))
+    return trapezoid(power, *trapezoid_steps(ts_ns, countable))
 
 
-def _countable_mask(trace: Trace, exclude_power_save: bool) -> np.ndarray:
+def countable_mask(trace: Trace, exclude_power_save: bool) -> np.ndarray:
     mask = (trace.flags & FLAG_WARMUP) == 0
     if exclude_power_save:
         mask &= (trace.flags & FLAG_POWER_SAVE) == 0
@@ -282,7 +286,7 @@ def _countable_mask(trace: Trace, exclude_power_save: bool) -> np.ndarray:
 def gated_energy(trace: Trace) -> float:
     """Trapezoidal energy excluding warm-up and power-save samples."""
     return _segment_energy(trace.timestamps_ns, trace.power(),
-                           _countable_mask(trace, exclude_power_save=True))
+                           countable_mask(trace, exclude_power_save=True))
 
 
 def naive_energy(trace: Trace) -> float:
@@ -292,7 +296,7 @@ def naive_energy(trace: Trace) -> float:
     estimate undercounts devices with announced power-save states.
     """
     return _segment_energy(trace.timestamps_ns, trace.power(),
-                           _countable_mask(trace, exclude_power_save=False))
+                           countable_mask(trace, exclude_power_save=False))
 
 
 def hybrid_energy(trace: Trace, modes: Sequence[PowerSaveMode]) -> float:
@@ -315,12 +319,10 @@ def hybrid_energy(trace: Trace, modes: Sequence[PowerSaveMode]) -> float:
     mode_map = {m.mode_index: m for m in modes}
     ts = trace.timestamps_ns
     power = trace.power()
-    countable = _countable_mask(trace, exclude_power_save=True)
-    energy = 0.0
-    if len(trace) >= 2:
-        weighted = np.diff(ts) * 1e-9
-        weighted *= power[1:]
-        energy = float(np.sum(weighted[countable[1:]]))
+    countable = countable_mask(trace, exclude_power_save=True)
+    weighted = np.diff(ts) * 1e-9
+    weighted *= power[1:]
+    energy = float(np.sum(weighted[countable[1:]]))
     for start_ns, end_ns, mode_index in trace.intervals:
         if mode_index not in mode_map:
             raise ValueError(f"interval references undeclared mode {mode_index}")
@@ -336,12 +338,10 @@ def _enter_slivers(trace: Trace, intervals: Sequence[tuple]) -> float:
     flagged (its window, which contained the sliver, was dropped); otherwise
     the next sample's duration-weighted term already covers the span.
     """
-    if not intervals or len(trace) == 0:
-        return 0.0
     ts = trace.timestamps_ns
     power = trace.power()
     flagged = (trace.flags & FLAG_POWER_SAVE) != 0
-    awake_idx = np.nonzero(_countable_mask(trace, exclude_power_save=True))[0]
+    awake_idx = np.nonzero(countable_mask(trace, exclude_power_save=True))[0]
     if len(awake_idx) == 0:
         return 0.0
     start = np.array([iv[0] for iv in intervals], dtype=np.int64)
@@ -382,26 +382,27 @@ def flag_power_save(timestamps_ns: np.ndarray,
 # Readout stage shared by both samplers
 # --------------------------------------------------------------------------
 
-def build_trace(timestamps_ns, bus_voltage, current, saturated, conversion_index,
-                trigger: TriggerSpec, limit_ns: Optional[int],
+def build_trace(timestamps_ns, bus_voltage, current, saturated,
+                trigger: TriggerSpec, horizon_ns: Optional[int],
                 intervals: Sequence[tuple[int, int, int]]
                 ) -> tuple[Trace, str, Optional[int]]:
-    """Gate, flag and annotate per-reading arrays into a trace.
+    """Gate, flag and annotate every reading of a run into a trace.
 
-    One entry per reading, in increasing timestamp order: its timestamp, bus
-    volts and amperes, whether the chip saturated, and the 1-based index of
-    the conversion it came from; the first :data:`DEFAULT_WARMUP_SAMPLES`
-    conversions are flagged warm-up.  Readings outside ``[trigger.start_ns,
-    limit_ns]`` (open-ended when ``limit_ns`` is None), and past the count
-    of a count trigger, are dropped.  The window ends at ``end_ns``: the
-    last counted reading of a count trigger, else ``limit_ns``.  Power-save
-    ``(start_ns, end_ns, mode)`` intervals are clipped to the window, kept
-    on the trace, and flag the readings they cover.  Returns the trace, the
-    trigger status (``'unterminated'`` when the trigger sets neither a stop
-    nor a count, its stop lies past ``limit_ns``, or the count was not
-    reached) and ``end_ns``.
+    One entry per reading since the run started, in increasing timestamp
+    order: its timestamp, bus volts and amperes, and whether the chip
+    saturated; the run's first :data:`DEFAULT_WARMUP_SAMPLES` readings are
+    flagged warm-up.  Readings outside ``[trigger.start_ns, limit]``, with
+    the limit ``trigger.limit_ns(horizon_ns)`` (open-ended when None), and
+    past the count of a count trigger, are dropped.  The window ends at
+    ``end_ns``: the last counted reading of a count trigger, else the limit.
+    Power-save ``(start_ns, end_ns, mode)`` intervals are clipped to the
+    window, kept on the trace, and flag the readings they cover.  Returns
+    the trace, the trigger status (``'unterminated'`` when the trigger sets
+    neither a stop nor a count, its stop lies past ``horizon_ns``, or the
+    count was not reached) and ``end_ns``.
     """
     count = trigger.sample_count
+    limit_ns = trigger.limit_ns(horizon_ns)
     ts = np.asarray(timestamps_ns, dtype=np.int64)
     lo = int(np.searchsorted(ts, trigger.start_ns, side="left"))
     hi = len(ts) if limit_ns is None else int(np.searchsorted(ts, limit_ns, side="right"))
@@ -410,20 +411,16 @@ def build_trace(timestamps_ns, bus_voltage, current, saturated, conversion_index
         hi = min(hi, lo + count)
         if hi > lo:
             end_ns = int(ts[hi - 1])
-    complete = ((count is None and trigger.stop_ns is not None and trigger.stop_ns <= limit_ns)
+    complete = ((count is None and trigger.stop_ns is not None and trigger.stop_ns == limit_ns)
                 or hi - lo == count)
     ts = ts[lo:hi]
 
-    clipped = []
-    for s, e, mode_index in intervals:
-        s = max(s, trigger.start_ns)
-        if end_ns is not None:
-            e = min(e, end_ns)
-        if e > s:
-            clipped.append((s, e, mode_index))
+    upper = math.inf if end_ns is None else end_ns
+    clipped = [(max(s, trigger.start_ns), min(e, upper), m) for s, e, m in intervals]
+    clipped = [(s, e, m) for s, e, m in clipped if e > s]
     flags = flag_power_save(ts, clipped)
     flags[np.asarray(saturated, dtype=bool)[lo:hi]] |= FLAG_SATURATED
-    flags[np.asarray(conversion_index)[lo:hi] <= DEFAULT_WARMUP_SAMPLES] |= FLAG_WARMUP
+    flags[:max(DEFAULT_WARMUP_SAMPLES - lo, 0)] |= FLAG_WARMUP
     trace = Trace(ts, np.asarray(bus_voltage)[lo:hi], np.asarray(current)[lo:hi],
                   flags, intervals=clipped)
     return trace, "complete" if complete else "unterminated", end_ns
@@ -435,7 +432,7 @@ def build_trace(timestamps_ns, bus_voltage, current, saturated, conversion_index
 
 #: Read delays the polling loop draws from the generator at a time.
 _DELAY_BLOCK = 4096
-#: Readings after which the polling loop stops whatever its trigger.
+#: Readings, in the window or not, after which the polling loop stops.
 _MAX_READINGS = 2_000_000
 
 
@@ -461,32 +458,31 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
     ``load`` maps a nanosecond timestamp to an ``(amperes, volts)`` pair.
     The loop polls the bus-voltage register until the ready flag is set,
     reads the shunt register and timestamps the pair.  The sensor is never
-    power-cycled: readings outside the trigger window are simply discarded.
-    ``intervals`` are the device's announced ``(start_ns, end_ns,
-    mode_index)`` power-save spans, as :func:`build_trace` takes them; an
-    empty or overlapping one fails before the first register read.  The
-    result is the :func:`build_trace` of the kept readings and its
-    :func:`gated_energy`; no file is written.  ``horizon_ns`` bounds the run
-    when the trigger itself never stops (an unterminated edge stream, or a
-    count trigger the load cannot satisfy).  With ``rng`` every read takes a
-    jittered delay (see :func:`~emeter.bus_timing.read_delay`); the loop
-    draws them in blocks and leaves ``rng`` in the state one draw per read
-    would have left.
+    power-cycled; the loop keeps every reading until the trigger's
+    :meth:`~TriggerSpec.limit_ns`, or until ``sample_count`` readings at or
+    after ``start_ns`` are in.  ``intervals`` are the device's announced
+    ``(start_ns, end_ns, mode_index)`` power-save spans, as
+    :func:`build_trace` takes them; an empty or overlapping one fails before
+    the first register read.  The result is the :func:`build_trace` of all
+    the readings and its :func:`gated_energy`; no file is written.
+    ``horizon_ns`` bounds the run: it closes a trigger that never stops (an
+    unterminated edge stream, or a count trigger the load cannot satisfy)
+    and cuts a stop past it.  With ``rng`` every read takes a jittered delay
+    (see :func:`~emeter.bus_timing.read_delay`); the loop draws them in
+    blocks and leaves ``rng`` in the state one draw per read would have left.
     """
     if config != bus.sensor.config:
         raise ValueError(f"config {config} differs from the sensor's "
                          f"{bus.sensor.config}, which quantizes the readings")
     validate_operating_point(driver, speed_khz, config.supply_voltage)
-    start_ns = trigger.start_ns
-    limit_ns = trigger.stop_ns if trigger.stop_ns is not None else horizon_ns
+    limit_ns = trigger.limit_ns(horizon_ns)
     intervals = _sorted_intervals(intervals)
 
     overhead_ns = (LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
     count_target = trigger.sample_count
-    # (timestamp, bus count, shunt count, overflow, conversion index)
-    readings: list[tuple[int, int, int, bool, int]] = []
+    # (timestamp, bus-voltage word, shunt word) of every reading of the run
+    readings: list[tuple[int, int, int]] = []
     now = 0.0  # simulation clock, ns
-    conversions_seen = 0
 
     # Read delays in ns, one per register read, popped from the end of a
     # reversed block of draws.  The generator state before the current block
@@ -521,33 +517,28 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
                 bus_word = read_register(REG_BUS_VOLTAGE)
                 if conversion_ready(bus_word):
                     break
-            conversions_seen += 1
             now += delays.pop() if delays else next_block()
             t = int(now)
             amps, volts = load(t)
             sensor_step(amps, volts, t)
             shunt_word = read_register(REG_SHUNT_VOLTAGE)
             now += overhead_ns
-            ts = int(now)
-
-            if ts >= start_ns and (limit_ns is None or ts <= limit_ns):
-                readings.append((ts, bus_count_from_word(bus_word),
-                                 shunt_count_from_word(shunt_word),
-                                 bus_overflow(bus_word), conversions_seen))
-            if len(readings) == count_target:
-                break
+            readings.append((int(now), bus_word, shunt_word))
             if limit_ns is not None and now > limit_ns:
+                break
+            # the last count readings are all in once the first of them is
+            if (count_target is not None and len(readings) >= count_target
+                    and readings[-count_target][0] >= trigger.start_ns):
                 break
     finally:
         if block_state is not None:
             rng.bit_generator.state = block_state
             read_delays_us(mean_us, half_us, rng, _DELAY_BLOCK - len(delays))
 
-    ts, bus_count, shunt_count, overflow, conv_index = \
-        np.array(readings, dtype=np.int64).reshape(-1, 5).T
+    ts, bus_word, shunt_word = np.array(readings, dtype=np.int64).reshape(-1, 3).T
     trace, status, _ = build_trace(
-        ts, dequantize_bus(bus_count, config),
-        dequantize_shunt(shunt_count, config), overflow, conv_index,
-        trigger, limit_ns, intervals)
+        ts, dequantize_bus(bus_count_from_word(bus_word), config),
+        dequantize_shunt(shunt_count_from_word(shunt_word), config),
+        bus_overflow(bus_word), trigger, horizon_ns, intervals)
     return MeasurementResult(trace=trace, energy_j=gated_energy(trace),
                              overruns=0, status=status)

@@ -317,14 +317,14 @@ def conversion_ready(bus_word: int) -> bool:
     return bool(bus_word & _CNVR_BIT)
 
 
-def bus_overflow(bus_word: int) -> bool:
-    return bool(bus_word & _OVF_BIT)
+def bus_overflow(bus_word):
+    return (bus_word & _OVF_BIT) != 0
 
 
-def bus_count_from_word(bus_word: int) -> int:
+def bus_count_from_word(bus_word):
     return bus_word >> 3
 
 
-def shunt_count_from_word(shunt_word: int) -> int:
-    """Sign-extend the 16-bit shunt register value."""
-    return shunt_word - 0x10000 if shunt_word & 0x8000 else shunt_word
+def shunt_count_from_word(shunt_word):
+    """Sign-extend 16-bit shunt word(s); every word decoder takes an int or an array."""
+    return (shunt_word ^ 0x8000) - 0x8000

@@ -96,6 +96,7 @@ PRESETS = {
 
 SUPPLY_RIPPLE_BAND_V = 0.002      # regulated source stays inside this band
 SUPPLY_RIPPLE_PERIOD_S = 0.0073   # deliberately off-grid vs. state dwells
+DWELL_SLACK_S = 1e-12             # a last dwell this short is float slack, not a state
 
 
 def _segment_of(edges: np.ndarray, t):
@@ -275,13 +276,14 @@ def generate_profile(preset: str | DevicePreset, workload: int,
         raise ValueError(f"workload must be one of {sorted(WORKLOAD_STATES)}")
     if source not in ("supply", "battery"):
         raise ValueError(f"unknown source model {source!r}")
-    if not (math.isfinite(duration) and duration > 0):
-        raise ValueError(f"duration must be finite and positive, got {duration}")
+    if not (math.isfinite(duration) and duration > DWELL_SLACK_S):
+        raise ValueError("duration must be finite and positive, longer than the "
+                         f"{DWELL_SLACK_S} s dwell slack, got {duration}")
     rng = np.random.default_rng(seed)
     states = WORKLOAD_STATES[workload]
     t0, dwell = [], []
     t = 0.0
-    while t < duration - 1e-12:
+    while t < duration - DWELL_SLACK_S:
         t0.append(t)
         dwell.append(min(STATE_DWELL_S, duration - t))
         t += dwell[-1]

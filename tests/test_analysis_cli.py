@@ -23,7 +23,7 @@ from emeter.sampler import (
     FLAG_SATURATED,
     FLAG_WARMUP,
     Trace,
-    _countable_mask,
+    countable_mask,
     _segment_energy,
 )
 from emeter.tracefile import TraceHeader, TraceRecord, encode_trace, load_trace
@@ -131,7 +131,7 @@ class TestVoltageEffect:
     def test_equals_two_segment_energies(self, rows):
         steps, v, i, flags = map(np.array, zip(*rows))
         trace = Trace(np.cumsum(steps), v, i, flags)
-        mask = _countable_mask(trace, exclude_power_save=True)
+        mask = countable_mask(trace, exclude_power_save=True)
         mean_v = float(np.mean(v[mask])) if mask.any() else 0.0
         ts = trace.timestamps_ns
         result = voltage_effect(trace)
@@ -222,6 +222,18 @@ class TestCli:
         assert "duration must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--duration", "1", "--trigger", "duration:1e300"],
+         "trigger spec 'duration:1e300': duration must be finite and positive, "
+         "and fit in int64 nanoseconds, got 1e+300"),
+        # the profile's dwell loop would build no state at all
+        (["--duration", "1e-13"], "got 1e-13"),
+    ], ids=["overflow", "under-slack"])
+    def test_out_of_range_duration_is_named(self, flags, named, capsys):
+        assert main(["sample", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
     @pytest.mark.parametrize("text,message", [
         ("0 fall\n100 wiggle\n", "bad trigger edge line 2: '100 wiggle'"),
         ("100 rise\n", "edge trigger stream has no start (fall) edge"),
@@ -253,6 +265,18 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: {curve_path}: line 2: current_gain is not a number: 'abc'\n")
+
+    def test_calibration_repeated_key_is_error(self, tmp_path, capsys):
+        # the last current_gain used to win silently
+        curve_path = tmp_path / "dup.txt"
+        lines = CalibrationCurve("linear", 1.0).serialize().splitlines(keepends=True)
+        lines.insert(2, "current_gain: 2.0\n")
+        curve_path.write_text("".join(lines))
+        code = main(["sample", "--preset", "rpi3", "--duration", "1",
+                     "--calib", str(curve_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {curve_path}: line 3: current_gain repeats line 2\n")
 
     def test_calibration_form_it_cannot_apply_is_error(self, tmp_path, capsys):
         curve_path = tmp_path / "curve.txt"
@@ -354,6 +378,15 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "1.380000" in out
+
+    def test_overhead_rate_too_low_to_replay_is_error(self, capsys):
+        # the replay's push times would wrap in the int64 cast
+        code = main(["overhead", "--buffer-power", "1", "--write-power", "2",
+                     "--write-speed", "1e6", "--rate", "1e-9"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "sample rate 1e-09 is too low to replay" in captured.err
+        assert captured.out == ""
 
     def test_overhead_invalid_regime(self, capsys):
         code = main(["overhead", "--buffer-power", "1.0", "--write-power",

@@ -201,3 +201,9 @@ class TestOverheadModel:
     def test_event_replay_matches_closed_form(self, m):
         replay = simulate_overhead_power(m)
         assert replay == pytest.approx(overhead_energy_closed(m), rel=0.01)
+
+    def test_event_replay_rejects_push_times_past_int64(self):
+        # 409600 pushes 1e18 ns apart: the cast to int64 would wrap
+        m = model(p_b=1.0, p_wb=2.0, w=1e6, r_s=1e-9)
+        with pytest.raises(ValueError, match=r"^sample rate 1e-09 is too low to replay"):
+            simulate_overhead_power(m)

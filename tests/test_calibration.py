@@ -312,6 +312,16 @@ class TestApplyCalibration:
         with pytest.raises(ValueError, match=message):
             CalibrationCurve.parse(text.replace(old, new))
 
+    @pytest.mark.parametrize("field", ["current_gain", "rmse_v"])
+    def test_curve_file_repeated_key_rejected(self, field):
+        # rmse_v has a default, but a file still sets it once
+        lines = CalibrationCurve("linear", 1.0).serialize().splitlines()
+        first = next(k for k, line in enumerate(lines, 1) if line.startswith(f"{field}:"))
+        lines.append(f"{field}: 2.0")
+        with pytest.raises(ValueError,
+                           match=f"^line {len(lines)}: {field} repeats line {first}$"):
+            CalibrationCurve.parse("\n".join(lines))
+
     def test_curve_file_missing_field(self):
         with pytest.raises(ValueError):
             CalibrationCurve.parse("current_form: linear\n")

@@ -84,6 +84,20 @@ class TestPipelineVsRegisterLoop:
         e_vec = vec.energy_gated_j
         assert e_vec == pytest.approx(loop.energy_j, rel=2e-3)
 
+    def test_horizon_cuts_a_later_stop(self):
+        # a 0.5 s duration trigger on a 0.2 s run: both samplers stop at the
+        # horizon, short of the stop, and say so
+        cfg = SensorConfig()
+        options = PipelineOptions(noise_current_a=0.0, noise_voltage_v=0.0,
+                                  board="ideal", pga_divider=1)
+        trigger = TriggerSpec.duration(0.5)
+        vec = run_pipeline(constant_profile(5e-3, 5.0, 0.2), options, trigger)
+        loop = run_measurement(SimulatedBus(SimulatedSensor(cfg)), lambda t: (5e-3, 5.0),
+                               BCM_PROFILE, 2500, cfg, trigger, horizon_ns=200_000_000)
+        assert vec.report.status == loop.status == "unterminated"
+        assert len(loop.trace) == len(vec.trace) == 190
+        assert loop.trace.timestamps_ns[-1] <= 200_000_000
+
     def test_sample_rate_anchor(self):
         profile = constant_profile(5e-3, 5.0, 1.0)
         vec = run_pipeline(profile, PipelineOptions(), TriggerSpec.duration(1.0))
@@ -261,31 +275,42 @@ class TestPipelineExact:
         assert self.digest(result, fh.getvalue()) == self.FILE_DIGESTS[kind]
 
 
+# (trigger, run horizon, the window's limit) of a pipeline run
+LIMIT_CASES = [
+    (TriggerSpec.duration(0.05), 10**9, 50_000_000),
+    (TriggerSpec.duration(2.0), 30_000_017, 30_000_017),
+    (TriggerSpec.count(10), 10**9, 10**9),
+    (TriggerSpec(start_ns=7_000_000, sample_count=12), 10**9, 10**9),
+]
+
+
 class TestStages:
     """Each stage of ``run_pipeline`` on its own."""
 
+    # the polling loop runs without a horizon unless its caller sets one
+    @pytest.mark.parametrize("trigger,horizon_ns,limit_ns", LIMIT_CASES + [
+        (TriggerSpec.duration(0.05), None, 50_000_000),
+        (TriggerSpec.count(10), None, None),
+    ])
+    def test_trigger_limit(self, trigger, horizon_ns, limit_ns):
+        assert trigger.limit_ns(horizon_ns) == limit_ns
+
     @pytest.mark.parametrize("driver,speed,bits", [
         (BCM_PROFILE, 2500, 12), (BCM_PROFILE, 500, 9), (LINUX_PROFILE, 800, 9)])
-    @pytest.mark.parametrize("trigger,horizon_ns,limit_ns", [
-        (TriggerSpec.duration(0.05), 10**9, 50_000_000),
-        (TriggerSpec.duration(2.0), 30_000_017, 30_000_017),
-        (TriggerSpec.count(10), 10**9, 10**9),
-        (TriggerSpec(start_ns=7_000_000, sample_count=12), 10**9, 10**9),
-    ])
+    @pytest.mark.parametrize("trigger,horizon_ns,limit_ns", LIMIT_CASES)
     def test_schedule_grid(self, driver, speed, bits, trigger, horizon_ns, limit_ns):
         config = SensorConfig(resolution_bits=bits)
-        conv_index, end_s, ts, limit = schedule(driver, speed, config, trigger, horizon_ns)
+        end_s, ts = schedule(driver, speed, config, trigger, horizon_ns)
         period_ns = sample_period_us(driver, speed, config) * 1000.0
         tail_ns = (1.5 * driver.mean_delay_us(speed)
                    + LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
-        assert limit == limit_ns
-        assert conv_index.tolist() == list(range(1, len(conv_index) + 1))
-        assert np.array_equal(ts, (conv_index * period_ns + tail_ns).astype(np.int64))
-        assert np.array_equal(end_s, conv_index * period_ns * 1e-9)
-        n = len(conv_index)
+        conversion = np.arange(1, len(ts) + 1)
+        assert np.array_equal(ts, (conversion * period_ns + tail_ns).astype(np.int64))
+        assert np.array_equal(end_s, conversion * period_ns * 1e-9)
+        n = len(ts)
         if trigger.sample_count is None:
             # every conversion whose reading lands inside the limit
-            assert n * period_ns + tail_ns <= limit < (n + 1) * period_ns + tail_ns
+            assert n * period_ns + tail_ns <= limit_ns < (n + 1) * period_ns + tail_ns
         else:
             # one past the conversion that reaches the count
             assert n == trigger.start_ns // period_ns + trigger.sample_count + 1
@@ -361,8 +386,8 @@ class TestStagesLeaveInputs:
     BUS_V = np.linspace(-1.0, 18.0, 257)
 
     def test_schedule_outputs_are_separate(self):
-        _, end_s, ts, _ = schedule(BCM_PROFILE, 2500, self.CONFIG,
-                                   TriggerSpec.duration(0.05), 10**9)
+        end_s, ts = schedule(BCM_PROFILE, 2500, self.CONFIG,
+                             TriggerSpec.duration(0.05), 10**9)
         # the timestamps are the window ends shifted in place after end_s
         assert not np.shares_memory(end_s, ts)
 

@@ -46,6 +46,18 @@ def test_no_import_inside_a_function():
     assert inside == []
 
 
+def test_no_private_import_across_modules():
+    # a module that takes an ``_``-prefixed name from another emeter module
+    # leans on what that module keeps to itself; make the name public first
+    private = sorted(f"{path.name}:{node.lineno} {alias.name} from {node.module}"
+                     for path in sorted((ROOT / "src" / "emeter").glob("*.py"))
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.ImportFrom)
+                     and (node.level > 0 or (node.module or "").split(".")[0] == "emeter")
+                     for alias in node.names if alias.name.startswith("_"))
+    assert private == []
+
+
 # Dead state the program keeps on purpose: name -> why it stays.
 KEPT_STATE = {
     "MeasurementPair.instant_ns":

@@ -353,15 +353,15 @@ def build_trace_cases(draw):
             edges.append((draw(st.integers(fall + 1, span + 1)), "rise"))
         trigger = TriggerSpec.external_edges(edges)
     horizon = draw(st.one_of(st.none(), st.integers(0, span)))
+    # the window's limit, worked out apart from TriggerSpec.limit_ns
     limit = trigger.stop_ns
     if horizon is not None:
         limit = horizon if limit is None else min(limit, horizon)
     columns = dict(
         bus_voltage=draw(st.lists(st.floats(0.5, 5.5), min_size=n, max_size=n)),
         current=draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
-        saturated=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
-        conversion_index=np.arange(1, n + 1) + draw(st.integers(0, 3)))
-    return ts, columns, trigger, limit, intervals
+        saturated=draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return ts, columns, trigger, horizon, limit, intervals
 
 
 class TestBuildTrace:
@@ -370,15 +370,19 @@ class TestBuildTrace:
     @settings(max_examples=300, deadline=None)
     @given(case=build_trace_cases())
     def test_window_flags_status_and_intervals(self, case):
-        ts, columns, trigger, limit, intervals = case
+        ts, columns, trigger, horizon, limit, intervals = case
         trace, status, end_ns = build_trace(
             ts, columns["bus_voltage"], columns["current"], columns["saturated"],
-            columns["conversion_index"], trigger, limit, intervals)
+            trigger, horizon, intervals)
         count = trigger.sample_count
 
         # the kept readings: those in [start, limit], cut at the count
         inside = (ts >= trigger.start_ns) & (ts <= (np.inf if limit is None else limit))
         assert np.array_equal(trace.timestamps_ns, ts[inside][:count])
+        # warm-up: the run's first readings, by position, kept or not
+        position = np.nonzero(inside)[0][:count]
+        assert np.array_equal((trace.flags & FLAG_WARMUP) != 0,
+                              position < DEFAULT_WARMUP_SAMPLES)
         if count is not None and len(trace):
             assert end_ns == trace.timestamps_ns[-1]
         else:
