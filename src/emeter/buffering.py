@@ -315,18 +315,27 @@ def overhead_energy_closed(model: OverheadModel) -> float:
             * (model.write_power_w - model.buffer_power_w) / model.write_speed_bps)
 
 
+#: Most push times :func:`simulate_overhead_power` replays: 16 MB of int64
+#: nanoseconds, and as much again for the float product they are cast from.
+REPLAY_PUSH_BUDGET = 2_000_000
+
+
 def simulate_overhead_power(model: OverheadModel) -> float:
     """Replay the actual flush schedule and time-weight the two power levels.
 
-    Runs the two-buffer schedule over a few hundred fills' push times at the
+    Runs the two-buffer schedule over 25 to 400 fills' push times at the
     model's sample rate (no records: the schedule depends on the push times
     alone), then averages ``buffer_power_w`` / ``write_power_w`` over the
     resulting write-activity intervals.  The cycle count keeps the
-    partial-final-flush edge effect well under a percent without replaying
-    an unbounded number of samples.
+    partial-final-flush edge effect well under a percent; a buffer whose 25
+    fills exceed :data:`REPLAY_PUSH_BUDGET` push times is rejected.
     """
-    n_buffers = max(25, min(400, 2_000_000 // model.buffer_samples))
+    n_buffers = max(25, min(400, REPLAY_PUSH_BUDGET // model.buffer_samples))
     n_samples = n_buffers * model.buffer_samples
+    if n_samples > REPLAY_PUSH_BUDGET:
+        raise ValueError(f"buffer samples {model.buffer_samples!r} is too large to replay: "
+                         f"{n_buffers} fills take {n_samples} push times, over the "
+                         f"budget of {REPLAY_PUSH_BUDGET}")
     period_ns = 1e9 / model.sample_rate_sps
     horizon_ns = n_samples * period_ns
     if horizon_ns >= 2 ** 63:

@@ -388,6 +388,16 @@ class TestCli:
         assert "sample rate 1e-09 is too low to replay" in captured.err
         assert captured.out == ""
 
+    def test_overhead_buffer_too_large_to_replay_is_error(self, capsys):
+        # 25 fills would replay 2000025 push times, past the budget
+        code = main(["overhead", "--buffer-power", "1.26", "--write-power", "2.46",
+                     "--write-speed", "1.28e6", "--rate", "1000",
+                     "--buffer-samples", "80001"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "buffer samples 80001 is too large to replay" in captured.err
+        assert captured.out == ""
+
     def test_overhead_invalid_regime(self, capsys):
         code = main(["overhead", "--buffer-power", "1.0", "--write-power",
                      "2.0", "--write-speed", "100", "--rate", "1000"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from emeter.buffering import (
+    REPLAY_PUSH_BUDGET,
     BufferPolicy,
     OverheadModel,
     SustainedOverrunError,
@@ -201,6 +202,13 @@ class TestOverheadModel:
     def test_event_replay_matches_closed_form(self, m):
         replay = simulate_overhead_power(m)
         assert replay == pytest.approx(overhead_energy_closed(m), rel=0.01)
+
+    def test_event_replay_rejects_buffer_past_push_budget(self):
+        # 25 fills of 80001 entries are 2000025 push times, just past the
+        # budget; 80000 entries fit it exactly
+        assert REPLAY_PUSH_BUDGET == 25 * 80_000
+        with pytest.raises(ValueError, match=r"^buffer samples 80001 is too large to replay"):
+            simulate_overhead_power(model(l_b=80_001))
 
     def test_event_replay_rejects_push_times_past_int64(self):
         # 409600 pushes 1e18 ns apart: the cast to int64 would wrap

@@ -6,14 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emeter.buffering import BufferPolicy
 from emeter.bus_timing import (
     BCM_PROFILE,
     LINUX_PROFILE,
     LOOP_OVERHEAD_US,
+    PROFILES,
+    SUPPORTED_SPEEDS_KHZ,
     TIMESTAMP_CALL_US,
+    UnsupportedOperatingPoint,
     sample_period_us,
+    validate_operating_point,
 )
 from emeter.calibration import CalibrationCurve, apply_current
 from emeter.experiment import (
@@ -37,9 +43,12 @@ from emeter.sensor import (
     BREAKOUT_BOARD,
     IDEAL_BOARD,
     SHIELD_BOARD,
+    VALID_RESOLUTIONS,
+    VALID_SUPPLIES,
     SensorConfig,
     SimulatedBus,
     SimulatedSensor,
+    conversion_time_us,
     quantize_bus_array,
     quantize_shunt_array,
 )
@@ -300,13 +309,15 @@ class TestStages:
     @pytest.mark.parametrize("trigger,horizon_ns,limit_ns", LIMIT_CASES)
     def test_schedule_grid(self, driver, speed, bits, trigger, horizon_ns, limit_ns):
         config = SensorConfig(resolution_bits=bits)
-        end_s, ts = schedule(driver, speed, config, trigger, horizon_ns)
+        grid_s, ts = schedule(driver, speed, config, trigger, horizon_ns)
         period_ns = sample_period_us(driver, speed, config) * 1000.0
         tail_ns = (1.5 * driver.mean_delay_us(speed)
                    + LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
         conversion = np.arange(1, len(ts) + 1)
         assert np.array_equal(ts, (conversion * period_ns + tail_ns).astype(np.int64))
-        assert np.array_equal(end_s, conversion * period_ns * 1e-9)
+        # n + 1 boundaries from 0; the window ends are bit for bit k * period
+        assert len(grid_s) == len(ts) + 1 and grid_s[0] == 0.0
+        assert grid_s[1:].tobytes() == (conversion * period_ns * 1e-9).tobytes()
         n = len(ts)
         if trigger.sample_count is None:
             # every conversion whose reading lands inside the limit
@@ -386,18 +397,22 @@ class TestStagesLeaveInputs:
     BUS_V = np.linspace(-1.0, 18.0, 257)
 
     def test_schedule_outputs_are_separate(self):
-        end_s, ts = schedule(BCM_PROFILE, 2500, self.CONFIG,
-                             TriggerSpec.duration(0.05), 10**9)
-        # the timestamps are the window ends shifted in place after end_s
-        assert not np.shares_memory(end_s, ts)
+        grid_s, ts = schedule(BCM_PROFILE, 2500, self.CONFIG,
+                              TriggerSpec.duration(0.05), 10**9)
+        # the timestamps are the boundaries shifted in place after grid_s
+        assert not np.shares_memory(grid_s, ts)
 
     @pytest.mark.parametrize("squares", [False, True])
     def test_window_means(self, squares):
+        # both forms, each given the boundaries as _readings passes them: the
+        # gapped form their window-end view, the tiled form the whole grid
         profile = generate_profile("rpi3", 1, seed=1, duration=0.5)
-        end_s = np.linspace(0.01, 0.5, 300)
-        assert_inputs_unchanged(
-            lambda end, *_: profile.window_means(end, 0.001, squares), end_s,
-            profile.edges, profile._cum_i, profile._cum_v, profile._cum_p, profile._cum_i2)
+        grid_s = np.arange(0, 500) * 1e-3
+        for means in (lambda grid: profile.window_means(grid[1:], 0.001, squares),
+                      lambda grid: profile.tiled_means(grid, 0.001, squares)):
+            assert_inputs_unchanged(
+                lambda grid, *_: means(grid), grid_s, profile.edges,
+                profile._cum_i, profile._cum_v, profile._cum_p, profile._cum_i2)
 
     @pytest.mark.parametrize("noise", [0.0, 1e-3])
     @pytest.mark.parametrize("board", [SHIELD_BOARD, BREAKOUT_BOARD], ids=lambda b: b.name)
@@ -422,6 +437,117 @@ class TestStagesLeaveInputs:
         current = np.linspace(0.0, 0.5, 257)
         assert_inputs_unchanged(lambda i, v: calibrate(curve, i, v), current, self.BUS_V)
         assert_inputs_unchanged(lambda i: apply_current(curve, i), current)
+
+
+def operating_points():
+    """(driver, bus speed kHz, supply V, resolution bits) of every supported point."""
+    points = []
+    for driver in PROFILES.values():
+        for speed in SUPPORTED_SPEEDS_KHZ:
+            for supply in VALID_SUPPLIES:
+                try:
+                    validate_operating_point(driver, speed, supply)
+                except UnsupportedOperatingPoint:
+                    continue
+                points.extend((driver, speed, supply, bits) for bits in VALID_RESOLUTIONS)
+    return points
+
+
+def tiles(driver, speed, supply, bits):
+    config = SensorConfig(resolution_bits=bits, supply_voltage=supply)
+    return sample_period_us(driver, speed, config) == conversion_time_us(config)
+
+
+TILED_POINTS = [point for point in operating_points() if tiles(*point)]
+
+
+class TestTiledWindows:
+    """Back-to-back conversion windows take one lookup per boundary."""
+
+    def test_pipeline_tiles_exactly_where_period_is_conversion(self, monkeypatch):
+        forms = []
+        for form in ("window_means", "tiled_means"):
+            method = getattr(LoadProfile, form)
+            monkeypatch.setattr(LoadProfile, form,
+                                lambda self, *args, _m=method, _f=form:
+                                forms.append(_f) or _m(self, *args))
+        profile = constant_profile(0.1, 5.0, 0.01)
+        tiled = []
+        for driver, speed, supply, bits in operating_points():
+            forms.clear()
+            options = PipelineOptions(resolution_bits=bits, driver=driver.name,
+                                      speed_khz=speed, supply_voltage=supply)
+            run_pipeline(profile, options, TriggerSpec.duration(0.01))
+            assert forms == (["tiled_means"] if tiles(driver, speed, supply, bits)
+                             else ["window_means"]), (driver.name, speed, supply, bits)
+            tiled.append(forms == ["tiled_means"])
+        # every 12-bit point and the default tile; 8 points at 9 bit leave gaps
+        assert (len(tiled), sum(tiled)) == (28, 20)
+        assert (BCM_PROFILE, 2500, 5.0, 9) in TILED_POINTS
+        assert all(tiles(*point) for point in operating_points() if point[3] == 12)
+
+    def test_gapped_point_readings_unchanged(self):
+        # digest (TestPipelineExact.digest) of this run under the two-lookup
+        # form at every point; the breakout board also takes the i**2 path
+        options = PipelineOptions(resolution_bits=9, driver="linux", speed_khz=800,
+                                  board="breakout", seed=11)
+        assert not tiles(LINUX_PROFILE, 800, 5.0, 9)
+        result = run_experiment("rpi3", 1, options, duration=0.5)
+        assert len(result.trace) == 2262
+        assert TestPipelineExact.digest(result) == (
+            "8687d91007f43939b86cb35aedaac579e8439c670823661f4583a495c82e1123")
+
+    def test_constant_profile_exact(self):
+        # dyadic times and levels: every step of the tiled form is exact
+        profile = constant_profile(0.5, 4.0, 1.0)
+        mean_i, mean_i2, mean_v = profile.tiled_means(
+            np.array([0.0, 0.25, 0.5, 0.75, 1.0]), 0.25, True)
+        assert mean_i.tolist() == [0.5] * 4
+        assert mean_i2.tolist() == [0.25] * 4
+        assert mean_v.tolist() == [4.0] * 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(point=st.sampled_from(TILED_POINTS),
+           horizon_ns=st.integers(1_000_000, 40_000_000),
+           cuts=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                         max_size=40),
+           levels=st.lists(st.tuples(st.floats(0.0, 0.6), st.floats(3.0, 5.5)),
+                           min_size=41, max_size=41),
+           squares=st.booleans())
+    def test_tiled_means_match_two_lookups(self, point, horizon_ns, cuts, levels,
+                                           squares):
+        driver, speed, supply, bits = point
+        config = SensorConfig(resolution_bits=bits, supply_voltage=supply)
+        grid_s, ts = schedule(driver, speed, config, TriggerSpec.duration(1.0), horizon_ns)
+        window_s = conversion_time_us(config) * 1000.0 * 1e-9
+        period_ns = sample_period_us(driver, speed, config) * 1000.0
+        ends = np.arange(1, len(ts) + 1) * period_ns * 1e-9
+        assert grid_s[1:].tobytes() == ends.tobytes()
+
+        horizon_s = horizon_ns * 1e-9
+        edges = np.unique(np.concatenate([[0.0, horizon_s], np.array(cuts) * horizon_s]))
+        current, voltage = np.array(levels[:len(edges) - 1]).T
+        profile = LoadProfile(edges, current, voltage)
+        tiled = profile.tiled_means(grid_s, window_s, squares)
+        gapped = profile.window_means(grid_s[1:], window_s, squares)
+
+        # A window start is end - window rounded, not the boundary before it;
+        # the gap is a few ulps of the end.  A cumulative integral moves by
+        # at most that times its steepest slope, the largest level; each
+        # lookup and difference adds a rounding of the cumulative's size,
+        # and the division one of the mean's.
+        start_shift = np.abs(grid_s[:-1] - (grid_s[1:] - window_s))
+        assert np.all(start_shift <= 4 * np.spacing(grid_s[1:]))
+        eps = np.finfo(float).eps
+        for k, (levels_k, cumulative) in enumerate([
+                (current, profile._cum_i), (current ** 2, profile._cum_i2),
+                (voltage, profile._cum_v)]):
+            if k == 1 and not squares:
+                assert tiled[1] is None and gapped[1] is None
+                continue
+            bound = ((start_shift * levels_k.max() + 5 * eps * cumulative.max()) / window_s
+                     + eps * np.abs(gapped[k]))
+            assert np.all(np.abs(tiled[k] - gapped[k]) <= bound)
 
 
 def test_traced_layers_fire(tmp_path, monkeypatch):
