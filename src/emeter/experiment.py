@@ -219,11 +219,9 @@ def _readings(profile: LoadProfile, options: PipelineOptions,
               calibration: Optional[CalibrationCurve], grid_s):
     """Window means to calibrated readings, outputs held (module docstring).
 
-    The windows over ``schedule``'s boundaries ``grid_s`` tile when the
-    sample period is the conversion time itself, as ``sample_period_us``'s
-    ``max()`` returns it whenever the loop keeps up: then each cumulative
-    integral is looked up once per boundary.  Otherwise each window ends at
-    a boundary and is looked up at both of its ends.
+    The windows over ``schedule``'s boundaries ``grid_s`` tile where the
+    sample period is the conversion time itself (``sample_period_us``'s
+    ``max()`` returned it); elsewhere each window only ends at a boundary.
     """
     window_us = conversion_time_us(config)
     window_s = window_us * 1000.0 * 1e-9

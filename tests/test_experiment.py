@@ -487,8 +487,8 @@ class TestTiledWindows:
         assert all(tiles(*point) for point in operating_points() if point[3] == 12)
 
     def test_gapped_point_readings_unchanged(self):
-        # digest (TestPipelineExact.digest) of this run under the two-lookup
-        # form at every point; the breakout board also takes the i**2 path
+        # TestPipelineExact.digest of this run, recorded when every point took
+        # the two-lookup form; the breakout board also takes the i**2 path
         options = PipelineOptions(resolution_bits=9, driver="linux", speed_khz=800,
                                   board="breakout", seed=11)
         assert not tiles(LINUX_PROFILE, 800, 5.0, 9)
