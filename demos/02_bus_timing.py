@@ -12,7 +12,7 @@ from emeter.bus_timing import (
     PROFILES,
     SUPPORTED_SPEEDS_KHZ,
     expected_polls,
-    read_delay,
+    read_delays_us,
 )
 from emeter.sensor import SensorConfig
 
@@ -33,6 +33,8 @@ for res in (12, 9):
 # jittered read delays: the Linux stack spreads about 22us, BCM about 4us
 rng = np.random.default_rng(0)
 for name in ("bcm", "linux"):
-    draws = np.array([read_delay(PROFILES[name], 500, rng) for _ in range(5000)])
+    profile = PROFILES[name]
+    draws = read_delays_us(profile.mean_delay_us(500), profile.jitter_range_us / 2.0,
+                           rng, 5000)
     print(f"{name:6s} read at 500kHz: mean {draws.mean():6.1f} us, "
           f"spread {draws.max() - draws.min():5.1f} us")

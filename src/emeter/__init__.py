@@ -30,7 +30,7 @@ from emeter.sensor import (
     dequantize_bus,
     conversion_time_us,
 )
-from emeter.bus_timing import DriverProfile, PollingStats, expected_polls, read_delay
+from emeter.bus_timing import DriverProfile, PollingStats, expected_polls
 from emeter.sampler import (
     Sample,
     PowerSaveMode,
@@ -63,7 +63,6 @@ __all__ = [
     "DriverProfile",
     "PollingStats",
     "expected_polls",
-    "read_delay",
     "Sample",
     "PowerSaveMode",
     "TriggerSpec",

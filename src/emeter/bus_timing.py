@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -106,27 +105,12 @@ def read_delays_us(mean_us: float, half_band_us: float,
     """``n`` jittered read delays in microseconds, uniform in ``mean_us +-
     half_band_us``.
 
-    The only statement of the jitter: :func:`read_delay` is its one-draw
-    view and the sampler loop draws blocks of it.  Numpy's array ``uniform``
-    yields the same doubles as ``n`` scalar calls, so a block advances the
-    generator exactly as ``n`` one-draw reads would.
+    The only statement of the jitter: the sampler loop draws blocks of it.
+    Numpy's array ``uniform`` yields the same doubles as ``n`` one-draw
+    calls, so a block advances the generator exactly as ``n`` one-draw reads
+    would.
     """
     return mean_us + rng.uniform(-half_band_us, half_band_us, n)
-
-
-def read_delay(profile: DriverProfile, speed_khz: int,
-               rng: Optional[np.random.Generator] = None,
-               supply_voltage: float = 5.0) -> float:
-    """One sampled two-byte read delay in microseconds.
-
-    With ``rng`` the delay jitters uniformly within the profile's jitter
-    band, centered on the mean; without it the mean is returned.
-    """
-    validate_operating_point(profile, speed_khz, supply_voltage)
-    mean = profile.mean_delay_us(speed_khz)
-    if rng is None:
-        return mean
-    return float(read_delays_us(mean, profile.jitter_range_us / 2.0, rng, 1)[0])
 
 
 def sample_period_us(profile: DriverProfile, speed_khz: int,

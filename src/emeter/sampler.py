@@ -468,7 +468,7 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
     ``horizon_ns`` bounds the run: it closes a trigger that never stops (an
     unterminated edge stream, or a count trigger the load cannot satisfy)
     and cuts a stop past it.  With ``rng`` every read takes a jittered delay
-    (see :func:`~emeter.bus_timing.read_delay`); the loop draws them in
+    (see :func:`~emeter.bus_timing.read_delays_us`); the loop draws them in
     blocks and leaves ``rng`` in the state one draw per read would have left.
     """
     if config != bus.sensor.config:

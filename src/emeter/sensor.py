@@ -108,7 +108,10 @@ class SensorConfig:
 # evaluate the same expressions in the same order, so they agree bit for bit,
 # and both return the reading with whether the full-scale clamp moved it.
 # The array forms work in place on the arrays they allocate: at 9 bit a 30 s
-# run is ~143k readings, and every fresh full-length array is 1.1 MB.
+# run is ~143k readings, and every fresh full-length array is 1.1 MB.  Each
+# is split in two at the floor, so that the pipeline can look at the
+# pre-floor counts (how far a reading lies from the next count) before it
+# floors them.
 
 def quantize_shunt(current_a: float, config: SensorConfig) -> tuple[int, bool]:
     """Current -> (signed shunt register count, saturated): floor(current *
@@ -122,8 +125,18 @@ def quantize_shunt(current_a: float, config: SensorConfig) -> tuple[int, bool]:
 def quantize_shunt_array(current_a: np.ndarray, config: SensorConfig):
     """Array form of :func:`quantize_shunt` read back by
     :func:`dequantize_shunt`: (amperes, saturated mask)."""
+    return floor_shunt_array(shunt_counts_array(current_a, config), config)
+
+
+def shunt_counts_array(current_a: np.ndarray, config: SensorConfig):
+    """The pre-floor counts of :func:`quantize_shunt_array`, a new array."""
     raw = np.multiply(current_a, config.shunt_resistance)
     raw *= config.shunt_counts_per_volt
+    return raw
+
+
+def floor_shunt_array(raw: np.ndarray, config: SensorConfig):
+    """The rest of :func:`quantize_shunt_array`: floors ``raw`` in place."""
     np.floor(raw, out=raw)
     amps = np.clip(raw, -config.max_count, config.max_count)
     saturated = raw != amps
@@ -146,8 +159,18 @@ def quantize_bus(voltage_v: float, config: SensorConfig) -> tuple[int, bool]:
 def quantize_bus_array(voltage_v: np.ndarray, config: SensorConfig):
     """Array form of :func:`quantize_bus` read back by :func:`dequantize_bus`:
     (volts, saturated mask)."""
+    return floor_bus_array(bus_counts_array(voltage_v, config), config)
+
+
+def bus_counts_array(voltage_v: np.ndarray, config: SensorConfig):
+    """The pre-floor counts of :func:`quantize_bus_array`, a new array."""
     raw = np.multiply(voltage_v, config.max_count)
     raw /= config.bus_range
+    return raw
+
+
+def floor_bus_array(raw: np.ndarray, config: SensorConfig):
+    """The rest of :func:`quantize_bus_array`: floors ``raw`` in place."""
     np.floor(raw, out=raw)
     volts = np.clip(raw, 0, config.max_count)
     saturated = raw != volts

@@ -16,6 +16,11 @@ A profile is assembled without a per-spike loop: one draw gives the spike
 offsets of every tx dwell, array slots place the base and spike pieces, and
 one merge splits those pieces at the activity-ripple steps and the supply
 half periods, giving each segment its state and step index on the way.
+
+The spike offsets and the ripple steps draw from two streams keyed on the
+seed, ``default_rng(seed)`` and ``default_rng([seed, 1])``, and each draws in
+time order, so a profile is the start of every longer one with its seed,
+apart from the dwell that its duration cuts short.
 """
 
 from __future__ import annotations
@@ -300,7 +305,6 @@ def generate_profile(preset: str | DevicePreset, workload: int,
     if not (math.isfinite(duration) and duration > DWELL_SLACK_S):
         raise ValueError("duration must be finite and positive, longer than the "
                          f"{DWELL_SLACK_S} s dwell slack, got {duration}")
-    rng = np.random.default_rng(seed)
     states = WORKLOAD_STATES[workload]
     t0, dwell = [], []
     t = 0.0
@@ -315,7 +319,8 @@ def generate_profile(preset: str | DevicePreset, workload: int,
              "processing": preset.processing_current}
     starts, levels = _state_pieces(
         np.array(t0), np.array(dwell), np.array([level[s] for s in state]),
-        np.array([s == "tx" for s in state], dtype=bool), preset, rng)
+        np.array([s == "tx" for s in state], dtype=bool), preset,
+        np.random.default_rng(seed))
 
     # Every grid point lies in [0, duration) and the state breakpoints hold
     # both ends, so the union needs no clipping.  A segment takes its state
@@ -333,8 +338,8 @@ def generate_profile(preset: str | DevicePreset, workload: int,
     current = levels[index[0][:-1]]
     if ripple:
         # zero-mean uniform activity steps on top of the state levels
-        steps = rng.uniform(-preset.activity_ripple_a, preset.activity_ripple_a,
-                            size=len(grids[1]))
+        steps = np.random.default_rng([seed, 1]).uniform(
+            -preset.activity_ripple_a, preset.activity_ripple_a, size=len(grids[1]))
         current = np.maximum(current + steps[index[1][:-1]], 0.0)
     if source == "battery":
         voltage = preset.nominal_voltage - preset.battery_resistance * current

@@ -12,9 +12,9 @@ from emeter.bus_timing import (
     SUPPORTED_SPEEDS_KHZ,
     UnsupportedOperatingPoint,
     expected_polls,
-    read_delay,
     read_delays_us,
     sample_period_us,
+    validate_operating_point,
 )
 from emeter.sensor import SensorConfig
 
@@ -93,8 +93,8 @@ class TestReadDelay:
         rng = np.random.default_rng(11)
         for profile in (BCM_PROFILE, LINUX_PROFILE):
             mean = profile.mean_delay_us(500)
-            draws = np.array([read_delay(profile, 500, rng) for _ in range(2000)])
             half = profile.jitter_range_us / 2
+            draws = read_delays_us(mean, half, rng, 2000)
             assert np.all(draws >= mean - half - 1e-12)
             assert np.all(draws <= mean + half + 1e-12)
             assert abs(draws.mean() - mean) < half / 5
@@ -103,16 +103,20 @@ class TestReadDelay:
         assert BCM_PROFILE.jitter_range_us == pytest.approx(4.0)
         assert LINUX_PROFILE.jitter_range_us == pytest.approx(22.0)
 
-    def test_mean_without_rng(self):
-        assert read_delay(BCM_PROFILE, 800) == BCM_PROFILE.mean_delay_us(800)
+    def test_zero_band_is_the_mean(self):
+        mean = BCM_PROFILE.mean_delay_us(800)
+        draws = read_delays_us(mean, 0.0, np.random.default_rng(3), 50)
+        assert draws.tolist() == [mean] * 50
 
     def test_unsupported_speed(self):
         with pytest.raises(UnsupportedOperatingPoint):
-            read_delay(BCM_PROFILE, 1000)
+            validate_operating_point(BCM_PROFILE, 1000, 5.0)
+        with pytest.raises(UnsupportedOperatingPoint):
+            BCM_PROFILE.mean_delay_us(1000)
 
     def test_fast_bus_low_voltage_rejected(self):
         with pytest.raises(UnsupportedOperatingPoint):
-            read_delay(BCM_PROFILE, 2500, supply_voltage=3.3)
+            validate_operating_point(BCM_PROFILE, 2500, 3.3)
         cfg = SensorConfig(supply_voltage=3.3)
         with pytest.raises(UnsupportedOperatingPoint):
             expected_polls(BCM_PROFILE, 2500, cfg)
@@ -121,7 +125,7 @@ class TestReadDelay:
 
 
 class TestReadDelayBlocks:
-    """The polling loop draws delays in blocks; one-draw reads must see the
+    """The polling loop draws delays in blocks; one-draw calls must see the
     same doubles from the same generator stream."""
 
     @settings(max_examples=60, deadline=None)
@@ -130,11 +134,11 @@ class TestReadDelayBlocks:
            speed=st.sampled_from(SUPPORTED_SPEEDS_KHZ))
     def test_one_draw_view_equals_array_form(self, seed, n, driver, speed):
         profile = PROFILES[driver]
+        mean, half = profile.mean_delay_us(speed), profile.jitter_range_us / 2.0
         one_by_one = np.random.default_rng(seed)
-        draws = [read_delay(profile, speed, one_by_one) for _ in range(n)]
+        draws = [float(read_delays_us(mean, half, one_by_one, 1)[0]) for _ in range(n)]
         block = np.random.default_rng(seed)
-        array = read_delays_us(profile.mean_delay_us(speed),
-                               profile.jitter_range_us / 2.0, block, n)
+        array = read_delays_us(mean, half, block, n)
         assert draws == array.tolist()
         assert one_by_one.bit_generator.state == block.bit_generator.state
 

@@ -23,10 +23,13 @@ from emeter.bus_timing import (
 )
 from emeter.calibration import CalibrationCurve, apply_current
 from emeter.experiment import (
+    REACH,
+    REACH_SLACK_COUNTS,
     PipelineOptions,
+    _near,
     calibrate,
+    convert,
     pick_pga_divider,
-    quantize,
     run_experiment,
     run_pipeline,
     schedule,
@@ -40,17 +43,23 @@ from emeter.sampler import (
     run_measurement,
 )
 from emeter.sensor import (
+    BOARDS,
     BREAKOUT_BOARD,
     IDEAL_BOARD,
     SHIELD_BOARD,
+    VALID_PGA_DIVIDERS,
     VALID_RESOLUTIONS,
     VALID_SUPPLIES,
     SensorConfig,
     SimulatedBus,
     SimulatedSensor,
+    bus_counts_array,
     conversion_time_us,
+    floor_bus_array,
+    floor_shunt_array,
     quantize_bus_array,
     quantize_shunt_array,
+    shunt_counts_array,
 )
 from emeter.tracefile import decode_trace
 from emeter.workloads import (
@@ -212,6 +221,115 @@ class TestPipelineSemantics:
             assert result.energy_naive_j == result.energy_gated_j
 
 
+TRACE_COLUMNS = ("timestamps_ns", "bus_voltage", "current", "flags")
+
+
+def board_input(board, sensed):
+    """Window means (i, i**2 or None) that ``board`` senses as about ``sensed``."""
+    if board.current_quad == 0.0:
+        mean_i = sensed / board.current_gain
+    else:
+        root = np.sqrt(np.maximum(board.current_gain ** 2 + 4 * board.current_quad * sensed,
+                                  0.0))
+        mean_i = np.where(sensed >= 0, (root - board.current_gain) / (2 * board.current_quad),
+                          sensed / board.current_gain)
+    return mean_i, mean_i * mean_i if board.current_quad else None
+
+
+class TestNoiseReach:
+    """Noise is drawn only for readings it can move, from one keyed stream
+    per channel, so a reading depends on its seed and its conversion only."""
+
+    @pytest.mark.parametrize("board", [BOARDS[name] for name in sorted(BOARDS)],
+                             ids=lambda b: b.name)
+    @pytest.mark.parametrize("bits,divider", [(bits, divider) for bits in VALID_RESOLUTIONS
+                                              for divider in VALID_PGA_DIVIDERS])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_far_reading_keeps_count_for_every_draw(self, bits, divider, board, data):
+        # through the quantizers' own expressions: a reading the pipeline
+        # classifies far gets the same count and saturation flag from every
+        # draw the clip lets through, so it need not draw; the noisy count is
+        # monotone in the draw, so the two ends and a draw between them check
+        # the whole range
+        config = SensorConfig(pga_divider=divider, resolution_bits=bits)
+        top = 3 * config.max_count
+        for channel, per_unit, counts, floor_counts, floor in (
+                ("current", config.shunt_counts_per_amp, shunt_counts_array,
+                 floor_shunt_array, 0.0),
+                ("voltage", config.max_count / config.bus_range, bus_counts_array,
+                 floor_bus_array, None)):
+            # a reach below half a count, where some readings are far
+            sigma = data.draw(st.floats(1e-6, 0.49)) / (REACH * per_unit)
+            reach = REACH * sigma * per_unit + REACH_SLACK_COUNTS
+            edge = st.builds(lambda k, side, gap: k + side * (reach + gap),
+                             st.integers(-top, top), st.sampled_from([-1.0, 1.0]),
+                             st.floats(0.0, 1e-9))
+            targets = np.array(data.draw(st.lists(st.one_of(st.floats(-top, top), edge),
+                                                  min_size=1, max_size=40)))
+            if channel == "current":
+                mean_i, mean_i2 = board_input(board, targets / per_unit)
+                sensed = sense(board, mean_i, mean_i2, targets)[0]
+            else:
+                squares = targets ** 2 if board.current_quad else None
+                sensed = sense(board, targets, squares, targets / per_unit)[1]
+            raw = counts(sensed if floor is None else np.maximum(sensed, floor), config)
+            far = np.ones(len(raw), dtype=bool)
+            far[_near(raw, reach)] = False
+            clean, clean_saturated = floor_counts(raw, config)
+            for z in (-REACH, REACH, data.draw(st.floats(-REACH, REACH))):
+                noisy = z * sigma + sensed
+                if floor is not None:
+                    noisy = np.maximum(noisy, floor)
+                readings, saturated = floor_counts(counts(noisy, config), config)
+                assert readings[far].tobytes() == clean[far].tobytes(), (channel, z)
+                assert np.array_equal(saturated[far], clean_saturated[far]), (channel, z)
+
+    @pytest.mark.parametrize("bits", VALID_RESOLUTIONS)
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @settings(max_examples=6, deadline=None)
+    @given(stops=st.lists(st.floats(0.02, 0.6), min_size=2, max_size=2, unique=True),
+           count=st.integers(7, 2000), seed=st.integers(0, 2**16))
+    def test_moving_the_stop_keeps_earlier_readings(self, preset, bits, stops, count, seed):
+        profile = generate_profile(preset, 1, seed=seed, duration=0.6)
+        options = PipelineOptions(resolution_bits=bits, seed=seed)
+        full = run_pipeline(profile, options, TriggerSpec.duration(0.6)).trace
+        for trigger in [TriggerSpec.duration(stop) for stop in stops] + [
+                TriggerSpec.count(count)]:
+            trace = run_pipeline(profile, options, trigger).trace
+            n = len(trace)
+            for column in TRACE_COLUMNS:
+                assert (getattr(trace, column).tobytes()
+                        == getattr(full, column)[:n].tobytes()), (trigger, column)
+
+    @pytest.mark.parametrize("bits", VALID_RESOLUTIONS)
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_a_longer_run_starts_with_the_shorter(self, preset, bits):
+        # the profile's streams are keyed too: 1 s of load, and its readings,
+        # are the first second of a 2 s run with the same seed and divider
+        # (left alone, the divider follows the peak of the whole profile)
+        options = PipelineOptions(resolution_bits=bits, seed=5, pga_divider=8)
+        short = run_experiment(preset, 1, options, duration=1.0).trace
+        longer = run_experiment(preset, 1, options, duration=2.0).trace
+        n = len(short)
+        assert n > 0
+        for column in TRACE_COLUMNS:
+            assert getattr(short, column).tobytes() == getattr(longer, column)[:n].tobytes()
+
+    @pytest.mark.parametrize("bits", VALID_RESOLUTIONS)
+    @settings(max_examples=10, deadline=None)
+    @given(preset=st.sampled_from(sorted(PRESETS)),
+           seeds=st.lists(st.integers(0, 2**32), min_size=2, max_size=2, unique=True))
+    def test_ideal_board_without_noise_ignores_the_seed(self, bits, preset, seeds):
+        profile = generate_profile(preset, 1, seed=7, duration=0.3)
+        traces = [run_pipeline(profile, PipelineOptions(
+            resolution_bits=bits, board="ideal", noise_current_a=0.0,
+            noise_voltage_v=0.0, seed=seed), TriggerSpec.duration(0.3)).trace
+            for seed in seeds]
+        for column in TRACE_COLUMNS:
+            assert getattr(traces[0], column).tobytes() == getattr(traces[1], column).tobytes()
+
+
 class TestPipelineExact:
     """``run_pipeline``'s outputs are pinned bit for bit: a change to any
     reading, timestamp, flag, event, energy, report field or trace-file byte
@@ -358,21 +476,48 @@ class TestStages:
     def test_sense_ideal_board_without_noise_is_identity(self):
         rng = np.random.default_rng(1)
         mean_i, mean_v = rng.uniform(0.0, 0.5, 100), rng.uniform(3.0, 5.0, 100)
-        options = PipelineOptions(noise_current_a=0.0, noise_voltage_v=0.0)
-        sensed_i, sensed_v = sense(options, IDEAL_BOARD, mean_i, None, mean_v)
+        sensed_i, sensed_v = sense(IDEAL_BOARD, mean_i, None, mean_v)
         assert np.array_equal(sensed_i, mean_i)
         assert np.array_equal(sensed_v, mean_v)
 
-    def test_sense_noise_draws_current_then_voltage(self):
+    @pytest.mark.parametrize("bits,divider", [(9, 1), (9, 8), (12, 8)])
+    def test_convert_draws_keyed_streams_at_near_readings(self, bits, divider):
+        # the current draws default_rng(seed), the bus default_rng([seed, 1]);
+        # a reading takes its channel's next draw only if its pre-floor count
+        # lies within REACH sigma of a count boundary, in reading order, and
+        # every reading draws where that reach covers half a count
+        config = SensorConfig(pga_divider=divider, resolution_bits=bits)
         rng = np.random.default_rng(1)
-        mean_i, mean_v = rng.uniform(0.0, 0.5, 100), rng.uniform(3.0, 5.0, 100)
-        options = PipelineOptions(noise_current_a=3e-3, noise_voltage_v=2e-3, seed=5)
-        sensed_i, sensed_v = sense(options, IDEAL_BOARD, mean_i, None, mean_v)
-        draws = np.random.default_rng(5)
-        expected_i = np.maximum(mean_i + draws.normal(0.0, 3e-3, 100), 0.0)
-        expected_v = mean_v + draws.normal(0.0, 2e-3, 100)
-        assert np.array_equal(sensed_i, expected_i)
-        assert np.array_equal(sensed_v, expected_v)
+        sensed_i = rng.uniform(-0.01, 0.5, 2000)
+        sensed_v = rng.uniform(3.0, 5.0, 2000)
+        options = PipelineOptions(resolution_bits=bits, seed=5)
+        current, bus_v, saturated = convert(options, config, sensed_i, sensed_v)
+
+        expected = []
+        for sensed, sigma, key, per_unit, counts, quantize_array, floor in (
+                (sensed_i, options.noise_current_a, 5, config.shunt_counts_per_amp,
+                 shunt_counts_array, quantize_shunt_array, 0.0),
+                (sensed_v, options.noise_voltage_v, [5, 1],
+                 config.max_count / config.bus_range, bus_counts_array,
+                 quantize_bus_array, -np.inf)):
+            reach = REACH * sigma * per_unit + REACH_SLACK_COUNTS
+            pre_floor = counts(np.maximum(sensed, floor), config)
+            near = np.abs(pre_floor - np.rint(pre_floor)) <= reach
+            if reach >= 0.5:
+                near[:] = True
+            assert 0 < near.sum() and (reach >= 0.5) == near.all()
+            draws = np.random.default_rng(key).standard_normal(near.sum())
+            noisy = np.maximum(sensed, floor)
+            noisy[near] = np.maximum(draws * sigma + sensed[near], floor)
+            expected.append(quantize_array(noisy, config))
+        (expected_i, sat_i), (expected_v, sat_v) = expected
+        assert current.tobytes() == expected_i.tobytes()
+        assert bus_v.tobytes() == expected_v.tobytes()
+        assert np.array_equal(saturated, sat_i | sat_v)
+        # each channel's stream is its own: the other channel's noise does
+        # not move it
+        quiet = PipelineOptions(resolution_bits=bits, seed=5, noise_voltage_v=0.0)
+        assert convert(quiet, config, sensed_i, sensed_v)[0].tobytes() == current.tobytes()
 
     def test_calibrate_without_curve_passes_through(self):
         current, bus_v = np.array([0.1, 0.2]), np.array([5.0, 4.9])
@@ -417,17 +562,28 @@ class TestStagesLeaveInputs:
     @pytest.mark.parametrize("noise", [0.0, 1e-3])
     @pytest.mark.parametrize("board", [SHIELD_BOARD, BREAKOUT_BOARD], ids=lambda b: b.name)
     def test_sense(self, board, noise):
+        # the window means through the board, and the board's outputs
+        # through the conversion at this noise
         options = PipelineOptions(noise_current_a=noise, noise_voltage_v=noise)
         squares = board.current_quad != 0.0
         assert_inputs_unchanged(
-            lambda i, i2, v: sense(options, board, i, i2 if squares else None, v),
+            lambda i, i2, v: sense(board, i, i2 if squares else None, v),
             self.CURRENT, self.CURRENT ** 2, self.BUS_V)
+        sensed = sense(board, self.CURRENT, self.CURRENT ** 2 if squares else None,
+                       self.BUS_V)
+        assert_inputs_unchanged(lambda i, v: convert(options, self.CONFIG, i, v), *sensed)
 
     def test_quantize(self):
-        assert_inputs_unchanged(lambda i, v: quantize(i, v, self.CONFIG),
-                                self.CURRENT, self.BUS_V)
+        # no noise; the default noise, where both channels draw at near
+        # readings only; and 1 mA, where every current reading draws
+        for noise_i, noise_v in [(0.0, 0.0), (20e-6, 0.2e-3), (1e-3, 1e-3)]:
+            options = PipelineOptions(noise_current_a=noise_i, noise_voltage_v=noise_v)
+            assert_inputs_unchanged(lambda i, v: convert(options, self.CONFIG, i, v),
+                                    self.CURRENT, self.BUS_V)
         assert_inputs_unchanged(lambda i: quantize_shunt_array(i, self.CONFIG), self.CURRENT)
         assert_inputs_unchanged(lambda v: quantize_bus_array(v, self.CONFIG), self.BUS_V)
+        assert_inputs_unchanged(lambda i: shunt_counts_array(i, self.CONFIG), self.CURRENT)
+        assert_inputs_unchanged(lambda v: bus_counts_array(v, self.CONFIG), self.BUS_V)
 
     @pytest.mark.parametrize("curve", [
         CalibrationCurve("linear", 0.9956, voltage_offset=0.027, current_max_a=0.8),

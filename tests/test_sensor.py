@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emeter.experiment import quantize
+from emeter.experiment import PipelineOptions, convert
 from emeter.sensor import (
     BREAKOUT_BOARD,
     REG_BUS_VOLTAGE,
@@ -165,16 +165,18 @@ class TestScalarArrayQuantizers:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_pipeline_quantize_stage(self, config, data):
-        # the pipeline's quantize stage reads back what the chip latches
+        # the pipeline's conversion stage, noise off, reads back what the
+        # chip latches; it clips the current at zero amperes first
         amps = data.draw(inputs(1.0 / (config.shunt_counts_per_volt
                                        * config.shunt_resistance), config.max_count))
         volts = data.draw(inputs(config.bus_range / config.max_count, config.max_count))
         n = min(len(amps), len(volts))
         amps, volts = amps[:n], volts[:n]
-        current, bus_v, saturated = quantize(np.array(amps), np.array(volts), config)
+        quiet = PipelineOptions(noise_current_a=0.0, noise_voltage_v=0.0)
+        current, bus_v, saturated = convert(quiet, config, np.array(amps), np.array(volts))
         expected = []
         for a, v in zip(amps, volts):
-            shunt_count, shunt_over = quantize_shunt(a, config)
+            shunt_count, shunt_over = quantize_shunt(max(a, 0.0), config)
             bus_count, bus_over = quantize_bus(v, config)
             expected.append((dequantize_shunt(shunt_count, config),
                              dequantize_bus(bus_count, config), shunt_over or bus_over))
