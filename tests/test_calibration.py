@@ -447,11 +447,11 @@ class TestCalibrationExact:
         ("shield", 12):
             "c20449169709f48facfa054341395c2fbc59eaaf7f85627769cbeb148bc981a1",
         ("shield", 9):
-            "7dddcd8ecfe3d178eda72f13aacc10c3826a79bd3ad6e975f505512d06fd9bbf",
+            "b6c2350bdf2f6c784d74bcb022f369db8c55561479db022d0994fdad199e862d",
         ("breakout", 12):
-            "fe1323f129eeefe9f9b6ec08ff504ecea4d7ddd40dd151788c85b4317172656a",
+            "e70ef1dc1dd9297867c7aeca071f933486fb3220045b23402d67282cd945d048",
         ("breakout", 9):
-            "020bbc29d848f493efaa5e2257d927ab23dc04e26a73931dcf857475bf1373b1",
+            "5a4defcd3cf330a39c02d4c29a9aa30c818ead1be90a4ea36f86db802ea0a69b",
     }
 
     @pytest.mark.parametrize("board, bits", sorted(DIGESTS))

@@ -339,27 +339,27 @@ class TestPipelineExact:
     # each 2 s workload-1 run, and over the file bytes of two buffered captures
     DIGESTS = {
         ("cc2650", 9, "bcm"):
-            "746e62e6671233f5a6fa7493e7faa052f637238f938e1f1ad1c2c54532484309",
+            "8e874965aad0cea717801518a0ce0db934003c9cf64a426310d0216c2e53223c",
         ("cc2650", 9, "linux"):
-            "d5e9d1a8f050baadbacf96c4ad8355c3f63b88f141b6c6c202de0150de4ae864",
+            "fc37aab0181566733495c9dc0f111d44f7dea71a15cad6bc2c91e22871020c31",
         ("cc2650", 12, "bcm"):
-            "1a162f4d9cadab2ffd6eaabca258fd00f5b3d6cf620f1ada0ae11afd53a461cd",
+            "5d4ccc47de52956ae3e0df03cb8449c0a0f486b894ddf5d084468088b5a64dc6",
         ("cc2650", 12, "linux"):
-            "09ce9a19cd988fccf2bee64298a27ffe3d862eb1c04a0c037942a1664ed8aa33",
+            "b2ae832831a8f43a31bd55394b7c13fbffd7d6db77754790100108d03990d16f",
         ("rpi3", 9, "bcm"):
-            "c1dfe814574a6cb0911def98717221f052d17d251176dba2f688e676c90dcfb6",
+            "187b77483d26f1b0cd14c94d6147f852f99846f17d7f70bc353af2309f9381a1",
         ("rpi3", 9, "linux"):
-            "15e25b1c1f6cd11035e24f4b8758f89036f799bfd1f706bdd830aacb7207932f",
+            "a6d65a21c56ce93efc761884a3aad12e31172a683a7f124d6151cde7308d2f0f",
         ("rpi3", 12, "bcm"):
-            "b03b47153164c01fbe262d5dbf2ce1b810b048d6a7cacf08a8ec03038a5e1881",
+            "a2c3d29e6ff5015ceecd7a7598a5f8b3654cbce4708dc152daca36e0b1feb8b7",
         ("rpi3", 12, "linux"):
-            "c03e3712bb06eff454f9baef2185a3c9041a0fa5ecf9820eb8d7761ec537faf5",
+            "d4d001635fbe4e205c0f60f34d3208f2f9271f74d01ebf509a12007323f67217",
     }
     FILE_DIGESTS = {
         "two_buffer":
-            "59af5724ac21dbdf26bb4639055e243f78fd234f559b5f7f21bcca4b5128d15d",
+            "a581fe03e5fa585e6212807abb13d5dfb1b6fd372bea18749b01443770eeac1f",
         "circular":
-            "f4ec0fbeb7c9a2f97d3d191bb4f3b294c6f63bbd3cad084d75cfd14a1657f687",
+            "e10d58014482469c64bb79ca70e04ad860eecb43006228c1898d083a8702eb27",
     }
 
     @staticmethod
@@ -644,14 +644,15 @@ class TestTiledWindows:
 
     def test_gapped_point_readings_unchanged(self):
         # TestPipelineExact.digest of this run, recorded when every point took
-        # the two-lookup form; the breakout board also takes the i**2 path
+        # the two-lookup form and re-recorded only for the keyed noise
+        # streams; the breakout board also takes the i**2 path
         options = PipelineOptions(resolution_bits=9, driver="linux", speed_khz=800,
                                   board="breakout", seed=11)
         assert not tiles(LINUX_PROFILE, 800, 5.0, 9)
         result = run_experiment("rpi3", 1, options, duration=0.5)
         assert len(result.trace) == 2262
         assert TestPipelineExact.digest(result) == (
-            "8687d91007f43939b86cb35aedaac579e8439c670823661f4583a495c82e1123")
+            "fb8ef1176ffefd4e2cbb52ade626d0d2988961bcc1f118e3c0a5f4460fb2ab12")
 
     def test_constant_profile_exact(self):
         # dyadic times and levels: every step of the tiled form is exact

@@ -130,13 +130,13 @@ class TestProfileExact:
     # every {supply, battery} x {30 s, 2.3 s} x seeds {0, 11} profile
     DIGESTS = {
         ("bcm4343w", 1):
-            "610b178ff0bd16579ad3920d4b128d1aeae0274d337506cd4877db44a64541bb",
+            "9eff0b26999de935da9c8ba787c58d5dfb87e8c82cfccc863fa008e592a81d8f",
         ("bcm4343w", 2):
-            "f74d3a1178ba14734c3fa684bea31a30cb80abfdbf9dc36c3aa07692059930b2",
+            "98f4a3a85e6a59afe6e6f86c7c653e98841bb1d759a5ed33a8e2c9a54a389d5b",
         ("bcm4343w", 3):
-            "60645a50740c370b141468377db5adcd8ab1c2bb20dcdb44162a3ed8811a0a22",
+            "ccd33deefc7a249b938a08be8f138fdef5db700238f78745c1b1824350b35613",
         ("bcm4343w", 4):
-            "47dc406e487e0f86dc06d9652f46c3db06a9ed744363ae4a614242168e40126c",
+            "c6e1b4cf5ddacd776e07fa8a2a66a8ccd369225a2bdd36fa72ef562bd08efa84",
         ("cc2650", 1):
             "029effc300df7f01c05bd9d0ca991597b12356c154bceb539f6001b7d1d3a5cb",
         ("cc2650", 2):
@@ -146,29 +146,29 @@ class TestProfileExact:
         ("cc2650", 4):
             "4edc383988f72e49f24182741c2acb88ede7a238d441229b4e5e2f9d8b70d05e",
         ("cyw43907", 1):
-            "56d71aa52cec18f5180bc058d11e25fc962266ecfbb790288e9eaea175a633db",
+            "e43fcdd5306986424e93b3ec3651f20279425dfd0e34c14a42f851d7645259e5",
         ("cyw43907", 2):
-            "baafd697fdb567507b07896e3d6402ec3193cdd8ed318874b4032123ef127a01",
+            "48b391d54c1197adc2f491c7a16ed5823498ecf040f2df13b70a00f68f35195a",
         ("cyw43907", 3):
-            "0019d5dbb39f4b6befc6b4d9f26a79794978950534792756bcfc77765da2161c",
+            "b64c6956215780493b13ded2b4522ec77cdc8217fd33fbd8b09861ebf4cc1c60",
         ("cyw43907", 4):
-            "3407c5678ec0cf421420a1296a0179d002a4dd6e32e5f106e8c5c842cb78cf96",
+            "44ad92256b12adb9d3a1fb1104d3adc356af74df371681a989ddc9d72f76caee",
         ("rpi3", 1):
-            "fa4a008ae6e2153f48b5bcdc28b8c32b2f748c0b3f5adac0cb3891ffad8a23eb",
+            "d2f70622c2e8cbc5ef94c7803bd3233f38923c3205ef284160088260b6475135",
         ("rpi3", 2):
-            "06b349a644229648309820fafea7cee9d27f8d51efaa9ed4e90a83f00889ca76",
+            "71ec2a577c054912d1321f033024edd1798fc74ffd2dc4faf52eb378893b499f",
         ("rpi3", 3):
-            "bf108f6c5a4ea78333f40d4cb7ee428c5e3a91fc7f42a6d013ce87c28e322b95",
+            "cb40ea2d422cbe1662993279e9f56709d147fa7179213dc7f99052b9998130ad",
         ("rpi3", 4):
-            "eeb026b1ac31be5a6f4a395cfaddb84f7aca821a77d090d76b29e042d16766de",
+            "5ca430e5cd1e42d9c9bbcfc8d3d8e91e2445d8ec3e35f8e8794978165c7f0b19",
         ("rpizw", 1):
-            "bb1a166218456a389f78311fa19648cd40cbb3a15a9576d0c1824188ceae3256",
+            "a1a454d6037b4c62b03311a50af617b2902816b91da3a693a349892628bb9930",
         ("rpizw", 2):
-            "703dba6d1223be1e3de20b1aa343b6f6a61eec696b169cc421ec06223393c878",
+            "4f41eb6eeafc06e8288a6b67a052f5ee9b959d7ba3b7cff6114d4c4d5401dfc3",
         ("rpizw", 3):
-            "4262945f3ab2734732eb4fe3a93124b74e0be7cdf4e367e5fa7c367435a20b52",
+            "854e97e8d9bdb0d19d46eed2d5affe240b0c2bf88c89e03f2ff8c1359f46b8fd",
         ("rpizw", 4):
-            "f86e701858ebe3d679b671177310f7c1d378b22b5e444aba3e9ba057737901f3",
+            "c6b17406fd329979c759623f55f9dcdb9215ea8bf61218b40446fc1022a92181",
     }
 
     @staticmethod
