@@ -228,7 +228,7 @@ def convert(options: PipelineOptions, config: SensorConfig, sensed_i, sensed_v):
     current is clipped at zero amperes before it is quantized."""
     current, saturated = _channel(
         sensed_i, options.noise_current_a, options.seed, config.shunt_counts_per_amp,
-        config, shunt_counts_array, floor_shunt_array, floor=0.0)
+        config, shunt_counts_array, floor_shunt_array, lowest=0.0)
     bus_v, sat_v = _channel(
         sensed_v, options.noise_voltage_v, [options.seed, 1],
         config.max_count / config.bus_range, config, bus_counts_array, floor_bus_array)
@@ -237,21 +237,21 @@ def convert(options: PipelineOptions, config: SensorConfig, sensed_i, sensed_v):
 
 
 def _channel(sensed, sigma, key, counts_per_unit, config, counts, floor_counts,
-             floor=None):
+             lowest=None):
     """(readings, saturated) of one channel through the quantizer split
     ``counts`` / ``floor_counts``, noise drawn from ``default_rng(key)``
     only for the readings near a count boundary."""
     reach = REACH * sigma * counts_per_unit + REACH_SLACK_COUNTS
     if sigma > 0 and reach >= 0.5:
         # every reading lies within reach of a count boundary
-        return floor_counts(counts(_noisy(sensed, sigma, key, floor), config), config)
-    raw = counts(sensed if floor is None else np.maximum(sensed, floor), config)
+        return floor_counts(counts(_noisy(sensed, sigma, key, lowest), config), config)
+    raw = counts(sensed if lowest is None else np.maximum(sensed, lowest), config)
     if not sigma > 0:
         return floor_counts(raw, config)
     near = _near(raw, reach)
     readings, saturated = floor_counts(raw, config)
     if len(near):
-        noisy = counts(_noisy(sensed[near], sigma, key, floor), config)
+        noisy = counts(_noisy(sensed[near], sigma, key, lowest), config)
         readings[near], saturated[near] = floor_counts(noisy, config)
     return readings, saturated
 
@@ -264,16 +264,16 @@ def _near(raw, reach):
     return np.flatnonzero(distance <= reach)
 
 
-def _noisy(sensed, sigma, key, floor):
+def _noisy(sensed, sigma, key, lowest):
     """``sensed`` plus ``sigma`` times the first ``len(sensed)`` draws of
     ``default_rng(key)``, each clipped at +-REACH (a clip that never binds),
-    and clipped at ``floor`` unless it is None."""
+    and clipped below at ``lowest`` unless it is None."""
     noisy = np.random.default_rng(key).standard_normal(len(sensed))
     np.clip(noisy, -REACH, REACH, out=noisy)
     noisy *= sigma
     noisy += sensed
-    if floor is not None:
-        np.maximum(noisy, floor, out=noisy)
+    if lowest is not None:
+        np.maximum(noisy, lowest, out=noisy)
     return noisy
 
 
