@@ -40,12 +40,17 @@ place on arrays it allocated itself; it never writes to its inputs.  A 30 s
 run at 9 bit has ~143k readings, so each full-length array is 1.1 MB, and
 whenever the allocator has trimmed the heap between runs every such
 allocation faults its pages in anew.  ``_readings`` runs the stages from
-window means to calibration and holds their outputs until it returns, so
-that those arrays are freed together before the readout stages allocate
-theirs.  Run as perfbench's accuracy_sweep runs them (seed 3, fitted
-curves, the previous result alive), a 9-bit run takes a median of 260-281
-minor page faults, and took 809 when every arithmetic step allocated a fresh
-array.
+window means to calibration; it lets the window means go once the board
+transfer has read them, so that the conversion's working arrays reuse their
+memory, and holds the later outputs until it returns, so that those arrays
+are freed together before the readout stages allocate theirs.  Run as
+perfbench's accuracy_sweep runs them (seeds 3, 4794 and 7, fitted curves,
+the previous result alive), a 9-bit run takes a median of 66-248 minor page
+faults; it took 281 when the noise was drawn for every reading, 529 with the
+sparse draws while the means were held to the end, and 809 when every
+arithmetic step allocated a fresh array.  Whether the allocator trims the
+heap between runs flips with unrelated allocations, so these counts are a
+guide, not a contract.
 
 The polling loop in :mod:`emeter.sampler` shares ``build_trace`` and
 ``gated_energy`` with this path and writes no file; both hand ``build_trace``
@@ -301,7 +306,9 @@ def _readings(profile: LoadProfile, options: PipelineOptions,
         means = profile.tiled_means(grid_s, window_s, squares)
     else:
         means = profile.window_means(grid_s[1:], window_s, squares)
-    current, bus_v, saturated = convert(options, config, *sense(board, *means))
+    sensed = sense(board, *means)
+    del means
+    current, bus_v, saturated = convert(options, config, *sensed)
     return (*calibrate(calibration, current, bus_v), saturated)
 
 

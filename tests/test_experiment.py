@@ -319,6 +319,24 @@ class TestNoiseReach:
     @pytest.mark.parametrize("bits", VALID_RESOLUTIONS)
     @settings(max_examples=10, deadline=None)
     @given(preset=st.sampled_from(sorted(PRESETS)),
+           kind=st.sampled_from(["two_buffer", "circular"]),
+           write_speed_bps=st.sampled_from([0.4e6, 40e6]), seed=st.integers(0, 2**16))
+    def test_persisting_changes_no_reading(self, bits, preset, kind, write_speed_bps, seed):
+        # the writer drops entries from the file, never from the run
+        options = PipelineOptions(resolution_bits=bits, seed=seed,
+                                  buffering=BufferPolicy(kind, 512),
+                                  write_speed_bps=write_speed_bps)
+        kept = run_experiment(preset, 1, options, duration=0.4)
+        written = run_experiment(preset, 1, options, duration=0.4, trace_fh=io.BytesIO())
+        for column in TRACE_COLUMNS:
+            assert getattr(kept.trace, column).tobytes() == getattr(written.trace, column).tobytes()
+        assert ((kept.energy_gated_j, kept.energy_naive_j, kept.energy_hybrid_j)
+                == (written.energy_gated_j, written.energy_naive_j, written.energy_hybrid_j))
+        assert kept.report.e_device_j == written.report.e_device_j
+
+    @pytest.mark.parametrize("bits", VALID_RESOLUTIONS)
+    @settings(max_examples=10, deadline=None)
+    @given(preset=st.sampled_from(sorted(PRESETS)),
            seeds=st.lists(st.integers(0, 2**32), min_size=2, max_size=2, unique=True))
     def test_ideal_board_without_noise_ignores_the_seed(self, bits, preset, seeds):
         profile = generate_profile(preset, 1, seed=7, duration=0.3)

@@ -110,6 +110,22 @@ class TestGenerateProfile:
         span_tag = tag.time_weighted_quantile(0.99) - tag.current.min()
         assert span_wifi / span_tag == pytest.approx(46.0, abs=2.0)
 
+    @pytest.mark.parametrize("source", ["supply", "battery"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_shorter_profile_is_a_prefix(self, preset, source):
+        # the spike offsets and the ripple steps each draw their own keyed
+        # stream in time order, so a 2 s profile is the first 2 s of the 4 s
+        # one; 2 s ends on a dwell boundary, so no dwell is cut short
+        for workload in (1, 2, 3, 4):
+            short = generate_profile(preset, workload, seed=5, duration=2.0, source=source)
+            longer = generate_profile(preset, workload, seed=5, duration=4.0, source=source)
+            n = len(short.current)
+            assert short.edges.tobytes() == longer.edges[:n + 1].tobytes()
+            assert short.current.tobytes() == longer.current[:n].tobytes()
+            assert short.voltage.tobytes() == longer.voltage[:n].tobytes()
+            assert short.power_save_intervals == [
+                interval for interval in longer.power_save_intervals if interval[1] <= 2.0]
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             generate_profile("nonsense", 1)
