@@ -177,9 +177,10 @@ def build_staircase(pot: PotentiometerModel, network: SwitchNetwork,
     Each target enables branches largest-current-first (ties in bank order)
     while the pot can still cover the rest, then takes the pot code nearest
     that rest.  The levels rise only where ``step_a`` is coarse enough for
-    the code grid around them; above ``network.max_current`` they repeat
-    the top.  A step below the pot's finest step would round adjacent
-    targets to one code and is rejected.
+    the code grid around them.  The staircase stops at the load's top,
+    ``network.max_current``, where ``max_a`` lies above it.  A step below
+    the pot's finest step would round adjacent targets to one code and is
+    rejected.
     """
     finest = current_resolution(pot.code_count, pot)
     if not finest <= step_a < np.inf:
@@ -196,7 +197,7 @@ def build_staircase(pot: PotentiometerModel, network: SwitchNetwork,
                          "than the load's range in its finest steps")
     # summed in order, as a running target would be
     targets = np.cumsum(np.r_[pot.min_current, np.full(int(n_steps) + 2, step_a)])
-    remainder = targets[targets <= max_a + 1e-12]
+    remainder = targets[targets <= min(max_a, network.max_current(pot)) + 1e-12]
     masks = np.zeros(len(remainder), dtype=np.int64)
     amps = network.v_in / np.asarray(network.branch_resistances, dtype=float)
     for j in np.argsort(-amps, kind="stable"):

@@ -25,15 +25,18 @@ the bus and the current at every 12-bit run with divider up to 4.  At 9 bit
 one bus count is 156 sigma and one shunt count 39 sigma times the divider,
 so the 30 s runs of workload 1 on the five presets skip 78 % of the draws.
 
-Conversion windows tile where the sample period is the conversion time
-itself, that is where the polling loop keeps up with the chip: each window
-starts where the previous one ended, and ``LoadProfile.tiled_means`` looks
-each cumulative integral up once per window boundary.  That holds at 20 of
+:func:`schedule` decides where the conversion windows lie.  They tile
+where the sample period is the conversion time itself, that is where the
+polling loop keeps up with the chip: each window starts where the previous
+one ended, and the bounds are the window boundaries.  That holds at 20 of
 the 28 supported (driver, bus speed, supply, resolution) points: every
 12-bit point and the default, bcm at 2500 kHz.  The other 8, all at 9 bit,
-leave a gap between windows and keep ``LoadProfile.window_means``, two
-lookups per window: 200 kHz on either driver and supply, 500 kHz at 5 V on
-either driver, linux at 500 kHz and 3.3 V, and linux at 800 kHz and 5 V.
+leave a gap between windows, and the bounds are one ``[start, end]`` row
+per window: 200 kHz on either driver and supply, 500 kHz at 5 V on either
+driver, linux at 500 kHz and 3.3 V, and linux at 800 kHz and 5 V.
+``LoadProfile.window_means`` integrates both forms, looking each cumulative
+integral up once per bound: once per window where they tile, twice where
+they do not.
 
 A stage allocates only the arrays it returns and does its arithmetic in
 place on arrays it allocated itself; it never writes to its inputs.  A 30 s
@@ -43,14 +46,9 @@ allocation faults its pages in anew.  ``_readings`` runs the stages from
 window means to calibration; it lets the window means go once the board
 transfer has read them, so that the conversion's working arrays reuse their
 memory, and holds the later outputs until it returns, so that those arrays
-are freed together before the readout stages allocate theirs.  Run as
-perfbench's accuracy_sweep runs them (seeds 3, 4794 and 7, fitted curves,
-the previous result alive), a 9-bit run takes a median of 66-248 minor page
-faults; it took 281 when the noise was drawn for every reading, 529 with the
-sparse draws while the means were held to the end, and 809 when every
-arithmetic step allocated a fresh array.  Whether the allocator trims the
-heap between runs flips with unrelated allocations, so these counts are a
-guide, not a contract.
+are freed together before the readout stages allocate theirs.  Whether
+the allocator trims the heap between runs flips with unrelated
+allocations, so no test pins the faults this order saves.
 
 The polling loop in :mod:`emeter.sampler` shares ``build_trace`` and
 ``gated_energy`` with this path and writes no file; both hand ``build_trace``
@@ -89,6 +87,7 @@ from emeter.sensor import (
     BOARDS,
     BoardCharacter,
     SHUNT_FULL_SCALE_V,
+    VALID_PGA_DIVIDERS,
     SensorConfig,
     bus_counts_array,
     conversion_time_us,
@@ -105,11 +104,12 @@ DEFAULT_VOLTAGE_NOISE_V = 0.2e-3
 
 def pick_pga_divider(max_current_a: float) -> int:
     """Smallest divider whose full scale covers the expected peak current
-    across the default shunt, which every pipeline run uses."""
-    for divider in (1, 2, 4, 8):
+    across the default shunt, which every pipeline run uses; the largest
+    where none does."""
+    for divider in VALID_PGA_DIVIDERS:
         if max_current_a * SensorConfig.shunt_resistance <= SHUNT_FULL_SCALE_V * divider:
             return divider
-    return 8
+    return VALID_PGA_DIVIDERS[-1]
 
 
 @dataclass
@@ -127,6 +127,14 @@ class PipelineOptions:
     seed: int = 0
     buffering: BufferPolicy = DEFAULT_POLICY
     write_speed_bps: float = DEFAULT_WRITE_SPEED_BPS
+
+    def __post_init__(self):
+        # a negative sigma would still draw at the readings within
+        # REACH_SLACK_COUNTS of a count boundary
+        for name in ("noise_current_a", "noise_voltage_v"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)!r}")
 
     def named(self, kind: str, table: dict):
         """The ``table`` entry this run's ``driver`` or ``board`` names."""
@@ -184,17 +192,26 @@ class PipelineResult:
     flush_log: str
 
 
+def window_seconds(config: SensorConfig) -> float:
+    """Length of one conversion window in seconds."""
+    return conversion_time_us(config) * 1000.0 * 1e-9
+
+
 def schedule(driver: DriverProfile, speed_khz: int, config: SensorConfig,
              trigger: TriggerSpec, horizon_ns: int):
-    """(window boundaries s, timestamp ns) of the n conversions up to the
-    trigger's limit at ``horizon_ns``.
+    """(window bounds s, timestamp ns) of the n conversions up to the
+    trigger's limit at ``horizon_ns``, the bounds in the form
+    ``LoadProfile.window_means`` integrates.
 
-    The n + 1 boundaries are ``k * period`` for k = 0..n, so conversion k's
-    window ends at boundary k + 1; where the windows tile it also starts at
-    boundary k (:func:`_readings`).  ``tail_ns`` puts a timestamp after the
-    final ready poll, the shunt read and the bookkeeping.
+    Conversion k's window ends at ``(k + 1) * period``.  Where the sample
+    period is the conversion time itself (``sample_period_us``'s ``max()``
+    returned it) the windows tile, and the bounds are the n + 1 boundaries
+    ``k * period`` for k = 0..n; elsewhere they are n ``[end - window, end]``
+    rows.  ``tail_ns`` puts a timestamp after the final ready poll, the
+    shunt read and the bookkeeping.
     """
-    period_ns = sample_period_us(driver, speed_khz, config) * 1000.0
+    period_us = sample_period_us(driver, speed_khz, config)
+    period_ns = period_us * 1000.0
     tail_ns = (1.5 * driver.mean_delay_us(speed_khz)
                + LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
     limit_ns = trigger.limit_ns(horizon_ns)
@@ -203,9 +220,12 @@ def schedule(driver: DriverProfile, speed_khz: int, config: SensorConfig,
         n_conversions = min(n_conversions,
                             int(trigger.start_ns // period_ns) + trigger.sample_count + 1)
     grid_ns = np.arange(0, n_conversions + 1) * period_ns
-    grid_s = grid_ns * 1e-9
+    bounds_s = grid_ns * 1e-9
     grid_ns += tail_ns
-    return grid_s, grid_ns[1:].astype(np.int64)
+    if period_us != conversion_time_us(config):
+        end_s = bounds_s[1:]
+        bounds_s = np.stack([end_s - window_seconds(config), end_s], axis=1)
+    return bounds_s, grid_ns[1:].astype(np.int64)
 
 
 def sense(board: BoardCharacter, mean_i, mean_i2, mean_v):
@@ -251,8 +271,6 @@ def _channel(sensed, sigma, key, counts_per_unit, config, counts, floor_counts,
         # every reading lies within reach of a count boundary
         return floor_counts(counts(_noisy(sensed, sigma, key, lowest), config), config)
     raw = counts(sensed if lowest is None else np.maximum(sensed, lowest), config)
-    if not sigma > 0:
-        return floor_counts(raw, config)
     near = _near(raw, reach)
     readings, saturated = floor_counts(raw, config)
     if len(near):
@@ -291,21 +309,11 @@ def calibrate(calibration: Optional[CalibrationCurve], current, bus_v):
 
 def _readings(profile: LoadProfile, options: PipelineOptions,
               board: BoardCharacter, config: SensorConfig,
-              calibration: Optional[CalibrationCurve], grid_s):
-    """Window means to calibrated readings, outputs held (module docstring).
-
-    The windows over ``schedule``'s boundaries ``grid_s`` tile where the
-    sample period is the conversion time itself (``sample_period_us``'s
-    ``max()`` returned it); elsewhere each window only ends at a boundary.
-    """
-    window_us = conversion_time_us(config)
-    window_s = window_us * 1000.0 * 1e-9
-    squares = board.current_quad != 0.0
-    period_us = sample_period_us(options.named("driver", PROFILES), options.speed_khz, config)
-    if period_us == window_us:
-        means = profile.tiled_means(grid_s, window_s, squares)
-    else:
-        means = profile.window_means(grid_s[1:], window_s, squares)
+              calibration: Optional[CalibrationCurve], bounds_s):
+    """Means over ``schedule``'s window bounds to calibrated readings,
+    outputs held (module docstring)."""
+    means = profile.window_means(bounds_s, window_seconds(config),
+                                 board.current_quad != 0.0)
     sensed = sense(board, *means)
     del means
     current, bus_v, saturated = convert(options, config, *sensed)
@@ -325,10 +333,10 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
                           supply_voltage=options.supply_voltage)
 
     horizon_ns = round(profile.duration * 1e9)
-    grid_s, ts = schedule(driver, options.speed_khz, config, trigger, horizon_ns)
+    bounds_s, ts = schedule(driver, options.speed_khz, config, trigger, horizon_ns)
     current, bus_v, saturated = _readings(profile, options, board, config,
-                                          calibration, grid_s)
-    del grid_s
+                                          calibration, bounds_s)
+    del bounds_s
     intervals = [(int(round(s * 1e9)), int(round(e * 1e9)), mode_index)
                  for s, e, mode_index in profile.power_save_intervals]
     trace, status, end_ns = build_trace(

@@ -327,29 +327,29 @@ def hybrid_energy(trace: Trace, modes: Sequence[PowerSaveMode]) -> float:
         if mode_index not in mode_map:
             raise ValueError(f"interval references undeclared mode {mode_index}")
         energy += (end_ns - start_ns) * 1e-9 * mode_map[mode_index].power
-    energy += _enter_slivers(trace, trace.intervals)
+    flagged = (trace.flags & FLAG_POWER_SAVE) != 0
+    energy += _enter_slivers(ts, power, countable, flagged, trace.intervals)
     return energy
 
 
-def _enter_slivers(trace: Trace, intervals: Sequence[tuple]) -> float:
+def _enter_slivers(ts: np.ndarray, power: np.ndarray, awake: np.ndarray,
+                   flagged: np.ndarray, intervals: Sequence[tuple]) -> float:
     """Zero-order-hold energy between the last awake sample and an enter edge.
 
     Applied only when the sample right after that awake one is power-save
-    flagged (its window, which contained the sliver, was dropped); otherwise
-    the next sample's duration-weighted term already covers the span.
+    ``flagged`` (its window, which contained the sliver, was dropped);
+    otherwise the next sample's duration-weighted term already covers the
+    span.  ``awake`` is the countable mask of :func:`hybrid_energy`.
     """
-    ts = trace.timestamps_ns
-    power = trace.power()
-    flagged = (trace.flags & FLAG_POWER_SAVE) != 0
-    awake_idx = np.nonzero(countable_mask(trace, exclude_power_save=True))[0]
+    awake_idx = np.nonzero(awake)[0]
     if len(awake_idx) == 0:
         return 0.0
     start = np.array([iv[0] for iv in intervals], dtype=np.int64)
     # the last awake sample strictly before each enter edge
     i = np.searchsorted(ts[awake_idx], start) - 1
     last = awake_idx[np.maximum(i, 0)]
-    after = np.minimum(last + 1, len(trace) - 1)
-    sliver = (i >= 0) & (last + 1 < len(trace)) & flagged[after]
+    after = np.minimum(last + 1, len(ts) - 1)
+    sliver = (i >= 0) & (last + 1 < len(ts)) & flagged[after]
     energy = 0.0
     # one addition per term in interval order (sum() compensates from 3.12 on)
     for term in (power[last] * (start - ts[last]) * 1e-9)[sliver].tolist():

@@ -158,14 +158,18 @@ class LoadProfile:
     def voltage_at(self, t):
         return self.voltage[_segment_of(self.edges, t)]
 
-    def _integral(self, cumulative: np.ndarray, t0, t1):
-        total = np.interp(t1, self.edges, cumulative)
-        total -= np.interp(t0, self.edges, cumulative)
-        return total
+    def window_means(self, bounds_s, window_s: float, squares: bool):
+        """Mean current, mean current squared (None unless ``squares``) and
+        mean voltage over windows ``window_s`` long.
 
-    def _means(self, integral, window_s: float, squares: bool):
+        ``bounds_s`` takes one of two shapes.  For windows that tile it holds
+        the n + 1 boundaries, window k being ``[bounds_s[k], bounds_s[k + 1])``;
+        otherwise it is an (n, 2) array of ``[start, end]`` rows.  Each
+        cumulative integral is looked up once per bound and differenced along
+        the last axis: one lookup per window where they tile, two elsewhere.
+        """
         def mean(cumulative):
-            total = integral(cumulative)
+            total = np.diff(np.interp(bounds_s, self.edges, cumulative)).reshape(-1)
             total /= window_s
             return total
 
@@ -173,33 +177,8 @@ class LoadProfile:
         mean_v = mean(self._cum_v)
         return mean_i, mean(self._cum_i2) if squares else None, mean_v
 
-    def window_means(self, end_s, window_s: float, squares: bool):
-        """Mean current, mean current squared (None unless ``squares``) and
-        mean voltage over the windows of ``window_s`` ending at ``end_s``.
-
-        Each window is looked up in each cumulative integral twice, at
-        ``end_s - window_s`` and at ``end_s``.  Where every window starts at
-        the previous one's end, :meth:`tiled_means` gives the same means
-        from one lookup per boundary.
-        """
-        start_s = end_s - window_s
-        return self._means(lambda cum: self._integral(cum, start_s, end_s),
-                           window_s, squares)
-
-    def tiled_means(self, grid_s, window_s: float, squares: bool):
-        """:meth:`window_means` over windows that tile: window k is
-        ``[grid_s[k], grid_s[k + 1])``, ``window_s`` long.
-
-        Each cumulative integral is looked up once at the ``n + 1``
-        boundaries and differenced, half the searches of the two-lookup
-        form.  The window ends, and so the end lookups, are the same;
-        a start differs only by the rounding of ``end - window_s``.
-        """
-        return self._means(lambda cum: np.diff(np.interp(grid_s, self.edges, cum)),
-                           window_s, squares)
-
-    def integral_power(self, t0, t1):
-        return self._integral(self._cum_p, t0, t1)
+    def integral_power(self, t0: float, t1: float):
+        return np.diff(np.interp((t0, t1), self.edges, self._cum_p))[0]
 
     def time_weighted_quantile(self, q: float) -> float:
         """Current level below which a fraction ``q`` of the time is spent."""

@@ -22,11 +22,13 @@ def code_for_current(target_a: float, pot) -> int:
 
 
 def build_staircase(pot, network, step_a: float, max_a: float):
-    """``(pot_code, switch_mask)`` per step of the staircase to ``max_a``."""
+    """``(pot_code, switch_mask)`` per step of the staircase to ``max_a``,
+    or to the load's top where that is lower."""
     branches = network.branch_resistances
     steps = []
     target = pot.min_current
-    while target <= max_a + 1e-12:
+    top = min(max_a, network.max_current(pot))
+    while target <= top + 1e-12:
         remainder = target
         mask = 0
         # enable branches largest-current-first until the pot can cover the rest

@@ -116,6 +116,18 @@ class TestLoadProgram:
         assert np.all(np.diff(currents) > 0)
         assert np.max(np.diff(currents)) <= 0.020 + 1e-9
 
+    def test_staircase_stops_at_the_load_top(self):
+        # at 3.3 V the load tops out at 0.659 A, below the default 0.8 A
+        # maximum; no level repeats that top
+        pot = PotentiometerModel(v_in=3.3)
+        network = SwitchNetwork(v_in=3.3)
+        top = network.max_current(pot)
+        assert top < 0.8
+        currents = build_staircase(pot, network, step_a=5e-3, max_a=0.8
+                                   ).programmed_currents(pot, network)
+        assert np.all(np.diff(currents) > 0)
+        assert top - 5e-3 <= currents.max() <= top
+
     @settings(max_examples=150, deadline=None)
     @given(v_in=st.sampled_from([3.3, 5.0]),
            bank=st.lists(st.sampled_from([33.0, 50.0, 100.0, 250.0, 1000.0]),

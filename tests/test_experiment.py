@@ -34,13 +34,17 @@ from emeter.experiment import (
     run_pipeline,
     schedule,
     sense,
+    window_seconds,
 )
 from emeter.sampler import (
     FLAG_POWER_SAVE,
     FLAG_WARMUP,
     TriggerSpec,
+    countable_mask,
     naive_energy,
     run_measurement,
+    trapezoid,
+    trapezoid_steps,
 )
 from emeter.sensor import (
     BOARDS,
@@ -317,6 +321,35 @@ class TestNoiseReach:
             assert getattr(short, column).tobytes() == getattr(longer, column)[:n].tobytes()
 
     @pytest.mark.parametrize("bits", VALID_RESOLUTIONS)
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @settings(max_examples=4, deadline=None)
+    @given(split=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    def test_window_energies_add_up(self, preset, bits, split, seed):
+        # split a 2 s window at an instant t between two readings: its gated
+        # energy is that of [0, t] and [t, T] plus the trapezoid straddling
+        # t, and the reference adds up over the same split (the divider is
+        # pinned as in the test above)
+        stop_ns = 2 * 10**9
+        profile = generate_profile(preset, 1, seed=seed, duration=2.0)
+        options = PipelineOptions(resolution_bits=bits, seed=seed, pga_divider=8)
+        full = run_pipeline(profile, options, TriggerSpec(stop_ns=stop_ns))
+        ts = full.trace.timestamps_ns
+        k = min(int(split * (len(ts) - 1)), len(ts) - 2)
+        t = (int(ts[k]) + int(ts[k + 1])) // 2
+        assert ts[k] < t < ts[k + 1]
+        before = run_pipeline(profile, options, TriggerSpec(stop_ns=t))
+        after = run_pipeline(profile, options, TriggerSpec(start_ns=t, stop_ns=stop_ns))
+        assert (len(before.trace), len(after.trace)) == (k + 1, len(ts) - k - 1)
+        pair = slice(k, k + 2)
+        straddle = trapezoid(full.trace.power()[pair], *trapezoid_steps(
+            ts[pair], countable_mask(full.trace, exclude_power_save=True)[pair]))
+        assert (before.energy_gated_j + after.energy_gated_j + straddle
+                == pytest.approx(full.energy_gated_j, rel=1e-12, abs=0.0))
+        t_s, stop_s = t * 1e-9, stop_ns * 1e-9
+        assert (exact_energy(profile, (0.0, t_s)) + exact_energy(profile, (t_s, stop_s))
+                == pytest.approx(exact_energy(profile, (0.0, stop_s)), rel=1e-12, abs=0.0))
+
+    @pytest.mark.parametrize("bits", VALID_RESOLUTIONS)
     @settings(max_examples=10, deadline=None)
     @given(preset=st.sampled_from(sorted(PRESETS)),
            kind=st.sampled_from(["two_buffer", "circular"]),
@@ -445,15 +478,23 @@ class TestStages:
     @pytest.mark.parametrize("trigger,horizon_ns,limit_ns", LIMIT_CASES)
     def test_schedule_grid(self, driver, speed, bits, trigger, horizon_ns, limit_ns):
         config = SensorConfig(resolution_bits=bits)
-        grid_s, ts = schedule(driver, speed, config, trigger, horizon_ns)
+        bounds_s, ts = schedule(driver, speed, config, trigger, horizon_ns)
         period_ns = sample_period_us(driver, speed, config) * 1000.0
         tail_ns = (1.5 * driver.mean_delay_us(speed)
                    + LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
         conversion = np.arange(1, len(ts) + 1)
         assert np.array_equal(ts, (conversion * period_ns + tail_ns).astype(np.int64))
-        # n + 1 boundaries from 0; the window ends are bit for bit k * period
-        assert len(grid_s) == len(ts) + 1 and grid_s[0] == 0.0
-        assert grid_s[1:].tobytes() == (conversion * period_ns * 1e-9).tobytes()
+        # the window ends are bit for bit k * period
+        ends = conversion * period_ns * 1e-9
+        if tiles(driver, speed, config.supply_voltage, bits):
+            # n + 1 boundaries from 0
+            assert bounds_s.shape == (len(ts) + 1,) and bounds_s[0] == 0.0
+            assert bounds_s[1:].tobytes() == ends.tobytes()
+        else:
+            # one [end - window, end] row per conversion
+            assert bounds_s.shape == (len(ts), 2)
+            assert bounds_s[:, 1].tobytes() == ends.tobytes()
+            assert bounds_s[:, 0].tobytes() == (ends - window_seconds(config)).tobytes()
         n = len(ts)
         if trigger.sample_count is None:
             # every conversion whose reading lands inside the limit
@@ -468,25 +509,33 @@ class TestStages:
         voltage = np.array([5.0, 4.9, 5.1, 4.8, 5.0])
         profile = LoadProfile(edges, current, voltage)
         window = 0.07
-        end_s = np.array([0.07, 0.1, 0.13, 0.3, 0.41, 0.45, 0.99])
-        mean_i, mean_i2, mean_v = profile.window_means(end_s, window, True)
 
         def brute(levels, t1):
             overlap = np.clip(np.minimum(edges[1:], t1)
                               - np.maximum(edges[:-1], t1 - window), 0.0, None)
             return float(np.sum(levels * overlap)) / window
 
-        for k, t1 in enumerate(end_s):
-            assert mean_i[k] == pytest.approx(brute(current, t1), rel=1e-12)
-            assert mean_i2[k] == pytest.approx(brute(current ** 2, t1), rel=1e-12)
-            assert mean_v[k] == pytest.approx(brute(voltage, t1), rel=1e-12)
-        assert profile.window_means(end_s, window, False)[1] is None
+        # gapped [end - window, end] rows, and the boundaries of tiled windows
+        gapped_ends = np.array([0.07, 0.1, 0.13, 0.3, 0.41, 0.45, 0.99])
+        grid = np.arange(15) * window
+        for bounds, end_s in ((np.stack([gapped_ends - window, gapped_ends], axis=1),
+                               gapped_ends), (grid, grid[1:])):
+            mean_i, mean_i2, mean_v = profile.window_means(bounds, window, True)
+            assert mean_i.shape == end_s.shape
+            for k, t1 in enumerate(end_s):
+                assert mean_i[k] == pytest.approx(brute(current, t1), rel=1e-12)
+                assert mean_i2[k] == pytest.approx(brute(current ** 2, t1), rel=1e-12)
+                assert mean_v[k] == pytest.approx(brute(voltage, t1), rel=1e-12)
+            assert profile.window_means(bounds, window, False)[1] is None
 
-    def test_window_means_constant_profile_exact(self):
+    @pytest.mark.parametrize("bounds", [
+        np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
+        np.array([[0.0, 0.25], [0.25, 0.5], [0.5, 0.75], [0.75, 1.0]]),
+    ], ids=["tiled", "gapped"])
+    def test_window_means_constant_profile_exact(self, bounds):
         # dyadic times and levels: every step of the closed form is exact
         profile = constant_profile(0.5, 4.0, 1.0)
-        mean_i, mean_i2, mean_v = profile.window_means(
-            np.array([0.25, 0.5, 0.75, 1.0]), 0.25, True)
+        mean_i, mean_i2, mean_v = profile.window_means(bounds, 0.25, True)
         assert mean_i.tolist() == [0.5] * 4
         assert mean_i2.tolist() == [0.25] * 4
         assert mean_v.tolist() == [4.0] * 4
@@ -537,6 +586,14 @@ class TestStages:
         quiet = PipelineOptions(resolution_bits=bits, seed=5, noise_voltage_v=0.0)
         assert convert(quiet, config, sensed_i, sensed_v)[0].tobytes() == current.tobytes()
 
+    @pytest.mark.parametrize("noise", [-1e-12, float("nan"), float("inf")])
+    def test_bad_noise_sigma_named(self, noise):
+        # convert has no noise-free branch: a tiny negative sigma would
+        # draw at the readings within REACH_SLACK_COUNTS of a boundary
+        for name in ("noise_current_a", "noise_voltage_v"):
+            with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+                PipelineOptions(**{name: noise})
+
     def test_calibrate_without_curve_passes_through(self):
         current, bus_v = np.array([0.1, 0.2]), np.array([5.0, 4.9])
         out_i, out_v = calibrate(None, current, bus_v)
@@ -560,22 +617,23 @@ class TestStagesLeaveInputs:
     BUS_V = np.linspace(-1.0, 18.0, 257)
 
     def test_schedule_outputs_are_separate(self):
-        grid_s, ts = schedule(BCM_PROFILE, 2500, self.CONFIG,
-                              TriggerSpec.duration(0.05), 10**9)
-        # the timestamps are the boundaries shifted in place after grid_s
-        assert not np.shares_memory(grid_s, ts)
+        # the timestamps are the boundaries shifted in place after the tiled
+        # bounds are taken (2500 kHz) and before the gapped rows are (500 kHz)
+        for speed in (2500, 500):
+            bounds_s, ts = schedule(BCM_PROFILE, speed, self.CONFIG,
+                                    TriggerSpec.duration(0.05), 10**9)
+            assert not np.shares_memory(bounds_s, ts)
 
     @pytest.mark.parametrize("squares", [False, True])
     def test_window_means(self, squares):
-        # both forms, each given the boundaries as _readings passes them: the
-        # gapped form their window-end view, the tiled form the whole grid
+        # both shapes of bounds: tiled boundaries and gapped rows
         profile = generate_profile("rpi3", 1, seed=1, duration=0.5)
         grid_s = np.arange(0, 500) * 1e-3
-        for means in (lambda grid: profile.window_means(grid[1:], 0.001, squares),
-                      lambda grid: profile.tiled_means(grid, 0.001, squares)):
+        for bounds in (grid_s, np.stack([grid_s[1:] - 0.001, grid_s[1:]], axis=1)):
             assert_inputs_unchanged(
-                lambda grid, *_: means(grid), grid_s, profile.edges,
-                profile._cum_i, profile._cum_v, profile._cum_p, profile._cum_i2)
+                lambda b, *_: profile.window_means(b, 0.001, squares), bounds,
+                profile.edges, profile._cum_i, profile._cum_v, profile._cum_p,
+                profile._cum_i2)
 
     @pytest.mark.parametrize("noise", [0.0, 1e-3])
     @pytest.mark.parametrize("board", [SHIELD_BOARD, BREAKOUT_BOARD], ids=lambda b: b.name)
@@ -639,22 +697,23 @@ class TestTiledWindows:
     """Back-to-back conversion windows take one lookup per boundary."""
 
     def test_pipeline_tiles_exactly_where_period_is_conversion(self, monkeypatch):
-        forms = []
-        for form in ("window_means", "tiled_means"):
-            method = getattr(LoadProfile, form)
-            monkeypatch.setattr(LoadProfile, form,
-                                lambda self, *args, _m=method, _f=form:
-                                forms.append(_f) or _m(self, *args))
+        # the number of axes of the bounds each run integrates: 1 where the
+        # windows tile, 2 for [start, end] rows
+        shapes = []
+        method = LoadProfile.window_means
+        monkeypatch.setattr(LoadProfile, "window_means",
+                            lambda self, bounds, *args:
+                            shapes.append(bounds.ndim) or method(self, bounds, *args))
         profile = constant_profile(0.1, 5.0, 0.01)
         tiled = []
         for driver, speed, supply, bits in operating_points():
-            forms.clear()
+            shapes.clear()
             options = PipelineOptions(resolution_bits=bits, driver=driver.name,
                                       speed_khz=speed, supply_voltage=supply)
             run_pipeline(profile, options, TriggerSpec.duration(0.01))
-            assert forms == (["tiled_means"] if tiles(driver, speed, supply, bits)
-                             else ["window_means"]), (driver.name, speed, supply, bits)
-            tiled.append(forms == ["tiled_means"])
+            assert shapes == ([1] if tiles(driver, speed, supply, bits)
+                              else [2]), (driver.name, speed, supply, bits)
+            tiled.append(shapes == [1])
         # every 12-bit point and the default tile; 8 points at 9 bit leave gaps
         assert (len(tiled), sum(tiled)) == (28, 20)
         assert (BCM_PROFILE, 2500, 5.0, 9) in TILED_POINTS
@@ -672,15 +731,6 @@ class TestTiledWindows:
         assert TestPipelineExact.digest(result) == (
             "fb8ef1176ffefd4e2cbb52ade626d0d2988961bcc1f118e3c0a5f4460fb2ab12")
 
-    def test_constant_profile_exact(self):
-        # dyadic times and levels: every step of the tiled form is exact
-        profile = constant_profile(0.5, 4.0, 1.0)
-        mean_i, mean_i2, mean_v = profile.tiled_means(
-            np.array([0.0, 0.25, 0.5, 0.75, 1.0]), 0.25, True)
-        assert mean_i.tolist() == [0.5] * 4
-        assert mean_i2.tolist() == [0.25] * 4
-        assert mean_v.tolist() == [4.0] * 4
-
     @settings(max_examples=200, deadline=None)
     @given(point=st.sampled_from(TILED_POINTS),
            horizon_ns=st.integers(1_000_000, 40_000_000),
@@ -694,7 +744,7 @@ class TestTiledWindows:
         driver, speed, supply, bits = point
         config = SensorConfig(resolution_bits=bits, supply_voltage=supply)
         grid_s, ts = schedule(driver, speed, config, TriggerSpec.duration(1.0), horizon_ns)
-        window_s = conversion_time_us(config) * 1000.0 * 1e-9
+        window_s = window_seconds(config)
         period_ns = sample_period_us(driver, speed, config) * 1000.0
         ends = np.arange(1, len(ts) + 1) * period_ns * 1e-9
         assert grid_s[1:].tobytes() == ends.tobytes()
@@ -703,8 +753,9 @@ class TestTiledWindows:
         edges = np.unique(np.concatenate([[0.0, horizon_s], np.array(cuts) * horizon_s]))
         current, voltage = np.array(levels[:len(edges) - 1]).T
         profile = LoadProfile(edges, current, voltage)
-        tiled = profile.tiled_means(grid_s, window_s, squares)
-        gapped = profile.window_means(grid_s[1:], window_s, squares)
+        tiled = profile.window_means(grid_s, window_s, squares)
+        gapped = profile.window_means(
+            np.stack([grid_s[1:] - window_s, grid_s[1:]], axis=1), window_s, squares)
 
         # A window start is end - window rounded, not the boundary before it;
         # the gap is a few ulps of the end.  A cumulative integral moves by

@@ -210,3 +210,18 @@ def test_every_default_is_used_somewhere():
               if all(names(call, index, param) for call in calls.get(name, []))
               and f"{name}.{param}" not in KEPT_STATE]
     assert always == []
+
+
+def test_benchmark_workloads_run(tmp_path, monkeypatch):
+    # the benchmark calls the program through perfbench/suite.py; an API
+    # break there, or an output its checks reject, would otherwise show
+    # only as a refused benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import suite
+
+    for workload in suite.WORKLOADS.values():
+        bench = workload()
+        ops = bench.setup(3, tmp_path)
+        for op in (ops[0], ops[-1]):
+            outcome = bench.inspect(op, bench.run(op), full=True)
+            assert outcome.problem == "" and outcome.samples > 0, (bench.name, op)

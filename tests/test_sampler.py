@@ -21,6 +21,7 @@ from emeter.sampler import (
     _enter_slivers,
     build_trace,
     compute_energy,
+    countable_mask,
     flag_power_save,
     gated_energy,
     hybrid_energy,
@@ -325,7 +326,10 @@ class TestPowerSaveStageOracle:
     @given(case=power_save_cases())
     def test_slivers_equal_oracle(self, case):
         trace, intervals = case
-        assert _enter_slivers(trace, intervals) == enter_slivers_oracle(trace, intervals)
+        flagged = (trace.flags & FLAG_POWER_SAVE) != 0
+        awake = countable_mask(trace, exclude_power_save=True)
+        assert (_enter_slivers(trace.timestamps_ns, trace.power(), awake, flagged, intervals)
+                == enter_slivers_oracle(trace, intervals))
 
 
 @st.composite
