@@ -49,14 +49,19 @@ def ecdf_csv(values) -> str:
 
 
 def gnuplot_script(csv_path: str) -> str:
-    """A gnuplot script that plots the ECDF CSV at ``csv_path`` to ecdf.png."""
+    """A gnuplot script that plots the ECDF CSV at ``csv_path`` to ecdf.png.
+
+    The path goes inside single quotes, where gnuplot reads ``''`` as one
+    quote.
+    """
+    quoted = csv_path.replace("'", "''")
     return "\n".join([
         "set datafile separator ','",
         "set ylabel 'cumulative probability'",
         "set xlabel 'current (A)'",
         "set output 'ecdf.png'",
         "set terminal png size 800,500",
-        f"plot '{csv_path}' every ::1 using 1:2 with steps title 'ECDF'",
+        f"plot '{quoted}' every ::1 using 1:2 with steps title 'ECDF'",
     ]) + "\n"
 
 

@@ -52,6 +52,13 @@ exactly three decimals, so each value is printed from its integer digits
 (sign, ``|v| // 1000``, ``.``, ``|v| % 1000``) with no float formatting;
 that is the same text as ``f"{v / 1000.0:.3f}"``, since an int32 over
 1000.0 is far closer to its decimal than half a unit in the third place.
+The text comes from lookup tables built once at import: every group of four
+digits is one gather from a 10,000-entry table of 4-byte ASCII cells
+(blank-padded for a value's most significant group, zero-padded below it),
+and the three decimals one gather from a 1,000-entry ``.ddd`` table.  A
+line is a fixed run of such cells, with a comma-and-sign cell before each
+value and a newline cell at the end, all blank-padded; one
+``bytes.translate`` drops the blanks.
 """
 
 from __future__ import annotations
@@ -260,56 +267,74 @@ def load_trace(path: str) -> Trace:
     return records_to_trace(read_trace(path)[1])
 
 
-_POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)  # 1 .. 10**19
-_BLANK = ord(" ")
+def _quads(ascii_rows: np.ndarray) -> np.ndarray:
+    """Rows of four ASCII codes, one ``<u4`` cell each."""
+    return np.ascontiguousarray(ascii_rows, dtype=np.uint8).view("<u4").ravel()
 
 
-def _decimal(values: np.ndarray, shown: int) -> np.ndarray:
-    """ASCII matrix of uint64 ``values``, one right-aligned row each.
-
-    The matrix is as wide as the largest value needs, and at least
-    ``shown``.  The last ``shown`` digits are always printed; zeros left of
-    them are blank.  The width comes from a search in the powers of ten,
-    which is exact over all of uint64 where a float log10 is not.
-    """
-    width = max(shown, int(np.searchsorted(_POWERS_OF_TEN, values.max(initial=0),
-                                           side="right")))
-    out = np.empty((len(values), width), dtype=np.uint8)
-    for col in range(width - 1, -1, -1):
-        quotient = values // 10
-        digit = (values - quotient * 10).astype(np.uint8) + ord("0")
-        out[:, col] = np.where(values == 0, _BLANK, digit) if col < width - shown else digit
-        values = quotient
-    return out
-
-
-def _column(char: str, n: int) -> np.ndarray:
-    return np.full((n, 1), ord(char), dtype=np.uint8)
+# row g: the ASCII digits of g, zero-padded to four (%04d)
+_ZERO_PADDED = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+# row g: which of those digits are leading zeros (%4d, where 0 has four)
+_LEADING = (np.arange(10_000, dtype=np.uint16)[:, None]
+            < np.array([1000, 100, 10, 1], dtype=np.uint16))
+# the cell of a group of four digits g: _GROUP[g] is g blank-padded (%4d, with
+# 0 all blanks), for the most significant group of a value or one wholly
+# above it; _GROUP[10_000 + g] is g zero-padded (%04d), for an inner group
+_GROUP = _quads(np.vstack((np.where(_LEADING, ord(" "), _ZERO_PADDED), _ZERO_PADDED)))
+# the same for a value's lowest group, where 0 prints as 0
+_LOWEST_GROUP = _GROUP.copy()
+_LOWEST_GROUP[0] = np.frombuffer(b"   0", dtype="<u4")[0]
+# ".ddd" for 0 .. 999
+_FRACTION = _quads(np.hstack((np.full((1000, 1), ord(".")), _ZERO_PADDED[:1000, 1:])))
+_COMMA = np.frombuffer(b",   ,  -", dtype="<u4")  # before a value, indexed by "is negative"
+_NEWLINE = np.frombuffer(b"\n   ", dtype="<u4")[0]
 
 
-def _milli(micro: np.ndarray) -> np.ndarray:
-    """ASCII matrix of int32 micro-units as milli-units with three decimals:
-    a sign (blank when not negative), the integer part, a point and the
-    fraction."""
-    micro = micro.astype(np.int64)
-    digits = _decimal(np.abs(micro).astype(np.uint64), 4)
-    sign = np.where(micro < 0, ord("-"), _BLANK).astype(np.uint8)
-    return np.hstack((sign[:, None], digits[:, :-3], _column(".", len(micro)),
-                      digits[:, -3:]))
+def _group_count(values: np.ndarray) -> int:
+    """Groups of four digits in the largest of ``values``, at least one."""
+    return (len(str(int(values.max(initial=0)))) + 3) // 4
+
+
+def _write_groups(cells: np.ndarray, values: np.ndarray) -> None:
+    """Write unsigned ``values`` into ``cells``, an (n, g) view of 4-byte
+    cells, right-aligned in groups of four digits, least significant last;
+    every value needs no more than g groups."""
+    table = _LOWEST_GROUP
+    for col in range(cells.shape[1] - 1, 0, -1):
+        above = values // 10_000
+        group = values - above * 10_000
+        # values < group + 10_000 exactly when no digit lies above the group
+        cells[:, col] = table.take(np.minimum(values, group + 10_000))
+        table = _GROUP
+        values = above
+    cells[:, 0] = table.take(values)
 
 
 def export_csv(fh, readings) -> int:
     """Write ``timestamp_ns,bus_mV,current_mA`` rows, one per reading
     (``RECORD`` rows, no gap markers); returns the row count.
 
-    Every column becomes a blank-padded ASCII matrix, the rows are joined
-    into one byte string and the padding is dropped: a CSV line never holds
-    a space.
+    Each row is a fixed run of 4-byte cells in one ``(n, cells)`` matrix:
+    the timestamp's digit groups, then per value a comma-and-sign cell, the
+    integer part's groups and the ``.ddd`` cell, then the newline.  The
+    matrix's bytes are joined and the padding dropped: a CSV line never
+    holds a space.
     """
     rows = np.asarray(readings, dtype=RECORD)
-    n = len(rows)
-    table = np.hstack((_decimal(rows["t"], 1), _column(",", n), _milli(rows["uv"]),
-                       _column(",", n), _milli(rows["ua"]), _column("\n", n)))
-    fh.write("timestamp_ns,bus_mV,current_mA\n"
-             + table.tobytes().replace(b" ", b"").decode("ascii"))
-    return n
+    micro = (rows["uv"], rows["ua"])
+    # abs wraps INT32_MIN to itself, whose uint32 view is 2**31
+    magnitudes = [np.abs(v).view(np.uint32) for v in micro]
+    wholes = [m // 1000 for m in magnitudes]
+    widths = [_group_count(rows["t"])] + [_group_count(w) for w in wholes]
+    cells = np.empty((len(rows), sum(widths) + 5), dtype="<u4")
+    end = widths[0]
+    _write_groups(cells[:, :end], rows["t"])
+    for v, magnitude, whole, width in zip(micro, magnitudes, wholes, widths[1:]):
+        cells[:, end] = _COMMA.take(v < 0)
+        _write_groups(cells[:, end + 1:end + 1 + width], whole)
+        end += width + 2
+        cells[:, end - 1] = _FRACTION.take(magnitude - whole * 1000)
+    cells[:, end] = _NEWLINE
+    fh.write("timestamp_ns,bus_mV,current_mA\n")
+    fh.write(cells.tobytes().translate(None, b" ").decode("ascii"))
+    return len(rows)

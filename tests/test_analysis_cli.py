@@ -13,8 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import emeter
+from csv_oracle import export_csv_rows
 from ecdf_oracle import ecdf_csv_rows, ecdf_unique
 from emeter.analysis import ecdf, ecdf_csv, voltage_effect
+from emeter.buffering import BufferPolicy
 from emeter.calibration import CalibrationCurve
 from emeter.cli import main
 from emeter.experiment import ExperimentReport, PipelineOptions, run_experiment
@@ -26,7 +28,13 @@ from emeter.sampler import (
     countable_mask,
     _segment_energy,
 )
-from emeter.tracefile import TraceHeader, TraceRecord, encode_trace, load_trace
+from emeter.tracefile import (
+    TraceHeader,
+    TraceRecord,
+    decode_trace,
+    encode_trace,
+    load_trace,
+)
 
 
 class TestEcdf:
@@ -359,6 +367,14 @@ class TestCli:
         assert float(lines[-1].split(",")[1]) == 1.0
         assert (tmp_path / "e.csv.gp").exists()
 
+    def test_gnuplot_script_quotes_the_path(self, trace_file, tmp_path):
+        csv_path = tmp_path / "it's.csv"
+        assert main(["ecdf", trace_file, "--out", str(csv_path), "--gnuplot"]) == 0
+        plot = (tmp_path / "it's.csv.gp").read_text().splitlines()[-1]
+        # inside single quotes gnuplot reads '' as one quote
+        quoted = str(csv_path).replace("'", "''")
+        assert plot == f"plot '{quoted}' every ::1 using 1:2 with steps title 'ECDF'"
+
     def test_ecdf_gnuplot_needs_out(self, tmp_path, capsys):
         # fails before the trace is read: the path does not exist
         code = main(["ecdf", str(tmp_path / "missing.bin"), "--gnuplot"])
@@ -424,12 +440,25 @@ class TestCli:
         assert named in captured.err
         assert captured.out == ""
 
-    def test_export_csv_command(self, trace_file, tmp_path):
+    def test_export_csv_command(self, tmp_path, capsys):
+        # a slow two-buffer writer drops buffers, so the file carries gap
+        # markers, which the oracle skips itself
+        path = tmp_path / "gappy.bin"
+        options = PipelineOptions(seed=3, resolution_bits=9,
+                                  buffering=BufferPolicy("two_buffer", 1024),
+                                  write_speed_bps=0.4e6)
+        with open(path, "wb") as fh:
+            run_experiment("cc2650", 1, options, duration=2.0, trace_fh=fh)
+        _, records = decode_trace(path.read_bytes())
+        assert sum(record.is_gap for record in records) > 0
+        expected = io.StringIO()
+        assert export_csv_rows(expected, records) > 1000
         out = tmp_path / "t.csv"
-        assert main(["export-csv", trace_file, "--out", str(out)]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "timestamp_ns,bus_mV,current_mA"
-        assert len(lines) > 1000
+        assert main(["export-csv", str(path), "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.getvalue().encode()
+        capsys.readouterr()
+        assert main(["export-csv", str(path)]) == 0
+        assert capsys.readouterr().out == expected.getvalue()
 
     def test_calibrate_command(self, tmp_path, capsys):
         curve_path = tmp_path / "curve.txt"

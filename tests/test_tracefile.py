@@ -270,6 +270,8 @@ class TestCsvExport:
 
 _U64 = st.integers(0, 2**64 - 1)
 _INT32 = st.integers(-2**31, 2**31 - 1)
+_GROUP_EDGE = st.sampled_from(
+    [0] + [sign * v for v in (999, 1000, 9_999_999, 10_000_000, 2**31 - 1) for sign in (1, -1)])
 _ROW = st.one_of(
     st.tuples(_U64, _INT32, _INT32),
     # gap markers, and readings with one field at the gap sentinel
@@ -279,6 +281,10 @@ _ROW = st.one_of(
     # values whose digit counts sit next to the powers of ten
     st.tuples(st.sampled_from([0, 9, 10, 2**53 + 1, 10**19 - 1, 10**19, 2**64 - 1]),
               st.integers(-1000, 1000), st.integers(-10**6, 10**6)),
+    # values next to the boundaries of the four-digit groups: below and at
+    # 10**k, and integer parts of 9999 and 10000 milli-units
+    st.tuples(st.sampled_from([10**k + d for k in (4, 8, 12, 16) for d in (-1, 0)]),
+              _GROUP_EDGE, _GROUP_EDGE),
 )
 
 
