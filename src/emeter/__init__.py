@@ -21,67 +21,3 @@ The package models the full path from an analog load to an energy figure:
 * :mod:`emeter.experiment` / :mod:`emeter.analysis` / :mod:`emeter.cli` --
   experiment orchestration, ECDF / voltage-effect analysis, command line.
 """
-
-from emeter.sensor import (
-    SensorConfig,
-    quantize_shunt,
-    dequantize_shunt,
-    quantize_bus,
-    dequantize_bus,
-    conversion_time_us,
-)
-from emeter.bus_timing import DriverProfile, PollingStats, expected_polls
-from emeter.sampler import (
-    Sample,
-    PowerSaveMode,
-    TriggerSpec,
-    Trace,
-    compute_energy,
-    gated_energy,
-    naive_energy,
-    hybrid_energy,
-)
-from emeter.calibration import (
-    PotentiometerModel,
-    SwitchNetwork,
-    CalibrationCurve,
-    fit_current,
-    fit_voltage,
-    apply_current,
-    apply_voltage,
-)
-from emeter.workloads import LoadProfile, ReferenceMeter, generate_profile, exact_energy
-from emeter.experiment import ExperimentReport, run_experiment
-
-__all__ = [
-    "SensorConfig",
-    "quantize_shunt",
-    "dequantize_shunt",
-    "quantize_bus",
-    "dequantize_bus",
-    "conversion_time_us",
-    "DriverProfile",
-    "PollingStats",
-    "expected_polls",
-    "Sample",
-    "PowerSaveMode",
-    "TriggerSpec",
-    "Trace",
-    "compute_energy",
-    "gated_energy",
-    "naive_energy",
-    "hybrid_energy",
-    "PotentiometerModel",
-    "SwitchNetwork",
-    "CalibrationCurve",
-    "fit_current",
-    "fit_voltage",
-    "apply_current",
-    "apply_voltage",
-    "LoadProfile",
-    "ReferenceMeter",
-    "generate_profile",
-    "exact_energy",
-    "ExperimentReport",
-    "run_experiment",
-]

@@ -97,7 +97,7 @@ def validate_operating_point(profile: DriverProfile, speed_khz: int,
             f"bus speed {speed_khz}kHz not in {SUPPORTED_SPEEDS_KHZ}")
     if speed_khz == 2500 and supply_voltage == 3.3:
         raise UnsupportedOperatingPoint(
-            "2500kHz at 3.3V gives very unreliable bus communication")
+            "bus speed 2500kHz at 3.3V supply gives very unreliable bus communication")
 
 
 def read_delays_us(mean_us: float, half_band_us: float,

@@ -119,16 +119,19 @@ def default_branch_set() -> list[float]:
 
 @dataclass
 class SwitchNetwork:
-    """Parallel branch resistors behind on/off switches."""
+    """Parallel branch resistors behind on/off switches, driven at the
+    pot's ``v_in``: the load has one supply, the pot's."""
 
     branch_resistances: list[float] = field(default_factory=default_branch_set)
-    v_in: float = 5.0
+    # the supply the default bank is sized for, not a setting; the
+    # acceptance gate reads it
+    v_in = POT_V_IN
 
     def max_current(self, pot: PotentiometerModel) -> float:
         """Pot at code 0 plus every branch enabled."""
         total = pot.max_current
         for r in self.branch_resistances:
-            total += self.v_in / r
+            total += pot.v_in / r
         return total
 
 
@@ -159,7 +162,7 @@ class LoadProgram:
         masks = np.asarray(self.switch_masks)
         branches = np.zeros(len(masks))
         for j, r in enumerate(network.branch_resistances):
-            branches += np.where(masks >> j & 1, network.v_in / r, 0.0)
+            branches += np.where(masks >> j & 1, pot.v_in / r, 0.0)
         return pot.v_in / pot_resistance(np.asarray(self.pot_codes), pot) + branches
 
     def to_profile(self, pot: PotentiometerModel,
@@ -199,7 +202,7 @@ def build_staircase(pot: PotentiometerModel, network: SwitchNetwork,
     targets = np.cumsum(np.r_[pot.min_current, np.full(int(n_steps) + 2, step_a)])
     remainder = targets[targets <= min(max_a, network.max_current(pot)) + 1e-12]
     masks = np.zeros(len(remainder), dtype=np.int64)
-    amps = network.v_in / np.asarray(network.branch_resistances, dtype=float)
+    amps = pot.v_in / np.asarray(network.branch_resistances, dtype=float)
     for j in np.argsort(-amps, kind="stable"):
         take = remainder - amps[j] >= pot.min_current - 1e-9
         masks |= take.astype(np.int64) << j
@@ -239,7 +242,7 @@ def run_calibration_sweep(program: LoadProgram,
     instant with no device sample within half a dwell fails the sweep.
     """
     pot = pot or PotentiometerModel()
-    network = network or SwitchNetwork(v_in=pot.v_in)
+    network = network or SwitchNetwork()
     profile = program.to_profile(pot, network)
     trace = device_pipeline(profile)
     if len(trace) == 0:

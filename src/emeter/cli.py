@@ -181,7 +181,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     pot = PotentiometerModel(v_in=args.supply)
-    network = SwitchNetwork(v_in=args.supply)
+    network = SwitchNetwork()
     program = build_staircase(pot, network, step_a=args.step_ma * 1e-3,
                               max_a=args.max_ma * 1e-3,
                               dwell_s=args.dwell_ms * 1e-3)

@@ -344,7 +344,7 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
 
     flush_log, overruns = "", 0
     if trace_fh is not None:
-        header = TraceHeader.from_config(config, driver.name, options.speed_khz)
+        header = TraceHeader(config, driver.name, options.speed_khz)
         stats = persist(trace_fh, header, trace_to_records(trace), trace.timestamps_ns,
                         options.buffering, options.write_speed_bps)
         overruns = stats.overruns

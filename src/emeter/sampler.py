@@ -18,8 +18,10 @@ model replaces the unresolvable samples with declared-constant energy:
 where each sample's power is weighted by the time since its predecessor
 (see :func:`hybrid_energy` for the boundary handling).
 
-A sleep span is a ``(start_ns, end_ns, mode_index)`` interval throughout:
-the load profile declares it, the samplers take it, and :class:`Trace`
+The load profile declares each sleep span in seconds, as ``(start_s,
+end_s, mode_index)`` in ``LoadProfile.power_save_intervals``;
+``run_pipeline`` rounds it to a ``(start_ns, end_ns, mode_index)``
+interval, its form from then on: the samplers take it, and :class:`Trace`
 holds it, sorted, non-empty and overlapping no other span.  Both samplers
 hand :func:`build_trace` every reading of the run; it is the one gate of the
 window a :class:`TriggerSpec` resolved, and clips the sleep intervals to it;

@@ -59,15 +59,14 @@ class SensorConfig:
 
     def __post_init__(self):
         if self.shunt_resistance <= 0:
-            raise ValueError("shunt resistance must be positive")
-        if self.pga_divider not in VALID_PGA_DIVIDERS:
-            raise ValueError(f"pga_divider must be one of {VALID_PGA_DIVIDERS}")
-        if self.resolution_bits not in VALID_RESOLUTIONS:
-            raise ValueError(f"resolution_bits must be one of {VALID_RESOLUTIONS}")
-        if self.bus_range not in VALID_BUS_RANGES:
-            raise ValueError(f"bus_range must be one of {VALID_BUS_RANGES}")
-        if self.supply_voltage not in VALID_SUPPLIES:
-            raise ValueError(f"supply_voltage must be one of {VALID_SUPPLIES}")
+            raise ValueError(f"shunt resistance must be positive, got {self.shunt_resistance!r}")
+        for name, valid in (("pga_divider", VALID_PGA_DIVIDERS),
+                            ("resolution_bits", VALID_RESOLUTIONS),
+                            ("bus_range", VALID_BUS_RANGES),
+                            ("supply_voltage", VALID_SUPPLIES)):
+            value = getattr(self, name)
+            if value not in valid:
+                raise ValueError(f"{name} must be one of {valid}, got {value!r}")
 
     @property
     def shunt_lsb_volts(self) -> float:

@@ -21,6 +21,15 @@ device range.  Records are preceded by one fixed 64-byte header:
     offset 26  u64  start wall clock, nanoseconds
     offset 34  30x  reserved (zero)
 
+The header is a :class:`TraceHeader`: the run's
+:class:`~emeter.sensor.SensorConfig` (the first five fields), its driver
+profile, bus speed and start clock.  Building one checks what a run
+checks: a valid ``SensorConfig``, a driver of
+:data:`~emeter.bus_timing.PROFILES`, and a speed and supply
+:func:`~emeter.bus_timing.validate_operating_point` accepts.  So the
+writer builds only a header some run could write, and :func:`decode_header`
+rejects any other, naming the field; :func:`read_trace` adds the file.
+
 The body is a plain ``RECORD`` array, written with ``tobytes`` and read
 with ``np.frombuffer``.  A dropped-buffer gap is recorded in-line as a gap
 marker: a record whose voltage and current fields both hold INT32_MIN.
@@ -69,6 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from emeter.bus_timing import PROFILES, validate_operating_point
 from emeter.sampler import Trace
 from emeter.sensor import SensorConfig
 
@@ -130,39 +140,29 @@ def decode_record(buf: bytes) -> TraceRecord:
 
 @dataclass(frozen=True)
 class TraceHeader:
-    resolution_bits: int = 12
-    pga_divider: int = 1
-    bus_range: int = 16
-    supply_voltage: float = 5.0
-    shunt_uohm: int = 100_000
+    """The run a trace holds: its sensor configuration, driver stack, bus
+    speed and start clock.  Only an operating point the pipeline can run
+    builds one, so a header read back is one a run could have written."""
+
+    config: SensorConfig = SensorConfig()
     driver_name: str = "bcm"
     bus_speed_khz: int = 2500
     start_clock_ns: int = 0
 
-    @classmethod
-    def from_config(cls, config: SensorConfig, driver_name: str,
-                    bus_speed_khz: int) -> "TraceHeader":
-        return cls(resolution_bits=config.resolution_bits,
-                   pga_divider=config.pga_divider,
-                   bus_range=int(config.bus_range),
-                   supply_voltage=config.supply_voltage,
-                   shunt_uohm=int(round(config.shunt_resistance * 1e6)),
-                   driver_name=driver_name, bus_speed_khz=bus_speed_khz)
-
-    def to_config(self) -> SensorConfig:
-        return SensorConfig(shunt_resistance=self.shunt_uohm / 1e6,
-                            pga_divider=self.pga_divider,
-                            resolution_bits=self.resolution_bits,
-                            bus_range=float(self.bus_range),
-                            supply_voltage=self.supply_voltage)
+    def __post_init__(self):
+        if self.driver_name not in PROFILES:
+            raise ValueError(f"unknown driver {self.driver_name!r}; have {sorted(PROFILES)}")
+        validate_operating_point(PROFILES[self.driver_name], self.bus_speed_khz,
+                                 self.config.supply_voltage)
 
 
 def encode_header(header: TraceHeader) -> bytes:
-    return _HEADER.pack(MAGIC, FORMAT_VERSION, header.resolution_bits,
-                        header.pga_divider, header.bus_range,
-                        int(round(header.supply_voltage * 10)),
-                        header.shunt_uohm,
-                        header.driver_name.encode()[:8],
+    config = header.config
+    return _HEADER.pack(MAGIC, FORMAT_VERSION, config.resolution_bits,
+                        config.pga_divider, int(config.bus_range),
+                        int(round(config.supply_voltage * 10)),
+                        int(round(config.shunt_resistance * 1e6)),
+                        header.driver_name.encode(),
                         header.bus_speed_khz, header.start_clock_ns)
 
 
@@ -175,11 +175,13 @@ def decode_header(buf: bytes) -> TraceHeader:
         raise ValueError(f"bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version}")
-    return TraceHeader(resolution_bits=res, pga_divider=pga,
-                       bus_range=bus_range, supply_voltage=supply10 / 10.0,
-                       shunt_uohm=shunt_uohm,
-                       driver_name=driver.rstrip(b"\x00").decode(),
-                       bus_speed_khz=speed, start_clock_ns=start_clock)
+    config = SensorConfig(shunt_resistance=shunt_uohm / 1e6, pga_divider=pga,
+                          resolution_bits=res, bus_range=float(bus_range),
+                          supply_voltage=supply10 / 10.0)
+    # latin-1 takes any bytes, one character each; a name no profile has,
+    # UTF-8 or not, is rejected by TraceHeader
+    return TraceHeader(config, driver.rstrip(b"\x00").decode("latin-1"), speed,
+                       start_clock)
 
 
 # --------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def build_staircase(pot, network, step_a: float, max_a: float):
         remainder = target
         mask = 0
         # enable branches largest-current-first until the pot can cover the rest
-        amps = [network.v_in / r for r in branches]
+        amps = [pot.v_in / r for r in branches]
         for j in sorted(range(len(branches)), key=lambda j: -amps[j]):
             amp = amps[j]
             if remainder - amp >= pot.min_current - 1e-9:
@@ -48,7 +48,7 @@ def step_current(code: int, mask: int, pot, network) -> float:
     total = 0.0
     for j, r in enumerate(network.branch_resistances):
         if mask & (1 << j):
-            total += network.v_in / r
+            total += pot.v_in / r
     return pot.v_in / ((code / pot.code_count) * pot.r_max + pot.r_wiper) + total
 
 

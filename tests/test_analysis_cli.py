@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -536,6 +537,29 @@ class TestCli:
             assert captured.err == (f"error: {path}: record {record} at byte offset "
                                     f"{offset}: trace timestamps must be strictly "
                                     "increasing\n")
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("offset, fmt, value, named", [
+        (6, "B", 7, "resolution_bits must be one of (9, 12), got 7"),
+        (7, "B", 3, "pga_divider must be one of (1, 2, 4, 8), got 3"),
+        (8, "B", 99, "bus_range must be one of (16.0, 32.0), got 99.0"),
+        (9, "B", 0, "supply_voltage must be one of (3.3, 5.0), got 0.0"),
+        (10, "<I", 0, "shunt resistance must be positive, got 0.0"),
+        (14, "8s", b"foo", "unknown driver 'foo'"),
+        (14, "8s", b"\xff", "unknown driver '\xff'"),
+        (22, "<I", 1234, "bus speed 1234kHz not in"),
+        (9, "B", 33, "bus speed 2500kHz at 3.3V supply"),  # the default speed, 2500
+    ])
+    def test_header_no_run_could_write_names_file_and_field(self, offset, fmt, value,
+                                                            named, tmp_path, capsys):
+        buf = bytearray(encode_trace(TraceHeader(), [TraceRecord(10, 5_000_000, 1000)]))
+        struct.pack_into(fmt, buf, offset, value)
+        path = tmp_path / "bad_header.bin"
+        path.write_bytes(bytes(buf))
+        for command in ("export-csv", "ecdf", "voltage-effect"):
+            assert main([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {path}: {named}")
             assert captured.out == ""
 
     def test_invalid_calibration_gain_is_error(self, tmp_path, capsys):

@@ -84,7 +84,7 @@ class TestSwitchNetwork:
         extra = 50.0
         grown = SwitchNetwork(network.branch_resistances + [extra])
         # enabling one more branch adds exactly v_in / r_j
-        assert grown.max_current(pot) == base + grown.v_in / extra
+        assert grown.max_current(pot) == base + pot.v_in / extra
 
     def test_default_bank_tops_out_near_one_amp(self):
         total = SwitchNetwork().max_current(PotentiometerModel())
@@ -92,7 +92,7 @@ class TestSwitchNetwork:
 
     def test_mask_currents(self):
         pot = PotentiometerModel()
-        network = SwitchNetwork([250.0, 50.0], v_in=5.0)
+        network = SwitchNetwork([250.0, 50.0])
         program = LoadProgram(np.full(3, 100), np.array([0b01, 0b10, 0b11]), 0.05)
         branches = (program.programmed_currents(pot, network)
                     - pot.v_in / pot_resistance(100, pot))
@@ -120,7 +120,7 @@ class TestLoadProgram:
         # at 3.3 V the load tops out at 0.659 A, below the default 0.8 A
         # maximum; no level repeats that top
         pot = PotentiometerModel(v_in=3.3)
-        network = SwitchNetwork(v_in=3.3)
+        network = SwitchNetwork()
         top = network.max_current(pot)
         assert top < 0.8
         currents = build_staircase(pot, network, step_a=5e-3, max_a=0.8
@@ -136,7 +136,7 @@ class TestLoadProgram:
            dwell_s=st.floats(1e-4, 1.0))
     def test_staircase_matches_oracle(self, v_in, bank, step_exp, span_frac, dwell_s):
         pot = PotentiometerModel(v_in=v_in)
-        network = SwitchNetwork(bank, v_in=v_in)
+        network = SwitchNetwork(bank)
         step_a = current_resolution(pot.code_count, pot) * 10 ** step_exp
         max_a = pot.min_current + span_frac * min(1.3, 600 * step_a)
         program = build_staircase(pot, network, step_a=step_a, max_a=max_a,

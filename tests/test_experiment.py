@@ -184,7 +184,11 @@ class TestPipelineSemantics:
         header, records = decode_trace(fh.getvalue())
         data = [r for r in records if not r.is_gap]
         assert len(data) == len(result.trace)
-        assert header.resolution_bits == 12
+        run = result.report.config
+        assert header.config == SensorConfig(pga_divider=run["pga_divider"],
+                                             resolution_bits=run["resolution_bits"],
+                                             supply_voltage=run["supply_voltage"])
+        assert (header.driver_name, header.bus_speed_khz) == (run["driver"], run["speed_khz"])
         assert result.report.overrun_count == 0
         assert result.flush_log.count("flush") == len(result.trace) // 256 + 1
 

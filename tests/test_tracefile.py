@@ -1,6 +1,7 @@
 """Binary trace format: golden bytes, round trips, CSV export."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csv_oracle import export_csv_rows
+from emeter.bus_timing import SUPPORTED_SPEEDS_KHZ
 from emeter.sampler import Trace
+from emeter.sensor import (
+    VALID_BUS_RANGES,
+    VALID_PGA_DIVIDERS,
+    VALID_RESOLUTIONS,
+    VALID_SUPPLIES,
+    SensorConfig,
+)
 from emeter.tracefile import (
     GAP_SENTINEL,
     HEADER_SIZE,
@@ -69,11 +78,16 @@ class TestHeader:
         assert len(encode_header(TraceHeader())) == 64
 
     def test_round_trip(self):
-        header = TraceHeader(resolution_bits=9, pga_divider=4, bus_range=32,
-                             supply_voltage=3.3, shunt_uohm=100_000,
-                             driver_name="linux", bus_speed_khz=500,
-                             start_clock_ns=1_694_000_000_000_000_000)
-        assert decode_header(encode_header(header)) == header
+        # 9 bit, divider 4, 32 V range, 3.3 V, 0.1 ohm, linux at 500 kHz,
+        # assembled by hand field by field
+        header = TraceHeader(SensorConfig(pga_divider=4, resolution_bits=9,
+                                          bus_range=32.0, supply_voltage=3.3),
+                             "linux", 500, start_clock_ns=1_694_000_000_000_000_000)
+        golden = (b"EMP1" + bytes([1, 0, 9, 4, 32, 33]) + (100_000).to_bytes(4, "little")
+                  + b"linux\x00\x00\x00" + (500).to_bytes(4, "little")
+                  + (1_694_000_000_000_000_000).to_bytes(8, "little") + bytes(30))
+        assert encode_header(header) == golden
+        assert decode_header(golden) == header
 
     def test_bad_magic_rejected(self):
         buf = bytearray(encode_header(TraceHeader()))
@@ -82,10 +96,18 @@ class TestHeader:
             decode_header(bytes(buf))
 
     def test_config_round_trip(self):
-        from emeter.sensor import SensorConfig
         cfg = SensorConfig(pga_divider=2, resolution_bits=9)
-        header = TraceHeader.from_config(cfg, "bcm", 800)
-        assert header.to_config() == cfg
+        assert decode_header(encode_header(TraceHeader(cfg, "bcm", 800))).config == cfg
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"driver_name": "foo"}, "unknown driver 'foo'"),
+        ({"driver_name": "linux_long"}, "unknown driver 'linux_long'"),
+        ({"bus_speed_khz": 1234}, "bus speed 1234kHz not in"),
+        ({"config": SensorConfig(supply_voltage=3.3)}, "bus speed 2500kHz at 3.3V"),
+    ])
+    def test_header_no_run_could_write_is_not_built(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            TraceHeader(**kwargs)
 
 
 def random_records(rng, n):
@@ -317,11 +339,23 @@ def _readings_and_markers(draw):
     return readings, marker_at, marker_ns
 
 
+@st.composite
+def _headers(draw):
+    """Headers a run could write: any sensor configuration, a positive
+    shunt in whole microohms, either driver at a speed its supply allows."""
+    supply = draw(st.sampled_from(VALID_SUPPLIES))
+    config = SensorConfig(shunt_resistance=draw(st.integers(1, 2**32 - 1)) / 1e6,
+                          pga_divider=draw(st.sampled_from(VALID_PGA_DIVIDERS)),
+                          resolution_bits=draw(st.sampled_from(VALID_RESOLUTIONS)),
+                          bus_range=draw(st.sampled_from(VALID_BUS_RANGES)),
+                          supply_voltage=supply)
+    speeds = [s for s in SUPPORTED_SPEEDS_KHZ if (s, supply) != (2500, 3.3)]
+    return TraceHeader(config, draw(st.sampled_from(["bcm", "linux"])),
+                       draw(st.sampled_from(speeds)), draw(_U64))
+
+
 @settings(max_examples=200, deadline=None)
-@given(body=_readings_and_markers(),
-       header=st.builds(TraceHeader, resolution_bits=st.sampled_from([9, 10, 11, 12]),
-                        driver_name=st.sampled_from(["bcm", "linux"]),
-                        start_clock_ns=_U64))
+@given(body=_readings_and_markers(), header=_headers())
 def test_write_trace_round_trip(tmp_path_factory, body, header):
     readings, marker_at, marker_ns = body
     out = io.BytesIO()
@@ -330,6 +364,7 @@ def test_write_trace_round_trip(tmp_path_factory, body, header):
     path.write_bytes(out.getvalue())
     header_read, readings_read = read_trace(str(path))
     assert header_read == header
+    assert encode_header(header_read) == out.getvalue()[:HEADER_SIZE]
     assert readings_read.dtype == RECORD
     assert readings_read.tobytes() == readings.tobytes()
     _, records = decode_trace(out.getvalue())
@@ -337,6 +372,39 @@ def test_write_trace_round_trip(tmp_path_factory, body, header):
     at = (np.array(marker_at, dtype=np.int64) + np.arange(len(marker_at))).tolist()
     assert [k for k, r in enumerate(records) if r.is_gap] == at
     assert [records[k].timestamp_ns for k in at] == marker_ns
+
+
+# per header field: its byte offset and struct format, values outside its
+# set, and the words an error for it names
+_BAD_FIELDS = {
+    "resolution": (6, "B", st.integers(0, 255).filter(lambda v: v not in VALID_RESOLUTIONS),
+                   "resolution_bits"),
+    "divider": (7, "B", st.integers(0, 255).filter(lambda v: v not in VALID_PGA_DIVIDERS),
+                "pga_divider"),
+    "bus range": (8, "B", st.integers(0, 255).filter(lambda v: v not in VALID_BUS_RANGES),
+                  "bus_range"),
+    "supply": (9, "B", st.integers(0, 255).filter(lambda v: v / 10 not in VALID_SUPPLIES),
+               "supply_voltage"),
+    "shunt": (10, "<I", st.just(0), "shunt resistance"),
+    "driver": (14, "8s", st.binary(max_size=8).filter(
+        lambda b: b.rstrip(b"\x00") not in (b"bcm", b"linux")), "unknown driver"),
+    "speed": (22, "<I", st.integers(0, 2**32 - 1).filter(
+        lambda v: v not in SUPPORTED_SPEEDS_KHZ), "bus speed"),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=_headers(), field=st.sampled_from(sorted(_BAD_FIELDS)), data=st.data())
+def test_header_no_run_could_write_is_rejected(tmp_path_factory, header, field, data):
+    offset, fmt, values, named = _BAD_FIELDS[field]
+    buf = bytearray(encode_header(header))
+    struct.pack_into(fmt, buf, offset, data.draw(values))
+    path = tmp_path_factory.mktemp("bad") / "t.bin"
+    path.write_bytes(bytes(buf))
+    with pytest.raises(ValueError) as info:
+        read_trace(str(path))
+    assert str(info.value).startswith(f"{path}: ")
+    assert named in str(info.value)
 
 
 @settings(max_examples=300, deadline=None)
