@@ -28,7 +28,8 @@ checks: a valid ``SensorConfig``, a driver of
 :data:`~emeter.bus_timing.PROFILES`, and a speed and supply
 :func:`~emeter.bus_timing.validate_operating_point` accepts.  So the
 writer builds only a header some run could write, and :func:`decode_header`
-rejects any other, naming the field; :func:`read_trace` adds the file.
+rejects any other, naming the field, as it rejects non-zero reserved bytes;
+:func:`read_trace` adds the file.
 
 The body is a plain ``RECORD`` array, written with ``tobytes`` and read
 with ``np.frombuffer``.  A dropped-buffer gap is recorded in-line as a gap
@@ -175,6 +176,8 @@ def decode_header(buf: bytes) -> TraceHeader:
         raise ValueError(f"bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version}")
+    if any(buf[34:]):
+        raise ValueError("reserved header bytes 34-63 must be zero")
     config = SensorConfig(shunt_resistance=shunt_uohm / 1e6, pga_divider=pga,
                           resolution_bits=res, bus_range=float(bus_range),
                           supply_voltage=supply10 / 10.0)

@@ -549,6 +549,7 @@ class TestCli:
         (14, "8s", b"\xff", "unknown driver '\xff'"),
         (22, "<I", 1234, "bus speed 1234kHz not in"),
         (9, "B", 33, "bus speed 2500kHz at 3.3V supply"),  # the default speed, 2500
+        (63, "B", 1, "reserved header bytes 34-63 must be zero"),
     ])
     def test_header_no_run_could_write_names_file_and_field(self, offset, fmt, value,
                                                             named, tmp_path, capsys):

@@ -390,6 +390,7 @@ _BAD_FIELDS = {
         lambda b: b.rstrip(b"\x00") not in (b"bcm", b"linux")), "unknown driver"),
     "speed": (22, "<I", st.integers(0, 2**32 - 1).filter(
         lambda v: v not in SUPPORTED_SPEEDS_KHZ), "bus speed"),
+    "reserved": (34, "30s", st.binary(min_size=1, max_size=30).filter(any), "reserved"),
 }
 
 
