@@ -10,6 +10,7 @@ import numpy as np
 
 from emeter.bus_timing import (
     PROFILES,
+    READ_DELAYS_US,
     SUPPORTED_SPEEDS_KHZ,
     expected_polls,
     read_delays_us,
@@ -34,7 +35,7 @@ for res in (12, 9):
 rng = np.random.default_rng(0)
 for name in ("bcm", "linux"):
     profile = PROFILES[name]
-    draws = read_delays_us(profile.mean_delay_us(500), profile.jitter_range_us / 2.0,
+    draws = read_delays_us(READ_DELAYS_US[500][name], profile.jitter_range_us / 2.0,
                            rng, 5000)
     print(f"{name:6s} read at 500kHz: mean {draws.mean():6.1f} us, "
           f"spread {draws.max() - draws.min():5.1f} us")

@@ -87,6 +87,9 @@ DEFAULT_POLICY = BufferPolicy("two_buffer", 4096)
 
 @dataclass(frozen=True)
 class PersistStats:
+    """``overruns``, the report's ``overrun_count``, counts dropped *buffers*
+    under two-buffer persistence and dropped *readings* under circular."""
+
     overruns: int
     #: data records in the file; gap markers are not counted
     records_written: int

@@ -22,6 +22,10 @@ model reproduces the measured polls-per-sample table at both resolutions and
 the measured throughputs (4350 sps at 9-bit/500kHz on the BCM stack, about
 3360 sps on the Linux stack, just under 1000 sps at 12 bit).
 
+An :class:`OperatingPoint` is the one place a (driver, bus speed, sensor
+configuration) point is validated and timed: its properties state each of
+these quantities once.
+
 Every read draws its own jittered delay.  The sampler loop takes those
 draws from the caller's generator in fixed-size blocks of the same stream
 (:func:`read_delays_us`) rather than one call per read; the delays, and the
@@ -37,20 +41,21 @@ import numpy as np
 
 from emeter.sensor import SensorConfig, conversion_time_us
 
-SUPPORTED_SPEEDS_KHZ = (200, 500, 800, 2500)
-
 LOOP_OVERHEAD_US = 0.46      # sampler bookkeeping between reads
 TIMESTAMP_CALL_US = 0.445    # clock_gettime-equivalent cost per sample
+#: The fixed loop overhead ``o`` of a sample.
+OVERHEAD_US = LOOP_OVERHEAD_US + TIMESTAMP_CALL_US
 
-#: Mean two-byte register read delay in microseconds, per driver and bus
-#: speed.  Fitted defaults; see module docstring.
-DEFAULT_READ_DELAYS_US = {
-    "bcm": {2500: 23.0, 800: 69.7, 500: 114.5, 200: 290.0},
-    "linux": {2500: 44.5, 800: 110.0, 500: 150.0, 200: 390.0},
+#: Mean two-byte register read delay in microseconds per driver, at each
+#: supported bus speed in kHz: the one statement of those speeds.  Fitted
+#: defaults; see module docstring.
+READ_DELAYS_US = {
+    200: {"bcm": 290.0, "linux": 390.0},
+    500: {"bcm": 114.5, "linux": 150.0},
+    800: {"bcm": 69.7, "linux": 110.0},
+    2500: {"bcm": 23.0, "linux": 44.5},
 }
-
-#: Width of the (uniform) read-delay jitter band, microseconds.
-DEFAULT_JITTER_US = {"bcm": 4.0, "linux": 22.0}
+SUPPORTED_SPEEDS_KHZ = tuple(READ_DELAYS_US)
 
 
 class UnsupportedOperatingPoint(ValueError):
@@ -59,26 +64,61 @@ class UnsupportedOperatingPoint(ValueError):
 
 @dataclass(frozen=True)
 class DriverProfile:
-    """Latency profile of one driver stack."""
+    """A driver stack and the width of its uniform read-delay jitter band,
+    microseconds."""
 
     name: str
-    read_delay_us: dict
     jitter_range_us: float
 
-    def mean_delay_us(self, speed_khz: int) -> float:
-        if speed_khz not in self.read_delay_us:
-            raise UnsupportedOperatingPoint(
-                f"bus speed {speed_khz}kHz not supported (have "
-                f"{sorted(self.read_delay_us)})")
-        return self.read_delay_us[speed_khz]
 
-
-BCM_PROFILE = DriverProfile("bcm", DEFAULT_READ_DELAYS_US["bcm"],
-                            DEFAULT_JITTER_US["bcm"])
-LINUX_PROFILE = DriverProfile("linux", DEFAULT_READ_DELAYS_US["linux"],
-                              DEFAULT_JITTER_US["linux"])
+BCM_PROFILE = DriverProfile("bcm", 4.0)
+LINUX_PROFILE = DriverProfile("linux", 22.0)
 
 PROFILES = {"bcm": BCM_PROFILE, "linux": LINUX_PROFILE}
+
+
+@dataclass(frozen=True)
+class OperatingPoint:
+    """A driver stack, bus speed and sensor configuration the chip sustains:
+    the speeds of :data:`READ_DELAYS_US`, but not 2500kHz at 3.3V."""
+
+    driver: DriverProfile
+    speed_khz: int
+    config: SensorConfig
+
+    def __post_init__(self):
+        supply = self.config.supply_voltage
+        if self.speed_khz not in READ_DELAYS_US or (self.speed_khz, supply) == (2500, 3.3):
+            raise UnsupportedOperatingPoint(
+                f"bus speed {self.speed_khz}kHz at {supply}V supply is not supported: "
+                f"the speeds are {SUPPORTED_SPEEDS_KHZ} kHz, and 2500kHz at 3.3V "
+                "gives very unreliable bus communication")
+
+    @property
+    def delay_us(self) -> float:
+        """Mean register read delay ``d``, microseconds."""
+        return READ_DELAYS_US[self.speed_khz][self.driver.name]
+
+    @property
+    def period_us(self) -> float:
+        """Mean time between collected samples, microseconds."""
+        return max(conversion_time_us(self.config), 2.0 * self.delay_us + OVERHEAD_US)
+
+    @property
+    def window_s(self) -> float:
+        """Length of one conversion window, seconds."""
+        return conversion_time_us(self.config) * 1000.0 * 1e-9
+
+    @property
+    def tail_ns(self) -> float:
+        """Nanoseconds from a window's end to its sample's timestamp."""
+        # left to right: 1.5 * d + OVERHEAD_US is an ulp off at three delays
+        return (1.5 * self.delay_us + LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
+
+    @property
+    def tiles(self) -> bool:
+        """Whether each window starts where the last one ended."""
+        return self.period_us == conversion_time_us(self.config)
 
 
 @dataclass(frozen=True)
@@ -87,17 +127,6 @@ class PollingStats:
 
     polls_per_sample: int
     samples_per_second: float
-
-
-def validate_operating_point(profile: DriverProfile, speed_khz: int,
-                             supply_voltage: float) -> None:
-    """Reject combinations known to produce unreliable bus traffic."""
-    if speed_khz not in SUPPORTED_SPEEDS_KHZ:
-        raise UnsupportedOperatingPoint(
-            f"bus speed {speed_khz}kHz not in {SUPPORTED_SPEEDS_KHZ}")
-    if speed_khz == 2500 and supply_voltage == 3.3:
-        raise UnsupportedOperatingPoint(
-            "bus speed 2500kHz at 3.3V supply gives very unreliable bus communication")
 
 
 def read_delays_us(mean_us: float, half_band_us: float,
@@ -113,24 +142,10 @@ def read_delays_us(mean_us: float, half_band_us: float,
     return mean_us + rng.uniform(-half_band_us, half_band_us, n)
 
 
-def sample_period_us(profile: DriverProfile, speed_khz: int,
-                     config: SensorConfig) -> float:
-    """Mean time between collected samples, microseconds."""
-    validate_operating_point(profile, speed_khz, config.supply_voltage)
-    d = profile.mean_delay_us(speed_khz)
-    overhead = LOOP_OVERHEAD_US + TIMESTAMP_CALL_US
-    loop_floor = 2.0 * d + overhead
-    return max(conversion_time_us(config), loop_floor)
-
-
 def expected_polls(profile: DriverProfile, speed_khz: int,
                    config: SensorConfig) -> PollingStats:
     """Deterministic polling expectation using mean delays."""
-    period = sample_period_us(profile, speed_khz, config)
-    d = profile.mean_delay_us(speed_khz)
-    overhead = LOOP_OVERHEAD_US + TIMESTAMP_CALL_US
-    t_conv = conversion_time_us(config)
-    polls = max(1, math.ceil((t_conv - overhead) / d) - 1)
+    point = OperatingPoint(profile, speed_khz, config)
+    polls = max(1, math.ceil((conversion_time_us(config) - OVERHEAD_US) / point.delay_us) - 1)
     return PollingStats(polls_per_sample=polls,
-                        samples_per_second=1e6 / period)
-
+                        samples_per_second=1e6 / point.period_us)

@@ -26,17 +26,15 @@ one bus count is 156 sigma and one shunt count 39 sigma times the divider,
 so the 30 s runs of workload 1 on the five presets skip 78 % of the draws.
 
 :func:`schedule` decides where the conversion windows lie.  They tile
-where the sample period is the conversion time itself, that is where the
+where the operating point's sample period is the conversion time itself
+(:attr:`~emeter.bus_timing.OperatingPoint.tiles`), that is where the
 polling loop keeps up with the chip: each window starts where the previous
-one ended, and the bounds are the window boundaries.  That holds at 20 of
-the 28 supported (driver, bus speed, supply, resolution) points: every
-12-bit point and the default, bcm at 2500 kHz.  The other 8, all at 9 bit,
-leave a gap between windows, and the bounds are one ``[start, end]`` row
-per window: 200 kHz on either driver and supply, 500 kHz at 5 V on either
-driver, linux at 500 kHz and 3.3 V, and linux at 800 kHz and 5 V.
-``LoadProfile.window_means`` integrates both forms, looking each cumulative
-integral up once per bound: once per window where they tile, twice where
-they do not.
+one ended, and the bounds are the window boundaries.  Elsewhere a gap
+separates the windows, and the bounds are one ``[start, end]`` row per
+window.  ``OPERATING_POINTS`` in ``tests/test_experiment.py`` lists which
+of the 28 supported points tile.  ``LoadProfile.window_means`` integrates
+both forms, looking each cumulative integral up once per bound: once per
+window where they tile, twice where they do not.
 
 A stage allocates only the arrays it returns and does its arithmetic in
 place on arrays it allocated itself; it never writes to its inputs.  A 30 s
@@ -65,13 +63,7 @@ from typing import Optional
 
 import numpy as np
 
-from emeter.bus_timing import (
-    PROFILES,
-    DriverProfile,
-    LOOP_OVERHEAD_US,
-    TIMESTAMP_CALL_US,
-    sample_period_us,
-)
+from emeter.bus_timing import PROFILES, OperatingPoint
 from emeter.buffering import DEFAULT_POLICY, DEFAULT_WRITE_SPEED_BPS, BufferPolicy, persist
 from emeter.calibration import CalibrationCurve, apply_current, apply_voltage
 from emeter.sampler import (
@@ -90,7 +82,6 @@ from emeter.sensor import (
     VALID_PGA_DIVIDERS,
     SensorConfig,
     bus_counts_array,
-    conversion_time_us,
     floor_bus_array,
     floor_shunt_array,
     shunt_counts_array,
@@ -192,28 +183,18 @@ class PipelineResult:
     flush_log: str
 
 
-def window_seconds(config: SensorConfig) -> float:
-    """Length of one conversion window in seconds."""
-    return conversion_time_us(config) * 1000.0 * 1e-9
-
-
-def schedule(driver: DriverProfile, speed_khz: int, config: SensorConfig,
-             trigger: TriggerSpec, horizon_ns: int):
-    """(window bounds s, timestamp ns) of the n conversions up to the
-    trigger's limit at ``horizon_ns``, the bounds in the form
+def schedule(point: OperatingPoint, trigger: TriggerSpec, horizon_ns: int):
+    """(window bounds s, timestamp ns) of the n conversions at ``point`` up
+    to the trigger's limit at ``horizon_ns``, the bounds in the form
     ``LoadProfile.window_means`` integrates.
 
-    Conversion k's window ends at ``(k + 1) * period``.  Where the sample
-    period is the conversion time itself (``sample_period_us``'s ``max()``
-    returned it) the windows tile, and the bounds are the n + 1 boundaries
-    ``k * period`` for k = 0..n; elsewhere they are n ``[end - window, end]``
-    rows.  ``tail_ns`` puts a timestamp after the final ready poll, the
-    shunt read and the bookkeeping.
+    Conversion k's window ends at ``(k + 1) * period``.  Where the point's
+    windows tile, the bounds are the n + 1 boundaries ``k * period`` for
+    k = 0..n; elsewhere they are n ``[end - window, end]`` rows.  Each
+    timestamp is its window's end plus the point's ``tail_ns``.
     """
-    period_us = sample_period_us(driver, speed_khz, config)
-    period_ns = period_us * 1000.0
-    tail_ns = (1.5 * driver.mean_delay_us(speed_khz)
-               + LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
+    period_ns = point.period_us * 1000.0
+    tail_ns = point.tail_ns
     limit_ns = trigger.limit_ns(horizon_ns)
     n_conversions = int((limit_ns - tail_ns) // period_ns) if limit_ns > tail_ns else 0
     if trigger.sample_count is not None:
@@ -222,9 +203,9 @@ def schedule(driver: DriverProfile, speed_khz: int, config: SensorConfig,
     grid_ns = np.arange(0, n_conversions + 1) * period_ns
     bounds_s = grid_ns * 1e-9
     grid_ns += tail_ns
-    if period_us != conversion_time_us(config):
+    if not point.tiles:
         end_s = bounds_s[1:]
-        bounds_s = np.stack([end_s - window_seconds(config), end_s], axis=1)
+        bounds_s = np.stack([end_s - point.window_s, end_s], axis=1)
     return bounds_s, grid_ns[1:].astype(np.int64)
 
 
@@ -308,15 +289,15 @@ def calibrate(calibration: Optional[CalibrationCurve], current, bus_v):
 
 
 def _readings(profile: LoadProfile, options: PipelineOptions,
-              board: BoardCharacter, config: SensorConfig,
+              board: BoardCharacter, point: OperatingPoint,
               calibration: Optional[CalibrationCurve], bounds_s):
     """Means over ``schedule``'s window bounds to calibrated readings,
     outputs held (module docstring)."""
-    means = profile.window_means(bounds_s, window_seconds(config),
+    means = profile.window_means(bounds_s, point.window_s,
                                  board.current_quad != 0.0)
     sensed = sense(board, *means)
     del means
-    current, bus_v, saturated = convert(options, config, *sensed)
+    current, bus_v, saturated = convert(options, point.config, *sensed)
     return (*calibrate(calibration, current, bus_v), saturated)
 
 
@@ -332,9 +313,10 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
                           resolution_bits=options.resolution_bits,
                           supply_voltage=options.supply_voltage)
 
+    point = OperatingPoint(driver, options.speed_khz, config)
     horizon_ns = round(profile.duration * 1e9)
-    bounds_s, ts = schedule(driver, options.speed_khz, config, trigger, horizon_ns)
-    current, bus_v, saturated = _readings(profile, options, board, config,
+    bounds_s, ts = schedule(point, trigger, horizon_ns)
+    current, bus_v, saturated = _readings(profile, options, board, point,
                                           calibration, bounds_s)
     del bounds_s
     intervals = [(int(round(s * 1e9)), int(round(e * 1e9)), mode_index)

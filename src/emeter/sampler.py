@@ -36,13 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from emeter.bus_timing import (
-    DriverProfile,
-    LOOP_OVERHEAD_US,
-    TIMESTAMP_CALL_US,
-    read_delays_us,
-    validate_operating_point,
-)
+from emeter.bus_timing import OVERHEAD_US, DriverProfile, OperatingPoint, read_delays_us
 from emeter.sensor import (
     REG_BUS_VOLTAGE,
     REG_SHUNT_VOLTAGE,
@@ -476,11 +470,11 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
     if config != bus.sensor.config:
         raise ValueError(f"config {config} differs from the sensor's "
                          f"{bus.sensor.config}, which quantizes the readings")
-    validate_operating_point(driver, speed_khz, config.supply_voltage)
+    point = OperatingPoint(driver, speed_khz, config)
     limit_ns = trigger.limit_ns(horizon_ns)
     intervals = _sorted_intervals(intervals)
 
-    overhead_ns = (LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
+    overhead_ns = OVERHEAD_US * 1000.0
     count_target = trigger.sample_count
     # (timestamp, bus-voltage word, shunt word) of every reading of the run
     readings: list[tuple[int, int, int]] = []
@@ -490,7 +484,7 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
     # reversed block of draws.  The generator state before the current block
     # is kept so that, however the loop ends, the caller's generator is left
     # where one draw per read would have left it.
-    mean_us = driver.mean_delay_us(speed_khz)
+    mean_us = point.delay_us
     half_us = driver.jitter_range_us / 2.0
     delays: list[float] = []
     block_state = None

@@ -24,10 +24,11 @@ device range.  Records are preceded by one fixed 64-byte header:
 The header is a :class:`TraceHeader`: the run's
 :class:`~emeter.sensor.SensorConfig` (the first five fields), its driver
 profile, bus speed and start clock.  Building one checks what a run
-checks: a valid ``SensorConfig``, a driver of
-:data:`~emeter.bus_timing.PROFILES`, and a speed and supply
-:func:`~emeter.bus_timing.validate_operating_point` accepts.  So the
-writer builds only a header some run could write, and :func:`decode_header`
+checks, a valid ``SensorConfig``, a driver of
+:data:`~emeter.bus_timing.PROFILES` and an
+:class:`~emeter.bus_timing.OperatingPoint` of the three, and a shunt of
+whole microohms in u32, so that it reads back as built.  So the writer
+builds only a header some run could write, and :func:`decode_header`
 rejects any other, naming the field, as it rejects non-zero reserved bytes;
 :func:`read_trace` adds the file.
 
@@ -79,7 +80,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from emeter.bus_timing import PROFILES, validate_operating_point
+from emeter.bus_timing import PROFILES, OperatingPoint
 from emeter.sampler import Trace
 from emeter.sensor import SensorConfig
 
@@ -153,8 +154,11 @@ class TraceHeader:
     def __post_init__(self):
         if self.driver_name not in PROFILES:
             raise ValueError(f"unknown driver {self.driver_name!r}; have {sorted(PROFILES)}")
-        validate_operating_point(PROFILES[self.driver_name], self.bus_speed_khz,
-                                 self.config.supply_voltage)
+        OperatingPoint(PROFILES[self.driver_name], self.bus_speed_khz, self.config)
+        uohm = self.config.shunt_resistance * 1e6
+        if not (0 < uohm < 2 ** 32 and round(uohm) / 1e6 == self.config.shunt_resistance):
+            raise ValueError("shunt_resistance must be a whole number of microohms "
+                             f"in u32, got {self.config.shunt_resistance!r} ohm")
 
 
 def encode_header(header: TraceHeader) -> bytes:

@@ -302,7 +302,11 @@ class TestCli:
         code = main(["sample", "--supply", "3.3", "--speed", "2500",
                      "--trigger", "duration:1", "--duration", "1"])
         assert code == 2
-        assert "unreliable" in capsys.readouterr().err
+        # the message every entry point gives for a point the chip cannot sustain
+        assert capsys.readouterr().err == (
+            "error: bus speed 2500kHz at 3.3V supply is not supported: the speeds are "
+            "(200, 500, 800, 2500) kHz, and 2500kHz at 3.3V gives very unreliable bus "
+            "communication\n")
 
     def test_edges_trigger_from_file(self, tmp_path):
         edge_file = tmp_path / "edges.txt"
@@ -547,7 +551,7 @@ class TestCli:
         (10, "<I", 0, "shunt resistance must be positive, got 0.0"),
         (14, "8s", b"foo", "unknown driver 'foo'"),
         (14, "8s", b"\xff", "unknown driver '\xff'"),
-        (22, "<I", 1234, "bus speed 1234kHz not in"),
+        (22, "<I", 1234, "bus speed 1234kHz at 5.0V supply"),
         (9, "B", 33, "bus speed 2500kHz at 3.3V supply"),  # the default speed, 2500
         (63, "B", 1, "reserved header bytes 34-63 must be zero"),
     ])

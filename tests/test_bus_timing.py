@@ -9,12 +9,12 @@ from emeter.bus_timing import (
     BCM_PROFILE,
     LINUX_PROFILE,
     PROFILES,
+    READ_DELAYS_US,
     SUPPORTED_SPEEDS_KHZ,
+    OperatingPoint,
     UnsupportedOperatingPoint,
     expected_polls,
     read_delays_us,
-    sample_period_us,
-    validate_operating_point,
 )
 from emeter.sensor import SensorConfig
 
@@ -85,14 +85,13 @@ class TestThroughput:
 
 class TestReadDelay:
     def test_linux_at_least_20us_slower(self):
-        for speed in SUPPORTED_SPEEDS_KHZ:
-            assert (LINUX_PROFILE.mean_delay_us(speed)
-                    >= BCM_PROFILE.mean_delay_us(speed) + 20.0)
+        for delays in READ_DELAYS_US.values():
+            assert delays["linux"] >= delays["bcm"] + 20.0
 
     def test_jitter_band(self):
         rng = np.random.default_rng(11)
         for profile in (BCM_PROFILE, LINUX_PROFILE):
-            mean = profile.mean_delay_us(500)
+            mean = READ_DELAYS_US[500][profile.name]
             half = profile.jitter_range_us / 2
             draws = read_delays_us(mean, half, rng, 2000)
             assert np.all(draws >= mean - half - 1e-12)
@@ -104,20 +103,20 @@ class TestReadDelay:
         assert LINUX_PROFILE.jitter_range_us == pytest.approx(22.0)
 
     def test_zero_band_is_the_mean(self):
-        mean = BCM_PROFILE.mean_delay_us(800)
+        mean = READ_DELAYS_US[800]["bcm"]
         draws = read_delays_us(mean, 0.0, np.random.default_rng(3), 50)
         assert draws.tolist() == [mean] * 50
 
     def test_unsupported_speed(self):
         with pytest.raises(UnsupportedOperatingPoint):
-            validate_operating_point(BCM_PROFILE, 1000, 5.0)
+            OperatingPoint(BCM_PROFILE, 1000, SensorConfig(supply_voltage=5.0))
         with pytest.raises(UnsupportedOperatingPoint):
-            BCM_PROFILE.mean_delay_us(1000)
+            expected_polls(BCM_PROFILE, 1000, SensorConfig(supply_voltage=5.0))
 
     def test_fast_bus_low_voltage_rejected(self):
-        with pytest.raises(UnsupportedOperatingPoint):
-            validate_operating_point(BCM_PROFILE, 2500, 3.3)
         cfg = SensorConfig(supply_voltage=3.3)
+        with pytest.raises(UnsupportedOperatingPoint):
+            OperatingPoint(BCM_PROFILE, 2500, cfg)
         with pytest.raises(UnsupportedOperatingPoint):
             expected_polls(BCM_PROFILE, 2500, cfg)
         # the same point at 5V is fine
@@ -134,7 +133,7 @@ class TestReadDelayBlocks:
            speed=st.sampled_from(SUPPORTED_SPEEDS_KHZ))
     def test_one_draw_view_equals_array_form(self, seed, n, driver, speed):
         profile = PROFILES[driver]
-        mean, half = profile.mean_delay_us(speed), profile.jitter_range_us / 2.0
+        mean, half = READ_DELAYS_US[speed][driver], profile.jitter_range_us / 2.0
         one_by_one = np.random.default_rng(seed)
         draws = [float(read_delays_us(mean, half, one_by_one, 1)[0]) for _ in range(n)]
         block = np.random.default_rng(seed)
@@ -148,4 +147,4 @@ class TestDelayConfig:
         cfg = SensorConfig(resolution_bits=12)
         # at 12 bit every period is conversion-limited
         for speed in SUPPORTED_SPEEDS_KHZ:
-            assert sample_period_us(BCM_PROFILE, speed, cfg) >= 1000.0
+            assert OperatingPoint(BCM_PROFILE, speed, cfg).period_us >= 1000.0

@@ -15,11 +15,11 @@ from emeter.bus_timing import (
     LINUX_PROFILE,
     LOOP_OVERHEAD_US,
     PROFILES,
-    SUPPORTED_SPEEDS_KHZ,
+    READ_DELAYS_US,
     TIMESTAMP_CALL_US,
+    OperatingPoint,
     UnsupportedOperatingPoint,
-    sample_period_us,
-    validate_operating_point,
+    expected_polls,
 )
 from emeter.calibration import CalibrationCurve, apply_current
 from emeter.experiment import (
@@ -34,7 +34,6 @@ from emeter.experiment import (
     run_pipeline,
     schedule,
     sense,
-    window_seconds,
 )
 from emeter.sampler import (
     FLAG_POWER_SAVE,
@@ -58,14 +57,13 @@ from emeter.sensor import (
     SimulatedBus,
     SimulatedSensor,
     bus_counts_array,
-    conversion_time_us,
     floor_bus_array,
     floor_shunt_array,
     quantize_bus_array,
     quantize_shunt_array,
     shunt_counts_array,
 )
-from emeter.tracefile import decode_trace
+from emeter.tracefile import TraceHeader, decode_trace
 from emeter.workloads import (
     PRESETS,
     LoadProfile,
@@ -482,15 +480,16 @@ class TestStages:
     @pytest.mark.parametrize("trigger,horizon_ns,limit_ns", LIMIT_CASES)
     def test_schedule_grid(self, driver, speed, bits, trigger, horizon_ns, limit_ns):
         config = SensorConfig(resolution_bits=bits)
-        bounds_s, ts = schedule(driver, speed, config, trigger, horizon_ns)
-        period_ns = sample_period_us(driver, speed, config) * 1000.0
-        tail_ns = (1.5 * driver.mean_delay_us(speed)
+        point = OperatingPoint(driver, speed, config)
+        bounds_s, ts = schedule(point, trigger, horizon_ns)
+        period_ns = point.period_us * 1000.0
+        tail_ns = (1.5 * READ_DELAYS_US[speed][driver.name]
                    + LOOP_OVERHEAD_US + TIMESTAMP_CALL_US) * 1000.0
         conversion = np.arange(1, len(ts) + 1)
         assert np.array_equal(ts, (conversion * period_ns + tail_ns).astype(np.int64))
         # the window ends are bit for bit k * period
         ends = conversion * period_ns * 1e-9
-        if tiles(driver, speed, config.supply_voltage, bits):
+        if (driver.name, speed, config.supply_voltage, bits, True) in OPERATING_POINTS:
             # n + 1 boundaries from 0
             assert bounds_s.shape == (len(ts) + 1,) and bounds_s[0] == 0.0
             assert bounds_s[1:].tobytes() == ends.tobytes()
@@ -498,7 +497,7 @@ class TestStages:
             # one [end - window, end] row per conversion
             assert bounds_s.shape == (len(ts), 2)
             assert bounds_s[:, 1].tobytes() == ends.tobytes()
-            assert bounds_s[:, 0].tobytes() == (ends - window_seconds(config)).tobytes()
+            assert bounds_s[:, 0].tobytes() == (ends - point.window_s).tobytes()
         n = len(ts)
         if trigger.sample_count is None:
             # every conversion whose reading lands inside the limit
@@ -624,7 +623,7 @@ class TestStagesLeaveInputs:
         # the timestamps are the boundaries shifted in place after the tiled
         # bounds are taken (2500 kHz) and before the gapped rows are (500 kHz)
         for speed in (2500, 500):
-            bounds_s, ts = schedule(BCM_PROFILE, speed, self.CONFIG,
+            bounds_s, ts = schedule(OperatingPoint(BCM_PROFILE, speed, self.CONFIG),
                                     TriggerSpec.duration(0.05), 10**9)
             assert not np.shares_memory(bounds_s, ts)
 
@@ -675,26 +674,86 @@ class TestStagesLeaveInputs:
         assert_inputs_unchanged(lambda i: apply_current(curve, i), current)
 
 
-def operating_points():
-    """(driver, bus speed kHz, supply V, resolution bits) of every supported point."""
-    points = []
-    for driver in PROFILES.values():
-        for speed in SUPPORTED_SPEEDS_KHZ:
-            for supply in VALID_SUPPLIES:
-                try:
-                    validate_operating_point(driver, speed, supply)
-                except UnsupportedOperatingPoint:
-                    continue
-                points.extend((driver, speed, supply, bits) for bits in VALID_RESOLUTIONS)
-    return points
+#: Every supported (driver, bus speed kHz, supply V, resolution bits) point
+#: and whether its windows tile, written out apart from the code.  Every
+#: 12-bit point tiles; at 9 bit the gaps are 200 kHz, 500 kHz at 5 V, linux
+#: at 500 kHz and 3.3 V, and linux at 800 kHz and 5 V.
+OPERATING_POINTS = [
+    ("bcm", 200, 3.3, 12, True), ("bcm", 200, 3.3, 9, False),
+    ("bcm", 200, 5.0, 12, True), ("bcm", 200, 5.0, 9, False),
+    ("bcm", 500, 3.3, 12, True), ("bcm", 500, 3.3, 9, True),
+    ("bcm", 500, 5.0, 12, True), ("bcm", 500, 5.0, 9, False),
+    ("bcm", 800, 3.3, 12, True), ("bcm", 800, 3.3, 9, True),
+    ("bcm", 800, 5.0, 12, True), ("bcm", 800, 5.0, 9, True),
+    ("bcm", 2500, 5.0, 12, True), ("bcm", 2500, 5.0, 9, True),
+    ("linux", 200, 3.3, 12, True), ("linux", 200, 3.3, 9, False),
+    ("linux", 200, 5.0, 12, True), ("linux", 200, 5.0, 9, False),
+    ("linux", 500, 3.3, 12, True), ("linux", 500, 3.3, 9, False),
+    ("linux", 500, 5.0, 12, True), ("linux", 500, 5.0, 9, False),
+    ("linux", 800, 3.3, 12, True), ("linux", 800, 3.3, 9, True),
+    ("linux", 800, 5.0, 12, True), ("linux", 800, 5.0, 9, False),
+    ("linux", 2500, 5.0, 12, True), ("linux", 2500, 5.0, 9, True),
+]
+TILED_POINTS = [point[:4] for point in OPERATING_POINTS if point[4]]
 
 
-def tiles(driver, speed, supply, bits):
-    config = SensorConfig(resolution_bits=bits, supply_voltage=supply)
-    return sample_period_us(driver, speed, config) == conversion_time_us(config)
+def unsupported_message(speed, supply):
+    return (f"bus speed {speed}kHz at {supply}V supply is not supported: the speeds "
+            "are (200, 500, 800, 2500) kHz, and 2500kHz at 3.3V gives very "
+            "unreliable bus communication")
 
 
-TILED_POINTS = [point for point in operating_points() if tiles(*point)]
+class TestOperatingPoints:
+    def test_supported_points_are_the_table(self):
+        accepted = set()
+        for driver in PROFILES.values():
+            for speed in (0, 100, 200, 400, 500, 800, 1000, 2500, 3400):
+                for supply in VALID_SUPPLIES:
+                    for bits in VALID_RESOLUTIONS:
+                        config = SensorConfig(resolution_bits=bits, supply_voltage=supply)
+                        try:
+                            OperatingPoint(driver, speed, config)
+                        except UnsupportedOperatingPoint as exc:
+                            assert str(exc) == unsupported_message(speed, supply)
+                            continue
+                        accepted.add((driver.name, speed, supply, bits))
+        assert accepted == {point[:4] for point in OPERATING_POINTS}
+        assert (len(OPERATING_POINTS), len(TILED_POINTS)) == (28, 20)
+
+    @pytest.mark.parametrize("driver,speed,supply,bits,tiles", OPERATING_POINTS)
+    def test_tiles(self, driver, speed, supply, bits, tiles):
+        config = SensorConfig(resolution_bits=bits, supply_voltage=supply)
+        assert OperatingPoint(PROFILES[driver], speed, config).tiles == tiles
+
+    ENTRY_POINTS = {
+        "OperatingPoint": lambda driver, speed, config:
+            OperatingPoint(PROFILES[driver], speed, config),
+        # schedule takes a built point, so its rejection is the point's own
+        "schedule": lambda driver, speed, config:
+            schedule(OperatingPoint(PROFILES[driver], speed, config),
+                     TriggerSpec.duration(0.01), 10**7),
+        "run_measurement": lambda driver, speed, config:
+            run_measurement(SimulatedBus(SimulatedSensor(config)), lambda t: (5e-3, 3.3),
+                            PROFILES[driver], speed, config, TriggerSpec.duration(0.01)),
+        "expected_polls": lambda driver, speed, config:
+            expected_polls(PROFILES[driver], speed, config),
+        "TraceHeader": lambda driver, speed, config: TraceHeader(config, driver, speed),
+        "run_pipeline": lambda driver, speed, config:
+            run_pipeline(constant_profile(5e-3, 3.3, 0.01),
+                         PipelineOptions(resolution_bits=config.resolution_bits,
+                                         driver=driver, speed_khz=speed,
+                                         supply_voltage=config.supply_voltage),
+                         TriggerSpec.duration(0.01)),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("driver", ["bcm", "linux"])
+    @pytest.mark.parametrize("speed", [1000, 0, 2500])
+    def test_one_rejection_for_every_entry_point(self, entry, driver, speed):
+        config = SensorConfig(supply_voltage=3.3)
+        with pytest.raises(UnsupportedOperatingPoint) as raised:
+            self.ENTRY_POINTS[entry](driver, speed, config)
+        assert str(raised.value) == unsupported_message(speed, 3.3)
 
 
 class TestTiledWindows:
@@ -709,19 +768,12 @@ class TestTiledWindows:
                             lambda self, bounds, *args:
                             shapes.append(bounds.ndim) or method(self, bounds, *args))
         profile = constant_profile(0.1, 5.0, 0.01)
-        tiled = []
-        for driver, speed, supply, bits in operating_points():
+        for driver, speed, supply, bits, tiles in OPERATING_POINTS:
             shapes.clear()
-            options = PipelineOptions(resolution_bits=bits, driver=driver.name,
+            options = PipelineOptions(resolution_bits=bits, driver=driver,
                                       speed_khz=speed, supply_voltage=supply)
             run_pipeline(profile, options, TriggerSpec.duration(0.01))
-            assert shapes == ([1] if tiles(driver, speed, supply, bits)
-                              else [2]), (driver.name, speed, supply, bits)
-            tiled.append(shapes == [1])
-        # every 12-bit point and the default tile; 8 points at 9 bit leave gaps
-        assert (len(tiled), sum(tiled)) == (28, 20)
-        assert (BCM_PROFILE, 2500, 5.0, 9) in TILED_POINTS
-        assert all(tiles(*point) for point in operating_points() if point[3] == 12)
+            assert shapes == ([1] if tiles else [2]), (driver, speed, supply, bits)
 
     def test_gapped_point_readings_unchanged(self):
         # TestPipelineExact.digest of this run, recorded when every point took
@@ -729,7 +781,7 @@ class TestTiledWindows:
         # streams; the breakout board also takes the i**2 path
         options = PipelineOptions(resolution_bits=9, driver="linux", speed_khz=800,
                                   board="breakout", seed=11)
-        assert not tiles(LINUX_PROFILE, 800, 5.0, 9)
+        assert ("linux", 800, 5.0, 9, False) in OPERATING_POINTS
         result = run_experiment("rpi3", 1, options, duration=0.5)
         assert len(result.trace) == 2262
         assert TestPipelineExact.digest(result) == (
@@ -747,9 +799,10 @@ class TestTiledWindows:
                                            squares):
         driver, speed, supply, bits = point
         config = SensorConfig(resolution_bits=bits, supply_voltage=supply)
-        grid_s, ts = schedule(driver, speed, config, TriggerSpec.duration(1.0), horizon_ns)
-        window_s = window_seconds(config)
-        period_ns = sample_period_us(driver, speed, config) * 1000.0
+        operating_point = OperatingPoint(PROFILES[driver], speed, config)
+        grid_s, ts = schedule(operating_point, TriggerSpec.duration(1.0), horizon_ns)
+        window_s = operating_point.window_s
+        period_ns = operating_point.period_us * 1000.0
         ends = np.arange(1, len(ts) + 1) * period_ns * 1e-9
         assert grid_s[1:].tobytes() == ends.tobytes()
 

@@ -102,8 +102,14 @@ class TestHeader:
     @pytest.mark.parametrize("kwargs, message", [
         ({"driver_name": "foo"}, "unknown driver 'foo'"),
         ({"driver_name": "linux_long"}, "unknown driver 'linux_long'"),
-        ({"bus_speed_khz": 1234}, "bus speed 1234kHz not in"),
+        ({"bus_speed_khz": 1234}, "bus speed 1234kHz at 5.0V supply"),
         ({"config": SensorConfig(supply_voltage=3.3)}, "bus speed 2500kHz at 3.3V"),
+        # encodes as 0 uohm, which its own reader rejects
+        ({"config": SensorConfig(shunt_resistance=4e-7)}, "shunt_resistance"),
+        # would read back as 0.1
+        ({"config": SensorConfig(shunt_resistance=0.1000004)}, "shunt_resistance"),
+        # beyond u32 microohms
+        ({"config": SensorConfig(shunt_resistance=5000.0)}, "shunt_resistance"),
     ])
     def test_header_no_run_could_write_is_not_built(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
