@@ -3,10 +3,9 @@
 The chip digitizes the shunt voltage drop (current channel) and the bus
 voltage into two read-only registers, under a configuration fixed when the
 sensor is built.  This script prints the effective step sizes, shows a few
-quantization round trips, and pokes the simulated register file.
+quantization round trips through the two register channels, and pokes the
+simulated register file.
 """
-
-import numpy as np
 
 from emeter.sensor import (
     REG_BUS_VOLTAGE,
@@ -16,9 +15,6 @@ from emeter.sensor import (
     bus_count_from_word,
     conversion_ready,
     conversion_time_us,
-    dequantize_shunt,
-    quantize_bus,
-    quantize_shunt,
     shunt_count_from_word,
 )
 
@@ -30,22 +26,22 @@ print("conversion time: %.0f us (12 bit, 5V supply)" % conversion_time_us(cfg))
 print()
 
 for amps in (0.0, 10e-3, 137.4e-3, 399.9e-3):
-    code, saturated = quantize_shunt(amps, cfg)
-    back = dequantize_shunt(code, cfg)
+    code, saturated = cfg.shunt.quantize(amps)
+    back = cfg.shunt.reading(code)
     print(f"{amps * 1e3:8.2f} mA -> code {code:5d} -> {back * 1e3:8.3f} mA "
           f"(error {abs(back - amps) * 1e6:6.1f} uA, saturated {saturated})")
 print()
 
-print("bus 5.000 V -> (count, saturated)", quantize_bus(5.0, cfg))
-print("bus 16.00 V -> (count, saturated)", quantize_bus(16.0, cfg), "(full scale)")
+print("bus 5.000 V -> (count, saturated)", cfg.bus.quantize(5.0))
+print("bus 16.00 V -> (count, saturated)", cfg.bus.quantize(16.0), "(full scale)")
 print()
 
 # out-of-range current clamps at full scale instead of wrapping
 hot = SensorConfig(pga_divider=1)
-print("450mA at divider 1 -> (count, saturated)", quantize_shunt(0.45, hot),
+print("450mA at divider 1 -> (count, saturated)", hot.shunt.quantize(0.45),
       "(clamped to", hot.max_count, "counts)")
 print("same at divider 2  -> (count, saturated)",
-      quantize_shunt(0.45, SensorConfig(pga_divider=2)))
+      SensorConfig(pga_divider=2).shunt.quantize(0.45))
 print()
 
 # drive the register file: conversions latch window averages and set the

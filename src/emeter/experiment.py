@@ -8,8 +8,10 @@ and quantization) and :func:`calibrate`, then
 reference and the report.
 
 Each channel adds Gaussian noise of its own sigma to the sensed value before
-the chip quantizes it; the current is then clipped at zero amperes.  The
-current channel draws from ``default_rng(seed)``, the bus channel from
+the chip quantizes it, through the :class:`~emeter.sensor.Channel` the chip
+model latches through, ``config.shunt`` or ``config.bus``; the noisy current
+is clipped at zero amperes before it is quantized.  The current channel
+draws from ``default_rng(seed)``, the bus channel from
 ``default_rng([seed, 1])``.  A reading draws only if its noise-free pre-floor
 count lies within ``REACH * sigma`` counts of an integer, and then takes its
 channel's next draw, in reading order; every other reading keeps its
@@ -80,11 +82,8 @@ from emeter.sensor import (
     BoardCharacter,
     SHUNT_FULL_SCALE_V,
     VALID_PGA_DIVIDERS,
+    Channel,
     SensorConfig,
-    bus_counts_array,
-    floor_bus_array,
-    floor_shunt_array,
-    shunt_counts_array,
 )
 from emeter.tracefile import TraceHeader, trace_to_records
 from emeter.workloads import LoadProfile, exact_energy, generate_profile
@@ -232,31 +231,28 @@ def convert(options: PipelineOptions, config: SensorConfig, sensed_i, sensed_v):
     """(amperes, volts, saturated) as the chip's registers read them back:
     each channel's noise, then its quantization (module docstring).  The
     current is clipped at zero amperes before it is quantized."""
-    current, saturated = _channel(
-        sensed_i, options.noise_current_a, options.seed, config.shunt_counts_per_amp,
-        config, shunt_counts_array, floor_shunt_array, lowest=0.0)
-    bus_v, sat_v = _channel(
-        sensed_v, options.noise_voltage_v, [options.seed, 1],
-        config.max_count / config.bus_range, config, bus_counts_array, floor_bus_array)
+    current, saturated = _channel(config.shunt, sensed_i, options.noise_current_a,
+                                  options.seed, lowest=0.0)
+    bus_v, sat_v = _channel(config.bus, sensed_v, options.noise_voltage_v,
+                            [options.seed, 1])
     saturated |= sat_v
     return current, bus_v, saturated
 
 
-def _channel(sensed, sigma, key, counts_per_unit, config, counts, floor_counts,
-             lowest=None):
-    """(readings, saturated) of one channel through the quantizer split
-    ``counts`` / ``floor_counts``, noise drawn from ``default_rng(key)``
-    only for the readings near a count boundary."""
-    reach = REACH * sigma * counts_per_unit + REACH_SLACK_COUNTS
+def _channel(channel: Channel, sensed, sigma, key, lowest=None):
+    """(readings, saturated) of ``sensed`` through ``channel``'s quantizer,
+    noise drawn from ``default_rng(key)`` only for the readings near a count
+    boundary."""
+    reach = REACH * sigma * (channel.scale * channel.per) + REACH_SLACK_COUNTS
     if sigma > 0 and reach >= 0.5:
         # every reading lies within reach of a count boundary
-        return floor_counts(counts(_noisy(sensed, sigma, key, lowest), config), config)
-    raw = counts(sensed if lowest is None else np.maximum(sensed, lowest), config)
+        return channel.floor(channel.counts(_noisy(sensed, sigma, key, lowest)))
+    raw = channel.counts(sensed if lowest is None else np.maximum(sensed, lowest))
     near = _near(raw, reach)
-    readings, saturated = floor_counts(raw, config)
+    readings, saturated = channel.floor(raw)
     if len(near):
-        noisy = counts(_noisy(sensed[near], sigma, key, lowest), config)
-        readings[near], saturated[near] = floor_counts(noisy, config)
+        noisy = channel.counts(_noisy(sensed[near], sigma, key, lowest))
+        readings[near], saturated[near] = channel.floor(noisy)
     return readings, saturated
 
 

@@ -44,8 +44,6 @@ from emeter.sensor import (
     bus_count_from_word,
     bus_overflow,
     conversion_ready,
-    dequantize_bus,
-    dequantize_shunt,
     shunt_count_from_word,
 )
 
@@ -450,7 +448,8 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
     ``bus`` is a :class:`~emeter.sensor.SimulatedBus`: the loop reads
     registers through its ``read_register`` and, before each read, advances
     its ``sensor`` against the load with ``sensor.step``.  ``config`` must
-    equal the sensor's own, which quantized the counts the loop reads back.
+    equal the sensor's own: its channels quantized the counts the loop reads
+    back through them.
     ``load`` maps a nanosecond timestamp to an ``(amperes, volts)`` pair.
     The loop polls the bus-voltage register until the ready flag is set,
     reads the shunt register and timestamps the pair.  The sensor is never
@@ -533,8 +532,8 @@ def run_measurement(bus, load, driver: DriverProfile, speed_khz: int,
 
     ts, bus_word, shunt_word = np.array(readings, dtype=np.int64).reshape(-1, 3).T
     trace, status, _ = build_trace(
-        ts, dequantize_bus(bus_count_from_word(bus_word), config),
-        dequantize_shunt(shunt_count_from_word(shunt_word), config),
+        ts, config.bus.reading(bus_count_from_word(bus_word)),
+        config.shunt.reading(shunt_count_from_word(shunt_word)),
         bus_overflow(bus_word), trigger, horizon_ns, intervals)
     return MeasurementResult(trace=trace, energy_j=gated_energy(trace),
                              overruns=0, status=status)

@@ -16,7 +16,11 @@ are fixed by this package, not by any one silicon revision):
                         [0] overflow (OVF)
 
 The configuration (divider, resolution, bus range, supply) is fixed when a
-:class:`SimulatedSensor` is built, and so is its conversion window.
+:class:`SimulatedSensor` is built, and so is its conversion window.  Each
+register's quantizer is one :class:`Channel`, ``SensorConfig.shunt`` or
+``SensorConfig.bus``: the chip latches through its scalar form, the
+pipeline converts through its array form, and the polling loop reads its
+counts back through it.
 
 The conversion-ready bit is set when a conversion completes and cleared by
 reading the bus-voltage register.  The ADC is modeled as an ideal averager:
@@ -82,105 +86,81 @@ class SensorConfig:
     def bus_lsb_volts(self) -> float:
         return self.bus_range / (2 ** self.resolution_bits - 1)
 
-    # cached: the chip model's scalar quantizers read these on every conversion
-    @cached_property
+    @property
     def max_count(self) -> int:
         return 2 ** self.resolution_bits - 1
 
+    # cached: the chip model latches through them on every conversion
     @cached_property
-    def shunt_counts_per_volt(self) -> float:
-        """Shunt register counts per volt across the shunt, this divider."""
-        return self.max_count / (SHUNT_FULL_SCALE_V * self.pga_divider)
+    def shunt(self) -> Channel:
+        """The shunt register: amperes in, signed counts, amperes back."""
+        per_volt = self.max_count / (SHUNT_FULL_SCALE_V * self.pga_divider)
+        return Channel(self.shunt_resistance, per_volt, -self.max_count,
+                       self.max_count, 1.0, per_volt * self.shunt_resistance)
 
     @cached_property
-    def shunt_counts_per_amp(self) -> float:
-        """Shunt register counts per ampere through the shunt, this divider."""
-        return self.shunt_counts_per_volt * self.shunt_resistance
+    def bus(self) -> Channel:
+        """The bus register: volts in, unsigned counts, volts back."""
+        # each of VALID_BUS_RANGES is a power of two, so * (1 / range) is
+        # exactly / range
+        return Channel(self.max_count, 1.0 / self.bus_range, 0, self.max_count,
+                       self.bus_range, self.max_count)
 
 
 # --------------------------------------------------------------------------
 # Quantization
 # --------------------------------------------------------------------------
 
-# The scalar forms serve the chip model's per-conversion latch, the array
-# forms the vectorized pipeline, which reads the registers back at once; both
-# evaluate the same expressions in the same order, so they agree bit for bit,
-# and both return the reading with whether the full-scale clamp moved it.
-# The array forms work in place on the arrays they allocate: at 9 bit a 30 s
-# run is ~143k readings, and every fresh full-length array is 1.1 MB.  Each
-# is split in two at the floor, so that the pipeline can look at the
-# pre-floor counts (how far a reading lies from the next count) before it
-# floors them.
+@dataclass(frozen=True)
+class Channel:
+    """One register's quantizer, stated once for the chip model's latch, the
+    vectorized pipeline and the polling loop's readback.
 
-def quantize_shunt(current_a: float, config: SensorConfig) -> tuple[int, bool]:
-    """Current -> (signed shunt register count, saturated): floor(current *
-    R / (lsb * divider)), clamped to the signed full-scale count."""
-    raw = math.floor(current_a * config.shunt_resistance
-                     * config.shunt_counts_per_volt)
-    count = max(-config.max_count, min(config.max_count, raw))
-    return count, count != raw
+    A value ``x`` has the pre-floor count ``x * scale * per``; its count is
+    that floored and clamped to ``[lowest, highest]``, and is saturated when
+    the clamp moved it.  A count ``c`` reads back as ``c * unit / per_unit``.
+    Every form evaluates these expressions in this order, so the scalar and
+    array forms agree bit for bit.
 
+    The array forms are split at the floor, so that the pipeline can look at
+    the pre-floor counts (how far a reading lies from the next count) before
+    it floors them.  :meth:`floor` works in place on the array :meth:`counts`
+    allocated: at 9 bit a 30 s run is ~143k readings, and every fresh
+    full-length array is 1.1 MB.
+    """
 
-def quantize_shunt_array(current_a: np.ndarray, config: SensorConfig):
-    """Array form of :func:`quantize_shunt` read back by
-    :func:`dequantize_shunt`: (amperes, saturated mask)."""
-    return floor_shunt_array(shunt_counts_array(current_a, config), config)
+    scale: float
+    per: float
+    lowest: int
+    highest: int
+    unit: float
+    per_unit: float
 
+    def quantize(self, x: float) -> tuple[int, bool]:
+        """(count, saturated) of one value."""
+        raw = math.floor(x * self.scale * self.per)
+        count = max(self.lowest, min(self.highest, raw))
+        return count, count != raw
 
-def shunt_counts_array(current_a: np.ndarray, config: SensorConfig):
-    """The pre-floor counts of :func:`quantize_shunt_array`, a new array."""
-    raw = np.multiply(current_a, config.shunt_resistance)
-    raw *= config.shunt_counts_per_volt
-    return raw
+    def counts(self, x: np.ndarray) -> np.ndarray:
+        """The pre-floor counts of ``x``, a new array."""
+        raw = np.multiply(x, self.scale)
+        raw *= self.per
+        return raw
 
+    def floor(self, raw: np.ndarray):
+        """(readings, saturated mask) of pre-floor counts, flooring ``raw``
+        in place."""
+        np.floor(raw, out=raw)
+        readings = np.clip(raw, self.lowest, self.highest)
+        saturated = raw != readings
+        readings *= self.unit
+        readings /= self.per_unit
+        return readings, saturated
 
-def floor_shunt_array(raw: np.ndarray, config: SensorConfig):
-    """The rest of :func:`quantize_shunt_array`: floors ``raw`` in place."""
-    np.floor(raw, out=raw)
-    amps = np.clip(raw, -config.max_count, config.max_count)
-    saturated = raw != amps
-    amps /= config.shunt_counts_per_amp
-    return amps, saturated
-
-
-def dequantize_shunt(count, config: SensorConfig):
-    """Shunt register count(s) -> amperes (inverse mapping, one-LSB accurate)."""
-    return count / config.shunt_counts_per_amp
-
-
-def quantize_bus(voltage_v: float, config: SensorConfig) -> tuple[int, bool]:
-    """Bus voltage -> (register count clamped to [0, full scale], saturated)."""
-    raw = math.floor(voltage_v * config.max_count / config.bus_range)
-    count = max(0, min(config.max_count, raw))
-    return count, count != raw
-
-
-def quantize_bus_array(voltage_v: np.ndarray, config: SensorConfig):
-    """Array form of :func:`quantize_bus` read back by :func:`dequantize_bus`:
-    (volts, saturated mask)."""
-    return floor_bus_array(bus_counts_array(voltage_v, config), config)
-
-
-def bus_counts_array(voltage_v: np.ndarray, config: SensorConfig):
-    """The pre-floor counts of :func:`quantize_bus_array`, a new array."""
-    raw = np.multiply(voltage_v, config.max_count)
-    raw /= config.bus_range
-    return raw
-
-
-def floor_bus_array(raw: np.ndarray, config: SensorConfig):
-    """The rest of :func:`quantize_bus_array`: floors ``raw`` in place."""
-    np.floor(raw, out=raw)
-    volts = np.clip(raw, 0, config.max_count)
-    saturated = raw != volts
-    volts *= config.bus_range
-    volts /= config.max_count
-    return volts, saturated
-
-
-def dequantize_bus(count, config: SensorConfig):
-    """Bus register count(s) -> volts."""
-    return count * config.bus_range / config.max_count
+    def reading(self, count):
+        """Count(s) read back in amperes or volts, one count accurate."""
+        return count * self.unit / self.per_unit
 
 
 # --------------------------------------------------------------------------
@@ -305,8 +285,8 @@ class SimulatedSensor:
         sensed_i = self.board.sense_current(mean_i, mean_i2)
         sensed_v = self.board.sense_voltage(mean_v)
 
-        shunt_count, shunt_over = quantize_shunt(sensed_i, self.config)
-        bus_count, bus_over = quantize_bus(sensed_v, self.config)
+        shunt_count, shunt_over = self.config.shunt.quantize(sensed_i)
+        bus_count, bus_over = self.config.bus.quantize(sensed_v)
 
         self.registers[REG_SHUNT_VOLTAGE] = shunt_count & 0xFFFF
         word = (bus_count << 3) | _CNVR_BIT

@@ -48,12 +48,13 @@ readings placed before it, stamped with the time given for it;
 :mod:`emeter.buffering` picks both.  :func:`read_trace`, the one reader of
 trace files, is the one place markers are separated: it returns the
 readings alone, which :func:`records_to_trace` and :func:`export_csv` take.
-It is also the one place a file's time order is checked, as
-:class:`~emeter.sampler.Trace` checks it: strictly increasing reading
-timestamps.  A file that breaks this fails naming the file, the record (gap
-markers counted) and its byte offset, ``64 + 16 * k``, so ``export-csv``
-rejects the same files as the commands that build a ``Trace``.  A gap
-marker's own time is not checked.
+It is also the one place a file's time order is checked: strictly
+increasing reading timestamps, each below ``2**63``, so that the file's u64
+times are also a :class:`~emeter.sampler.Trace`'s int64 times in the order
+a ``Trace`` checks.  A file that breaks this fails naming the file, the
+record (gap markers counted) and its byte offset, ``64 + 16 * k``, so
+``export-csv`` rejects the same files as the commands that build a
+``Trace``.  A gap marker's own time is not checked.
 
 :func:`export_csv` writes the readings as text: the line
 ``timestamp_ns,bus_mV,current_mA``, then one line per reading with the
@@ -132,12 +133,6 @@ class TraceRecord(NamedTuple):
 
 def encode_record(record: TraceRecord) -> bytes:
     return np.array([record], dtype=RECORD).tobytes()
-
-
-def decode_record(buf: bytes) -> TraceRecord:
-    if len(buf) != RECORD_SIZE:
-        raise ValueError(f"record must be exactly {RECORD_SIZE} bytes")
-    return TraceRecord._make(np.frombuffer(buf, dtype=RECORD).item(0))
 
 
 @dataclass(frozen=True)
@@ -225,8 +220,8 @@ def write_trace(fh, header: TraceHeader, readings, marker_at, marker_ns) -> None
 
 def read_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
     """Header and readings (``RECORD`` rows, gap markers left out) of a
-    trace file; errors name the file.  The order test is :class:`Trace`'s,
-    so every file read here also loads as a ``Trace``."""
+    trace file; errors name the file.  Past the order and bound tests,
+    every file read here also loads as a :class:`Trace`."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -235,14 +230,19 @@ def read_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
         raise ValueError(f"{path}: {exc}") from None
     kept = ~is_gap(records)
     readings = records.view("V16")[kept].view(RECORD)
-    t = readings["t"].view(np.int64)  # Trace's timestamps, and its test
+    t = readings["t"]
     unordered = t[1:] <= t[:-1]
     if unordered.any():
-        k = int(np.flatnonzero(kept)[1 + np.argmax(unordered)])
-        raise ValueError(f"{path}: record {k} at byte offset "
-                         f"{HEADER_SIZE + k * RECORD_SIZE}: "
-                         "trace timestamps must be strictly increasing")
-    return header, readings
+        i, why = 1 + np.argmax(unordered), "trace timestamps must be strictly increasing"
+    elif len(t) and t[-1] >= 2 ** 63:
+        # a Trace holds int64 times; ordered, the last is the largest
+        i = np.argmax(t >= 2 ** 63)
+        why = f"timestamp {t[i]} is not below 2**63 ns"
+    else:
+        return header, readings
+    k = int(np.flatnonzero(kept)[i])
+    raise ValueError(f"{path}: record {k} at byte offset "
+                     f"{HEADER_SIZE + k * RECORD_SIZE}: {why}")
 
 
 def trace_to_records(trace: Trace) -> np.ndarray:

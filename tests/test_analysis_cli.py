@@ -528,6 +528,8 @@ class TestCli:
         ([10, 20, 20, 30], 2, 96),
         # the record index counts the gap markers (None) before it
         ([10, None, None, 20, 20], 4, 128),
+        # a file's times are u64: as int64, 2**64 - 1 would be -1, before 5
+        ([2 ** 64 - 1, 5], 1, 80),
     ])
     def test_out_of_order_trace_names_file_record_and_offset(self, timestamps, record,
                                                              offset, tmp_path, capsys):
@@ -541,6 +543,24 @@ class TestCli:
             assert captured.err == (f"error: {path}: record {record} at byte offset "
                                     f"{offset}: trace timestamps must be strictly "
                                     "increasing\n")
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("timestamps,record,offset", [
+        ([5, 2 ** 64 - 1], 1, 80),
+        ([None, 2 ** 63, 2 ** 63 + 1], 1, 80),
+    ])
+    def test_time_past_int64_names_file_record_and_offset(self, timestamps, record,
+                                                          offset, tmp_path, capsys):
+        path = tmp_path / "far_time.bin"
+        path.write_bytes(encode_trace(TraceHeader(), [
+            TraceRecord.gap(0) if t is None else TraceRecord(t, 5_000_000, 1000)
+            for t in timestamps]))
+        for command in ("export-csv", "ecdf", "voltage-effect"):
+            assert main([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (f"error: {path}: record {record} at byte offset "
+                                    f"{offset}: timestamp {timestamps[record]} is not "
+                                    "below 2**63 ns\n")
             assert captured.out == ""
 
     @pytest.mark.parametrize("offset, fmt, value, named", [

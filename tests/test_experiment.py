@@ -56,12 +56,6 @@ from emeter.sensor import (
     SensorConfig,
     SimulatedBus,
     SimulatedSensor,
-    bus_counts_array,
-    floor_bus_array,
-    floor_shunt_array,
-    quantize_bus_array,
-    quantize_shunt_array,
-    shunt_counts_array,
 )
 from emeter.tracefile import TraceHeader, decode_trace
 from emeter.workloads import (
@@ -260,11 +254,8 @@ class TestNoiseReach:
         # the whole range
         config = SensorConfig(pga_divider=divider, resolution_bits=bits)
         top = 3 * config.max_count
-        for channel, per_unit, counts, floor_counts, floor in (
-                ("current", config.shunt_counts_per_amp, shunt_counts_array,
-                 floor_shunt_array, 0.0),
-                ("voltage", config.max_count / config.bus_range, bus_counts_array,
-                 floor_bus_array, None)):
+        for channel, floor in ((config.shunt, 0.0), (config.bus, None)):
+            per_unit = channel.scale * channel.per
             # a reach below half a count, where some readings are far
             sigma = data.draw(st.floats(1e-6, 0.49)) / (REACH * per_unit)
             reach = REACH * sigma * per_unit + REACH_SLACK_COUNTS
@@ -273,21 +264,21 @@ class TestNoiseReach:
                              st.floats(0.0, 1e-9))
             targets = np.array(data.draw(st.lists(st.one_of(st.floats(-top, top), edge),
                                                   min_size=1, max_size=40)))
-            if channel == "current":
+            if channel is config.shunt:
                 mean_i, mean_i2 = board_input(board, targets / per_unit)
                 sensed = sense(board, mean_i, mean_i2, targets)[0]
             else:
                 squares = targets ** 2 if board.current_quad else None
                 sensed = sense(board, targets, squares, targets / per_unit)[1]
-            raw = counts(sensed if floor is None else np.maximum(sensed, floor), config)
+            raw = channel.counts(sensed if floor is None else np.maximum(sensed, floor))
             far = np.ones(len(raw), dtype=bool)
             far[_near(raw, reach)] = False
-            clean, clean_saturated = floor_counts(raw, config)
+            clean, clean_saturated = channel.floor(raw)
             for z in (-REACH, REACH, data.draw(st.floats(-REACH, REACH))):
                 noisy = z * sigma + sensed
                 if floor is not None:
                     noisy = np.maximum(noisy, floor)
-                readings, saturated = floor_counts(counts(noisy, config), config)
+                readings, saturated = channel.floor(channel.counts(noisy))
                 assert readings[far].tobytes() == clean[far].tobytes(), (channel, z)
                 assert np.array_equal(saturated[far], clean_saturated[far]), (channel, z)
 
@@ -564,14 +555,11 @@ class TestStages:
         current, bus_v, saturated = convert(options, config, sensed_i, sensed_v)
 
         expected = []
-        for sensed, sigma, key, per_unit, counts, quantize_array, floor in (
-                (sensed_i, options.noise_current_a, 5, config.shunt_counts_per_amp,
-                 shunt_counts_array, quantize_shunt_array, 0.0),
-                (sensed_v, options.noise_voltage_v, [5, 1],
-                 config.max_count / config.bus_range, bus_counts_array,
-                 quantize_bus_array, -np.inf)):
-            reach = REACH * sigma * per_unit + REACH_SLACK_COUNTS
-            pre_floor = counts(np.maximum(sensed, floor), config)
+        for sensed, sigma, key, channel, floor in (
+                (sensed_i, options.noise_current_a, 5, config.shunt, 0.0),
+                (sensed_v, options.noise_voltage_v, [5, 1], config.bus, -np.inf)):
+            reach = REACH * sigma * (channel.scale * channel.per) + REACH_SLACK_COUNTS
+            pre_floor = channel.counts(np.maximum(sensed, floor))
             near = np.abs(pre_floor - np.rint(pre_floor)) <= reach
             if reach >= 0.5:
                 near[:] = True
@@ -579,7 +567,7 @@ class TestStages:
             draws = np.random.default_rng(key).standard_normal(near.sum())
             noisy = np.maximum(sensed, floor)
             noisy[near] = np.maximum(draws * sigma + sensed[near], floor)
-            expected.append(quantize_array(noisy, config))
+            expected.append(channel.floor(channel.counts(noisy)))
         (expected_i, sat_i), (expected_v, sat_v) = expected
         assert current.tobytes() == expected_i.tobytes()
         assert bus_v.tobytes() == expected_v.tobytes()
@@ -659,10 +647,10 @@ class TestStagesLeaveInputs:
             options = PipelineOptions(noise_current_a=noise_i, noise_voltage_v=noise_v)
             assert_inputs_unchanged(lambda i, v: convert(options, self.CONFIG, i, v),
                                     self.CURRENT, self.BUS_V)
-        assert_inputs_unchanged(lambda i: quantize_shunt_array(i, self.CONFIG), self.CURRENT)
-        assert_inputs_unchanged(lambda v: quantize_bus_array(v, self.CONFIG), self.BUS_V)
-        assert_inputs_unchanged(lambda i: shunt_counts_array(i, self.CONFIG), self.CURRENT)
-        assert_inputs_unchanged(lambda v: bus_counts_array(v, self.CONFIG), self.BUS_V)
+        for channel, values in ((self.CONFIG.shunt, self.CURRENT),
+                                (self.CONFIG.bus, self.BUS_V)):
+            # floor works in place on the array counts allocated
+            assert_inputs_unchanged(lambda x: channel.floor(channel.counts(x)), values)
 
     @pytest.mark.parametrize("curve", [
         CalibrationCurve("linear", 0.9956, voltage_offset=0.027, current_max_a=0.8),

@@ -539,10 +539,9 @@ class TestRunMeasurement:
     def test_constant_load_quantization(self):
         result = self.run(TriggerSpec.count(20), load=lambda t: (5e-3, 5.0))
         tr = result.trace
-        from emeter.sensor import dequantize_shunt, quantize_shunt
-        count, saturated = quantize_shunt(5e-3, self.CFG)
+        count, saturated = self.CFG.shunt.quantize(5e-3)
         assert not saturated
-        expected = dequantize_shunt(count, self.CFG)
+        expected = self.CFG.shunt.reading(count)
         assert np.allclose(tr.current[5:], expected)
 
     def test_power_save_flagging(self):

@@ -22,12 +22,6 @@ from emeter.sensor import (
     bus_overflow,
     conversion_ready,
     conversion_time_us,
-    dequantize_bus,
-    dequantize_shunt,
-    quantize_bus,
-    quantize_bus_array,
-    quantize_shunt,
-    quantize_shunt_array,
     shunt_count_from_word,
 )
 
@@ -57,63 +51,63 @@ class TestShuntQuantization:
         # 10mA across 0.1 ohm is 1mV; with the exact 40mV/4095 LSB that is
         # floor(1mV / 9.768uV) = 102 counts (the nominal "10uV, 100uA per
         # count" arithmetic would say 100)
-        assert quantize_shunt(10e-3, CFG12) == (102, False)
-        assert quantize_shunt(10e-3, CFG12) == (brute_force_shunt_code(10e-3, CFG12), False)
+        assert CFG12.shunt.quantize(10e-3) == (102, False)
+        assert CFG12.shunt.quantize(10e-3) == (brute_force_shunt_code(10e-3, CFG12), False)
 
     def test_zero_is_zero(self):
-        assert quantize_shunt(0.0, CFG12) == (0, False)
+        assert CFG12.shunt.quantize(0.0) == (0, False)
 
     def test_divider8_against_code_table(self):
         cfg = SensorConfig(pga_divider=8)
         # frozen from the brute-force enumeration of all codes
         assert brute_force_shunt_code(799.95e-3, cfg) == 1023
-        assert quantize_shunt(799.95e-3, cfg) == (1023, False)
+        assert cfg.shunt.quantize(799.95e-3) == (1023, False)
 
     def test_round_trip_within_one_lsb(self):
         rng = np.random.default_rng(7)
         for cfg in (CFG12, CFG9, SensorConfig(pga_divider=4)):
-            full_scale = cfg.max_count / cfg.shunt_counts_per_amp
+            full_scale = cfg.shunt.reading(cfg.max_count)
             lsb = cfg.current_lsb_amps * cfg.pga_divider
             for current in rng.uniform(-full_scale, full_scale, 500):
-                code, saturated = quantize_shunt(current, cfg)
+                code, saturated = cfg.shunt.quantize(current)
                 assert not saturated
-                back = dequantize_shunt(code, cfg)
+                back = cfg.shunt.reading(code)
                 assert abs(back - current) <= lsb * (1 + 1e-9)
 
     def test_saturation_clamps_and_flags(self):
         cfg = SensorConfig(pga_divider=1)
         over = 0.45  # 45mV across the shunt, beyond the 40mV range
-        assert quantize_shunt(over, cfg) == (cfg.max_count, True)
-        assert quantize_shunt(-over, cfg) == (-cfg.max_count, True)
+        assert cfg.shunt.quantize(over) == (cfg.max_count, True)
+        assert cfg.shunt.quantize(-over) == (-cfg.max_count, True)
         # exactly at full scale is still in range
-        assert quantize_shunt(0.4, cfg) == (cfg.max_count, False)
+        assert cfg.shunt.quantize(0.4) == (cfg.max_count, False)
 
     def test_full_scale_per_divider(self):
         for divider, mv in ((1, 40), (2, 80), (4, 160), (8, 320)):
             cfg = SensorConfig(pga_divider=divider)
-            assert cfg.max_count / cfg.shunt_counts_per_volt == pytest.approx(mv * 1e-3)
+            assert cfg.max_count / cfg.shunt.per == pytest.approx(mv * 1e-3)
 
 
 class TestBusQuantization:
     def test_five_volts(self):
         # direct evaluation of the LSB formula: floor(5 * 4095 / 16) = 1279
-        assert quantize_bus(5.0, CFG12) == (1279, False)
-        assert 5.0 - dequantize_bus(1279, CFG12) <= CFG12.bus_lsb_volts
+        assert CFG12.bus.quantize(5.0) == (1279, False)
+        assert 5.0 - CFG12.bus.reading(1279) <= CFG12.bus_lsb_volts
 
     def test_zero_and_full_scale(self):
-        assert quantize_bus(0.0, CFG12) == (0, False)
-        assert quantize_bus(16.0, CFG12) == (4095, False)
+        assert CFG12.bus.quantize(0.0) == (0, False)
+        assert CFG12.bus.quantize(16.0) == (4095, False)
 
     def test_saturation(self):
-        assert quantize_bus(16.2, CFG12) == (4095, True)
-        assert quantize_bus(-0.1, CFG12) == (0, True)
+        assert CFG12.bus.quantize(16.2) == (4095, True)
+        assert CFG12.bus.quantize(-0.1) == (0, True)
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         for volts in rng.uniform(0, 16, 500):
-            count, saturated = quantize_bus(volts, CFG12)
+            count, saturated = CFG12.bus.quantize(volts)
             assert not saturated
-            back = dequantize_bus(count, CFG12)
+            back = CFG12.bus.reading(count)
             assert abs(back - volts) <= CFG12.bus_lsb_volts * (1 + 1e-9)
 
 
@@ -145,19 +139,12 @@ class TestScalarArrayQuantizers:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_element_by_element(self, config, data):
-        amps_unit = 1.0 / (config.shunt_counts_per_volt * config.shunt_resistance)
-        amps = data.draw(inputs(amps_unit, config.max_count))
-        current, saturated = quantize_shunt_array(np.array(amps), config)
-        assert list(zip(current.tolist(), saturated.tolist())) == [
-            (dequantize_shunt(count, config), over)
-            for count, over in (quantize_shunt(a, config) for a in amps)]
-
-        volts = data.draw(inputs(config.bus_range / config.max_count,
-                                 config.max_count))
-        bus_v, saturated = quantize_bus_array(np.array(volts), config)
-        assert list(zip(bus_v.tolist(), saturated.tolist())) == [
-            (dequantize_bus(count, config), over)
-            for count, over in (quantize_bus(v, config) for v in volts)]
+        for channel in (config.shunt, config.bus):
+            values = data.draw(inputs(channel.reading(1), config.max_count))
+            readings, saturated = channel.floor(channel.counts(np.array(values)))
+            assert list(zip(readings.tolist(), saturated.tolist())) == [
+                (channel.reading(count), over)
+                for count, over in map(channel.quantize, values)]
 
     @pytest.mark.parametrize(
         "config", ALL_CONFIGS,
@@ -167,20 +154,37 @@ class TestScalarArrayQuantizers:
     def test_pipeline_quantize_stage(self, config, data):
         # the pipeline's conversion stage, noise off, reads back what the
         # chip latches; it clips the current at zero amperes first
-        amps = data.draw(inputs(1.0 / (config.shunt_counts_per_volt
-                                       * config.shunt_resistance), config.max_count))
-        volts = data.draw(inputs(config.bus_range / config.max_count, config.max_count))
+        amps = data.draw(inputs(config.shunt.reading(1), config.max_count))
+        volts = data.draw(inputs(config.bus.reading(1), config.max_count))
         n = min(len(amps), len(volts))
         amps, volts = amps[:n], volts[:n]
         quiet = PipelineOptions(noise_current_a=0.0, noise_voltage_v=0.0)
         current, bus_v, saturated = convert(quiet, config, np.array(amps), np.array(volts))
         expected = []
         for a, v in zip(amps, volts):
-            shunt_count, shunt_over = quantize_shunt(max(a, 0.0), config)
-            bus_count, bus_over = quantize_bus(v, config)
-            expected.append((dequantize_shunt(shunt_count, config),
-                             dequantize_bus(bus_count, config), shunt_over or bus_over))
+            shunt_count, shunt_over = config.shunt.quantize(max(a, 0.0))
+            bus_count, bus_over = config.bus.quantize(v)
+            expected.append((config.shunt.reading(shunt_count),
+                             config.bus.reading(bus_count), shunt_over or bus_over))
         assert list(zip(current.tolist(), bus_v.tolist(), saturated.tolist())) == expected
+
+
+class TestChannelScales:
+    """What the channels' bit-identity with the chip's own arithmetic rests on."""
+
+    def test_bus_ranges_are_powers_of_two(self):
+        # so that the bus channel's * (1 / range) is exactly / range
+        for bus_range in VALID_BUS_RANGES:
+            mantissa, _ = math.frexp(bus_range)
+            assert mantissa == 0.5, bus_range
+
+    @pytest.mark.parametrize(
+        "config", ALL_CONFIGS,
+        ids=lambda c: f"{c.resolution_bits}b-div{c.pga_divider}-{c.bus_range:g}V")
+    def test_counts_per_unit_as_written_by_hand(self, config):
+        bits, divider = config.resolution_bits, config.pga_divider
+        assert config.shunt.scale * config.shunt.per == (2 ** bits - 1) / (0.040 * divider) * 0.1
+        assert config.bus.scale * config.bus.per == (2 ** bits - 1) / config.bus_range
 
 
 class TestConversionTiming:
@@ -223,8 +227,8 @@ class TestSimulatedSensor:
         assert conversion_ready(word)
         shunt = shunt_count_from_word(sensor.read_register(REG_SHUNT_VOLTAGE))
         # constant 5mA averages to the quantized constant exactly
-        assert (shunt, False) == quantize_shunt(5e-3, CFG12)
-        assert (bus_count_from_word(word), False) == quantize_bus(5.0, CFG12)
+        assert (shunt, False) == CFG12.shunt.quantize(5e-3)
+        assert (bus_count_from_word(word), False) == CFG12.bus.quantize(5.0)
         assert not bus_overflow(word)
 
     def test_alternating_input_averages_inside_window(self):
@@ -236,7 +240,7 @@ class TestSimulatedSensor:
             sensor.step(0.0 if k % 2 == 0 else 100e-3, 5.0, k * w // steps)
         sensor.step(0.0, 5.0, w)
         shunt = shunt_count_from_word(sensor.read_register(REG_SHUNT_VOLTAGE))
-        expected, _ = quantize_shunt(50e-3, CFG12)
+        expected, _ = CFG12.shunt.quantize(50e-3)
         assert abs(shunt - expected) <= 1
 
     def test_time_regression_rejected(self):
@@ -285,7 +289,7 @@ class TestSimulatedSensor:
         assert bus_overflow(word)
         assert bus_count_from_word(word) == CFG12.max_count
         shunt = shunt_count_from_word(sensor.read_register(REG_SHUNT_VOLTAGE))
-        assert (shunt, False) == quantize_shunt(5e-3, CFG12)
+        assert (shunt, False) == CFG12.shunt.quantize(5e-3)
 
 
 class TestBoardCharacters:
