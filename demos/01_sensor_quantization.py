@@ -19,9 +19,10 @@ from emeter.sensor import (
 )
 
 cfg = SensorConfig()  # 0.1 ohm shunt, divider 1, 12 bit, 16V range, 5V supply
-print("shunt LSB      : %.3f uV" % (cfg.shunt_lsb_volts * 1e6))
-print("current LSB    : %.2f uA" % (cfg.current_lsb_amps * 1e6))
-print("bus LSB        : %.3f mV" % (cfg.bus_lsb_volts * 1e3))
+lsb_amps = cfg.shunt.reading(1)
+print("shunt LSB      : %.3f uV" % (lsb_amps * cfg.shunt_resistance * 1e6))
+print("current LSB    : %.2f uA" % (lsb_amps * 1e6))
+print("bus LSB        : %.3f mV" % (cfg.bus.reading(1) * 1e3))
 print("conversion time: %.0f us (12 bit, 5V supply)" % conversion_time_us(cfg))
 print()
 

@@ -69,7 +69,6 @@ from emeter.bus_timing import PROFILES, OperatingPoint
 from emeter.buffering import DEFAULT_POLICY, DEFAULT_WRITE_SPEED_BPS, BufferPolicy, persist
 from emeter.calibration import CalibrationCurve, apply_current, apply_voltage
 from emeter.sampler import (
-    PowerSaveMode,
     Trace,
     TriggerSpec,
     build_trace,
@@ -328,12 +327,11 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
         overruns = stats.overruns
         flush_log = "\n".join(f"{ts} flush {n}" for ts, n in stats.flush_log)
 
-    modes = [PowerSaveMode(idx, amps, volts)
-             for idx, amps, volts in profile.power_save_modes]
     e_gated = gated_energy(trace)
     # no interval, no power-save flag: the naive mask is the gated one
     e_naive = naive_energy(trace) if trace.intervals else e_gated
-    e_hybrid = hybrid_energy(trace, modes) if modes else None
+    e_hybrid = (hybrid_energy(trace, profile.power_save_modes)
+                if profile.power_save_modes else None)
     e_device = e_hybrid if e_hybrid is not None else e_gated
 
     e_ref = exact_energy(profile, (max(trigger.start_ns, 0) * 1e-9, end_ns * 1e-9))

@@ -18,14 +18,17 @@ model replaces the unresolvable samples with declared-constant energy:
 where each sample's power is weighted by the time since its predecessor
 (see :func:`hybrid_energy` for the boundary handling).
 
-The load profile declares each sleep span in seconds, as ``(start_s,
-end_s, mode_index)`` in ``LoadProfile.power_save_intervals``;
-``run_pipeline`` rounds it to a ``(start_ns, end_ns, mode_index)``
+The load profile declares each sleep mode as a :class:`PowerSaveMode` in
+``LoadProfile.power_save_modes`` and each sleep span in seconds, as
+``(start_s, end_s, mode_index)`` in ``LoadProfile.power_save_intervals``;
+the profile refuses a span whose mode it does not declare.
+``run_pipeline`` rounds a span to a ``(start_ns, end_ns, mode_index)``
 interval, its form from then on: the samplers take it, and :class:`Trace`
 holds it, sorted, non-empty and overlapping no other span.  Both samplers
 hand :func:`build_trace` every reading of the run; it is the one gate of the
 window a :class:`TriggerSpec` resolved, and clips the sleep intervals to it;
 the trace carries those intervals, and every later stage reads them there.
+:func:`flag_power_save` flags the readings of each interval as one slice.
 """
 
 from __future__ import annotations
@@ -355,21 +358,15 @@ def flag_power_save(timestamps_ns: np.ndarray,
                     intervals: Sequence[tuple[int, int, int]]) -> np.ndarray:
     """Flag bits for the samples inside any closed ``[start, end]`` interval.
 
-    ``timestamps_ns`` increase; intervals may overlap.  An interval opens
-    (+1) at its first sample at or after ``start`` and closes (-1) past its
-    last sample at or before ``end``.  Between two consecutive boundaries the
-    running sum counts the intervals covering that run of samples, and a run
-    with a count above zero is flagged.
+    ``timestamps_ns`` increase, so the samples of one interval are one slice,
+    from its first sample at or after ``start`` to its last at or before
+    ``end``; intervals may overlap and come in any order.
     """
-    start = np.array([iv[0] for iv in intervals], dtype=np.int64)
-    end = np.array([iv[1] for iv in intervals], dtype=np.int64)
-    bounds = np.concatenate([np.searchsorted(timestamps_ns, start, side="left"),
-                             np.searchsorted(timestamps_ns, end, side="right")])
-    order = np.argsort(bounds, kind="stable")
-    covering = np.cumsum(np.where(order < len(start), 1, -1))
-    run_flags = np.where(np.append(0, covering) > 0, FLAG_POWER_SAVE, 0)
-    runs = np.diff(bounds[order], prepend=0, append=len(timestamps_ns))
-    return np.repeat(run_flags.astype(np.uint8), runs)
+    flags = np.zeros(len(timestamps_ns), dtype=np.uint8)
+    for start_ns, end_ns, _ in intervals:
+        flags[np.searchsorted(timestamps_ns, start_ns):
+              np.searchsorted(timestamps_ns, end_ns, side="right")] = FLAG_POWER_SAVE
+    return flags
 
 
 # --------------------------------------------------------------------------

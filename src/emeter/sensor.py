@@ -73,20 +73,6 @@ class SensorConfig:
                 raise ValueError(f"{name} must be one of {valid}, got {value!r}")
 
     @property
-    def shunt_lsb_volts(self) -> float:
-        """Shunt LSB at divider 1 (about 9.77uV at 12 bit)."""
-        return SHUNT_FULL_SCALE_V / (2 ** self.resolution_bits - 1)
-
-    @property
-    def current_lsb_amps(self) -> float:
-        """Current per count at divider 1 (about 97.7uA with 0.1 ohm)."""
-        return self.shunt_lsb_volts / self.shunt_resistance
-
-    @property
-    def bus_lsb_volts(self) -> float:
-        return self.bus_range / (2 ** self.resolution_bits - 1)
-
-    @property
     def max_count(self) -> int:
         return 2 ** self.resolution_bits - 1
 

@@ -17,6 +17,12 @@ offsets of every tx dwell, array slots place the base and spike pieces, and
 one merge splits those pieces at the activity-ripple steps and the supply
 half periods, giving each segment its state and step index on the way.
 
+A preset whose sleep draw lies below one current LSB announces its sleep
+dwells: its profile declares the draw as a :class:`~emeter.sampler.PowerSaveMode`
+and holds each sleep dwell as a ``(start_s, end_s, mode_index)`` span.  A
+:class:`LoadProfile` refuses a span whose mode it does not declare, so every
+span it holds can be charged.
+
 The spike offsets and the ripple steps draw from two streams keyed on the
 seed, ``default_rng(seed)`` and ``default_rng([seed, 1])``, and each draws in
 time order, so a profile is the start of every longer one with its seed,
@@ -31,6 +37,8 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+
+from emeter.sampler import PowerSaveMode
 
 STATE_DWELL_S = 0.5
 WORKLOAD_STATES = {
@@ -137,8 +145,13 @@ class LoadProfile:
         self.voltage = voltage
         #: (t_start, t_end, mode_index) sleep intervals, seconds
         self.power_save_intervals = power_save_intervals or []
-        #: declared (mode_index, constant_current, nominal_voltage) triples
+        #: the declared :class:`~emeter.sampler.PowerSaveMode` of every interval
         self.power_save_modes = power_save_modes or []
+        declared = sorted(m.mode_index for m in self.power_save_modes)
+        for span in self.power_save_intervals:
+            if span[2] not in declared:
+                raise ValueError(f"power-save interval {span} names an undeclared "
+                                 f"mode; the declared modes are {declared}")
         self._cum_i = np.concatenate([[0.0], np.cumsum(current * dt)])
         self._cum_v = np.concatenate([[0.0], np.cumsum(voltage * dt)])
         self._cum_p = np.concatenate([[0.0], np.cumsum(current * voltage * dt)])
@@ -263,7 +276,7 @@ def _merge(grids: list, indexed: int) -> tuple:
 RIPPLE_PIECE_S = 1.3e-3
 
 
-def generate_profile(preset: str | DevicePreset, workload: int,
+def generate_profile(preset: str, workload: int,
                      seed: int = 0, duration: float = 30.0,
                      source: str = "supply") -> LoadProfile:
     """Build the load profile for one device preset and workload.
@@ -272,11 +285,9 @@ def generate_profile(preset: str | DevicePreset, workload: int,
     transmission state carries seeded current spikes.  ``source`` selects the
     regulated-supply or battery voltage model.
     """
-    if isinstance(preset, str):
-        try:
-            preset = PRESETS[preset]
-        except KeyError:
-            raise ValueError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
+    if preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
+    preset = PRESETS[preset]
     if workload not in WORKLOAD_STATES:
         raise ValueError(f"workload must be one of {sorted(WORKLOAD_STATES)}")
     if source not in ("supply", "battery"):
@@ -319,7 +330,7 @@ def generate_profile(preset: str | DevicePreset, workload: int,
         # zero-mean uniform activity steps on top of the state levels
         steps = np.random.default_rng([seed, 1]).uniform(
             -preset.activity_ripple_a, preset.activity_ripple_a, size=len(grids[1]))
-        current = np.maximum(current + steps[index[1][:-1]], 0.0)
+        current += steps[index[1][:-1]]
     if source == "battery":
         voltage = preset.nominal_voltage - preset.battery_resistance * current
     else:
@@ -329,7 +340,7 @@ def generate_profile(preset: str | DevicePreset, workload: int,
         mid = (edges[:-1] + edges[1:]) / 2.0
         phase = (mid / (SUPPLY_RIPPLE_PERIOD_S / 2.0)).astype(int) & 1
         voltage = (preset.nominal_voltage + np.array([half, -half]))[phase]
-    modes = ([(0, preset.sleep_current, preset.nominal_voltage)]
+    modes = ([PowerSaveMode(0, preset.sleep_current, preset.nominal_voltage)]
              if preset.sleep_is_power_save else [])
     return LoadProfile(edges, current, voltage,
                        power_save_intervals=sleep_intervals,

@@ -1,0 +1,177 @@
+"""Re-run the mutation checks that the change log claims.
+
+Each row of :data:`MUTANTS` names a file of the package, an exact piece of
+its text, the text to put in its place, and the pytest node ids that must
+fail once the edit is made.  For each row the script copies ``src/`` into a
+temporary directory, makes the edit in the copy and runs only the row's node
+ids, with ``PYTHONPATH`` at the copy; the mutant is caught when pytest
+reports a failing test.  The unmutated copy runs every named node id once,
+first, and must pass.  A row whose old text does not occur exactly once in
+its file fails the script, so a change that moves the text updates the row.
+
+Run it from anywhere, with the test dependencies installed:
+
+    python tests/mutants.py
+
+It exits 0 when the unmutated copy passes and every mutant is caught.
+Pytest does not collect this file: its name does not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    why: str
+    path: str  # relative to the repository root, under src/
+    old: str
+    new: str
+    nodes: tuple
+
+
+MUTANTS = [
+    Mutant("a profile takes a span whose mode it does not declare",
+           "src/emeter/workloads.py",
+           "            if span[2] not in declared:\n",
+           "            if False:\n",
+           ("tests/test_experiment.py::TestDeclaredSleep::"
+            "test_span_it_cannot_charge_fails_when_built[undeclared-mode]",
+            "tests/test_experiment.py::TestDeclaredSleep::"
+            "test_span_it_cannot_charge_fails_when_built[no-mode]")),
+    Mutant("a power-save slice stops before the sample at its end",
+           "src/emeter/sampler.py",
+           'np.searchsorted(timestamps_ns, end_ns, side="right")',
+           'np.searchsorted(timestamps_ns, end_ns, side="left")',
+           ("tests/test_sampler.py::TestPowerSaveStageOracle::test_flags_equal_oracle",)),
+    Mutant("a rippled preset has a level within its ripple",
+           "src/emeter/workloads.py",
+           "sleep_current=10.2e-3,",
+           "sleep_current=0.5e-3,",
+           ("tests/test_workloads.py::TestGenerateProfile::"
+            "test_every_level_exceeds_the_ripple[bcm4343w]",)),
+    Mutant("the shunt step stops growing past divider 4",
+           "src/emeter/sensor.py",
+           "(SHUNT_FULL_SCALE_V * self.pga_divider)",
+           "(SHUNT_FULL_SCALE_V * min(self.pga_divider, 4))",
+           ("tests/test_sensor.py::TestShuntQuantization::test_step_scales_with_divider",)),
+    Mutant("a trace header checks nothing",
+           "src/emeter/tracefile.py",
+           "    def __post_init__(self):\n"
+           "        if self.driver_name not in PROFILES:\n",
+           "    def __post_init__(self):\n"
+           "        return\n"
+           "        if self.driver_name not in PROFILES:\n",
+           ("tests/test_tracefile.py::TestHeader::test_header_no_run_could_write_is_not_built",)),
+    Mutant("the branch currents run at the network's 5 V, not the pot's supply",
+           "src/emeter/calibration.py",
+           "            total += pot.v_in / r\n",
+           "            total += self.v_in / r\n",
+           ("tests/test_calibration.py::TestLoadProgram::test_staircase_stops_at_the_load_top",)),
+    Mutant("2500 kHz at 3.3 V is an operating point",
+           "src/emeter/bus_timing.py",
+           "if self.speed_khz not in READ_DELAYS_US or (self.speed_khz, supply) == (2500, 3.3):",
+           "if self.speed_khz not in READ_DELAYS_US:",
+           ("tests/test_experiment.py::TestOperatingPoints::test_supported_points_are_the_table",)),
+    Mutant("no 9-bit window tiles",
+           "src/emeter/bus_timing.py",
+           "return self.period_us == conversion_time_us(self.config)",
+           "return (self.period_us == conversion_time_us(self.config)\n"
+           "                and self.config.resolution_bits == 12)",
+           ("tests/test_experiment.py::TestOperatingPoints::test_tiles",)),
+    Mutant("a header shunt need not read back as itself",
+           "src/emeter/tracefile.py",
+           "if not (0 < uohm < 2 ** 32 and round(uohm) / 1e6 == self.config.shunt_resistance):",
+           "if not 0 < uohm < 2 ** 32:",
+           ("tests/test_tracefile.py::TestHeader::test_header_no_run_could_write_is_not_built",)),
+    Mutant("a trace time of 2**63 or more reads",
+           "src/emeter/tracefile.py",
+           "    elif len(t) and t[-1] >= 2 ** 63:\n",
+           "    elif False:\n",
+           ("tests/test_analysis_cli.py::TestCli::"
+            "test_time_past_int64_names_file_record_and_offset",
+            "tests/test_tracefile.py::test_read_trace_accepts_what_trace_accepts")),
+    Mutant("trace times are ordered as int64",
+           "src/emeter/tracefile.py",
+           "    unordered = t[1:] <= t[:-1]\n",
+           "    unordered = t[1:].view(np.int64) <= t[:-1].view(np.int64)\n",
+           ("tests/test_analysis_cli.py::TestCli::"
+            "test_out_of_order_trace_names_file_record_and_offset",)),
+    Mutant("a bus range that is not a power of two",
+           "src/emeter/sensor.py",
+           "VALID_BUS_RANGES = (16.0, 32.0)",
+           "VALID_BUS_RANGES = (16.0, 24.0, 32.0)",
+           ("tests/test_sensor.py::TestChannelScales::test_bus_ranges_are_powers_of_two",)),
+]
+
+
+def run_nodes(copy: Path, nodes) -> subprocess.CompletedProcess:
+    """Run pytest on ``nodes`` from the repository, importing the package
+    from ``copy``."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *nodes],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def main() -> int:
+    begun = time.perf_counter()
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp)
+        shutil.copytree(ROOT / "src", copy / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        originals = {}
+        for m in MUTANTS:
+            text = originals.setdefault(m.path, (copy / m.path).read_text())
+            if text.count(m.old) != 1:
+                failures.append(f"stale: {m.why}: the old text occurs "
+                                f"{text.count(m.old)} times in {m.path}")
+        if failures:
+            print("\n".join(failures))
+            return 1
+
+        located = subprocess.run(
+            [sys.executable, "-c", "import emeter; print(emeter.__file__)"],
+            env=dict(os.environ, PYTHONPATH=str(copy / "src")),
+            capture_output=True, text=True)
+        if not located.stdout.startswith(str(copy)):
+            print(f"the package imports from {located.stdout.strip()!r}, not the copy")
+            return 1
+
+        nodes = list(dict.fromkeys(node for m in MUTANTS for node in m.nodes))
+        baseline = run_nodes(copy, nodes)
+        if baseline.returncode != 0:
+            print(f"the unmutated copy fails its named nodes:\n{baseline.stdout[-2000:]}")
+            return 1
+        print(f"unmutated: {len(nodes)} node ids pass")
+
+        for m in MUTANTS:
+            target = copy / m.path
+            target.write_text(originals[m.path].replace(m.old, m.new))
+            try:
+                result = run_nodes(copy, m.nodes)
+            finally:
+                target.write_text(originals[m.path])
+            # 1: tests ran and one failed; 2 and up: collection or usage errors
+            caught = result.returncode == 1
+            print(f"{'caught' if caught else 'SURVIVED'}: {m.why} ({m.path})")
+            if not caught:
+                failures.append(m.why)
+                print(result.stdout[-1500:])
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants caught "
+          f"in {time.perf_counter() - begun:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,5 +1,6 @@
 """Experiment pipeline: cross-checks against the register-level loop."""
 
+import dataclasses
 import hashlib
 import io
 from pathlib import Path
@@ -38,6 +39,7 @@ from emeter.experiment import (
 from emeter.sampler import (
     FLAG_POWER_SAVE,
     FLAG_WARMUP,
+    PowerSaveMode,
     TriggerSpec,
     countable_mask,
     naive_energy,
@@ -219,6 +221,46 @@ class TestPipelineSemantics:
         else:
             assert preset != "cc2650"
             assert result.energy_naive_j == result.energy_gated_j
+
+
+def sleep_profile(modes, mode_index=0):
+    """50 mA, a 150 uA sleep span from 0.3 to 0.5 s naming ``mode_index``,
+    then 50 mA again, all at 3.3 V."""
+    return LoadProfile(np.array([0.0, 0.3, 0.5, 1.0]), np.array([50e-3, 150e-6, 50e-3]),
+                       np.full(3, 3.3), power_save_intervals=[(0.3, 0.5, mode_index)],
+                       power_save_modes=modes)
+
+
+class TestDeclaredSleep:
+    """A profile charges every sleep span it holds or is not built, so a span
+    it cannot charge fails before the run and nothing reaches a trace file."""
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: sleep_profile([PowerSaveMode(0, 150e-6, 3.3)]),
+         "power-save current must be below the sensor LSB"),
+        (lambda: sleep_profile([PowerSaveMode(0, 1e-6, 3.3)], mode_index=1),
+         r"interval \(0\.3, 0\.5, 1\) names an undeclared mode; the declared modes are \[0\]"),
+        (lambda: sleep_profile([]),
+         r"interval \(0\.3, 0\.5, 0\) names an undeclared mode; the declared modes are \[\]"),
+    ], ids=["mode-at-150uA", "undeclared-mode", "no-mode"])
+    def test_span_it_cannot_charge_fails_when_built(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+        fh = io.BytesIO()
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(build(), PipelineOptions(), TriggerSpec.duration(1.0), trace_fh=fh)
+        assert fh.getvalue() == b""
+
+    def test_preset_sleep_at_one_lsb_fails_when_the_profile_is_built(self, monkeypatch):
+        monkeypatch.setitem(PRESETS, "cc2650",
+                            dataclasses.replace(PRESETS["cc2650"], sleep_current=150e-6))
+        message = "power-save current must be below the sensor LSB"
+        with pytest.raises(ValueError, match=message):
+            generate_profile("cc2650", 1, duration=1.0)
+        fh = io.BytesIO()
+        with pytest.raises(ValueError, match=message):
+            run_experiment("cc2650", 1, PipelineOptions(), duration=1.0, trace_fh=fh)
+        assert fh.getvalue() == b""
 
 
 TRACE_COLUMNS = ("timestamps_ns", "bus_voltage", "current", "flags")

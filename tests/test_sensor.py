@@ -31,7 +31,9 @@ CFG9 = SensorConfig(resolution_bits=9)
 
 def brute_force_shunt_code(current_a, config):
     """Independent oracle: scan the code table for the floor code."""
-    lsb_i = config.shunt_lsb_volts * config.pga_divider / config.shunt_resistance
+    # written out, not read from the channel under test
+    lsb_i = (0.040 * config.pga_divider / (2 ** config.resolution_bits - 1)
+             / config.shunt_resistance)
     best = -config.max_count - 1
     for code in range(-config.max_count, config.max_count + 1):
         if code * lsb_i <= current_a:
@@ -42,10 +44,20 @@ def brute_force_shunt_code(current_a, config):
 class TestShuntQuantization:
     def test_lsb_sizes(self):
         # 40mV full scale over 2**12 - 1 counts, about 10uV
-        assert CFG12.shunt_lsb_volts == pytest.approx(40e-3 / 4095)
-        assert CFG12.current_lsb_amps == pytest.approx(97.68e-6, rel=1e-3)
+        lsb_amps = CFG12.shunt.reading(1)
+        assert lsb_amps * CFG12.shunt_resistance == pytest.approx(40e-3 / 4095)
+        assert lsb_amps == pytest.approx(97.68e-6, rel=1e-3)
         # 9-bit resolution coarsens the minimum detectable step to ~780uA
-        assert CFG9.current_lsb_amps == pytest.approx(782.8e-6, rel=1e-3)
+        assert CFG9.shunt.reading(1) == pytest.approx(782.8e-6, rel=1e-3)
+
+    @pytest.mark.parametrize("bits", VALID_RESOLUTIONS)
+    @pytest.mark.parametrize("divider", [2, 4, 8])
+    def test_step_scales_with_divider(self, divider, bits):
+        # a divider widens the full scale and the current step alike; it is
+        # a power of two, so the scaling is exact
+        step = SensorConfig(resolution_bits=bits).shunt.reading(1)
+        divided = SensorConfig(pga_divider=divider, resolution_bits=bits)
+        assert divided.shunt.reading(1) == divider * step
 
     def test_ten_milliamp_square(self):
         # 10mA across 0.1 ohm is 1mV; with the exact 40mV/4095 LSB that is
@@ -67,7 +79,7 @@ class TestShuntQuantization:
         rng = np.random.default_rng(7)
         for cfg in (CFG12, CFG9, SensorConfig(pga_divider=4)):
             full_scale = cfg.shunt.reading(cfg.max_count)
-            lsb = cfg.current_lsb_amps * cfg.pga_divider
+            lsb = cfg.shunt.reading(1)
             for current in rng.uniform(-full_scale, full_scale, 500):
                 code, saturated = cfg.shunt.quantize(current)
                 assert not saturated
@@ -92,7 +104,7 @@ class TestBusQuantization:
     def test_five_volts(self):
         # direct evaluation of the LSB formula: floor(5 * 4095 / 16) = 1279
         assert CFG12.bus.quantize(5.0) == (1279, False)
-        assert 5.0 - CFG12.bus.reading(1279) <= CFG12.bus_lsb_volts
+        assert 5.0 - CFG12.bus.reading(1279) <= CFG12.bus.reading(1)
 
     def test_zero_and_full_scale(self):
         assert CFG12.bus.quantize(0.0) == (0, False)
@@ -108,7 +120,7 @@ class TestBusQuantization:
             count, saturated = CFG12.bus.quantize(volts)
             assert not saturated
             back = CFG12.bus.reading(count)
-            assert abs(back - volts) <= CFG12.bus_lsb_volts * (1 + 1e-9)
+            assert abs(back - volts) <= CFG12.bus.reading(1) * (1 + 1e-9)
 
 
 ALL_CONFIGS = [SensorConfig(pga_divider=d, resolution_bits=r, bus_range=b)

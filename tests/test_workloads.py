@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from emeter.sampler import PowerSaveMode
 from emeter.workloads import (
     PRESETS,
     LoadProfile,
@@ -86,7 +87,7 @@ class TestGenerateProfile:
         preset = PRESETS["cc2650"]
         assert preset.sleep_current == pytest.approx(1e-6)
         profile = generate_profile("cc2650", 1, seed=0, duration=3.0)
-        assert profile.power_save_modes == [(0, 1e-6, 3.3)]
+        assert profile.power_save_modes == [PowerSaveMode(0, 1e-6, 3.3)]
         assert len(profile.power_save_intervals) == 2  # dwells 0 and 3
         (s0, e0, m0) = profile.power_save_intervals[0]
         assert (s0, e0, m0) == (0.0, 0.5, 0)
@@ -125,6 +126,15 @@ class TestGenerateProfile:
             assert short.voltage.tobytes() == longer.voltage[:n].tobytes()
             assert short.power_save_intervals == [
                 interval for interval in longer.power_save_intervals if interval[1] <= 2.0]
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_level_exceeds_the_ripple(self, name):
+        # generate_profile adds the ripple steps, drawn from [-ripple,
+        # ripple), to the state levels unclipped, so no level may go negative
+        preset = PRESETS[name]
+        for level in (preset.sleep_current, preset.processing_current,
+                      preset.tx_base_current, preset.tx_peak_current):
+            assert level > preset.activity_ripple_a
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -197,8 +207,9 @@ class TestProfileExact:
                                          duration=duration, source=source)
                     for column in (p.edges, p.current, p.voltage):
                         h.update(column.tobytes())
-                    h.update(repr((p.power_save_intervals,
-                                   p.power_save_modes)).encode())
+                    modes = [(m.mode_index, m.constant_current, m.nominal_voltage)
+                             for m in p.power_save_modes]
+                    h.update(repr((p.power_save_intervals, modes)).encode())
         return h.hexdigest()
 
     @pytest.mark.parametrize("preset,workload", sorted(DIGESTS))
