@@ -117,9 +117,13 @@ def persist(fh: BinaryIO, header: TraceHeader, records, push_ns,
     mechanism = _two_buffer if policy.kind == "two_buffer" else _circular
     dropped, overruns, marker_at, flush_log = mechanism(push_ns, policy.capacity,
                                                         write_speed_bps)
-    kept = np.flatnonzero(~dropped)
-    write_trace(fh, header, records[kept], marker_at, push_ns[kept[marker_at]])
-    return PersistStats(overruns, len(kept), flush_log)
+    if dropped.any():
+        kept = np.flatnonzero(~dropped)
+        records, marker_ns = records[kept], push_ns[kept[marker_at]]
+    else:
+        marker_ns = push_ns[marker_at]
+    write_trace(fh, header, records, marker_at, marker_ns)
+    return PersistStats(overruns, len(records), flush_log)
 
 
 def _two_buffer(push_ns, capacity, write_speed_bps):

@@ -212,10 +212,13 @@ def decode_trace(data: bytes) -> tuple[TraceHeader, list[TraceRecord]]:
 def write_trace(fh, header: TraceHeader, readings, marker_at, marker_ns) -> None:
     """Write ``header`` and a body of ``readings`` (a ``RECORD`` array) to
     ``fh``; gap marker k, stamped ``marker_ns[k]``, follows the first
-    ``marker_at[k]`` readings (``marker_at`` sorted)."""
-    body = np.insert(readings.view("V16"), marker_at, gap_records(marker_ns).view("V16"))
+    ``marker_at[k]`` readings (``marker_at`` sorted).  The body is written
+    from the array itself, and without a marker it is ``readings``, uncopied."""
+    body = np.ascontiguousarray(readings).view("V16")
+    if len(marker_at):
+        body = np.insert(body, marker_at, gap_records(marker_ns).view("V16"))
     fh.write(encode_header(header))
-    fh.write(body.tobytes())
+    fh.write(body)
 
 
 def read_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
