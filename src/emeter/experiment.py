@@ -34,9 +34,14 @@ polling loop keeps up with the chip: each window starts where the previous
 one ended, and the bounds are the window boundaries.  Elsewhere a gap
 separates the windows, and the bounds are one ``[start, end]`` row per
 window.  ``OPERATING_POINTS`` in ``tests/test_experiment.py`` lists which
-of the 28 supported points tile.  ``LoadProfile.window_means`` integrates
+of the 28 supported points tile.  A profile's ``window_means`` integrates
 both forms, looking each cumulative integral up once per bound: once per
 window where they tile, twice where they do not.
+
+Unless the options give a PGA divider, a run takes the smallest whose full
+scale covers the profile's declared ``peak_current`` (see
+:mod:`emeter.workloads`), not the largest current the run meets, so the
+divider of a preset's run does not depend on how long the run is.
 
 A stage allocates only the arrays it returns and does its arithmetic in
 place on arrays it allocated itself; it never writes to its inputs.  A 30 s
@@ -85,7 +90,7 @@ from emeter.sensor import (
     SensorConfig,
 )
 from emeter.tracefile import TraceHeader, trace_to_records
-from emeter.workloads import LoadProfile, exact_energy, generate_profile
+from emeter.workloads import DeviceProfile, LoadProfile, exact_energy, generate_profile
 
 DEFAULT_CURRENT_NOISE_A = 20e-6
 DEFAULT_VOLTAGE_NOISE_V = 0.2e-3
@@ -109,7 +114,7 @@ class PipelineOptions:
     driver: str = "bcm"
     speed_khz: int = 2500
     supply_voltage: float = 5.0
-    pga_divider: Optional[int] = None  # None: auto from the profile peak
+    pga_divider: Optional[int] = None  # None: auto from the profile's declared peak
     board: str = "shield"
     noise_current_a: float = DEFAULT_CURRENT_NOISE_A
     noise_voltage_v: float = DEFAULT_VOLTAGE_NOISE_V
@@ -184,7 +189,7 @@ class PipelineResult:
 def schedule(point: OperatingPoint, trigger: TriggerSpec, horizon_ns: int):
     """(window bounds s, timestamp ns) of the n conversions at ``point`` up
     to the trigger's limit at ``horizon_ns``, the bounds in the form
-    ``LoadProfile.window_means`` integrates.
+    a profile's ``window_means`` integrates.
 
     Conversion k's window ends at ``(k + 1) * period``.  Where the point's
     windows tile, the bounds are the n + 1 boundaries ``k * period`` for
@@ -283,7 +288,7 @@ def calibrate(calibration: Optional[CalibrationCurve], current, bus_v):
     return apply_current(calibration, current), apply_voltage(calibration, bus_v)
 
 
-def _readings(profile: LoadProfile, options: PipelineOptions,
+def _readings(profile: LoadProfile | DeviceProfile, options: PipelineOptions,
               board: BoardCharacter, point: OperatingPoint,
               calibration: Optional[CalibrationCurve], bounds_s):
     """Means over ``schedule``'s window bounds to calibrated readings,
@@ -296,14 +301,14 @@ def _readings(profile: LoadProfile, options: PipelineOptions,
     return (*calibrate(calibration, current, bus_v), saturated)
 
 
-def run_pipeline(profile: LoadProfile, options: PipelineOptions,
+def run_pipeline(profile: LoadProfile | DeviceProfile, options: PipelineOptions,
                  trigger: TriggerSpec,
                  calibration: Optional[CalibrationCurve] = None,
                  trace_fh=None) -> PipelineResult:
     """Sample a load profile through the simulated measurement chain."""
     driver = options.named("driver", PROFILES)
     board = options.named("board", BOARDS)
-    divider = options.pga_divider or pick_pga_divider(float(profile.current.max()))
+    divider = options.pga_divider or pick_pga_divider(profile.peak_current)
     config = SensorConfig(pga_divider=divider,
                           resolution_bits=options.resolution_bits,
                           supply_voltage=options.supply_voltage)

@@ -88,6 +88,16 @@ class PowerSaveMode:
         return self.nominal_voltage * self.constant_current
 
 
+def modes_by_index(modes: Sequence[PowerSaveMode]) -> dict:
+    """``modes`` keyed by their ``mode_index``, which each may declare once."""
+    by_index = {}
+    for mode in modes:
+        if mode.mode_index in by_index:
+            raise ValueError(f"power-save mode {mode.mode_index} is declared twice")
+        by_index[mode.mode_index] = mode
+    return by_index
+
+
 @dataclass(frozen=True)
 class TriggerSpec:
     """Measurement window of a trigger, resolved when it is built.
@@ -313,7 +323,7 @@ def hybrid_energy(trace: Trace, modes: Sequence[PowerSaveMode]) -> float:
     measurement has no predecessor and contributes nothing.  With no sleep
     intervals the sum degenerates to the plain integral of the trace.
     """
-    mode_map = {m.mode_index: m for m in modes}
+    mode_map = modes_by_index(modes)
     ts = trace.timestamps_ns
     power = trace.power()
     countable = countable_mask(trace, exclude_power_save=True)

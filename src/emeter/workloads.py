@@ -12,16 +12,39 @@ Voltage comes from a source model: a regulated supply holds the nominal
 voltage within a small ripple band, while a battery sags proportionally to
 the drawn current through a per-device source resistance.
 
-A profile is assembled without a per-spike loop: one draw gives the spike
-offsets of every tx dwell, array slots place the base and spike pieces, and
-one merge splits those pieces at the activity-ripple steps and the supply
-half periods, giving each segment its state and step index on the way.
+A preset's profile, a :class:`DeviceProfile`, keeps its regular parts, each
+a piecewise-constant signal on its own grid with its integral up to every
+grid point: the state part (the state dwells and the tx spikes), the
+activity-ripple part (uniform steps every 1.3 ms, on the presets that
+ripple) and, for a regulated supply, the supply part (the voltage, a square
+wave of 3.65 ms half periods).  The state part is assembled without a
+per-spike loop: one draw gives the spike offsets of every tx dwell, and
+array slots place the base and spike pieces.  A window's mean current is the
+sum of the current parts' integrals over it, and its mean voltage the supply
+part's; the reference energy evaluates the current at the half periods, where
+the voltage steps.  So a supply run integrates the parts and never merges
+their grids.
+
+The merged form, ``edges``, ``current`` and ``voltage`` over the union of
+the grids, is built on first access: one merge splits the state pieces at
+the ripple steps and the half periods, giving each segment its state and
+step index on the way.  It serves the readers that need segments
+(``current_at``, ``time_weighted_quantile``), and it integrates a battery
+source, whose voltage follows the current, and the squared current that a
+board with a quadratic term reads.  A :class:`LoadProfile` is the general
+piecewise-constant form, for loads given as segments.
+
+Every profile declares the peak current a run picks its PGA divider for.  A
+preset's is the highest state level its workload cycles through (the spike
+peak for a tx state with spikes) plus its ripple, whatever the duration, so
+a run's divider does not depend on how long it lasts.  A :class:`LoadProfile`
+declares its largest level.
 
 A preset whose sleep draw lies below one current LSB announces its sleep
 dwells: its profile declares the draw as a :class:`~emeter.sampler.PowerSaveMode`
 and holds each sleep dwell as a ``(start_s, end_s, mode_index)`` span.  A
-:class:`LoadProfile` refuses a span whose mode it does not declare, so every
-span it holds can be charged.
+profile refuses a span whose mode it does not declare, and two modes with
+one index, so every span it holds is charged at one declared draw.
 
 The spike offsets and the ripple steps draw from two streams keyed on the
 seed, ``default_rng(seed)`` and ``default_rng([seed, 1])``, and each draws in
@@ -34,11 +57,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from emeter.sampler import PowerSaveMode
+from emeter.sampler import PowerSaveMode, modes_by_index
 
 STATE_DWELL_S = 0.5
 WORKLOAD_STATES = {
@@ -68,6 +91,11 @@ class DevicePreset:
     # fast sub-mA current activity around each state level (kernel and
     # peripheral housekeeping on the 802.11 boards); zero-mean uniform
     activity_ripple_a: float = 0.0
+
+    @property
+    def spiky(self) -> bool:
+        """Whether a tx dwell carries current spikes."""
+        return self.spike_duty > 0 and self.spike_width_s > 0
 
 
 PRESETS = {
@@ -117,10 +145,69 @@ def _segment_of(edges: np.ndarray, t):
     return np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(edges) - 2)
 
 
-class LoadProfile:
+class _Part(NamedTuple):
+    """A piecewise-constant signal, ``levels[k]`` on ``[edges[k], edges[k + 1])``,
+    and its integral from ``edges[0]`` to each edge."""
+
+    edges: np.ndarray
+    levels: np.ndarray
+    cumulative: np.ndarray
+
+    @classmethod
+    def of(cls, edges: np.ndarray, levels: np.ndarray) -> "_Part":
+        return cls(edges, levels,
+                   np.concatenate([[0.0], np.cumsum(levels * np.diff(edges))]))
+
+    def integral(self, t):
+        """The integral up to each time of ``t``: exact, as the cumulative
+        integral is linear between edges."""
+        return np.interp(t, self.edges, self.cumulative)
+
+
+def _window_means(parts, bounds_s, window_s: float) -> np.ndarray:
+    """Mean of the sum of ``parts`` over each window of ``bounds_s`` (the
+    shapes of :meth:`LoadProfile.window_means`): each part's integral looked
+    up once per bound, summed, and differenced along the last axis."""
+    total = parts[0].integral(bounds_s)
+    for part in parts[1:]:
+        total += part.integral(bounds_s)
+    total = np.diff(total).reshape(-1)
+    total /= window_s
+    return total
+
+
+def _check_spans(power_save_intervals: list, power_save_modes: list) -> None:
+    """Refuse two modes with one index, and a span whose mode is not declared."""
+    declared = sorted(modes_by_index(power_save_modes))
+    for span in power_save_intervals:
+        if span[2] not in declared:
+            raise ValueError(f"power-save interval {span} names an undeclared "
+                             f"mode; the declared modes are {declared}")
+
+
+class _Segments:
+    """Readers of a profile's segments: ``edges``, ``current``, ``voltage``."""
+
+    def current_at(self, t):
+        return self.current[_segment_of(self.edges, t)]
+
+    def voltage_at(self, t):
+        return self.voltage[_segment_of(self.edges, t)]
+
+    def time_weighted_quantile(self, q: float) -> float:
+        """Current level below which a fraction ``q`` of the time is spent."""
+        dt = np.diff(self.edges)
+        order = np.argsort(self.current, kind="stable")
+        weights = np.cumsum(dt[order]) / dt.sum()
+        pos = np.searchsorted(weights, q, side="left")
+        pos = min(pos, len(order) - 1)
+        return float(self.current[order][pos])
+
+
+class LoadProfile(_Segments):
     """Piecewise-constant (current, voltage) signal with exact integrals.
 
-    ``edges`` has ``n+1`` breakpoints in seconds; ``current``/``voltage``
+    ``edges`` has ``n+1`` breakpoints in seconds from 0; ``current``/``voltage``
     hold the ``n`` segment levels.  Cumulative integrals of i, v and i*v
     are precomputed at the breakpoints (that of i**2 on first use), so window
     means and energies reduce to exact linear interpolation.
@@ -137,9 +224,10 @@ class LoadProfile:
             raise ValueError("edges must have one more entry than levels")
         if len(voltage) != len(current):
             raise ValueError("current and voltage level counts differ")
-        dt = np.diff(edges)
-        if np.any(dt <= 0):
+        if np.any(np.diff(edges) <= 0):
             raise ValueError("edges must be strictly increasing")
+        if edges[0] != 0.0:
+            raise ValueError("edges must start at 0 s")
         self.edges = edges
         self.current = current
         self.voltage = voltage
@@ -147,29 +235,24 @@ class LoadProfile:
         self.power_save_intervals = power_save_intervals or []
         #: the declared :class:`~emeter.sampler.PowerSaveMode` of every interval
         self.power_save_modes = power_save_modes or []
-        declared = sorted(m.mode_index for m in self.power_save_modes)
-        for span in self.power_save_intervals:
-            if span[2] not in declared:
-                raise ValueError(f"power-save interval {span} names an undeclared "
-                                 f"mode; the declared modes are {declared}")
-        self._cum_i = np.concatenate([[0.0], np.cumsum(current * dt)])
-        self._cum_v = np.concatenate([[0.0], np.cumsum(voltage * dt)])
-        self._cum_p = np.concatenate([[0.0], np.cumsum(current * voltage * dt)])
+        _check_spans(self.power_save_intervals, self.power_save_modes)
+        self._i = _Part.of(edges, current)
+        self._v = _Part.of(edges, voltage)
+        self._p = _Part.of(edges, current * voltage)
 
     @cached_property
-    def _cum_i2(self) -> np.ndarray:
+    def _i2(self) -> _Part:
         # read only for a board whose error model has a quadratic term
-        return np.concatenate([[0.0], np.cumsum(self.current ** 2 * np.diff(self.edges))])
+        return _Part.of(self.edges, self.current ** 2)
 
     @property
     def duration(self) -> float:
-        return float(self.edges[-1] - self.edges[0])
+        return float(self.edges[-1])
 
-    def current_at(self, t):
-        return self.current[_segment_of(self.edges, t)]
-
-    def voltage_at(self, t):
-        return self.voltage[_segment_of(self.edges, t)]
+    @property
+    def peak_current(self) -> float:
+        """The current a run picks its PGA divider for: the largest level."""
+        return float(self.current.max())
 
     def window_means(self, bounds_s, window_s: float, squares: bool):
         """Mean current, mean current squared (None unless ``squares``) and
@@ -181,35 +264,115 @@ class LoadProfile:
         cumulative integral is looked up once per bound and differenced along
         the last axis: one lookup per window where they tile, two elsewhere.
         """
-        def mean(cumulative):
-            total = np.diff(np.interp(bounds_s, self.edges, cumulative)).reshape(-1)
-            total /= window_s
-            return total
-
-        mean_i = mean(self._cum_i)
-        mean_v = mean(self._cum_v)
-        return mean_i, mean(self._cum_i2) if squares else None, mean_v
+        return (_window_means((self._i,), bounds_s, window_s),
+                _window_means((self._i2,), bounds_s, window_s) if squares else None,
+                _window_means((self._v,), bounds_s, window_s))
 
     def integral_power(self, t0: float, t1: float):
-        return np.diff(np.interp((t0, t1), self.edges, self._cum_p))[0]
-
-    def time_weighted_quantile(self, q: float) -> float:
-        """Current level below which a fraction ``q`` of the time is spent."""
-        dt = np.diff(self.edges)
-        order = np.argsort(self.current, kind="stable")
-        weights = np.cumsum(dt[order]) / dt.sum()
-        pos = np.searchsorted(weights, q, side="left")
-        pos = min(pos, len(order) - 1)
-        return float(self.current[order][pos])
+        return np.diff(self._p.integral((t0, t1)))[0]
 
 
-def exact_energy(profile: LoadProfile, window: Optional[tuple] = None) -> float:
+class DeviceProfile(_Segments):
+    """A preset's profile as the sum of its parts (module docstring).
+
+    The current is the state part plus, where the preset ripples, the ripple
+    part; ``supply`` is the voltage's part, or None for a battery source.
+    ``edges``, ``current`` and ``voltage`` are the merged form, built on
+    first access and then integrated in place of the parts for a battery
+    source and for the squared current.
+    """
+
+    def __init__(self, preset: DevicePreset, duration: float, state: _Part,
+                 ripple: Optional[_Part], supply: Optional[_Part],
+                 peak_current: float, power_save_intervals: list,
+                 power_save_modes: list):
+        _check_spans(power_save_intervals, power_save_modes)
+        self._preset = preset
+        self.duration = float(duration)
+        self.peak_current = peak_current
+        self.power_save_intervals = power_save_intervals
+        self.power_save_modes = power_save_modes
+        self._currents = (state,) if ripple is None else (state, ripple)
+        self._supply = supply
+
+    @cached_property
+    def _merged(self) -> LoadProfile:
+        # Every grid point lies in [0, duration) and the state edges hold
+        # both ends, so the union needs no clipping.  A segment takes its
+        # state and step from the last breakpoint of each grid at or before
+        # its start.  A midpoint lookup would differ only for a one-ulp
+        # segment ending on a state or step breakpoint; these grids' one-ulp
+        # segments all end on a supply half period (checked up to 3600 s).
+        state, *ripple = self._currents
+        grids = [state.edges] + [part.edges[:-1] for part in ripple]
+        if self._supply is not None:
+            grids.append(self._supply.edges[:-1])
+        edges, index = _merge(grids, len(self._currents))
+        current = state.levels[index[0][:-1]]
+        if ripple:
+            # zero-mean uniform activity steps on top of the state levels
+            current += ripple[0].levels[index[1][:-1]]
+        preset = self._preset
+        if self._supply is None:
+            voltage = preset.nominal_voltage - preset.battery_resistance * current
+        else:
+            # regulated supply: square ripple of +-band/2, in phase
+            # floor(mid / half period) % 2 (mid >= 0, so truncating floors)
+            half = SUPPLY_RIPPLE_BAND_V / 2.0
+            mid = (edges[:-1] + edges[1:]) / 2.0
+            phase = (mid / (SUPPLY_RIPPLE_PERIOD_S / 2.0)).astype(int) & 1
+            voltage = (preset.nominal_voltage + np.array([half, -half]))[phase]
+        return LoadProfile(edges, current, voltage)
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self._merged.edges
+
+    @property
+    def current(self) -> np.ndarray:
+        return self._merged.current
+
+    @property
+    def voltage(self) -> np.ndarray:
+        return self._merged.voltage
+
+    def window_means(self, bounds_s, window_s: float, squares: bool):
+        """:meth:`LoadProfile.window_means`, from the parts on a supply."""
+        if squares or self._supply is None:
+            return self._merged.window_means(bounds_s, window_s, squares)
+        return (_window_means(self._currents, bounds_s, window_s), None,
+                _window_means((self._supply,), bounds_s, window_s))
+
+    def _current_integral(self, t):
+        return sum(part.integral(t) for part in self._currents)
+
+    @cached_property
+    def _power(self) -> tuple:
+        """The current's integral I(g) at the half-period edges g, and the
+        power's, the sum of each half period's v times its rise of I."""
+        at = self._current_integral(self._supply.edges)
+        return at, np.concatenate([[0.0], np.cumsum(self._supply.levels * np.diff(at))])
+
+    def integral_power(self, t0: float, t1: float):
+        """The integral of i*v over ``[t0, t1]``: on a supply, the power's
+        integral at the half-period edge g before t plus the voltage there
+        times the current's integral from g to t."""
+        if self._supply is None:
+            return self._merged.integral_power(t0, t1)
+        at, cumulative = self._power
+        t = np.array((t0, t1))
+        k = _segment_of(self._supply.edges, t)
+        power = cumulative[k] + self._supply.levels[k] * (self._current_integral(t) - at[k])
+        return power[1] - power[0]
+
+
+def exact_energy(profile, window: Optional[tuple] = None) -> float:
     """Closed-form integral of power over ``window`` (default: whole profile)."""
     if window is None:
-        t0, t1 = profile.edges[0], profile.edges[-1]
+        t0, t1 = 0.0, profile.duration
     else:
         t0, t1 = window
-        if t0 < profile.edges[0] - 1e-12 or t1 > profile.edges[-1] + 1e-12:
+        if t0 < -1e-12 or t1 > profile.duration + 1e-12:
             raise ValueError("window outside profile duration")
     return float(profile.integral_power(t0, t1))
 
@@ -232,7 +395,7 @@ def _state_pieces(t0: np.ndarray, dwell: np.ndarray, level: np.ndarray,
     """
     width, duty = preset.spike_width_s, preset.spike_duty
     end = t0 + dwell
-    spiky = np.flatnonzero(tx) if duty > 0 and width > 0 else np.empty(0, int)
+    spiky = np.flatnonzero(tx) if preset.spiky else np.empty(0, int)
     n = np.maximum(1, np.rint(duty * dwell[spiky] / width).astype(int))
     pitch = np.maximum(dwell[spiky] - 2.0 * width - 2e-3, width) / n
     owner = np.repeat(spiky, n)
@@ -278,7 +441,7 @@ RIPPLE_PIECE_S = 1.3e-3
 
 def generate_profile(preset: str, workload: int,
                      seed: int = 0, duration: float = 30.0,
-                     source: str = "supply") -> LoadProfile:
+                     source: str = "supply") -> DeviceProfile:
     """Build the load profile for one device preset and workload.
 
     States cycle every 500ms in the order defined by the workload; the
@@ -312,39 +475,27 @@ def generate_profile(preset: str, workload: int,
         np.array([s == "tx" for s in state], dtype=bool), preset,
         np.random.default_rng(seed))
 
-    # Every grid point lies in [0, duration) and the state breakpoints hold
-    # both ends, so the union needs no clipping.  A segment takes its state
-    # and step from the last breakpoint of each grid at or before its start.
-    # A midpoint lookup would differ only for a one-ulp segment ending on a
-    # state or step breakpoint; these grids' one-ulp segments all end on a
-    # supply half period (checked up to 3600 s).
-    grids = [np.append(starts, duration)]
-    ripple = preset.activity_ripple_a > 0
-    if ripple:
-        grids.append(np.arange(0.0, float(duration), RIPPLE_PIECE_S))
-    if source == "supply":
-        grids.append(np.arange(0.0, float(duration), SUPPLY_RIPPLE_PERIOD_S / 2.0))
-    edges, index = _merge(grids, 1 + ripple)
-    current = levels[index[0][:-1]]
-    if ripple:
+    ripple = supply = None
+    if preset.activity_ripple_a > 0:
+        grid = np.arange(0.0, float(duration), RIPPLE_PIECE_S)
         # zero-mean uniform activity steps on top of the state levels
         steps = np.random.default_rng([seed, 1]).uniform(
-            -preset.activity_ripple_a, preset.activity_ripple_a, size=len(grids[1]))
-        current += steps[index[1][:-1]]
-    if source == "battery":
-        voltage = preset.nominal_voltage - preset.battery_resistance * current
-    else:
-        # regulated supply: square ripple of +-band/2, in phase
-        # floor(mid / half period) % 2 (mid >= 0, so truncating floors)
+            -preset.activity_ripple_a, preset.activity_ripple_a, size=len(grid))
+        ripple = _Part.of(np.append(grid, duration), steps)
+    if source == "supply":
+        # regulated supply: square ripple of +-band/2, high in the even
+        # half periods
+        grid = np.arange(0.0, float(duration), SUPPLY_RIPPLE_PERIOD_S / 2.0)
         half = SUPPLY_RIPPLE_BAND_V / 2.0
-        mid = (edges[:-1] + edges[1:]) / 2.0
-        phase = (mid / (SUPPLY_RIPPLE_PERIOD_S / 2.0)).astype(int) & 1
-        voltage = (preset.nominal_voltage + np.array([half, -half]))[phase]
+        volts = (preset.nominal_voltage + np.array([half, -half]))[np.arange(len(grid)) & 1]
+        supply = _Part.of(np.append(grid, duration), volts)
+    top = dict(level, tx=preset.tx_peak_current) if preset.spiky else level
     modes = ([PowerSaveMode(0, preset.sleep_current, preset.nominal_voltage)]
              if preset.sleep_is_power_save else [])
-    return LoadProfile(edges, current, voltage,
-                       power_save_intervals=sleep_intervals,
-                       power_save_modes=modes)
+    return DeviceProfile(preset, duration, _Part.of(np.append(starts, duration), levels),
+                         ripple, supply,
+                         max(top[s] for s in states) + preset.activity_ripple_a,
+                         sleep_intervals, modes)
 
 
 def constant_profile(current: float, voltage: float,

@@ -42,8 +42,8 @@ class Mutant(NamedTuple):
 MUTANTS = [
     Mutant("a profile takes a span whose mode it does not declare",
            "src/emeter/workloads.py",
-           "            if span[2] not in declared:\n",
-           "            if False:\n",
+           "        if span[2] not in declared:\n",
+           "        if False:\n",
            ("tests/test_experiment.py::TestDeclaredSleep::"
             "test_span_it_cannot_charge_fails_when_built[undeclared-mode]",
             "tests/test_experiment.py::TestDeclaredSleep::"
@@ -111,6 +111,54 @@ MUTANTS = [
            "VALID_BUS_RANGES = (16.0, 32.0)",
            "VALID_BUS_RANGES = (16.0, 24.0, 32.0)",
            ("tests/test_sensor.py::TestChannelScales::test_bus_ranges_are_powers_of_two",)),
+    Mutant("a mode index may be declared twice",
+           "src/emeter/sampler.py",
+           "        if mode.mode_index in by_index:\n",
+           "        if False:\n",
+           ("tests/test_experiment.py::TestDeclaredSleep::"
+            "test_span_it_cannot_charge_fails_when_built[mode-twice]",
+            "tests/test_experiment.py::TestDeclaredSleep::"
+            "test_hybrid_energy_refuses_a_mode_declared_twice[currents0]")),
+    Mutant("the window means leave out the ripple part",
+           "src/emeter/workloads.py",
+           "        return (_window_means(self._currents, bounds_s, window_s), None,\n",
+           "        return (_window_means(self._currents[:1], bounds_s, window_s), None,\n",
+           ("tests/test_workloads.py::TestParts::test_parts_match_merged_form[rpi3-1-12]",)),
+    Mutant("the supply part's phase is flipped",
+           "src/emeter/workloads.py",
+           "(preset.nominal_voltage + np.array([half, -half]))[np.arange(len(grid)) & 1]",
+           "(preset.nominal_voltage + np.array([-half, half]))[np.arange(len(grid)) & 1]",
+           ("tests/test_workloads.py::TestParts::test_parts_match_merged_form[rpi3-1-12]",)),
+    Mutant("the declared peak leaves out the ripple",
+           "src/emeter/workloads.py",
+           "max(top[s] for s in states) + preset.activity_ripple_a,",
+           "max(top[s] for s in states),",
+           ("tests/test_workloads.py::TestParts::test_declared_peak_bounds_every_level[cyw43907-1]",)),
+    Mutant("a reading draws only within 0.9 of the reach",
+           "src/emeter/experiment.py",
+           "    return np.flatnonzero(distance <= reach)\n",
+           "    return np.flatnonzero(distance <= 0.9 * reach)\n",
+           ("tests/test_experiment.py::TestStages::"
+            "test_convert_draws_keyed_streams_at_near_readings[9-1]",)),
+    Mutant("the reach has no slack for the quantizer's rounding",
+           "src/emeter/experiment.py",
+           "REACH_SLACK_COUNTS = 2.0 ** -20\n",
+           "REACH_SLACK_COUNTS = 0.0\n",
+           tuple("tests/test_experiment.py::TestNoiseReach::"
+                 f"test_far_reading_keeps_count_for_every_draw[{case}]"
+                 for case in ("9-1-ideal", "9-8-ideal", "12-8-ideal", "9-1-shield",
+                              "12-8-shield"))),
+    Mutant("the bus draws from the current's stream",
+           "src/emeter/experiment.py",
+           "                            [options.seed, 1])\n",
+           "                            options.seed)\n",
+           ("tests/test_experiment.py::TestStages::"
+            "test_convert_draws_keyed_streams_at_near_readings[9-1]",)),
+    Mutant("a CSV digit group is taken as the value's top one at its boundary",
+           "src/emeter/tracefile.py",
+           "np.minimum(values, group + 10_000)",
+           "np.minimum(values, group + 9_999)",
+           ("tests/test_tracefile.py::test_export_csv_equals_per_row_oracle",)),
 ]
 
 

@@ -22,6 +22,7 @@ from emeter.bus_timing import (
     UnsupportedOperatingPoint,
     expected_polls,
 )
+from emeter import experiment
 from emeter.calibration import CalibrationCurve, apply_current
 from emeter.experiment import (
     REACH,
@@ -42,6 +43,7 @@ from emeter.sampler import (
     PowerSaveMode,
     TriggerSpec,
     countable_mask,
+    hybrid_energy,
     naive_energy,
     run_measurement,
     trapezoid,
@@ -62,6 +64,7 @@ from emeter.sensor import (
 from emeter.tracefile import TraceHeader, decode_trace
 from emeter.workloads import (
     PRESETS,
+    WORKLOAD_STATES,
     LoadProfile,
     constant_profile,
     exact_energy,
@@ -77,6 +80,35 @@ class TestDividerSelection:
         assert pick_pga_divider(0.500) == 2
         assert pick_pga_divider(1.2) == 4
         assert pick_pga_divider(3.0) == 8
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_STATES))
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_divider_does_not_depend_on_the_duration(self, preset, workload):
+        # the first second of workload 1 holds no tx dwell, so a peak read
+        # off the profile gave cyw43907 and rpi3 divider 1 at 1 s and 2 at 2 s
+        dividers = {run_experiment(preset, workload, PipelineOptions(), duration=duration)
+                    .report.config["pga_divider"] for duration in (1.0, 2.0)}
+        assert len(dividers) == 1
+
+    @pytest.mark.parametrize("bits", VALID_RESOLUTIONS)
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_supply_run_builds_no_merged_form(self, monkeypatch, preset, bits):
+        # a supply run integrates the profile's parts; the merged form is
+        # built only where something reads it, as a battery run's voltage does
+        profiles = []
+
+        def generate(*args, **kwargs):
+            profiles.append(generate_profile(*args, **kwargs))
+            return profiles[-1]
+
+        monkeypatch.setattr(experiment, "generate_profile", generate)
+        options = PipelineOptions(resolution_bits=bits)
+        for source in ("supply", "battery"):
+            run_experiment(preset, 1, options, source=source, duration=1.0,
+                           trace_fh=io.BytesIO())
+        supply, battery = profiles
+        assert "_merged" not in vars(supply)
+        assert "_merged" in vars(battery)
 
 
 class TestPipelineVsRegisterLoop:
@@ -242,7 +274,11 @@ class TestDeclaredSleep:
          r"interval \(0\.3, 0\.5, 1\) names an undeclared mode; the declared modes are \[0\]"),
         (lambda: sleep_profile([]),
          r"interval \(0\.3, 0\.5, 0\) names an undeclared mode; the declared modes are \[\]"),
-    ], ids=["mode-at-150uA", "undeclared-mode", "no-mode"])
+        (lambda: sleep_profile([PowerSaveMode(0, 1e-6, 3.3), PowerSaveMode(0, 90e-6, 3.3)]),
+         "power-save mode 0 is declared twice"),
+        (lambda: sleep_profile([PowerSaveMode(0, 90e-6, 3.3), PowerSaveMode(0, 1e-6, 3.3)]),
+         "power-save mode 0 is declared twice"),
+    ], ids=["mode-at-150uA", "undeclared-mode", "no-mode", "mode-twice", "mode-twice-reversed"])
     def test_span_it_cannot_charge_fails_when_built(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
@@ -250,6 +286,16 @@ class TestDeclaredSleep:
         with pytest.raises(ValueError, match=message):
             run_pipeline(build(), PipelineOptions(), TriggerSpec.duration(1.0), trace_fh=fh)
         assert fh.getvalue() == b""
+
+    @pytest.mark.parametrize("currents", [(1e-6, 90e-6), (90e-6, 1e-6)])
+    def test_hybrid_energy_refuses_a_mode_declared_twice(self, currents):
+        # a trace built without a profile reaches hybrid_energy unchecked;
+        # a span charged at whichever mode came last would depend on order
+        trace = run_pipeline(sleep_profile([PowerSaveMode(0, 1e-6, 3.3)]), PipelineOptions(),
+                             TriggerSpec.duration(1.0)).trace
+        modes = [PowerSaveMode(0, current, 3.3) for current in currents]
+        with pytest.raises(ValueError, match="power-save mode 0 is declared twice"):
+            hybrid_energy(trace, modes)
 
     def test_preset_sleep_at_one_lsb_fails_when_the_profile_is_built(self, monkeypatch):
         monkeypatch.setitem(PRESETS, "cc2650",
@@ -345,9 +391,9 @@ class TestNoiseReach:
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_a_longer_run_starts_with_the_shorter(self, preset, bits):
         # the profile's streams are keyed too: 1 s of load, and its readings,
-        # are the first second of a 2 s run with the same seed and divider
-        # (left alone, the divider follows the peak of the whole profile)
-        options = PipelineOptions(resolution_bits=bits, seed=5, pga_divider=8)
+        # are the first second of a 2 s run with the same seed; both pick
+        # the divider of the workload's declared peak
+        options = PipelineOptions(resolution_bits=bits, seed=5)
         short = run_experiment(preset, 1, options, duration=1.0).trace
         longer = run_experiment(preset, 1, options, duration=2.0).trace
         n = len(short)
@@ -362,11 +408,10 @@ class TestNoiseReach:
     def test_window_energies_add_up(self, preset, bits, split, seed):
         # split a 2 s window at an instant t between two readings: its gated
         # energy is that of [0, t] and [t, T] plus the trapezoid straddling
-        # t, and the reference adds up over the same split (the divider is
-        # pinned as in the test above)
+        # t, and the reference adds up over the same split
         stop_ns = 2 * 10**9
         profile = generate_profile(preset, 1, seed=seed, duration=2.0)
-        options = PipelineOptions(resolution_bits=bits, seed=seed, pga_divider=8)
+        options = PipelineOptions(resolution_bits=bits, seed=seed)
         full = run_pipeline(profile, options, TriggerSpec(stop_ns=stop_ns))
         ts = full.trace.timestamps_ns
         k = min(int(split * (len(ts) - 1)), len(ts) - 2)
@@ -659,14 +704,18 @@ class TestStagesLeaveInputs:
 
     @pytest.mark.parametrize("squares", [False, True])
     def test_window_means(self, squares):
-        # both shapes of bounds: tiled boundaries and gapped rows
+        # both shapes of bounds: tiled boundaries and gapped rows; a supply
+        # profile integrates its parts, and the squares its merged form
         profile = generate_profile("rpi3", 1, seed=1, duration=0.5)
         grid_s = np.arange(0, 500) * 1e-3
+        parts = [*profile._currents, profile._supply]
+        if squares:
+            merged = profile._merged
+            parts += [merged._i, merged._v, merged._p, merged._i2]
         for bounds in (grid_s, np.stack([grid_s[1:] - 0.001, grid_s[1:]], axis=1)):
             assert_inputs_unchanged(
                 lambda b, *_: profile.window_means(b, 0.001, squares), bounds,
-                profile.edges, profile._cum_i, profile._cum_v, profile._cum_p,
-                profile._cum_i2)
+                *[array for part in parts for array in part])
 
     @pytest.mark.parametrize("noise", [0.0, 1e-3])
     @pytest.mark.parametrize("board", [SHIELD_BOARD, BREAKOUT_BOARD], ids=lambda b: b.name)
@@ -853,8 +902,8 @@ class TestTiledWindows:
         assert np.all(start_shift <= 4 * np.spacing(grid_s[1:]))
         eps = np.finfo(float).eps
         for k, (levels_k, cumulative) in enumerate([
-                (current, profile._cum_i), (current ** 2, profile._cum_i2),
-                (voltage, profile._cum_v)]):
+                (current, profile._i.cumulative), (current ** 2, profile._i2.cumulative),
+                (voltage, profile._v.cumulative)]):
             if k == 1 and not squares:
                 assert tiled[1] is None and gapped[1] is None
                 continue

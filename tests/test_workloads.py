@@ -5,9 +5,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from emeter.sampler import PowerSaveMode
+from emeter.bus_timing import BCM_PROFILE, OperatingPoint
+from emeter.experiment import schedule
+from emeter.sampler import PowerSaveMode, TriggerSpec
+from emeter.sensor import SensorConfig
 from emeter.workloads import (
     PRESETS,
+    WORKLOAD_STATES,
     LoadProfile,
     ReferenceMeter,
     constant_profile,
@@ -39,6 +43,11 @@ class TestExactEnergy:
         assert exact_energy(profile, (2.0, 7.0)) == pytest.approx(5.0)
         with pytest.raises(ValueError):
             exact_energy(profile, (0.0, 11.0))
+
+    def test_profile_time_starts_at_zero(self):
+        # exact_energy checks a window against [0, duration]
+        with pytest.raises(ValueError, match="edges must start at 0 s"):
+            LoadProfile(np.array([1.0, 2.0]), np.array([0.1]), np.array([5.0]))
 
     def test_random_profile_vs_fine_quadrature(self):
         # oracle: per-segment midpoint quadrature, ~1e7 points total
@@ -146,6 +155,44 @@ class TestGenerateProfile:
     def test_duration_must_be_finite_and_positive(self, duration):
         with pytest.raises(ValueError, match="duration must be finite and positive"):
             generate_profile("cc2650", 1, duration=duration)
+
+
+class TestParts:
+    """A preset's profile integrates its parts, and agrees with its merged
+    form to the rounding of the cumulative integrals."""
+
+    @pytest.mark.parametrize("bits", [12, 9])
+    @pytest.mark.parametrize("workload", [1, 3])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_parts_match_merged_form(self, preset, workload, bits):
+        profile = generate_profile(preset, workload, seed=3, duration=30.0)
+        merged = LoadProfile(profile.edges, profile.current, profile.voltage)
+        point = OperatingPoint(BCM_PROFILE, 2500, SensorConfig(resolution_bits=bits))
+        grid_s, _ = schedule(point, TriggerSpec.duration(30.0), 30 * 10**9)
+        window_s = point.window_s
+        for bounds in (grid_s, np.stack([grid_s[1:] - window_s, grid_s[1:]], axis=1)):
+            mean_i, _, mean_v = profile.window_means(bounds, window_s, False)
+            want_i, _, want_v = merged.window_means(bounds, window_s, False)
+            assert np.abs(mean_i - want_i).max() <= 1e-10
+            assert np.abs(mean_v - want_v).max() <= 1e-9
+        for window in (None, (0.0123, 30.0), (7.3e-3, 20.0), (1.1, 2.7)):
+            assert exact_energy(profile, window) == pytest.approx(
+                exact_energy(merged, window), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_STATES))
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_declared_peak_bounds_every_level(self, name, workload):
+        # the highest state level of the workload plus the ripple: no
+        # segment exceeds it, and over 30 s a ripple step near its top lands
+        # on that level
+        profile = generate_profile(name, workload, seed=3, duration=30.0)
+        headroom = profile.peak_current - profile.current.max()
+        assert 0.0 <= headroom <= 2 * PRESETS[name].activity_ripple_a
+
+    def test_general_profile_declares_its_largest_level(self):
+        profile = LoadProfile(np.array([0.0, 0.1, 0.3]), np.array([0.2, 0.05]),
+                              np.full(2, 5.0))
+        assert profile.peak_current == 0.2
 
 
 class TestProfileExact:
