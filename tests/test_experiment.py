@@ -470,27 +470,27 @@ class TestPipelineExact:
     # each 2 s workload-1 run, and over the file bytes of two buffered captures
     DIGESTS = {
         ("cc2650", 9, "bcm"):
-            "8e874965aad0cea717801518a0ce0db934003c9cf64a426310d0216c2e53223c",
+            "426da81468fe5ab330b0845b0a615d464a7e3ee9d57ed8c2f8b9e051606ba1d3",
         ("cc2650", 9, "linux"):
-            "fc37aab0181566733495c9dc0f111d44f7dea71a15cad6bc2c91e22871020c31",
+            "2082bf59e20ed8eb937a0eecf2cbe08e2c3330eadc4a09323b77e8901d17516e",
         ("cc2650", 12, "bcm"):
-            "5d4ccc47de52956ae3e0df03cb8449c0a0f486b894ddf5d084468088b5a64dc6",
+            "15df40621853eace55bf0992c120fb29dabeac5fa24aaf1620291db03ddb3d31",
         ("cc2650", 12, "linux"):
-            "b2ae832831a8f43a31bd55394b7c13fbffd7d6db77754790100108d03990d16f",
+            "eb847de55704df7dae0dd65673201998f3f6a6baca27855818a9860ddb2775c3",
         ("rpi3", 9, "bcm"):
-            "187b77483d26f1b0cd14c94d6147f852f99846f17d7f70bc353af2309f9381a1",
+            "14b9d3b9c31fc506ce14a74e29d3a40ddc763f249c7d0c8abb2fc973faf51ce5",
         ("rpi3", 9, "linux"):
-            "a6d65a21c56ce93efc761884a3aad12e31172a683a7f124d6151cde7308d2f0f",
+            "4c88833bad0135f087a5955cce010fad83e55485c2ea053720f483c07868929c",
         ("rpi3", 12, "bcm"):
-            "a2c3d29e6ff5015ceecd7a7598a5f8b3654cbce4708dc152daca36e0b1feb8b7",
+            "0dfa2ff8db44a025734d9da347bc9d700fb29a293d6f18fef523e54d5e5641d4",
         ("rpi3", 12, "linux"):
-            "d4d001635fbe4e205c0f60f34d3208f2f9271f74d01ebf509a12007323f67217",
+            "b93ae69928b69e6c42d77ce0d24484e8d602b8c182d064355882bf20f7552532",
     }
     FILE_DIGESTS = {
         "two_buffer":
-            "a581fe03e5fa585e6212807abb13d5dfb1b6fd372bea18749b01443770eeac1f",
+            "467a3a6900f9079c25fc0296062262df7f7f1d31ad711e7381be5631f5919598",
         "circular":
-            "e10d58014482469c64bb79ca70e04ad860eecb43006228c1898d083a8702eb27",
+            "02862fbc2380fb194cc5d18a46c6bdf3c457ca22b92b202c366db9835ebb48a6",
     }
 
     @staticmethod
