@@ -856,15 +856,16 @@ class TestTiledWindows:
 
     def test_gapped_point_readings_unchanged(self):
         # TestPipelineExact.digest of this run, recorded when every point took
-        # the two-lookup form and re-recorded only for the keyed noise
-        # streams; the breakout board also takes the i**2 path
+        # the two-lookup form and re-recorded for the keyed noise streams and
+        # for the declared peak's divider 2; the breakout board also takes
+        # the i**2 path
         options = PipelineOptions(resolution_bits=9, driver="linux", speed_khz=800,
                                   board="breakout", seed=11)
         assert ("linux", 800, 5.0, 9, False) in OPERATING_POINTS
         result = run_experiment("rpi3", 1, options, duration=0.5)
         assert len(result.trace) == 2262
         assert TestPipelineExact.digest(result) == (
-            "fb8ef1176ffefd4e2cbb52ade626d0d2988961bcc1f118e3c0a5f4460fb2ab12")
+            "25f6b100dc2d21b95e1d85166ec36da09c39d859be5d81f1af62c11684f6201f")
 
     @settings(max_examples=200, deadline=None)
     @given(point=st.sampled_from(TILED_POINTS),
