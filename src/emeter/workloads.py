@@ -366,7 +366,8 @@ class DeviceProfile(_Segments):
         return power[1] - power[0]
 
 
-def exact_energy(profile, window: Optional[tuple] = None) -> float:
+def exact_energy(profile: LoadProfile | DeviceProfile,
+                 window: Optional[tuple] = None) -> float:
     """Closed-form integral of power over ``window`` (default: whole profile)."""
     if window is None:
         t0, t1 = 0.0, profile.duration

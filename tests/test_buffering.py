@@ -116,6 +116,19 @@ class TestCircular:
         assert ts == sorted(ts)
         assert len(data) == 200 - stats.overruns
 
+    @pytest.mark.parametrize("kind", ["two_buffer", "circular"])
+    def test_strided_records_write_as_their_copy(self, kind):
+        # with nothing dropped the records reach the file unindexed, so a
+        # strided view must write the bytes of its contiguous copy
+        every_other = np.array(records_n(40), dtype=RECORD)[::2]
+        push_ns = (np.arange(20) + 1) * 1_000_000
+        outs = []
+        for records in (every_other, every_other.copy()):
+            outs.append(io.BytesIO())
+            stats = persist(outs[-1], HEADER, records, push_ns, BufferPolicy(kind, 4), 1e9)
+            assert stats.overruns == 0
+        assert outs[0].getvalue() == outs[1].getvalue()
+
     def test_policy_factory(self):
         # persist dispatches on the policy: only the two-buffer scheme flushes
         _, two = persist_all("two_buffer", 4, 1e9, records_n(10))
