@@ -21,7 +21,8 @@ where each sample's power is weighted by the time since its predecessor
 The load profile declares each sleep mode as a :class:`PowerSaveMode` in
 ``LoadProfile.power_save_modes`` and each sleep span in seconds, as
 ``(start_s, end_s, mode_index)`` in ``LoadProfile.power_save_intervals``;
-the profile refuses a span whose mode it does not declare.
+the profile refuses a span whose mode it does not declare, and two modes
+with one index (:func:`modes_by_index`, which :func:`hybrid_energy` applies too).
 ``run_pipeline`` rounds a span to a ``(start_ns, end_ns, mode_index)``
 interval, its form from then on: the samplers take it, and :class:`Trace`
 holds it, sorted, non-empty and overlapping no other span.  Both samplers
