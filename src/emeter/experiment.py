@@ -35,8 +35,10 @@ one ended, and the bounds are the window boundaries.  Elsewhere a gap
 separates the windows, and the bounds are one ``[start, end]`` row per
 window.  ``OPERATING_POINTS`` in ``tests/test_experiment.py`` lists which
 of the 28 supported points tile.  A profile's ``window_means`` integrates
-both forms, looking each cumulative integral up once per bound: once per
-window where they tile, twice where they do not.
+both forms, looking each part's cumulative integral up once per bound: once
+per window where they tile, twice where they do not.  Every profile is a
+:class:`~emeter.workloads.LoadProfile`: a preset's integrates its parts, and
+a general one its own segments.
 
 Unless the options give a PGA divider, a run takes the smallest whose full
 scale covers the profile's declared ``peak_current`` (see
@@ -90,7 +92,7 @@ from emeter.sensor import (
     SensorConfig,
 )
 from emeter.tracefile import TraceHeader, trace_to_records
-from emeter.workloads import DeviceProfile, LoadProfile, exact_energy, generate_profile
+from emeter.workloads import LoadProfile, exact_energy, generate_profile
 
 DEFAULT_CURRENT_NOISE_A = 20e-6
 DEFAULT_VOLTAGE_NOISE_V = 0.2e-3
@@ -288,7 +290,7 @@ def calibrate(calibration: Optional[CalibrationCurve], current, bus_v):
     return apply_current(calibration, current), apply_voltage(calibration, bus_v)
 
 
-def _readings(profile: LoadProfile | DeviceProfile, options: PipelineOptions,
+def _readings(profile: LoadProfile, options: PipelineOptions,
               board: BoardCharacter, point: OperatingPoint,
               calibration: Optional[CalibrationCurve], bounds_s):
     """Means over ``schedule``'s window bounds to calibrated readings,
@@ -301,7 +303,7 @@ def _readings(profile: LoadProfile | DeviceProfile, options: PipelineOptions,
     return (*calibrate(calibration, current, bus_v), saturated)
 
 
-def run_pipeline(profile: LoadProfile | DeviceProfile, options: PipelineOptions,
+def run_pipeline(profile: LoadProfile, options: PipelineOptions,
                  trigger: TriggerSpec,
                  calibration: Optional[CalibrationCurve] = None,
                  trace_fh=None) -> PipelineResult:

@@ -12,27 +12,30 @@ Voltage comes from a source model: a regulated supply holds the nominal
 voltage within a small ripple band, while a battery sags proportionally to
 the drawn current through a per-device source resistance.
 
-A preset's profile, a :class:`DeviceProfile`, keeps its regular parts, each
-a piecewise-constant signal on its own grid with its integral up to every
-grid point: the state part (the state dwells and the tx spikes), the
-activity-ripple part (uniform steps every 1.3 ms, on the presets that
-ripple) and, for a regulated supply, the supply part (the voltage, a square
-wave of 3.65 ms half periods).  The state part is assembled without a
-per-spike loop: one draw gives the spike offsets of every tx dwell, and
-array slots place the base and spike pieces.  A window's mean current is the
-sum of the current parts' integrals over it, and its mean voltage the supply
-part's; the reference energy evaluates the current at the half periods, where
-the voltage steps.  So a supply run integrates the parts and never merges
-their grids.
+A profile is one model: its current is the sum of its current parts, and its
+voltage is its voltage part, each part a piecewise-constant signal on its own
+grid with its integral up to every grid point.  A :class:`LoadProfile`, the
+general form for loads given as segments, has one current part and one
+voltage part on the same edges.  A preset's profile, a :class:`DeviceProfile`,
+has the state part (the state dwells and the tx spikes), the activity-ripple
+part (uniform steps every 1.3 ms, on the presets that ripple) and, for a
+regulated supply, the supply part as its voltage part (a square wave of
+3.65 ms half periods).  The state part is assembled without a per-spike
+loop: one draw gives the spike offsets of every tx dwell, and array slots
+place the base and spike pieces.  A window's mean current is the sum of the
+current parts' integrals over it, and its mean voltage the voltage part's;
+the integral of i*v is the sum, over the voltage part's segments, of each
+level times the current's integral across the segment.  So a supply run
+integrates the parts and never merges their grids.
 
 The merged form, ``edges``, ``current`` and ``voltage`` over the union of
-the grids, is built on first access: one merge splits the state pieces at
-the ripple steps and the half periods, giving each segment its state and
-step index on the way.  It serves the readers that need segments
+the grids, is a :class:`LoadProfile`, which is its own merged form.  A
+:class:`DeviceProfile` builds it on first access: one merge splits the state
+pieces at the ripple steps and the half periods, and each segment takes every
+part's level at its start.  It serves the readers that need segments
 (``current_at``, ``time_weighted_quantile``), and it integrates a battery
 source, whose voltage follows the current, and the squared current that a
-board with a quadratic term reads.  A :class:`LoadProfile` is the general
-piecewise-constant form, for loads given as segments.
+board with a quadratic term reads.
 
 Every profile declares the peak current a run picks its PGA divider for.  A
 preset's is the highest state level its workload cycles through (the spike
@@ -176,17 +179,81 @@ def _window_means(parts, bounds_s, window_s: float) -> np.ndarray:
     return total
 
 
-def _check_spans(power_save_intervals: list, power_save_modes: list) -> None:
-    """Refuse two modes with one index, and a span whose mode is not declared."""
-    declared = sorted(modes_by_index(power_save_modes))
-    for span in power_save_intervals:
-        if span[2] not in declared:
-            raise ValueError(f"power-save interval {span} names an undeclared "
-                             f"mode; the declared modes are {declared}")
+class LoadProfile:
+    """Piecewise-constant (current, voltage) signal with exact integrals.
 
+    ``edges`` has ``n+1`` breakpoints in seconds from 0; ``current``/``voltage``
+    hold the ``n`` segment levels, all finite.  They are the profile's one
+    current part and one voltage part, each with its cumulative integral
+    (that of i**2 on first use), so window means and energies reduce to exact
+    linear interpolation.  Where the model has several parts (module
+    docstring), ``_merged`` is the one-part form.
+    """
 
-class _Segments:
-    """Readers of a profile's segments: ``edges``, ``current``, ``voltage``."""
+    def __init__(self, edges: np.ndarray, current: np.ndarray,
+                 voltage: np.ndarray,
+                 power_save_intervals: Optional[list] = None,
+                 power_save_modes: Optional[list] = None):
+        edges = np.asarray(edges, dtype=float)
+        current = np.asarray(current, dtype=float)
+        voltage = np.asarray(voltage, dtype=float)
+        if edges.ndim != 1 or len(edges) != len(current) + 1:
+            raise ValueError("edges must have one more entry than levels")
+        if len(voltage) != len(current):
+            raise ValueError("current and voltage level counts differ")
+        for name, values in (("edges", edges), ("current", current), ("voltage", voltage)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
+        if np.any(np.diff(edges) <= 0):
+            raise ValueError("edges must be strictly increasing")
+        if edges[0] != 0.0:
+            raise ValueError("edges must start at 0 s")
+        self._hold(float(edges[-1]), (_Part.of(edges, current),), _Part.of(edges, voltage),
+                   float(current.max()), power_save_intervals or [],
+                   power_save_modes or [])
+
+    def _hold(self, duration: float, currents: tuple, voltage: Optional[_Part],
+              peak_current: float, power_save_intervals: list,
+              power_save_modes: list) -> None:
+        """Hold the parts, refusing two modes with one index and a span whose
+        mode is not declared."""
+        declared = sorted(modes_by_index(power_save_modes))
+        for span in power_save_intervals:
+            if span[2] not in declared:
+                raise ValueError(f"power-save interval {span} names an undeclared "
+                                 f"mode; the declared modes are {declared}")
+        self.duration = duration
+        #: the current a run picks its PGA divider for (module docstring)
+        self.peak_current = peak_current
+        #: (t_start, t_end, mode_index) sleep intervals, seconds
+        self.power_save_intervals = power_save_intervals
+        #: the declared :class:`~emeter.sampler.PowerSaveMode` of every interval
+        self.power_save_modes = power_save_modes
+        self._currents = currents
+        self._voltage = voltage
+
+    @property
+    def _merged(self) -> "LoadProfile":
+        # a property, not a stored self: a reference cycle would hold every
+        # profile's arrays until the garbage collector ran
+        return self
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self._merged._voltage.edges
+
+    @property
+    def current(self) -> np.ndarray:
+        return self._merged._currents[0].levels
+
+    @property
+    def voltage(self) -> np.ndarray:
+        return self._merged._voltage.levels
+
+    @cached_property
+    def _i2(self) -> _Part:
+        # read only for a board whose error model has a quadratic term
+        return _Part.of(self.edges, self.current ** 2)
 
     def current_at(self, t):
         return self.current[_segment_of(self.edges, t)]
@@ -203,60 +270,10 @@ class _Segments:
         pos = min(pos, len(order) - 1)
         return float(self.current[order][pos])
 
-
-class LoadProfile(_Segments):
-    """Piecewise-constant (current, voltage) signal with exact integrals.
-
-    ``edges`` has ``n+1`` breakpoints in seconds from 0; ``current``/``voltage``
-    hold the ``n`` segment levels.  Cumulative integrals of i, v and i*v
-    are precomputed at the breakpoints (that of i**2 on first use), so window
-    means and energies reduce to exact linear interpolation.
-    """
-
-    def __init__(self, edges: np.ndarray, current: np.ndarray,
-                 voltage: np.ndarray,
-                 power_save_intervals: Optional[list] = None,
-                 power_save_modes: Optional[list] = None):
-        edges = np.asarray(edges, dtype=float)
-        current = np.asarray(current, dtype=float)
-        voltage = np.asarray(voltage, dtype=float)
-        if edges.ndim != 1 or len(edges) != len(current) + 1:
-            raise ValueError("edges must have one more entry than levels")
-        if len(voltage) != len(current):
-            raise ValueError("current and voltage level counts differ")
-        if np.any(np.diff(edges) <= 0):
-            raise ValueError("edges must be strictly increasing")
-        if edges[0] != 0.0:
-            raise ValueError("edges must start at 0 s")
-        self.edges = edges
-        self.current = current
-        self.voltage = voltage
-        #: (t_start, t_end, mode_index) sleep intervals, seconds
-        self.power_save_intervals = power_save_intervals or []
-        #: the declared :class:`~emeter.sampler.PowerSaveMode` of every interval
-        self.power_save_modes = power_save_modes or []
-        _check_spans(self.power_save_intervals, self.power_save_modes)
-        self._i = _Part.of(edges, current)
-        self._v = _Part.of(edges, voltage)
-        self._p = _Part.of(edges, current * voltage)
-
-    @cached_property
-    def _i2(self) -> _Part:
-        # read only for a board whose error model has a quadratic term
-        return _Part.of(self.edges, self.current ** 2)
-
-    @property
-    def duration(self) -> float:
-        return float(self.edges[-1])
-
-    @property
-    def peak_current(self) -> float:
-        """The current a run picks its PGA divider for: the largest level."""
-        return float(self.current.max())
-
     def window_means(self, bounds_s, window_s: float, squares: bool):
         """Mean current, mean current squared (None unless ``squares``) and
-        mean voltage over windows ``window_s`` long.
+        mean voltage over windows ``window_s`` long: from the parts, or from
+        the merged form for the squares and where there is no voltage part.
 
         ``bounds_s`` takes one of two shapes.  For windows that tile it holds
         the n + 1 boundaries, window k being ``[bounds_s[k], bounds_s[k + 1])``;
@@ -264,110 +281,72 @@ class LoadProfile(_Segments):
         cumulative integral is looked up once per bound and differenced along
         the last axis: one lookup per window where they tile, two elsewhere.
         """
-        return (_window_means((self._i,), bounds_s, window_s),
-                _window_means((self._i2,), bounds_s, window_s) if squares else None,
-                _window_means((self._v,), bounds_s, window_s))
-
-    def integral_power(self, t0: float, t1: float):
-        return np.diff(self._p.integral((t0, t1)))[0]
-
-
-class DeviceProfile(_Segments):
-    """A preset's profile as the sum of its parts (module docstring).
-
-    The current is the state part plus, where the preset ripples, the ripple
-    part; ``supply`` is the voltage's part, or None for a battery source.
-    ``edges``, ``current`` and ``voltage`` are the merged form, built on
-    first access and then integrated in place of the parts for a battery
-    source and for the squared current.
-    """
-
-    def __init__(self, preset: DevicePreset, duration: float, state: _Part,
-                 ripple: Optional[_Part], supply: Optional[_Part],
-                 peak_current: float, power_save_intervals: list,
-                 power_save_modes: list):
-        _check_spans(power_save_intervals, power_save_modes)
-        self._preset = preset
-        self.duration = float(duration)
-        self.peak_current = peak_current
-        self.power_save_intervals = power_save_intervals
-        self.power_save_modes = power_save_modes
-        self._currents = (state,) if ripple is None else (state, ripple)
-        self._supply = supply
-
-    @cached_property
-    def _merged(self) -> LoadProfile:
-        # Every grid point lies in [0, duration) and the state edges hold
-        # both ends, so the union needs no clipping.  A segment takes its
-        # state and step from the last breakpoint of each grid at or before
-        # its start.  A midpoint lookup would differ only for a one-ulp
-        # segment ending on a state or step breakpoint; these grids' one-ulp
-        # segments all end on a supply half period (checked up to 3600 s).
-        state, *ripple = self._currents
-        grids = [state.edges] + [part.edges[:-1] for part in ripple]
-        if self._supply is not None:
-            grids.append(self._supply.edges[:-1])
-        edges, index = _merge(grids, len(self._currents))
-        current = state.levels[index[0][:-1]]
-        if ripple:
-            # zero-mean uniform activity steps on top of the state levels
-            current += ripple[0].levels[index[1][:-1]]
-        preset = self._preset
-        if self._supply is None:
-            voltage = preset.nominal_voltage - preset.battery_resistance * current
-        else:
-            # regulated supply: square ripple of +-band/2, in phase
-            # floor(mid / half period) % 2 (mid >= 0, so truncating floors)
-            half = SUPPLY_RIPPLE_BAND_V / 2.0
-            mid = (edges[:-1] + edges[1:]) / 2.0
-            phase = (mid / (SUPPLY_RIPPLE_PERIOD_S / 2.0)).astype(int) & 1
-            voltage = (preset.nominal_voltage + np.array([half, -half]))[phase]
-        return LoadProfile(edges, current, voltage)
-
-    @property
-    def edges(self) -> np.ndarray:
-        return self._merged.edges
-
-    @property
-    def current(self) -> np.ndarray:
-        return self._merged.current
-
-    @property
-    def voltage(self) -> np.ndarray:
-        return self._merged.voltage
-
-    def window_means(self, bounds_s, window_s: float, squares: bool):
-        """:meth:`LoadProfile.window_means`, from the parts on a supply."""
-        if squares or self._supply is None:
-            return self._merged.window_means(bounds_s, window_s, squares)
-        return (_window_means(self._currents, bounds_s, window_s), None,
-                _window_means((self._supply,), bounds_s, window_s))
+        source = self._merged if squares or self._voltage is None else self
+        return (_window_means(source._currents, bounds_s, window_s),
+                _window_means((source._i2,), bounds_s, window_s) if squares else None,
+                _window_means((source._voltage,), bounds_s, window_s))
 
     def _current_integral(self, t):
         return sum(part.integral(t) for part in self._currents)
 
     @cached_property
     def _power(self) -> tuple:
-        """The current's integral I(g) at the half-period edges g, and the
-        power's, the sum of each half period's v times its rise of I."""
-        at = self._current_integral(self._supply.edges)
-        return at, np.concatenate([[0.0], np.cumsum(self._supply.levels * np.diff(at))])
+        """The current's integral I(g) at the voltage part's edges g, and the
+        power's, the sum of each voltage segment's level times its rise of I."""
+        at = self._current_integral(self._voltage.edges)
+        return at, np.concatenate([[0.0], np.cumsum(self._voltage.levels * np.diff(at))])
 
     def integral_power(self, t0: float, t1: float):
-        """The integral of i*v over ``[t0, t1]``: on a supply, the power's
-        integral at the half-period edge g before t plus the voltage there
-        times the current's integral from g to t."""
-        if self._supply is None:
-            return self._merged.integral_power(t0, t1)
-        at, cumulative = self._power
+        """The integral of i*v over ``[t0, t1]``: the power's integral at the
+        voltage edge g before t plus the voltage there times the current's
+        integral from g to t, on the merged form where there is no voltage
+        part."""
+        source = self._merged if self._voltage is None else self
+        at, cumulative = source._power
         t = np.array((t0, t1))
-        k = _segment_of(self._supply.edges, t)
-        power = cumulative[k] + self._supply.levels[k] * (self._current_integral(t) - at[k])
+        k = _segment_of(source._voltage.edges, t)
+        power = (cumulative[k]
+                 + source._voltage.levels[k] * (source._current_integral(t) - at[k]))
         return power[1] - power[0]
 
 
-def exact_energy(profile: LoadProfile | DeviceProfile,
-                 window: Optional[tuple] = None) -> float:
+class DeviceProfile(LoadProfile):
+    """A preset's profile as the sum of its parts (module docstring).
+
+    The current parts are the state part and, where the preset ripples, the
+    ripple part; the voltage part is the supply's, or None for a battery
+    source, whose voltage the merge derives from the current.  The merged
+    form is built on first access.
+    """
+
+    def __init__(self, preset: DevicePreset, duration: float, state: _Part,
+                 ripple: Optional[_Part], supply: Optional[_Part],
+                 peak_current: float, power_save_intervals: list,
+                 power_save_modes: list):
+        self._preset = preset
+        self._hold(float(duration), (state,) if ripple is None else (state, ripple),
+                   supply, peak_current, power_save_intervals, power_save_modes)
+
+    @cached_property
+    def _merged(self) -> LoadProfile:
+        # Every grid point lies in [0, duration] and every grid holds both
+        # ends, so the union needs no clipping.  A segment takes each part's
+        # level at the last breakpoint of its grid at or before its start.
+        parts = self._currents if self._voltage is None else (*self._currents, self._voltage)
+        edges, index = _merge([part.edges for part in parts])
+        levels = [part.levels[k[:-1]] for part, k in zip(parts, index)]
+        current = levels[0]
+        if len(self._currents) > 1:
+            # zero-mean uniform activity steps on top of the state levels
+            current += levels[1]
+        if self._voltage is not None:
+            return LoadProfile(edges, current, levels[-1])
+        preset = self._preset
+        return LoadProfile(edges, current,
+                           preset.nominal_voltage - preset.battery_resistance * current)
+
+
+def exact_energy(profile: LoadProfile, window: Optional[tuple] = None) -> float:
     """Closed-form integral of power over ``window`` (default: whole profile)."""
     if window is None:
         t0, t1 = 0.0, profile.duration
@@ -425,16 +404,16 @@ def _state_pieces(t0: np.ndarray, dwell: np.ndarray, level: np.ndarray,
     return starts[piece], levels[piece]
 
 
-def _merge(grids: list, indexed: int) -> tuple:
-    """Sorted union of the sorted ``grids``; for each of the first ``indexed``
-    grids, the index of its last point at or before each union point."""
+def _merge(grids: list) -> tuple:
+    """Sorted union of the sorted ``grids``; for each grid, the index of its
+    last point at or before each union point."""
     points = np.concatenate(grids)
     order = np.argsort(points, kind="stable")
     points = points[order]
     last = np.append(points[1:] != points[:-1], True)  # last of equal points
     bounds = np.cumsum([0] + [len(g) for g in grids])
     return points[last], [np.cumsum((order >= lo) & (order < hi))[last] - 1
-                          for lo, hi in zip(bounds, bounds[1:indexed + 1])]
+                          for lo, hi in zip(bounds, bounds[1:])]
 
 
 RIPPLE_PIECE_S = 1.3e-3

@@ -324,6 +324,34 @@ def board_input(board, sensed):
     return mean_i, mean_i * mean_i if board.current_quad else None
 
 
+def assert_far_readings_keep_count(config, board, channel, sigma, targets, z):
+    """Through the quantizers' own expressions: a reading at ``targets``
+    counts that the pipeline classifies far gets the same count and
+    saturation flag from every draw the clip lets through, so it need not
+    draw; the noisy count is monotone in the draw, so the two ends and the
+    draw ``z`` between them check the whole range."""
+    per_unit = channel.scale * channel.per
+    reach = REACH * sigma * per_unit + REACH_SLACK_COUNTS
+    floor = 0.0 if channel is config.shunt else None
+    if channel is config.shunt:
+        mean_i, mean_i2 = board_input(board, targets / per_unit)
+        sensed = sense(board, mean_i, mean_i2, targets)[0]
+    else:
+        squares = targets ** 2 if board.current_quad else None
+        sensed = sense(board, targets, squares, targets / per_unit)[1]
+    raw = channel.counts(sensed if floor is None else np.maximum(sensed, floor))
+    far = np.ones(len(raw), dtype=bool)
+    far[_near(raw, reach)] = False
+    clean, clean_saturated = channel.floor(raw)
+    for z in (-REACH, REACH, z):
+        noisy = z * sigma + sensed
+        if floor is not None:
+            noisy = np.maximum(noisy, floor)
+        readings, saturated = channel.floor(channel.counts(noisy))
+        assert readings[far].tobytes() == clean[far].tobytes(), (channel, z)
+        assert np.array_equal(saturated[far], clean_saturated[far]), (channel, z)
+
+
 class TestNoiseReach:
     """Noise is drawn only for readings it can move, from one keyed stream
     per channel, so a reading depends on its seed and its conversion only."""
@@ -335,14 +363,9 @@ class TestNoiseReach:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_far_reading_keeps_count_for_every_draw(self, bits, divider, board, data):
-        # through the quantizers' own expressions: a reading the pipeline
-        # classifies far gets the same count and saturation flag from every
-        # draw the clip lets through, so it need not draw; the noisy count is
-        # monotone in the draw, so the two ends and a draw between them check
-        # the whole range
         config = SensorConfig(pga_divider=divider, resolution_bits=bits)
         top = 3 * config.max_count
-        for channel, floor in ((config.shunt, 0.0), (config.bus, None)):
+        for channel in (config.shunt, config.bus):
             per_unit = channel.scale * channel.per
             # a reach below half a count, where some readings are far
             sigma = data.draw(st.floats(1e-6, 0.49)) / (REACH * per_unit)
@@ -352,23 +375,27 @@ class TestNoiseReach:
                              st.floats(0.0, 1e-9))
             targets = np.array(data.draw(st.lists(st.one_of(st.floats(-top, top), edge),
                                                   min_size=1, max_size=40)))
-            if channel is config.shunt:
-                mean_i, mean_i2 = board_input(board, targets / per_unit)
-                sensed = sense(board, mean_i, mean_i2, targets)[0]
-            else:
-                squares = targets ** 2 if board.current_quad else None
-                sensed = sense(board, targets, squares, targets / per_unit)[1]
-            raw = channel.counts(sensed if floor is None else np.maximum(sensed, floor))
-            far = np.ones(len(raw), dtype=bool)
-            far[_near(raw, reach)] = False
-            clean, clean_saturated = channel.floor(raw)
-            for z in (-REACH, REACH, data.draw(st.floats(-REACH, REACH))):
-                noisy = z * sigma + sensed
-                if floor is not None:
-                    noisy = np.maximum(noisy, floor)
-                readings, saturated = channel.floor(channel.counts(noisy))
-                assert readings[far].tobytes() == clean[far].tobytes(), (channel, z)
-                assert np.array_equal(saturated[far], clean_saturated[far]), (channel, z)
+            assert_far_readings_keep_count(config, board, channel, sigma, targets,
+                                           data.draw(st.floats(-REACH, REACH)))
+
+    @pytest.mark.parametrize("bits,divider,board,channel,fraction,boundary", [
+        (9, 1, "ideal", "shunt", 0.375, 22),
+        (9, 1, "ideal", "bus", 0.1, 2),
+        (12, 8, "ideal", "bus", 0.1, 2),
+        (12, 8, "shield", "shunt", 0.1, 3),
+        (9, 8, "breakout", "shunt", 0.375, 34),
+    ])
+    def test_reading_a_reach_below_a_boundary_keeps_count(self, bits, divider, board,
+                                                           channel, fraction, boundary):
+        # readings the test above draws only now and then: a reach of
+        # ``fraction`` counts below a boundary, where the quantizer's
+        # rounding carries a draw at +-REACH across it unless the reach
+        # holds REACH_SLACK_COUNTS
+        config = SensorConfig(pga_divider=divider, resolution_bits=bits)
+        channel = getattr(config, channel)
+        sigma = fraction / (REACH * channel.scale * channel.per)
+        assert_far_readings_keep_count(config, BOARDS[board], channel, sigma,
+                                       np.array([boundary - fraction]), 0.0)
 
     @pytest.mark.parametrize("bits", VALID_RESOLUTIONS)
     @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -708,10 +735,10 @@ class TestStagesLeaveInputs:
         # profile integrates its parts, and the squares its merged form
         profile = generate_profile("rpi3", 1, seed=1, duration=0.5)
         grid_s = np.arange(0, 500) * 1e-3
-        parts = [*profile._currents, profile._supply]
+        parts = [*profile._currents, profile._voltage]
         if squares:
             merged = profile._merged
-            parts += [merged._i, merged._v, merged._p, merged._i2]
+            parts += [*merged._currents, merged._voltage, merged._i2]
         for bounds in (grid_s, np.stack([grid_s[1:] - 0.001, grid_s[1:]], axis=1)):
             assert_inputs_unchanged(
                 lambda b, *_: profile.window_means(b, 0.001, squares), bounds,
@@ -903,8 +930,9 @@ class TestTiledWindows:
         assert np.all(start_shift <= 4 * np.spacing(grid_s[1:]))
         eps = np.finfo(float).eps
         for k, (levels_k, cumulative) in enumerate([
-                (current, profile._i.cumulative), (current ** 2, profile._i2.cumulative),
-                (voltage, profile._v.cumulative)]):
+                (current, profile._currents[0].cumulative),
+                (current ** 2, profile._i2.cumulative),
+                (voltage, profile._voltage.cumulative)]):
             if k == 1 and not squares:
                 assert tiled[1] is None and gapped[1] is None
                 continue

@@ -1,9 +1,12 @@
 """Load profiles, device presets and the reference meter oracle."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emeter.bus_timing import BCM_PROFILE, OperatingPoint
 from emeter.experiment import schedule
@@ -48,6 +51,50 @@ class TestExactEnergy:
         # exact_energy checks a window against [0, duration]
         with pytest.raises(ValueError, match="edges must start at 0 s"):
             LoadProfile(np.array([1.0, 2.0]), np.array([0.1]), np.array([5.0]))
+
+    @pytest.mark.parametrize("edges,current,voltage,name", [
+        ([0.0, math.nan, 2.0], [0.1, 0.1], [5.0, 5.0], "edges"),
+        ([0.0, math.inf], [0.1], [5.0], "edges"),
+        ([0.0, 1.0], [math.nan], [5.0], "current"),
+        ([0.0, 1.0], [-math.inf], [5.0], "current"),
+        ([0.0, 1.0], [0.1], [math.nan], "voltage"),
+    ], ids=["nan-edge", "inf-last-edge", "nan-current", "inf-current", "nan-voltage"])
+    def test_non_finite_input_is_refused(self, edges, current, voltage, name):
+        # a NaN edge passes the increasing check, an inf last edge makes the
+        # duration inf, and a NaN level gave a run a NaN device energy
+        # reported as a complete run with 0.0 % error
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            LoadProfile(np.array(edges), np.array(current), np.array(voltage))
+
+    @settings(max_examples=200, deadline=None)
+    @given(duration=st.floats(1e-3, 1e3),
+           cuts=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                         max_size=30),
+           levels=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(3.0, 5.5)),
+                           min_size=31, max_size=31),
+           window=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    @example(duration=1.0, cuts=[0.5], levels=[(0.5, 5.0), (0.25, 3.0)] * 15 + [(0.1, 4.0)],
+             window=(0.0, 1.0))
+    def test_energy_is_the_sum_over_segments(self, duration, cuts, levels, window):
+        # oracle: each segment's i * v times its overlap with the window,
+        # summed; the integrator's rounding is relative to the energy up to
+        # the window's end, as it differences cumulative integrals, and
+        # absolute below the smallest normal float, where products lose
+        # their relative precision
+        edges = np.unique(np.concatenate([[0.0, duration], np.array(cuts) * duration]))
+        current, voltage = np.array(levels[:len(edges) - 1]).T
+        profile = LoadProfile(edges, current, voltage)
+        t0, t1 = sorted(window)
+        t0, t1 = t0 * duration, t1 * duration
+
+        def overlap(lo, hi):
+            return np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0, None)
+
+        power = current * voltage
+        want = float(np.sum(power * overlap(t0, t1)))
+        scale = float(np.sum(power * overlap(0.0, t1)))
+        assert abs(exact_energy(profile, (t0, t1)) - want) <= (
+            1e-12 * scale + np.finfo(float).tiny)
 
     def test_random_profile_vs_fine_quadrature(self):
         # oracle: per-segment midpoint quadrature, ~1e7 points total
@@ -178,6 +225,34 @@ class TestParts:
         for window in (None, (0.0123, 30.0), (7.3e-3, 20.0), (1.1, 2.7)):
             assert exact_energy(profile, window) == pytest.approx(
                 exact_energy(merged, window), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("source", ["supply", "battery"])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_merged_segments_carry_their_parts_levels(self, name, source):
+        # bit for bit: the merged grid is the union of the parts' grids, and
+        # each segment holds every part's level at its start, the state plus
+        # ripple current, and the supply voltage or the battery's sag
+        profile = generate_profile(name, 1, seed=3, duration=30.0, source=source)
+        parts = [*profile._currents] + ([profile._voltage] if source == "supply" else [])
+        union = parts[0].edges
+        for part in parts[1:]:
+            union = np.union1d(union, part.edges)
+        assert profile.edges.tobytes() == union.tobytes()
+        starts = profile.edges[:-1]
+
+        def at_start(part):
+            return part.levels[np.searchsorted(part.edges, starts, side="right") - 1]
+
+        current = at_start(profile._currents[0])
+        for part in profile._currents[1:]:
+            current = current + at_start(part)
+        assert profile.current.tobytes() == current.tobytes()
+        if source == "supply":
+            voltage = at_start(profile._voltage)
+        else:
+            preset = PRESETS[name]
+            voltage = preset.nominal_voltage - preset.battery_resistance * current
+        assert profile.voltage.tobytes() == voltage.tobytes()
 
     @pytest.mark.parametrize("workload", sorted(WORKLOAD_STATES))
     @pytest.mark.parametrize("name", sorted(PRESETS))
