@@ -42,8 +42,8 @@ class Mutant(NamedTuple):
 MUTANTS = [
     Mutant("a profile takes a span whose mode it does not declare",
            "src/emeter/workloads.py",
-           "        if span[2] not in declared:\n",
-           "        if False:\n",
+           "            if span[2] not in declared:\n",
+           "            if False:\n",
            ("tests/test_experiment.py::TestDeclaredSleep::"
             "test_span_it_cannot_charge_fails_when_built[undeclared-mode]",
             "tests/test_experiment.py::TestDeclaredSleep::"
@@ -119,16 +119,27 @@ MUTANTS = [
             "test_span_it_cannot_charge_fails_when_built[mode-twice]",
             "tests/test_experiment.py::TestDeclaredSleep::"
             "test_hybrid_energy_refuses_a_mode_declared_twice[currents0]")),
-    Mutant("the window means leave out the ripple part",
+    Mutant("a supply run's window means leave out the ripple part",
            "src/emeter/workloads.py",
-           "        return (_window_means(self._currents, bounds_s, window_s), None,\n",
-           "        return (_window_means(self._currents[:1], bounds_s, window_s), None,\n",
+           "        return (_window_means(source._currents, bounds_s, window_s),\n",
+           "        return (_window_means(source._currents[:1], bounds_s, window_s),\n",
            ("tests/test_workloads.py::TestParts::test_parts_match_merged_form[rpi3-1-12]",)),
     Mutant("the supply part's phase is flipped",
            "src/emeter/workloads.py",
            "(preset.nominal_voltage + np.array([half, -half]))[np.arange(len(grid)) & 1]",
            "(preset.nominal_voltage + np.array([-half, half]))[np.arange(len(grid)) & 1]",
-           ("tests/test_workloads.py::TestParts::test_parts_match_merged_form[rpi3-1-12]",)),
+           ("tests/test_workloads.py::TestProfileExact::"
+            "test_profile_matches_recorded_digest[rpi3-1]",)),
+    Mutant("the power's integral takes each voltage level after its segment",
+           "src/emeter/workloads.py",
+           "np.cumsum(self._voltage.levels * np.diff(at))",
+           "np.cumsum(np.roll(self._voltage.levels, -1) * np.diff(at))",
+           ("tests/test_workloads.py::TestExactEnergy::test_energy_is_the_sum_over_segments",)),
+    Mutant("the reference integral starts 1 us late",
+           "src/emeter/workloads.py",
+           "    return float(profile.integral_power(t0, t1))\n",
+           "    return float(profile.integral_power(t0 + 1e-6, t1))\n",
+           ("tests/test_experiment.py::TestNoiseReach::test_window_energies_add_up[rpi3-9]",)),
     Mutant("the declared peak leaves out the ripple",
            "src/emeter/workloads.py",
            "max(top[s] for s in states) + preset.activity_ripple_a,",
@@ -145,9 +156,21 @@ MUTANTS = [
            "REACH_SLACK_COUNTS = 2.0 ** -20\n",
            "REACH_SLACK_COUNTS = 0.0\n",
            tuple("tests/test_experiment.py::TestNoiseReach::"
-                 f"test_far_reading_keeps_count_for_every_draw[{case}]"
-                 for case in ("9-1-ideal", "9-8-ideal", "12-8-ideal", "9-1-shield",
-                              "12-8-shield"))),
+                 f"test_reading_a_reach_below_a_boundary_keeps_count[{case}]"
+                 for case in ("9-1-ideal-shunt-0.375-22", "9-1-ideal-bus-0.1-2",
+                              "12-8-ideal-bus-0.1-2", "12-8-shield-shunt-0.1-3",
+                              "9-8-breakout-shunt-0.375-34"))),
+    Mutant("every reading draws, near a count boundary or not",
+           "src/emeter/experiment.py",
+           "    if sigma > 0 and reach >= 0.5:\n",
+           "    if sigma > 0:\n",
+           ("tests/test_experiment.py::TestStages::"
+            "test_convert_draws_keyed_streams_at_near_readings[9-1]",)),
+    Mutant("the warm-up flag counts from the window's first reading, not the run's",
+           "src/emeter/sampler.py",
+           "flags[:max(DEFAULT_WARMUP_SAMPLES - lo, 0)] |= FLAG_WARMUP",
+           "flags[:DEFAULT_WARMUP_SAMPLES] |= FLAG_WARMUP",
+           ("tests/test_experiment.py::TestNoiseReach::test_window_energies_add_up[rpi3-9]",)),
     Mutant("the bus draws from the current's stream",
            "src/emeter/experiment.py",
            "                            [options.seed, 1])\n",
@@ -158,6 +181,16 @@ MUTANTS = [
            "src/emeter/tracefile.py",
            "np.minimum(values, group + 10_000)",
            "np.minimum(values, group + 9_999)",
+           ("tests/test_tracefile.py::test_export_csv_equals_per_row_oracle",)),
+    Mutant("a CSV value's lowest group prints 0 as blank",
+           "src/emeter/tracefile.py",
+           '_LOWEST_GROUP[0] = np.frombuffer(b"   0", dtype="<u4")[0]',
+           '_LOWEST_GROUP[0] = np.frombuffer(b"    ", dtype="<u4")[0]',
+           ("tests/test_tracefile.py::test_export_csv_equals_per_row_oracle",)),
+    Mutant("a CSV column has a group too few for a value of 4k + 1 digits",
+           "src/emeter/tracefile.py",
+           "return (len(str(int(values.max(initial=0)))) + 3) // 4",
+           "return (len(str(int(values.max(initial=0)))) + 2) // 4",
            ("tests/test_tracefile.py::test_export_csv_equals_per_row_oracle",)),
 ]
 

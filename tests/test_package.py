@@ -5,6 +5,8 @@ import re
 from collections import Counter
 from pathlib import Path
 
+from mutants import MUTANTS
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE_DIRS = ("src", "tests", "demos", "perfbench")
 
@@ -216,3 +218,32 @@ def test_benchmark_workloads_run(tmp_path, monkeypatch):
         for op in (ops[0], ops[-1]):
             outcome = bench.inspect(op, bench.run(op), full=True)
             assert outcome.problem == "" and outcome.samples > 0, (bench.name, op)
+
+
+def _defines(path: Path, names: list) -> bool:
+    """Whether ``path`` defines the test ``names``: a function, or a class
+    and one of its methods."""
+    body = ast.parse(path.read_text()).body
+    for name in names:
+        node = next((n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                     and n.name == name), None)
+        if node is None:
+            return False
+        body = node.body
+    return True
+
+
+def test_every_mutant_row_applies():
+    # tests/mutants.py takes about a minute, so tier-1 checks its table: a
+    # change that moves a row's old text, or renames or moves a test a row
+    # names, fails here and not only when the script runs
+    stale = []
+    for m in MUTANTS:
+        count = (ROOT / m.path).read_text().count(m.old)
+        if count != 1:
+            stale.append(f"{m.why}: the old text occurs {count} times in {m.path}")
+        for node in m.nodes:
+            path, *names = node.split("[")[0].split("::")
+            if not ((ROOT / path).is_file() and _defines(ROOT / path, names)):
+                stale.append(f"{m.why}: no test {node}")
+    assert stale == []
