@@ -5,7 +5,9 @@
 :func:`sense` (the board transfer), :func:`convert` (each channel's noise
 and quantization) and :func:`calibrate`, then
 :func:`~emeter.sampler.build_trace`, persistence, the energies, the
-reference and the report.
+reference and the report.  ``_readings`` runs the stages from the window
+means to the quantization as one chain per channel, each starting with the
+one-count check below, and then the calibration.
 
 Each channel adds Gaussian noise of its own sigma to the sensed value before
 the chip quantizes it, through the :class:`~emeter.sensor.Channel` the chip
@@ -23,9 +25,26 @@ stream layout depends on which readings draw, not the noise model.  A
 reading therefore depends on its seed and its conversion alone, and moving
 the stop leaves every earlier reading as it was.  Where the reach covers
 half a count every reading draws, in order, with no classification pass:
-the bus and the current at every 12-bit run with divider up to 4.  At 9 bit
-one bus count is 156 sigma and one shunt count 39 sigma times the divider,
-so the 30 s runs of workload 1 on the five presets skip 78 % of the draws.
+the bus and the current at every 12-bit run with divider up to 4.
+
+The third case is a channel whose whole range is one count beyond the
+reach: no reading draws, and it reads that count with no window means and
+no draws.  Its chain checks this first.  The lowest and highest level of
+the part whose means the channel would integrate
+(``LoadProfile.current_range`` and ``voltage_range``), widened by the
+rounding bound of the computed means (beside :data:`REACH_SLACK_COUNTS`),
+go through the board transfer and the quantizer's expressions.  Rounding
+keeps the order of values, so every reading's pre-floor count lies between
+those of the two ends.  Where both lie inside one count and farther than
+the reach from both its boundaries, every reading is that count and its
+flag, filled: no window means, no classification, no generator created.
+Elsewhere the chain runs the stages unchanged.  The breakout board's
+squared current has no cheap range, so its current always runs them.  At 9
+bit one bus count is 156 sigma and one shunt count 39 sigma times the
+divider.  A regulated supply's 2 mV band reads as one bus count at every
+9-bit point, at least 0.065 count beyond the reach, so the 30 s runs of
+workload 1 on the five presets skip 78 % of the draws: every bus reading,
+with its window means, and 56 % of the current's.
 
 :func:`schedule` decides where the conversion windows lie.  They tile
 where the operating point's sample period is the conversion time itself
@@ -34,9 +53,10 @@ polling loop keeps up with the chip: each window starts where the previous
 one ended, and the bounds are the window boundaries.  Elsewhere a gap
 separates the windows, and the bounds are one ``[start, end]`` row per
 window.  ``OPERATING_POINTS`` in ``tests/test_experiment.py`` lists which
-of the 28 supported points tile.  A profile's ``window_means`` integrates
-both forms, looking each part's cumulative integral up once per bound: once
-per window where they tile, twice where they do not.  Every profile is a
+of the 28 supported points tile.  A profile's ``current_means`` and
+``voltage_means`` integrate both forms, looking each part's cumulative
+integral up once per bound: once per window where they tile, twice where
+they do not.  Every window lies inside ``[0, duration]``.  Every profile is a
 :class:`~emeter.workloads.LoadProfile`: a preset's integrates its parts, and
 a general one its own segments.
 
@@ -49,12 +69,13 @@ A stage allocates only the arrays it returns and does its arithmetic in
 place on arrays it allocated itself; it never writes to its inputs.  A 30 s
 run at 9 bit has ~143k readings, so each full-length array is 1.1 MB, and
 whenever the allocator has trimmed the heap between runs every such
-allocation faults its pages in anew.  ``_readings`` runs the stages from
-window means to calibration; it lets the window means go once the board
-transfer has read them, so that the conversion's working arrays reuse their
-memory, and holds the later outputs until it returns, so that those arrays
-are freed together before the readout stages allocate theirs.  Whether
-the allocator trims the heap between runs flips with unrelated
+allocation faults its pages in anew.  In each of ``_readings``' chains
+the window means go once the board transfer has read them, so that the
+conversion's working arrays reuse their memory, and the clip at ``lowest``
+works in the counts array, which the quantizer floors in place.
+``_readings`` holds the later outputs until it returns, so that those
+arrays are freed together before the readout stages allocate theirs.
+Whether the allocator trims the heap between runs flips with unrelated
 allocations, so no test pins the faults this order saves.
 
 The polling loop in :mod:`emeter.sampler` shares ``build_trace`` and
@@ -205,7 +226,9 @@ def schedule(point: OperatingPoint, trigger: TriggerSpec, horizon_ns: int):
     if trigger.sample_count is not None:
         n_conversions = min(n_conversions,
                             int(trigger.start_ns // period_ns) + trigger.sample_count + 1)
-    grid_ns = np.arange(0, n_conversions + 1) * period_ns
+    # a float grid, scaled in place: every index is exact as a double
+    grid_ns = np.arange(n_conversions + 1, dtype=float)
+    grid_ns *= period_ns
     bounds_s = grid_ns * 1e-9
     grid_ns += tail_ns
     if not point.tiles:
@@ -215,7 +238,9 @@ def schedule(point: OperatingPoint, trigger: TriggerSpec, horizon_ns: int):
 
 
 def sense(board: BoardCharacter, mean_i, mean_i2, mean_v):
-    """(amperes, volts) at the chip: the board transfer of the window means."""
+    """(amperes, volts) at the chip: the board transfer of the window means.
+    With :func:`convert`, the per-reading stages of both channels at once,
+    which ``_readings`` runs channel by channel."""
     return board.sense_current(mean_i, mean_i2), board.sense_voltage(mean_v)
 
 
@@ -230,6 +255,17 @@ REACH = 12.25
 #: own size, 5 * 2**-53 * |count|, of the noise-free count plus the draw's
 #: share, which is below 2**-20 wherever |count| < 2**33 / 5.  Farther out a
 #: reading is far beyond full scale and saturates alike under every draw.
+#:
+#: The one-count check widens the range of a part's levels by the rounding
+#: of the window means computed from it (``workloads._mean_range`` holds
+#: the derivation): eps * L * ((m + 20) * T / w + 8), for a part of largest
+#: level L, span T and m segments shorter than two windows w.  Each
+#: interpolated cumulative integral is within six roundings of L * T; each
+#: segment a window overlaps adds a rounding of the cumulative sum, L * T
+#: at most, over the window, which overlaps at most m + 2 segments; and the
+#: window bounds, each rounded once or twice, move the mean by eps * T / w
+#: of a level.  For a 30 s 9-bit supply run that is about 1e-7 count,
+#: against a margin of 0.065 count beyond the reach.
 REACH_SLACK_COUNTS = 2.0 ** -20
 
 
@@ -237,29 +273,67 @@ def convert(options: PipelineOptions, config: SensorConfig, sensed_i, sensed_v):
     """(amperes, volts, saturated) as the chip's registers read them back:
     each channel's noise, then its quantization (module docstring).  The
     current is clipped at zero amperes before it is quantized."""
-    current, saturated = _channel(config.shunt, sensed_i, options.noise_current_a,
-                                  options.seed, lowest=0.0)
-    bus_v, sat_v = _channel(config.bus, sensed_v, options.noise_voltage_v,
-                            [options.seed, 1])
+    shunt, bus = _noise(options, config)
+    current, saturated = _channel(sensed_i, *shunt)
+    bus_v, sat_v = _channel(sensed_v, *bus)
     saturated |= sat_v
     return current, bus_v, saturated
 
 
-def _channel(channel: Channel, sensed, sigma, key, lowest=None):
+def _noise(options: PipelineOptions, config: SensorConfig):
+    """(quantizer, sigma, stream key, lowest value) of the current channel,
+    clipped at zero amperes, and of the bus channel."""
+    return ((config.shunt, options.noise_current_a, options.seed, 0.0),
+            (config.bus, options.noise_voltage_v, [options.seed, 1], None))
+
+
+def _reach(channel: Channel, sigma: float) -> float:
+    """How far, in counts, a draw of ``sigma`` can move a pre-floor count
+    of ``channel``."""
+    return REACH * sigma * (channel.scale * channel.per) + REACH_SLACK_COUNTS
+
+
+def _counts(channel: Channel, sensed, lowest):
+    """The pre-floor counts of ``sensed`` clipped below at ``lowest``'s
+    (unless it is None), which are those of ``sensed`` clipped at
+    ``lowest``: rounding keeps the order of values."""
+    raw = channel.counts(sensed)
+    if lowest is not None:
+        np.maximum(raw, lowest * channel.scale * channel.per, out=raw)
+    return raw
+
+
+def _channel(sensed, channel: Channel, sigma, key, lowest):
     """(readings, saturated) of ``sensed`` through ``channel``'s quantizer,
     noise drawn from ``default_rng(key)`` only for the readings near a count
     boundary."""
-    reach = REACH * sigma * (channel.scale * channel.per) + REACH_SLACK_COUNTS
+    reach = _reach(channel, sigma)
     if sigma > 0 and reach >= 0.5:
         # every reading lies within reach of a count boundary
         return channel.floor(channel.counts(_noisy(sensed, sigma, key, lowest)))
-    raw = channel.counts(sensed if lowest is None else np.maximum(sensed, lowest))
+    raw = _counts(channel, sensed, lowest)
     near = _near(raw, reach)
     readings, saturated = channel.floor(raw)
     if len(near):
         noisy = channel.counts(_noisy(sensed[near], sigma, key, lowest))
         readings[near], saturated[near] = channel.floor(noisy)
     return readings, saturated
+
+
+def _chain(n: int, span, means, channel: Channel, sigma, key, lowest):
+    """(readings, saturated) of one channel's ``n`` readings.  Where the
+    noise's reach is under half a count, ``span`` is given, and the
+    pre-floor counts of ``span()``, the sensed (lowest, highest) of the
+    window means, lie inside one count beyond the reach of both its
+    boundaries, every reading is that count (module docstring); elsewhere
+    ``means()``, the sensed window means, go through :func:`_channel`."""
+    reach = _reach(channel, sigma)
+    if reach < 0.5 and span is not None:
+        raw = _counts(channel, span(), lowest)
+        if np.floor(raw[0]) == np.floor(raw[1]) and not len(_near(raw, reach)):
+            readings, saturated = channel.floor(raw[:1])
+            return np.full(n, readings[0]), np.full(n, saturated[0])
+    return _channel(means(), channel, sigma, key, lowest)
 
 
 def _near(raw, reach):
@@ -293,13 +367,25 @@ def calibrate(calibration: Optional[CalibrationCurve], current, bus_v):
 def _readings(profile: LoadProfile, options: PipelineOptions,
               board: BoardCharacter, point: OperatingPoint,
               calibration: Optional[CalibrationCurve], bounds_s):
-    """Means over ``schedule``'s window bounds to calibrated readings,
-    outputs held (module docstring)."""
-    means = profile.window_means(bounds_s, point.window_s,
-                                 board.current_quad != 0.0)
-    sensed = sense(board, *means)
-    del means
-    current, bus_v, saturated = convert(options, point.config, *sensed)
+    """Means over ``schedule``'s window bounds to calibrated readings, one
+    chain per channel that starts with the one-count check (module
+    docstring)."""
+    squares = board.current_quad != 0.0
+    window_s = point.window_s
+    n = len(bounds_s) - (bounds_s.ndim == 1)
+    shunt, bus = _noise(options, point.config)
+    current, saturated = _chain(
+        n,
+        # the squared current has no cheap range: a board that reads it declines
+        None if squares else lambda: board.sense_current(
+            np.array(profile.current_range(window_s, squares)), None),
+        lambda: board.sense_current(*profile.current_means(bounds_s, window_s, squares)),
+        *shunt)
+    bus_v, sat_v = _chain(
+        n, lambda: board.sense_voltage(np.array(profile.voltage_range(window_s, squares))),
+        lambda: board.sense_voltage(profile.voltage_means(bounds_s, window_s, squares)),
+        *bus)
+    saturated |= sat_v
     return (*calibrate(calibration, current, bus_v), saturated)
 
 

@@ -136,11 +136,12 @@ class Channel:
 
     def floor(self, raw: np.ndarray):
         """(readings, saturated mask) of pre-floor counts, flooring ``raw``
-        in place."""
+        in place; a unit of 1.0 takes no pass."""
         np.floor(raw, out=raw)
         readings = np.clip(raw, self.lowest, self.highest)
         saturated = raw != readings
-        readings *= self.unit
+        if self.unit != 1.0:
+            readings *= self.unit
         readings /= self.per_unit
         return readings, saturated
 

@@ -254,13 +254,15 @@ def trace_to_records(trace: Trace) -> np.ndarray:
         raise ValueError("sample 0: negative timestamp")
     records = np.empty(len(trace), dtype=RECORD)
     records["t"] = trace.timestamps_ns
+    micro = np.empty(len(trace))  # one float column, for both fields in turn
     for field, name in (("uv", "bus_voltage"), ("ua", "current")):
         values = getattr(trace, name)
-        micro = np.round(values * 1e6)
-        # NaN fails both tests; INT32_MIN is reserved for gap markers
-        bad = ~((micro > GAP_SENTINEL) & (micro < 2 ** 31))
-        if np.any(bad):
-            i = int(np.argmax(bad))
+        np.multiply(values, 1e6, out=micro)
+        np.round(micro, out=micro)
+        # min and max carry a NaN, which fails both tests; INT32_MIN is
+        # reserved for gap markers
+        if len(micro) and not (micro.min() > GAP_SENTINEL and micro.max() < 2 ** 31):
+            i = int(np.argmax(~((micro > GAP_SENTINEL) & (micro < 2 ** 31))))
             raise ValueError(f"sample {i}: {name} {float(values[i])!r} is outside "
                              "the trace format's int32 micro-units")
         records[field] = micro

@@ -179,6 +179,43 @@ def _window_means(parts, bounds_s, window_s: float) -> np.ndarray:
     return total
 
 
+def _mean_range(parts, window_s: float) -> tuple:
+    """(lowest, highest) bounds on every mean of the sum of ``parts`` that
+    :func:`_window_means` computes over a window ``window_s`` long: the sums
+    of each part's lowest and highest level, each widened by the part's
+    rounding bound ``eps * L * ((m + 20) * T / w + 8)``, with ``L`` the
+    part's largest level magnitude, ``T`` its span, ``w`` the window and
+    ``m`` the number of its segments shorter than two windows.
+
+    The bound holds for windows inside ``[0, T]`` whose bounds are multiples
+    of the period, or ends less the window, each rounded once or twice, as
+    ``experiment.schedule`` makes them; u = eps / 2 is the unit roundoff.
+    The cumulative integral at each edge is exact for the piecewise-linear
+    function C through the stored points, whose slope on segment k is its
+    level times (1 + 2u) at most, plus the rounding of the cumulative sum,
+    at most u * L * T, over the segment's length.  C's rise over a window is
+    the overlap-weighted sum of those slopes; a segment's share of the
+    rounding term is at most u * L * T, and a window overlaps at most m + 2
+    segments.  The overlaps sum to the window's bounds' difference, within
+    eps * (T / w + 1) relative of ``w``.  Each interpolated bound adds six
+    roundings of the cumulative's size, the sum over parts one per part and
+    bound, and the difference and the division one of the mean's each.  In
+    all, a mean lies within u * L * ((m + 18) * T / w + 8) of the levels'
+    range, half the bound used.
+    """
+    lowest = highest = 0.0
+    for part in parts:
+        levels = part.levels
+        low, high = float(levels.min()), float(levels.max())
+        span = float(part.edges[-1])
+        short = np.count_nonzero(np.diff(part.edges) < 2.0 * window_s)
+        slack = (np.finfo(float).eps * max(-low, high)
+                 * ((short + 20) * span / window_s + 8))
+        lowest += low - slack
+        highest += high + slack
+    return lowest, highest
+
+
 class LoadProfile:
     """Piecewise-constant (current, voltage) signal with exact integrals.
 
@@ -270,10 +307,15 @@ class LoadProfile:
         pos = min(pos, len(order) - 1)
         return float(self.current[order][pos])
 
+    def _integrated(self, squares: bool) -> "LoadProfile":
+        """The form whose parts a run integrates: this one, or the merged
+        form for the squares and where there is no voltage part."""
+        return self._merged if squares or self._voltage is None else self
+
     def window_means(self, bounds_s, window_s: float, squares: bool):
         """Mean current, mean current squared (None unless ``squares``) and
-        mean voltage over windows ``window_s`` long: from the parts, or from
-        the merged form for the squares and where there is no voltage part.
+        mean voltage over windows ``window_s`` long: :meth:`current_means`
+        and :meth:`voltage_means`.
 
         ``bounds_s`` takes one of two shapes.  For windows that tile it holds
         the n + 1 boundaries, window k being ``[bounds_s[k], bounds_s[k + 1])``;
@@ -281,10 +323,30 @@ class LoadProfile:
         cumulative integral is looked up once per bound and differenced along
         the last axis: one lookup per window where they tile, two elsewhere.
         """
-        source = self._merged if squares or self._voltage is None else self
+        return (*self.current_means(bounds_s, window_s, squares),
+                self.voltage_means(bounds_s, window_s, squares))
+
+    def current_means(self, bounds_s, window_s: float, squares: bool):
+        """Mean current and mean current squared (None unless ``squares``)
+        over the windows of ``bounds_s`` (:meth:`window_means`)."""
+        source = self._integrated(squares)
         return (_window_means(source._currents, bounds_s, window_s),
-                _window_means((source._i2,), bounds_s, window_s) if squares else None,
-                _window_means((source._voltage,), bounds_s, window_s))
+                _window_means((source._i2,), bounds_s, window_s) if squares else None)
+
+    def voltage_means(self, bounds_s, window_s: float, squares: bool):
+        """Mean voltage over the windows of ``bounds_s`` (:meth:`window_means`)."""
+        return _window_means((self._integrated(squares)._voltage,), bounds_s, window_s)
+
+    def current_range(self, window_s: float, squares: bool) -> tuple:
+        """(lowest, highest) that every mean of :meth:`current_means` lies
+        within, over windows ``window_s`` long as ``experiment.schedule``
+        lays them (:func:`_mean_range`)."""
+        return _mean_range(self._integrated(squares)._currents, window_s)
+
+    def voltage_range(self, window_s: float, squares: bool) -> tuple:
+        """(lowest, highest) that every mean of :meth:`voltage_means` lies
+        within (:meth:`current_range`)."""
+        return _mean_range((self._integrated(squares)._voltage,), window_s)
 
     def _current_integral(self, t):
         return sum(part.integral(t) for part in self._currents)

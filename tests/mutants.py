@@ -39,6 +39,9 @@ class Mutant(NamedTuple):
     nodes: tuple
 
 
+ONE_COUNT_DIFFERENTIAL = ("tests/test_experiment.py::TestOneCount::"
+                          "test_readings_are_the_stages_near_count_boundaries")
+
 MUTANTS = [
     Mutant("a profile takes a span whose mode it does not declare",
            "src/emeter/workloads.py",
@@ -173,10 +176,26 @@ MUTANTS = [
            ("tests/test_experiment.py::TestNoiseReach::test_window_energies_add_up[rpi3-9]",)),
     Mutant("the bus draws from the current's stream",
            "src/emeter/experiment.py",
-           "                            [options.seed, 1])\n",
-           "                            options.seed)\n",
+           "(config.bus, options.noise_voltage_v, [options.seed, 1], None))",
+           "(config.bus, options.noise_voltage_v, options.seed, None))",
            ("tests/test_experiment.py::TestStages::"
             "test_convert_draws_keyed_streams_at_near_readings[9-1]",)),
+    Mutant("the one-count check leaves out the noise's reach",
+           "src/emeter/experiment.py",
+           "        if np.floor(raw[0]) == np.floor(raw[1]) and not len(_near(raw, reach)):\n",
+           "        if np.floor(raw[0]) == np.floor(raw[1]) and not len(\n"
+           "                _near(raw, REACH_SLACK_COUNTS)):\n",
+           (ONE_COUNT_DIFFERENTIAL,)),
+    Mutant("the range of the window means leaves out their rounding",
+           "src/emeter/workloads.py",
+           "        lowest += low - slack\n        highest += high + slack\n",
+           "        lowest += low\n        highest += high\n",
+           (ONE_COUNT_DIFFERENTIAL,)),
+    Mutant("the range of the window means is the first level's",
+           "src/emeter/workloads.py",
+           "        levels = part.levels\n",
+           "        levels = part.levels[:1]\n",
+           (ONE_COUNT_DIFFERENTIAL,)),
     Mutant("a CSV digit group is taken as the value's top one at its boundary",
            "src/emeter/tracefile.py",
            "np.minimum(values, group + 10_000)",

@@ -1,5 +1,6 @@
 """Experiment pipeline: cross-checks against the register-level loop."""
 
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emeter.buffering import BufferPolicy
@@ -866,20 +867,23 @@ class TestTiledWindows:
     """Back-to-back conversion windows take one lookup per boundary."""
 
     def test_pipeline_tiles_exactly_where_period_is_conversion(self, monkeypatch):
-        # the number of axes of the bounds each run integrates: 1 where the
-        # windows tile, 2 for [start, end] rows
+        # the number of axes of the bounds each channel integrates: 1 where
+        # the windows tile, 2 for [start, end] rows; a 9-bit run reads this
+        # profile's bus as one count and integrates its current only
         shapes = []
-        method = LoadProfile.window_means
-        monkeypatch.setattr(LoadProfile, "window_means",
-                            lambda self, bounds, *args:
-                            shapes.append(bounds.ndim) or method(self, bounds, *args))
+        for name in ("current_means", "voltage_means"):
+            method = getattr(LoadProfile, name)
+            monkeypatch.setattr(LoadProfile, name,
+                                lambda self, bounds, *args, method=method:
+                                shapes.append(bounds.ndim) or method(self, bounds, *args))
         profile = constant_profile(0.1, 5.0, 0.01)
         for driver, speed, supply, bits, tiles in OPERATING_POINTS:
             shapes.clear()
             options = PipelineOptions(resolution_bits=bits, driver=driver,
                                       speed_khz=speed, supply_voltage=supply)
             run_pipeline(profile, options, TriggerSpec.duration(0.01))
-            assert shapes == ([1] if tiles else [2]), (driver, speed, supply, bits)
+            assert shapes == [1 if tiles else 2] * (2 if bits == 12 else 1), (
+                driver, speed, supply, bits)
 
     def test_gapped_point_readings_unchanged(self):
         # TestPipelineExact.digest of this run, recorded when every point took
@@ -939,6 +943,198 @@ class TestTiledWindows:
             bound = ((start_shift * levels_k.max() + 5 * eps * cumulative.max()) / window_s
                      + eps * np.abs(gapped[k]))
             assert np.all(np.abs(tiled[k] - gapped[k]) <= bound)
+
+
+def stage_readings(profile, options, board, point, calibration, bounds_s):
+    """The per-reading stages: every window's means, the board transfer,
+    each channel's noise and quantization, then the calibration."""
+    means = profile.window_means(bounds_s, point.window_s, board.current_quad != 0.0)
+    current, bus_v, saturated = convert(options, point.config, *sense(board, *means))
+    return (*calibrate(calibration, current, bus_v), saturated)
+
+
+@contextlib.contextmanager
+def recorded(profile):
+    """Record each noise draw as (key, count) and each of ``profile``'s
+    per-channel window means by name, in call order."""
+    draws, means = [], []
+    noisy = experiment._noisy
+
+    def draw(sensed, sigma, key, lowest):
+        draws.append((key, len(sensed)))
+        return noisy(sensed, sigma, key, lowest)
+
+    for name in ("current_means", "voltage_means"):
+        method = getattr(profile, name)
+        setattr(profile, name, lambda *args, name=name, method=method:
+                means.append(name) or method(*args))
+    experiment._noisy = draw
+    try:
+        yield draws, means
+    finally:
+        experiment._noisy = noisy
+        del profile.current_means, profile.voltage_means
+
+
+def assert_readings_are_the_stages(profile, options, trigger, calibration=None):
+    """``_readings`` equals the per-reading stages byte for byte and takes
+    the same draws; returns the per-channel means it computed."""
+    board = options.named("board", BOARDS)
+    config = SensorConfig(
+        pga_divider=options.pga_divider or pick_pga_divider(profile.peak_current),
+        resolution_bits=options.resolution_bits, supply_voltage=options.supply_voltage)
+    point = OperatingPoint(options.named("driver", PROFILES), options.speed_khz, config)
+    bounds_s, _ = schedule(point, trigger, round(profile.duration * 1e9))
+    with recorded(profile) as (draws, means):
+        chained = experiment._readings(profile, options, board, point, calibration, bounds_s)
+        chain_draws, chain_means = list(draws), list(means)
+    with recorded(profile) as (draws, _):
+        staged = stage_readings(profile, options, board, point, calibration, bounds_s)
+    assert chain_draws == draws
+    for name, got, want in zip(("current", "bus_voltage", "saturated"), chained, staged):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    return chain_means
+
+
+def level_past(channel, transfer, level, target, side):
+    """From ``level`` near it, the level nearest ``target`` whose pre-floor
+    count through ``transfer`` and ``channel`` lies beyond it on ``side``:
+    the lowest above where ``side`` is +1, the highest below where it is -1."""
+    def beyond(x):
+        return side * (channel.counts(transfer(np.array([x])))[0] - target) > 0
+
+    # bracket the level between one short of the target and one past it,
+    # then halve the bracket down to adjacent doubles
+    short = past = level
+    step = abs(level) * 2.0 ** -40
+    while beyond(short):
+        short -= side * step
+        step *= 2
+    step = abs(level) * 2.0 ** -40
+    while not beyond(past):
+        past += side * step
+        step *= 2
+    while True:
+        middle = (short + past) / 2
+        if middle in (short, past):
+            return past
+        short, past = (short, middle) if beyond(middle) else (middle, past)
+
+
+#: A general profile near count boundaries: (operating point, board, noise
+#: on, divider, seed, duration s, cuts as fractions of it, the current's and
+#: the bus's count, and per segment each one's pre-floor target as (shift,
+#: side, beyond)): the lower boundary of the count moved by ``shift``, plus
+#: the reach and ``beyond`` where ``side`` is +1, its upper boundary less
+#: them where it is -1.  ``beyond`` runs from well inside the reach to just
+#: past the rounding bound of the window means.
+BEYOND_REACH = [-0.03, -1e-6, -1e-10, 0.0, 1e-13, 1e-11, 1e-9, 1e-7, 1e-4, 0.05]
+near_boundary_runs = st.tuples(
+    st.sampled_from(OPERATING_POINTS), st.sampled_from(sorted(BOARDS)), st.booleans(),
+    st.sampled_from(VALID_PGA_DIVIDERS), st.integers(0, 2**16), st.floats(0.01, 0.15),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=5),
+    st.tuples(st.integers(3, 100), st.integers(3, 100)),
+    st.lists(st.tuples(*[st.tuples(st.sampled_from([0] * 8 + [1, -2]),
+                                   st.sampled_from([1, -1]),
+                                   st.sampled_from(BEYOND_REACH))] * 2),
+             min_size=6, max_size=6))
+#: the default point and the shield board at 9 bit, with noise, reading 50
+#: current counts and 158 bus counts
+DEFAULT_9_BIT = (("bcm", 2500, 5.0, 9, True), "shield", True, 1, 5, 0.1)
+#: a gapped 9-bit point and the ideal board, without noise
+GAPPED_QUIET = (("linux", 800, 5.0, 9, False), "ideal", False, 2, 6, 0.1)
+#: one level a rounding of the means past the reach: the means that round
+#: inside it draw, so the check must not fill the bus
+PAST_REACH = DEFAULT_9_BIT + ([], (50, 158), [((0, 1, 0.05), (0, 1, 1e-13))] * 6)
+#: one level well inside the reach: every reading draws
+INSIDE_REACH = DEFAULT_9_BIT + ([], (50, 158), [((0, 1, 0.05), (0, 1, -0.03))] * 6)
+#: the first level reads 158 bus counts, the second 161
+TWO_COUNTS = DEFAULT_9_BIT + ([0.5], (50, 158), [((0, 1, 0.05), (0, 1, 0.05)),
+                                                 ((0, 1, 0.05), (3, 1, 0.05))] * 3)
+#: every level one count beyond the reach: both channels are filled
+ONE_COUNT = DEFAULT_9_BIT + ([0.3, 0.6], (50, 158), [((0, 1, 0.05), (0, -1, 0.05)),
+                                                     ((0, -1, 0.05), (0, 1, 0.05))] * 3)
+
+
+class TestOneCount:
+    """A channel whose window means all read as one count beyond the noise's
+    reach reads that count with no means and no draws, exactly as the
+    per-reading stages would."""
+
+    @staticmethod
+    def run(case):
+        ((driver, speed, supply, bits, _), board, noise, divider, seed, duration,
+         cuts, counts, targets) = case
+        options = PipelineOptions(resolution_bits=bits, driver=driver, speed_khz=speed,
+                                  supply_voltage=supply, board=board, pga_divider=divider,
+                                  seed=seed, **({} if noise else dict(
+                                      noise_current_a=0.0, noise_voltage_v=0.0)))
+        config = SensorConfig(pga_divider=divider, resolution_bits=bits,
+                              supply_voltage=supply)
+        board = BOARDS[board]
+        edges = np.unique(np.concatenate([[0.0, duration], np.array(cuts) * duration]))
+        levels = []
+        for channel, transfer, inverse, sigma, column in (
+                (config.shunt, lambda i: board.sense_current(i, i * i),
+                 lambda sensed: board_input(board, sensed)[0], options.noise_current_a, 0),
+                (config.bus, board.sense_voltage,
+                 lambda sensed: sensed - board.voltage_offset, options.noise_voltage_v, 1)):
+            per_unit = channel.scale * channel.per
+            reach = REACH * sigma * per_unit + REACH_SLACK_COUNTS
+            column_levels = []
+            for segment in targets[:len(edges) - 1]:
+                shift, side, beyond = segment[column]
+                target = counts[column] + shift + 0.5 - side * (0.5 - reach - beyond)
+                start = float(inverse(np.array([target / per_unit]))[0])
+                column_levels.append(level_past(channel, transfer, start, target, side))
+            levels.append(column_levels)
+        profile = LoadProfile(edges, *levels)
+        return assert_readings_are_the_stages(profile, options,
+                                              TriggerSpec.duration(duration))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=near_boundary_runs)
+    @example(case=PAST_REACH)
+    @example(case=INSIDE_REACH)
+    @example(case=TWO_COUNTS)
+    @example(case=ONE_COUNT)
+    @example(case=GAPPED_QUIET + ONE_COUNT[6:])
+    def test_readings_are_the_stages_near_count_boundaries(self, case):
+        self.run(case)
+
+    @pytest.mark.parametrize("case,means", [
+        (PAST_REACH, ["voltage_means"]), (INSIDE_REACH, ["voltage_means"]),
+        (TWO_COUNTS, ["voltage_means"]), (ONE_COUNT, []),
+        (GAPPED_QUIET + ONE_COUNT[6:], [])], ids=[
+            "past-reach", "inside-reach", "two-counts", "one-count", "one-count-gapped"])
+    def test_examples_fill_or_integrate(self, case, means):
+        # the examples above take both sides of the check
+        assert self.run(case) == means
+
+    @pytest.mark.parametrize("board", sorted(BOARDS))
+    @pytest.mark.parametrize("source", ["supply", "battery"])
+    @pytest.mark.parametrize("bits", VALID_RESOLUTIONS)
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_preset_readings_are_the_stages(self, preset, bits, source, board):
+        profile = generate_profile(preset, 1, seed=9, duration=0.15, source=source)
+        for driver, speed in (("bcm", 2500), ("linux", 800)):
+            for noise in ({}, dict(noise_current_a=0.0, noise_voltage_v=0.0)):
+                options = PipelineOptions(resolution_bits=bits, driver=driver,
+                                          speed_khz=speed, board=board, seed=4, **noise)
+                assert_readings_are_the_stages(profile, options, TriggerSpec.duration(0.15))
+
+    @pytest.mark.parametrize("bits", VALID_RESOLUTIONS)
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_bus_reads_one_count_at_9_bit(self, preset, bits):
+        # the supply's 2 mV band reads as one count beyond the noise's reach
+        # at 9 bit; at 12 bit every reading draws
+        profile = generate_profile(preset, 1, seed=3)
+        with recorded(profile) as (draws, means):
+            run_pipeline(profile, PipelineOptions(resolution_bits=bits, seed=3),
+                         TriggerSpec.duration(profile.duration))
+        assert means == (["current_means"] if bits == 9
+                         else ["current_means", "voltage_means"])
+        assert [key for key, _ in draws] == ([3] if bits == 9 else [3, [3, 1]])
 
 
 def test_traced_layers_fire(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,22 @@ class TestFileRoundTrip:
         assert records.dtype == RECORD
         # micro-units, halves rounded to even
         assert records.tolist() == [(5, 3_300_000, 12_345), (9, 4_999_998, -2)]
+
+    def test_trace_to_records_peaks_at_one_float_column(self):
+        # the write path's memory peak: the record array and the one float
+        # column that each field is scaled and rounded in, in turn; a 30 s
+        # 9-bit run has this many readings
+        n = 143_540
+        rng = np.random.default_rng(3)
+        trace = Trace(np.arange(1, n + 1), rng.uniform(3.0, 5.0, n),
+                      rng.uniform(0.0, 0.5, n), np.zeros(n))
+        tracemalloc.start()
+        try:
+            records = trace_to_records(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= records.nbytes + 8 * n + 64 * 1024
 
     @pytest.mark.parametrize("column, value, name", [
         ("current", np.nan, "current"),
