@@ -60,8 +60,8 @@ they do not.  Every window lies inside ``[0, duration]``.  Every profile is a
 :class:`~emeter.workloads.LoadProfile`: a preset's integrates its parts, and
 a general one its own segments.
 
-Unless the options give a PGA divider, a run takes the smallest whose full
-scale covers the profile's declared ``peak_current`` (see
+Unless the options give a PGA divider, a run takes the smallest whose shunt
+channel reads the profile's declared ``peak_current`` unsaturated (see
 :mod:`emeter.workloads`), not the largest current the run meets, so the
 divider of a preset's run does not depend on how long the run is.
 
@@ -107,7 +107,6 @@ from emeter.sampler import (
 from emeter.sensor import (
     BOARDS,
     BoardCharacter,
-    SHUNT_FULL_SCALE_V,
     VALID_PGA_DIVIDERS,
     Channel,
     SensorConfig,
@@ -120,11 +119,11 @@ DEFAULT_VOLTAGE_NOISE_V = 0.2e-3
 
 
 def pick_pga_divider(max_current_a: float) -> int:
-    """Smallest divider whose full scale covers the expected peak current
-    across the default shunt, which every pipeline run uses; the largest
-    where none does."""
+    """Smallest divider whose shunt channel reads the expected peak current
+    without saturating, at the default shunt and resolution that every
+    pipeline run's full scale rests on; the largest where none does."""
     for divider in VALID_PGA_DIVIDERS:
-        if max_current_a * SensorConfig.shunt_resistance <= SHUNT_FULL_SCALE_V * divider:
+        if not SensorConfig(pga_divider=divider).shunt.quantize(max_current_a)[1]:
             return divider
     return VALID_PGA_DIVIDERS[-1]
 

@@ -196,6 +196,12 @@ MUTANTS = [
            "        levels = part.levels\n",
            "        levels = part.levels[:1]\n",
            (ONE_COUNT_DIFFERENTIAL,)),
+    Mutant("the divider is picked by the product of peak and shunt, not the channel",
+           "src/emeter/experiment.py",
+           "        if not SensorConfig(pga_divider=divider).shunt.quantize(max_current_a)[1]:\n",
+           "        if max_current_a * SensorConfig.shunt_resistance <= 0.040 * divider:\n",
+           tuple("tests/test_experiment.py::TestDividerSelection::"
+                 f"test_full_scale_reads_at_its_divider[{d}]" for d in (1, 2, 4))),
     Mutant("a CSV digit group is taken as the value's top one at its boundary",
            "src/emeter/tracefile.py",
            "np.minimum(values, group + 10_000)",

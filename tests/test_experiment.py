@@ -82,6 +82,13 @@ class TestDividerSelection:
         assert pick_pga_divider(1.2) == 4
         assert pick_pga_divider(3.0) == 8
 
+    @pytest.mark.parametrize("divider", [1, 2, 4])
+    def test_full_scale_reads_at_its_divider(self, divider):
+        # 0.4 A across the 0.1 ohm shunt is the 40 mV full scale at divider
+        # 1; the product 0.4 * 0.1 rounds above 0.04, the channel reads it
+        # as its top count
+        assert pick_pga_divider(0.4 * divider) == divider
+
     @pytest.mark.parametrize("workload", sorted(WORKLOAD_STATES))
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_divider_does_not_depend_on_the_duration(self, preset, workload):
