@@ -6,8 +6,8 @@
 and quantization) and :func:`calibrate`, then
 :func:`~emeter.sampler.build_trace`, persistence, the energies, the
 reference and the report.  ``_readings`` runs the stages from the window
-means to the quantization as one chain per channel, each starting with the
-one-count check below, and then the calibration.
+means to the quantization as one chain per channel, the bus's starting with
+the one-count check below, and then the calibration.
 
 Each channel adds Gaussian noise of its own sigma to the sensed value before
 the chip quantizes it, through the :class:`~emeter.sensor.Channel` the chip
@@ -27,24 +27,24 @@ the stop leaves every earlier reading as it was.  Where the reach covers
 half a count every reading draws, in order, with no classification pass:
 the bus and the current at every 12-bit run with divider up to 4.
 
-The third case is a channel whose whole range is one count beyond the
-reach: no reading draws, and it reads that count with no window means and
-no draws.  Its chain checks this first.  The lowest and highest level of
-the part whose means the channel would integrate
-(``LoadProfile.current_range`` and ``voltage_range``), widened by the
-rounding bound of the computed means (beside :data:`REACH_SLACK_COUNTS`),
-go through the board transfer and the quantizer's expressions.  Rounding
+The third case is a bus whose whole range is one count beyond the reach:
+no reading draws, and it reads that count with no window means and no
+draws.  The bus chain checks this first.  The lowest and highest level of
+the voltage part (``LoadProfile.voltage_range``), widened by the rounding
+bound of the computed means (beside :data:`REACH_SLACK_COUNTS`), go
+through the board transfer and the quantizer's expressions.  Rounding
 keeps the order of values, so every reading's pre-floor count lies between
 those of the two ends.  Where both lie inside one count and farther than
 the reach from both its boundaries, every reading is that count and its
 flag, filled: no window means, no classification, no generator created.
-Elsewhere the chain runs the stages unchanged.  The breakout board's
-squared current has no cheap range, so its current always runs them.  At 9
-bit one bus count is 156 sigma and one shunt count 39 sigma times the
-divider.  A regulated supply's 2 mV band reads as one bus count at every
-9-bit point, at least 0.065 count beyond the reach, so the 30 s runs of
-workload 1 on the five presets skip 78 % of the draws: every bus reading,
-with its window means, and 56 % of the current's.
+Elsewhere the chain runs the stages unchanged.  The current has no such
+check: a preset's current spans many counts, so the check would cost a
+range per run and never fill.  At 9 bit one bus count is 156 sigma and
+one shunt count 39 sigma times the divider.  A regulated supply's 2 mV
+band reads as one bus count at every 9-bit point, at least 0.065 count
+beyond the reach, so the 30 s runs of workload 1 on the five presets skip
+78 % of the draws: every bus reading, with its window means, and 56 % of
+the current's.
 
 :func:`schedule` decides where the conversion windows lie.  They tile
 where the operating point's sample period is the conversion time itself
@@ -321,13 +321,13 @@ def _channel(sensed, channel: Channel, sigma, key, lowest):
 
 def _chain(n: int, span, means, channel: Channel, sigma, key, lowest):
     """(readings, saturated) of one channel's ``n`` readings.  Where the
-    noise's reach is under half a count, ``span`` is given, and the
-    pre-floor counts of ``span()``, the sensed (lowest, highest) of the
-    window means, lie inside one count beyond the reach of both its
-    boundaries, every reading is that count (module docstring); elsewhere
-    ``means()``, the sensed window means, go through :func:`_channel`."""
+    noise's reach is under half a count and the pre-floor counts of
+    ``span()``, the sensed (lowest, highest) of the window means, lie
+    inside one count beyond the reach of both its boundaries, every reading
+    is that count (module docstring); elsewhere ``means()``, the sensed
+    window means, go through :func:`_channel`."""
     reach = _reach(channel, sigma)
-    if reach < 0.5 and span is not None:
+    if reach < 0.5:
         raw = _counts(channel, span(), lowest)
         if np.floor(raw[0]) == np.floor(raw[1]) and not len(_near(raw, reach)):
             readings, saturated = channel.floor(raw[:1])
@@ -367,19 +367,14 @@ def _readings(profile: LoadProfile, options: PipelineOptions,
               board: BoardCharacter, point: OperatingPoint,
               calibration: Optional[CalibrationCurve], bounds_s):
     """Means over ``schedule``'s window bounds to calibrated readings, one
-    chain per channel that starts with the one-count check (module
+    chain per channel, the bus's starting with the one-count check (module
     docstring)."""
     squares = board.current_quad != 0.0
     window_s = point.window_s
     n = len(bounds_s) - (bounds_s.ndim == 1)
     shunt, bus = _noise(options, point.config)
-    current, saturated = _chain(
-        n,
-        # the squared current has no cheap range: a board that reads it declines
-        None if squares else lambda: board.sense_current(
-            np.array(profile.current_range(window_s, squares)), None),
-        lambda: board.sense_current(*profile.current_means(bounds_s, window_s, squares)),
-        *shunt)
+    current, saturated = _channel(
+        board.sense_current(*profile.current_means(bounds_s, window_s, squares)), *shunt)
     bus_v, sat_v = _chain(
         n, lambda: board.sense_voltage(np.array(profile.voltage_range(window_s, squares))),
         lambda: board.sense_voltage(profile.voltage_means(bounds_s, window_s, squares)),

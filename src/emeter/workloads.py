@@ -179,13 +179,13 @@ def _window_means(parts, bounds_s, window_s: float) -> np.ndarray:
     return total
 
 
-def _mean_range(parts, window_s: float) -> tuple:
-    """(lowest, highest) bounds on every mean of the sum of ``parts`` that
-    :func:`_window_means` computes over a window ``window_s`` long: the sums
-    of each part's lowest and highest level, each widened by the part's
-    rounding bound ``eps * L * ((m + 20) * T / w + 8)``, with ``L`` the
-    part's largest level magnitude, ``T`` its span, ``w`` the window and
-    ``m`` the number of its segments shorter than two windows.
+def _mean_range(part: _Part, window_s: float) -> tuple:
+    """(lowest, highest) bounds on every mean of ``part`` that
+    :func:`_window_means` computes over a window ``window_s`` long: its
+    lowest and highest level, each widened by the rounding bound
+    ``eps * L * ((m + 20) * T / w + 8)``, with ``L`` the part's largest
+    level magnitude, ``T`` its span, ``w`` the window and ``m`` the number
+    of its segments shorter than two windows.
 
     The bound holds for windows inside ``[0, T]`` whose bounds are multiples
     of the period, or ends less the window, each rounded once or twice, as
@@ -198,22 +198,15 @@ def _mean_range(parts, window_s: float) -> tuple:
     rounding term is at most u * L * T, and a window overlaps at most m + 2
     segments.  The overlaps sum to the window's bounds' difference, within
     eps * (T / w + 1) relative of ``w``.  Each interpolated bound adds six
-    roundings of the cumulative's size, the sum over parts one per part and
-    bound, and the difference and the division one of the mean's each.  In
-    all, a mean lies within u * L * ((m + 18) * T / w + 8) of the levels'
-    range, half the bound used.
+    roundings of the cumulative's size, and the difference and the division
+    one of the mean's each.  In all, a mean lies within
+    u * L * ((m + 18) * T / w + 8) of the levels' range, half the bound used.
     """
-    lowest = highest = 0.0
-    for part in parts:
-        levels = part.levels
-        low, high = float(levels.min()), float(levels.max())
-        span = float(part.edges[-1])
-        short = np.count_nonzero(np.diff(part.edges) < 2.0 * window_s)
-        slack = (np.finfo(float).eps * max(-low, high)
-                 * ((short + 20) * span / window_s + 8))
-        lowest += low - slack
-        highest += high + slack
-    return lowest, highest
+    low, high = float(part.levels.min()), float(part.levels.max())
+    span = float(part.edges[-1])
+    short = np.count_nonzero(np.diff(part.edges) < 2.0 * window_s)
+    slack = np.finfo(float).eps * max(-low, high) * ((short + 20) * span / window_s + 8)
+    return low - slack, high + slack
 
 
 class LoadProfile:
@@ -337,16 +330,11 @@ class LoadProfile:
         """Mean voltage over the windows of ``bounds_s`` (:meth:`window_means`)."""
         return _window_means((self._integrated(squares)._voltage,), bounds_s, window_s)
 
-    def current_range(self, window_s: float, squares: bool) -> tuple:
-        """(lowest, highest) that every mean of :meth:`current_means` lies
-        within, over windows ``window_s`` long as ``experiment.schedule``
-        lays them (:func:`_mean_range`)."""
-        return _mean_range(self._integrated(squares)._currents, window_s)
-
     def voltage_range(self, window_s: float, squares: bool) -> tuple:
         """(lowest, highest) that every mean of :meth:`voltage_means` lies
-        within (:meth:`current_range`)."""
-        return _mean_range((self._integrated(squares)._voltage,), window_s)
+        within, over windows ``window_s`` long as ``experiment.schedule``
+        lays them (:func:`_mean_range`)."""
+        return _mean_range(self._integrated(squares)._voltage, window_s)
 
     def _current_integral(self, t):
         return sum(part.integral(t) for part in self._currents)

@@ -188,13 +188,13 @@ MUTANTS = [
            (ONE_COUNT_DIFFERENTIAL,)),
     Mutant("the range of the window means leaves out their rounding",
            "src/emeter/workloads.py",
-           "        lowest += low - slack\n        highest += high + slack\n",
-           "        lowest += low\n        highest += high\n",
+           "    return low - slack, high + slack\n",
+           "    return low, high\n",
            (ONE_COUNT_DIFFERENTIAL,)),
     Mutant("the range of the window means is the first level's",
            "src/emeter/workloads.py",
-           "        levels = part.levels\n",
-           "        levels = part.levels[:1]\n",
+           "    low, high = float(part.levels.min()), float(part.levels.max())\n",
+           "    low, high = float(part.levels[0]), float(part.levels[0])\n",
            (ONE_COUNT_DIFFERENTIAL,)),
     Mutant("the divider is picked by the product of peak and shunt, not the channel",
            "src/emeter/experiment.py",

@@ -1058,13 +1058,14 @@ INSIDE_REACH = DEFAULT_9_BIT + ([], (50, 158), [((0, 1, 0.05), (0, 1, -0.03))] *
 #: the first level reads 158 bus counts, the second 161
 TWO_COUNTS = DEFAULT_9_BIT + ([0.5], (50, 158), [((0, 1, 0.05), (0, 1, 0.05)),
                                                  ((0, 1, 0.05), (3, 1, 0.05))] * 3)
-#: every level one count beyond the reach: both channels are filled
+#: every level one count beyond the reach: the bus is filled, and the
+#: current, which has no such check, integrates its means
 ONE_COUNT = DEFAULT_9_BIT + ([0.3, 0.6], (50, 158), [((0, 1, 0.05), (0, -1, 0.05)),
                                                      ((0, -1, 0.05), (0, 1, 0.05))] * 3)
 
 
 class TestOneCount:
-    """A channel whose window means all read as one count beyond the noise's
+    """A bus whose window means all read as one count beyond the noise's
     reach reads that count with no means and no draws, exactly as the
     per-reading stages would."""
 
@@ -1109,10 +1110,12 @@ class TestOneCount:
     def test_readings_are_the_stages_near_count_boundaries(self, case):
         self.run(case)
 
+    BOTH = ["current_means", "voltage_means"]
+
     @pytest.mark.parametrize("case,means", [
-        (PAST_REACH, ["voltage_means"]), (INSIDE_REACH, ["voltage_means"]),
-        (TWO_COUNTS, ["voltage_means"]), (ONE_COUNT, []),
-        (GAPPED_QUIET + ONE_COUNT[6:], [])], ids=[
+        (PAST_REACH, BOTH), (INSIDE_REACH, BOTH), (TWO_COUNTS, BOTH),
+        (ONE_COUNT, ["current_means"]),
+        (GAPPED_QUIET + ONE_COUNT[6:], ["current_means"])], ids=[
             "past-reach", "inside-reach", "two-counts", "one-count", "one-count-gapped"])
     def test_examples_fill_or_integrate(self, case, means):
         # the examples above take both sides of the check
