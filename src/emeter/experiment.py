@@ -405,6 +405,7 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
                  for s, e, mode_index in profile.power_save_intervals]
     trace, status, end_ns = build_trace(
         ts, bus_v, current, saturated, trigger, horizon_ns, intervals)
+    del current, bus_v, saturated  # the trace holds its rounded copies
 
     flush_log, overruns = "", 0
     if trace_fh is not None:

@@ -201,16 +201,54 @@ def _sorted_intervals(intervals: Sequence[tuple]) -> list[tuple]:
     return intervals
 
 
+def _micro(name: str, values) -> np.ndarray:
+    """``values`` in micro-units rounded half-even, a new float array; a
+    value outside int32 micro-units (or NaN) fails, naming the reading,
+    and INT32_MIN is the trace format's gap marker."""
+    values = np.asarray(values, dtype=float)
+    micro = values * 1e6
+    np.rint(micro, out=micro)
+    micro += 0.0  # an int32 has no -0: rint(-0.3) is -0.0, and -0.0 + 0.0 is 0.0
+    # min and max carry a NaN, which fails both tests
+    if len(micro) and not (micro.min() > -2 ** 31 and micro.max() < 2 ** 31):
+        i = int(np.argmax(~((micro > -2 ** 31) & (micro < 2 ** 31))))
+        raise ValueError(f"sample {i}: {name} {float(values[i])!r} is outside "
+                         "the trace format's int32 micro-units")
+    return micro
+
+
 class Trace:
     """Ordered sample arrays plus the power-save intervals inside them; a
     trace file's metadata is the header that
-    :func:`~emeter.tracefile.read_trace` returns."""
+    :func:`~emeter.tracefile.read_trace` returns.
+
+    A reading is a whole number of micro-units: ``bus_voltage`` and
+    ``current`` are ``micro * 1e-6`` for int32 ``micro`` (module
+    docstring)."""
 
     def __init__(self, timestamps_ns, bus_voltage, current, flags,
                  intervals: Sequence[tuple[int, int, int]] = ()):
+        self._hold(timestamps_ns, _micro("bus_voltage", bus_voltage),
+                   _micro("current", current), flags, intervals)
+
+    @classmethod
+    def from_micro(cls, timestamps_ns, bus_uv, current_ua, flags) -> "Trace":
+        """The trace of readings already in whole micro-units, such as a
+        trace file's int32 fields, which are not rounded again."""
+        trace = cls.__new__(cls)
+        trace._hold(timestamps_ns, np.array(bus_uv, dtype=float),
+                    np.array(current_ua, dtype=float), flags, ())
+        return trace
+
+    def _hold(self, timestamps_ns, bus_uv: np.ndarray, current_ua: np.ndarray,
+              flags, intervals: Sequence[tuple[int, int, int]]) -> None:
+        """Hold the columns, scaling the micro-unit floats ``bus_uv`` and
+        ``current_ua``, arrays of its own, to volts and amperes in place."""
         self.timestamps_ns = np.asarray(timestamps_ns, dtype=np.int64)
-        self.bus_voltage = np.asarray(bus_voltage, dtype=float)
-        self.current = np.asarray(current, dtype=float)
+        bus_uv *= 1e-6
+        current_ua *= 1e-6
+        self.bus_voltage = bus_uv
+        self.current = current_ua
         self.flags = np.asarray(flags, dtype=np.uint8)
         n = len(self.timestamps_ns)
         if not (len(self.bus_voltage) == len(self.current) == len(self.flags) == n):

@@ -249,31 +249,22 @@ def read_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
 
 
 def trace_to_records(trace: Trace) -> np.ndarray:
-    """The ``RECORD`` array a trace persists as: micro-units, half-even."""
+    """The ``RECORD`` array a trace persists as: its whole micro-units."""
     if len(trace) and trace.timestamps_ns[0] < 0:
         raise ValueError("sample 0: negative timestamp")
     records = np.empty(len(trace), dtype=RECORD)
     records["t"] = trace.timestamps_ns
     micro = np.empty(len(trace))  # one float column, for both fields in turn
-    for field, name in (("uv", "bus_voltage"), ("ua", "current")):
-        values = getattr(trace, name)
-        np.multiply(values, 1e6, out=micro)
-        np.round(micro, out=micro)
-        # min and max carry a NaN, which fails both tests; INT32_MIN is
-        # reserved for gap markers
-        if len(micro) and not (micro.min() > GAP_SENTINEL and micro.max() < 2 ** 31):
-            i = int(np.argmax(~((micro > GAP_SENTINEL) & (micro < 2 ** 31))))
-            raise ValueError(f"sample {i}: {name} {float(values[i])!r} is outside "
-                             "the trace format's int32 micro-units")
-        records[field] = micro
+    for field, column in (("uv", trace.bus_voltage), ("ua", trace.current)):
+        records[field] = np.rint(np.multiply(column, 1e6, out=micro), out=micro)
     return records
 
 
 def records_to_trace(readings) -> Trace:
     """Build an in-memory trace from readings (``RECORD`` rows, no gap markers)."""
     readings = np.asarray(readings, dtype=RECORD)
-    return Trace(readings["t"], readings["uv"] * 1e-6, readings["ua"] * 1e-6,
-                 np.zeros(len(readings), dtype=np.uint8))
+    return Trace.from_micro(readings["t"], readings["uv"], readings["ua"],
+                            np.zeros(len(readings), dtype=np.uint8))
 
 
 def load_trace(path: str) -> Trace:

@@ -140,6 +140,7 @@ class TestVoltageEffect:
     def test_equals_two_segment_energies(self, rows):
         steps, v, i, flags = map(np.array, zip(*rows))
         trace = Trace(np.cumsum(steps), v, i, flags)
+        v, i = trace.bus_voltage, trace.current  # the readings, in whole micro-units
         mask = countable_mask(trace, exclude_power_save=True)
         mean_v = float(np.mean(v[mask])) if mask.any() else 0.0
         ts = trace.timestamps_ns

@@ -44,6 +44,7 @@ from emeter.sampler import (
     PowerSaveMode,
     TriggerSpec,
     countable_mask,
+    gated_energy,
     hybrid_energy,
     naive_energy,
     run_measurement,
@@ -62,7 +63,7 @@ from emeter.sensor import (
     SimulatedBus,
     SimulatedSensor,
 )
-from emeter.tracefile import TraceHeader, decode_trace
+from emeter.tracefile import TraceHeader, decode_trace, records_to_trace, trace_to_records
 from emeter.workloads import (
     PRESETS,
     WORKLOAD_STATES,
@@ -158,6 +159,54 @@ class TestPipelineVsRegisterLoop:
         profile = constant_profile(5e-3, 5.0, 1.0)
         vec = run_pipeline(profile, PipelineOptions(), TriggerSpec.duration(1.0))
         assert 900 <= len(vec.trace) <= 1100  # about 1000 sps at 12 bit
+
+
+class TestFileReproducesReport:
+    """A run's trace written as records and read back, given the run's flags
+    and intervals, gives the run's energies bit for bit: the trace holds the
+    micro-units its file stores."""
+
+    SECONDS = 1.5  # workload 1's first sleep dwell ends at 1 s
+
+    @staticmethod
+    def from_file(trace):
+        back = records_to_trace(trace_to_records(trace))
+        back.flags, back.intervals = trace.flags, trace.intervals
+        return back
+
+    @pytest.mark.parametrize("bits", VALID_RESOLUTIONS)
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_pipeline(self, preset, bits):
+        profile = generate_profile(preset, 1, seed=3, duration=self.SECONDS)
+        result = run_pipeline(profile, PipelineOptions(resolution_bits=bits, seed=3),
+                              TriggerSpec.duration(self.SECONDS))
+        back = self.from_file(result.trace)
+        assert gated_energy(back) == result.energy_gated_j
+        if preset == "cc2650":
+            assert back.intervals
+            assert hybrid_energy(back, profile.power_save_modes) == result.report.e_device_j
+        else:
+            assert gated_energy(back) == result.report.e_device_j
+
+    @pytest.mark.parametrize("bits", VALID_RESOLUTIONS)
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_register_loop(self, preset, bits):
+        profile = generate_profile(preset, 1, seed=3, duration=self.SECONDS)
+        config = SensorConfig(pga_divider=pick_pga_divider(profile.peak_current),
+                              resolution_bits=bits)
+        intervals = [(round(s * 1e9), round(e * 1e9), mode)
+                     for s, e, mode in profile.power_save_intervals]
+        result = run_measurement(
+            SimulatedBus(SimulatedSensor(config, board=SHIELD_BOARD)),
+            lambda t: (float(profile.current_at(t * 1e-9)), float(profile.voltage_at(t * 1e-9))),
+            BCM_PROFILE, 2500, config, TriggerSpec.duration(self.SECONDS),
+            intervals=intervals, rng=np.random.default_rng(3))
+        back = self.from_file(result.trace)
+        assert gated_energy(back) == result.energy_j
+        if preset == "cc2650":
+            assert back.intervals
+            modes = profile.power_save_modes
+            assert hybrid_energy(back, modes) == hybrid_energy(result.trace, modes)
 
 
 class TestPipelineSemantics:

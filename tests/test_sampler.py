@@ -95,6 +95,19 @@ def make_trace(ts_s, power_w, flags=None, intervals=(), volts=1.0):
     return Trace(ts, np.full(len(ts), volts), power / volts, flags, intervals=intervals)
 
 
+class TestTraceReadings:
+    def test_readings_round_half_even_to_micro_units(self):
+        trace = Trace([5, 9], [3.3, 4.9999985], [12.345e-3, -2.5e-6], [0, 0])
+        assert trace.bus_voltage.tobytes() == (np.array([3_300_000, 4_999_998]) * 1e-6).tobytes()
+        assert trace.current.tobytes() == (np.array([12_345, -2]) * 1e-6).tobytes()
+
+    def test_micro_units_are_not_rounded_again(self):
+        micro = np.array([3_300_000, -2, 2 ** 31 - 1, -2 ** 31], dtype=np.int32)
+        trace = Trace.from_micro([1, 2, 3, 4], micro, micro[::-1], [0] * 4)
+        assert trace.bus_voltage.tobytes() == (micro * 1e-6).tobytes()
+        assert trace.current.tobytes() == (micro[::-1] * 1e-6).tobytes()
+
+
 class TestTraceEnergies:
     def test_additivity_at_sample_boundary(self):
         rng = np.random.default_rng(2)
@@ -219,13 +232,14 @@ class TestHybridEnergy:
 
     def test_hybrid_tracks_oracle_on_sleepy_workload(self):
         # synthetic device: 1uA sleep intervals alternating with active
-        # levels that are exact LSB multiples (no quantization error), so
-        # the only naive-vs-hybrid difference is the sleep accounting
+        # levels that are exact LSB multiples in whole microamperes at 1 V
+        # (no quantization error), so the only naive-vs-hybrid difference
+        # is the sleep accounting
         period = 0.001
         n = 20_000
         ts = np.arange(1, n + 1) * period
         lsb_power = 97.68e-6 * 3.3
-        active = 60 * lsb_power
+        active = round(60 * lsb_power, 6)
         sleep_spans = [(2.0005, 5.0005), (9.0005, 13.0005)]
         power = np.full(n, active)
         flags = np.zeros(n, dtype=np.uint8)
@@ -541,8 +555,9 @@ class TestRunMeasurement:
         tr = result.trace
         count, saturated = self.CFG.shunt.quantize(5e-3)
         assert not saturated
-        expected = self.CFG.shunt.reading(count)
-        assert np.allclose(tr.current[5:], expected)
+        # the reading in whole microamperes, as a trace holds it
+        expected = np.rint(self.CFG.shunt.reading(count) * 1e6) * 1e-6
+        assert np.all(tr.current[5:] == expected)
 
     def test_power_save_flagging(self):
         result = self.run(TriggerSpec.duration(1.0), intervals=[(200_000_000, 600_000_000, 0)])

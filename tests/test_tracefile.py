@@ -150,10 +150,9 @@ class TestFileRoundTrip:
         assert np.allclose(back.current, trace.current, atol=1e-6)
 
     def test_trace_to_records_is_the_record_dtype(self):
-        trace = Trace([5, 9], [3.3, 4.9999985], [12.345e-3, -2.5e-6], [0, 0])
+        trace = Trace([5, 9], [3.3, 4.999998], [12.345e-3, -2e-6], [0, 0])
         records = trace_to_records(trace)
         assert records.dtype == RECORD
-        # micro-units, halves rounded to even
         assert records.tolist() == [(5, 3_300_000, 12_345), (9, 4_999_998, -2)]
 
     def test_trace_to_records_peaks_at_one_float_column(self):
@@ -179,11 +178,12 @@ class TestFileRoundTrip:
         ("bus_voltage", np.inf, "bus_voltage"),
     ])
     def test_unrepresentable_reading_names_sample(self, column, value, name):
+        # a Trace refuses it, so no trace reaches trace_to_records with it
         columns = {"bus_voltage": [5.0, 5.0, 5.0], "current": [0.1, 0.2, 0.3]}
         columns[column][1] = value
-        trace = Trace([1, 2, 3], columns["bus_voltage"], columns["current"], [0, 0, 0])
-        with pytest.raises(ValueError, match=f"sample 1: {name} "):
-            trace_to_records(trace)
+        with pytest.raises(ValueError, match=f"sample 1: {name} {value!r} is outside "
+                                             "the trace format's int32 micro-units"):
+            Trace([1, 2, 3], columns["bus_voltage"], columns["current"], [0, 0, 0])
 
     def test_gap_records_skipped_on_load(self, tmp_path):
         records = [TraceRecord(100, 1, 1), TraceRecord.gap(150),
@@ -193,6 +193,27 @@ class TestFileRoundTrip:
         trace = load_trace(str(path))
         assert trace.timestamps_ns.tolist() == [100, 200]
         assert trace.current.tolist() == [1e-6, 2e-6]
+
+
+# every reading whose micro-units lie inside int32 and off INT32_MIN
+READING = st.floats(-2147.483647, 2147.483647)
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.lists(READING, min_size=n, max_size=n), st.lists(READING, min_size=n, max_size=n))))
+@example(columns=([3.3, 4.9999985, -2147.483647], [2.5e-6, -2.5e-6, 2147.483647]))
+@example(columns=([0.0, -0.0], [-0.0, -3e-7]))  # no -0.0 survives the rounding
+def test_trace_holds_whole_micro_units_that_load_back_bit_for_bit(columns):
+    bus_voltage, current = columns
+    n = len(current)
+    trace = Trace(np.arange(n), bus_voltage, current, np.zeros(n))
+    for column in (trace.bus_voltage, trace.current):
+        micro = column * 1e6
+        assert np.all(np.abs(micro - np.rint(micro)) <= 1e-6)
+    back = records_to_trace(trace_to_records(trace))
+    for name in ("timestamps_ns", "bus_voltage", "current", "flags"):
+        assert getattr(back, name).tobytes() == getattr(trace, name).tobytes()
 
 
 class TestReadTrace:
