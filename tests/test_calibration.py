@@ -454,16 +454,17 @@ class TestCalibrationExact:
     fails here."""
 
     # sha256 over the i_a, i_e, v_a, v_e and instant_ns columns of the pairs
-    # of the default staircase (5 mA steps to 0.8 A, 50 ms dwell) at seed 1
+    # of the default staircase (5 mA steps to 0.8 A, 50 ms dwell) at seed 1,
+    # re-recorded for readings in whole micro-units
     DIGESTS = {
         ("shield", 12):
-            "c20449169709f48facfa054341395c2fbc59eaaf7f85627769cbeb148bc981a1",
+            "25997637b928df7fece1ad3ee6cdc82e277bc76e0bb7133995dc8b73f003d754",
         ("shield", 9):
-            "b6c2350bdf2f6c784d74bcb022f369db8c55561479db022d0994fdad199e862d",
+            "98d851d706e292de8bac3092c4c64649fda3de3b62cc0844ddd58456c52a5326",
         ("breakout", 12):
-            "e70ef1dc1dd9297867c7aeca071f933486fb3220045b23402d67282cd945d048",
+            "e1e30454db211b7ed282ebc6ceed52511104d7b81decccc57cb968051476c93b",
         ("breakout", 9):
-            "5a4defcd3cf330a39c02d4c29a9aa30c818ead1be90a4ea36f86db802ea0a69b",
+            "482c72676646e64fe4d6a3927edf579ca81c11abebe9b934c8bdd66871975f1b",
     }
 
     @pytest.mark.parametrize("board, bits", sorted(DIGESTS))

@@ -551,30 +551,31 @@ class TestPipelineExact:
     fails here, not only in hand-run benchmark digests."""
 
     # sha256 over the trace columns, events, energies, flush log and report of
-    # each 2 s workload-1 run, and over the file bytes of two buffered captures
+    # each 2 s workload-1 run, and over the file bytes of two buffered captures;
+    # re-recorded for readings in whole micro-units (the file bytes kept)
     DIGESTS = {
         ("cc2650", 9, "bcm"):
-            "426da81468fe5ab330b0845b0a615d464a7e3ee9d57ed8c2f8b9e051606ba1d3",
+            "107c4951c59e9be89d402dd0ab3636b10f7942abe06b67cc8c6767c28cf5788c",
         ("cc2650", 9, "linux"):
-            "2082bf59e20ed8eb937a0eecf2cbe08e2c3330eadc4a09323b77e8901d17516e",
+            "8cba44dd7d091c7e197ae57ed4d5ed4b8ddb42cc701c43a6740df96d432c844c",
         ("cc2650", 12, "bcm"):
-            "15df40621853eace55bf0992c120fb29dabeac5fa24aaf1620291db03ddb3d31",
+            "2e29df59d466b6c4c9b8d97ef3b631734b0b61dc7be8d5bd45be67e437f09663",
         ("cc2650", 12, "linux"):
-            "eb847de55704df7dae0dd65673201998f3f6a6baca27855818a9860ddb2775c3",
+            "b1827954818e1dde9a2c6821b81f51b94931181f69dfc138b6517749ad4207b6",
         ("rpi3", 9, "bcm"):
-            "14b9d3b9c31fc506ce14a74e29d3a40ddc763f249c7d0c8abb2fc973faf51ce5",
+            "53ef2e8bed15c3dd4a66a300c4f3c5f8e3a719d0f33e2a346453733344684b12",
         ("rpi3", 9, "linux"):
-            "4c88833bad0135f087a5955cce010fad83e55485c2ea053720f483c07868929c",
+            "bc31e19ec8bbe87edd45a7b632da2f6b31cf23924e50e924f38e51243e1730a9",
         ("rpi3", 12, "bcm"):
-            "0dfa2ff8db44a025734d9da347bc9d700fb29a293d6f18fef523e54d5e5641d4",
+            "9d7e9d1731608aa501c4c6235548daa2a4c29c231f281db2ed2e251b011c0dcc",
         ("rpi3", 12, "linux"):
-            "b93ae69928b69e6c42d77ce0d24484e8d602b8c182d064355882bf20f7552532",
+            "e25a1899d2141306a9cb99ba2336a0d905dee25615b68d1bcdd993758a669910",
     }
     FILE_DIGESTS = {
         "two_buffer":
-            "467a3a6900f9079c25fc0296062262df7f7f1d31ad711e7381be5631f5919598",
+            "c5718b0636cfab7a665e47e1759cac3c2a15974067deb26fa68a4e5452c6ba57",
         "circular":
-            "02862fbc2380fb194cc5d18a46c6bdf3c457ca22b92b202c366db9835ebb48a6",
+            "6314f548bcf7b03584c46d68b887e155d0c37368503a96ca072d3ba56b931970",
     }
 
     @staticmethod
@@ -943,16 +944,16 @@ class TestTiledWindows:
 
     def test_gapped_point_readings_unchanged(self):
         # TestPipelineExact.digest of this run, recorded when every point took
-        # the two-lookup form and re-recorded for the keyed noise streams and
-        # for the declared peak's divider 2; the breakout board also takes
-        # the i**2 path
+        # the two-lookup form and re-recorded for the keyed noise streams,
+        # for the declared peak's divider 2 and for readings in whole
+        # micro-units; the breakout board also takes the i**2 path
         options = PipelineOptions(resolution_bits=9, driver="linux", speed_khz=800,
                                   board="breakout", seed=11)
         assert ("linux", 800, 5.0, 9, False) in OPERATING_POINTS
         result = run_experiment("rpi3", 1, options, duration=0.5)
         assert len(result.trace) == 2262
         assert TestPipelineExact.digest(result) == (
-            "25f6b100dc2d21b95e1d85166ec36da09c39d859be5d81f1af62c11684f6201f")
+            "de34b758871f8ae9601a7ed44ad7cf5f4cb329c4adb97dc73443877f4b408a2f")
 
     @settings(max_examples=200, deadline=None)
     @given(point=st.sampled_from(TILED_POINTS),

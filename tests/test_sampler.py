@@ -616,16 +616,17 @@ class TestRegisterLoopExact:
     more than one block of jitter draws."""
 
     # sha256 over the trace arrays, energy, status, register reads and
-    # conversions of each run, recorded from the one-draw-per-read loop
+    # conversions of each run, recorded from the one-draw-per-read loop and
+    # re-recorded for readings in whole micro-units
     DIGESTS = {
         ("bcm", 9):
-            "88028487e0724382b29c0ad9b792722ddd1c6a7ad0c7f5c62f0f56391a1bf13a",
+            "25e7c8c17afa869ccd42aa47d53d841eb74fb5e750d26733453b4b7062c17139",
         ("bcm", 12):
-            "a7d4192ea8bfb4925cdb695d1c1ccdf478baacdc18606c1f1b424eb2c0592860",
+            "73513e6adcf2cd22be9c1a8cc27fb1fbd0e340855700abfe2afc55f62a22b24e",
         ("linux", 9):
-            "97926465c19aba4664ee1718f8a35a2985a7be3ed37867c82bf035da0f086860",
+            "76f8479f6bbc0a79670ada545465e5e565b6e0dd1dfa9a525db0f5a56b5f3052",
         ("linux", 12):
-            "c06b3a6f54115402921878cacf1df051722e64a0fb7456bc5f6ad57686bb5ef8",
+            "d7f3b55818399f6016de25c5756c7c0055123254ce22ef6e988ab9de2bb6be82",
     }
 
     @staticmethod
