@@ -28,23 +28,21 @@ half a count every reading draws, in order, with no classification pass:
 the bus and the current at every 12-bit run with divider up to 4.
 
 The third case is a bus whose whole range is one count beyond the reach:
-no reading draws, and it reads that count with no window means and no
-draws.  The bus chain checks this first.  The lowest and highest level of
-the voltage part (``LoadProfile.voltage_range``), widened by the rounding
-bound of the computed means (beside :data:`REACH_SLACK_COUNTS`), go
-through the board transfer and the quantizer's expressions.  Rounding
-keeps the order of values, so every reading's pre-floor count lies between
-those of the two ends.  Where both lie inside one count and farther than
-the reach from both its boundaries, every reading is that count and its
-flag, filled: no window means, no classification, no generator created.
-Elsewhere the chain runs the stages unchanged.  The current has no such
-check: a preset's current spans many counts, so the check would cost a
-range per run and never fill.  At 9 bit one bus count is 156 sigma and
-one shunt count 39 sigma times the divider.  A regulated supply's 2 mV
-band reads as one bus count at every 9-bit point, at least 0.065 count
-beyond the reach, so the 30 s runs of workload 1 on the five presets skip
-78 % of the draws: every bus reading, with its window means, and 56 % of
-the current's.
+it reads that count with no window means and no draws.  The bus chain
+checks this first: the lowest and highest level of the voltage part
+(``LoadProfile.voltage_range``), widened by the rounding bound of the
+computed means (beside :data:`REACH_SLACK_COUNTS`), go through the board
+transfer and the quantizer's expressions, and rounding keeps the order of
+values, so every reading's pre-floor count lies between those of the two
+ends.  Where both lie inside one count and farther than the reach from both
+its boundaries, every reading is that count and its flag: no window means,
+no classification, no generator.  A preset's current spans many counts, so
+the current has no such check.  At 9 bit one bus count is 156 sigma and one
+shunt count 39 sigma times the divider.  A regulated supply's 2 mV band
+reads as one bus count at every 9-bit point, at least 0.065 count beyond
+the reach, so the 30 s runs of workload 1 on the five presets skip 78 % of
+the draws: every bus reading, with its window means, and 56 % of the
+current's.
 
 :func:`schedule` decides where the conversion windows lie.  They tile
 where the operating point's sample period is the conversion time itself
@@ -74,7 +72,8 @@ the window means go once the board transfer has read them, so that the
 conversion's working arrays reuse their memory, and the clip at ``lowest``
 works in the counts array, which the quantizer floors in place.
 ``_readings`` holds the later outputs until it returns, so that those
-arrays are freed together before the readout stages allocate theirs.
+arrays are freed together before the readout stages allocate theirs, and
+``run_pipeline`` drops them once the trace holds its rounded copies.
 Whether the allocator trims the heap between runs flips with unrelated
 allocations, so no test pins the faults this order saves.
 
@@ -292,16 +291,6 @@ def _reach(channel: Channel, sigma: float) -> float:
     return REACH * sigma * (channel.scale * channel.per) + REACH_SLACK_COUNTS
 
 
-def _counts(channel: Channel, sensed, lowest):
-    """The pre-floor counts of ``sensed`` clipped below at ``lowest``'s
-    (unless it is None), which are those of ``sensed`` clipped at
-    ``lowest``: rounding keeps the order of values."""
-    raw = channel.counts(sensed)
-    if lowest is not None:
-        np.maximum(raw, lowest * channel.scale * channel.per, out=raw)
-    return raw
-
-
 def _channel(sensed, channel: Channel, sigma, key, lowest):
     """(readings, saturated) of ``sensed`` through ``channel``'s quantizer,
     noise drawn from ``default_rng(key)`` only for the readings near a count
@@ -310,7 +299,10 @@ def _channel(sensed, channel: Channel, sigma, key, lowest):
     if sigma > 0 and reach >= 0.5:
         # every reading lies within reach of a count boundary
         return channel.floor(channel.counts(_noisy(sensed, sigma, key, lowest)))
-    raw = _counts(channel, sensed, lowest)
+    raw = channel.counts(sensed)
+    if lowest is not None:
+        # the counts of sensed clipped at lowest: rounding keeps the order of values
+        np.maximum(raw, lowest * channel.scale * channel.per, out=raw)
     near = _near(raw, reach)
     readings, saturated = channel.floor(raw)
     if len(near):
@@ -319,20 +311,18 @@ def _channel(sensed, channel: Channel, sigma, key, lowest):
     return readings, saturated
 
 
-def _chain(n: int, span, means, channel: Channel, sigma, key, lowest):
-    """(readings, saturated) of one channel's ``n`` readings.  Where the
-    noise's reach is under half a count and the pre-floor counts of
-    ``span()``, the sensed (lowest, highest) of the window means, lie
-    inside one count beyond the reach of both its boundaries, every reading
-    is that count (module docstring); elsewhere ``means()``, the sensed
-    window means, go through :func:`_channel`."""
+def _one_count(n: int, span, channel: Channel, sigma):
+    """(readings, saturated) of ``n`` readings of one count where the noise's
+    reach is under half a count and the pre-floor counts of ``span()``, the
+    sensed (lowest, highest) window means, lie inside one count beyond the
+    reach of both its boundaries (module docstring); else None."""
     reach = _reach(channel, sigma)
     if reach < 0.5:
-        raw = _counts(channel, span(), lowest)
+        raw = channel.counts(span())
         if np.floor(raw[0]) == np.floor(raw[1]) and not len(_near(raw, reach)):
             readings, saturated = channel.floor(raw[:1])
             return np.full(n, readings[0]), np.full(n, saturated[0])
-    return _channel(means(), channel, sigma, key, lowest)
+    return None
 
 
 def _near(raw, reach):
@@ -371,14 +361,12 @@ def _readings(profile: LoadProfile, options: PipelineOptions,
     docstring)."""
     squares = board.current_quad != 0.0
     window_s = point.window_s
-    n = len(bounds_s) - (bounds_s.ndim == 1)
     shunt, bus = _noise(options, point.config)
     current, saturated = _channel(
         board.sense_current(*profile.current_means(bounds_s, window_s, squares)), *shunt)
-    bus_v, sat_v = _chain(
-        n, lambda: board.sense_voltage(np.array(profile.voltage_range(window_s, squares))),
-        lambda: board.sense_voltage(profile.voltage_means(bounds_s, window_s, squares)),
-        *bus)
+    bus_v, sat_v = _one_count(len(current), lambda: board.sense_voltage(
+        np.array(profile.voltage_range(window_s, squares))), *bus[:2]) or _channel(
+        board.sense_voltage(profile.voltage_means(bounds_s, window_s, squares)), *bus)
     saturated |= sat_v
     return (*calibrate(calibration, current, bus_v), saturated)
 
@@ -405,7 +393,7 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
                  for s, e, mode_index in profile.power_save_intervals]
     trace, status, end_ns = build_trace(
         ts, bus_v, current, saturated, trigger, horizon_ns, intervals)
-    del current, bus_v, saturated  # the trace holds its rounded copies
+    del current, bus_v, saturated
 
     flush_log, overruns = "", 0
     if trace_fh is not None:

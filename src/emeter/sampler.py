@@ -30,6 +30,13 @@ hand :func:`build_trace` every reading of the run; it is the one gate of the
 window a :class:`TriggerSpec` resolved, and clips the sleep intervals to it;
 the trace carries those intervals, and every later stage reads them there.
 :func:`flag_power_save` flags the readings of each interval as one slice.
+
+A reading is a whole number of micro-units: :class:`Trace` rounds its
+``bus_voltage`` and ``current`` half-even to microvolts and microamperes
+(``x * 1e6``, ``rint``, ``* 1e-6``), refusing a reading outside int32
+micro-units, NaN or INT32_MIN (the trace format's gap marker).  A trace
+file stores these micro-units and :meth:`Trace.from_micro` takes them back
+unrounded, so the energies, the report and the file rest on one set of numbers.
 """
 
 from __future__ import annotations
@@ -202,9 +209,8 @@ def _sorted_intervals(intervals: Sequence[tuple]) -> list[tuple]:
 
 
 def _micro(name: str, values) -> np.ndarray:
-    """``values`` in micro-units rounded half-even, a new float array; a
-    value outside int32 micro-units (or NaN) fails, naming the reading,
-    and INT32_MIN is the trace format's gap marker."""
+    """``values`` in micro-units rounded half-even, a new float array, or a
+    ValueError naming the first reading :class:`Trace` refuses."""
     values = np.asarray(values, dtype=float)
     micro = values * 1e6
     np.rint(micro, out=micro)
@@ -218,13 +224,10 @@ def _micro(name: str, values) -> np.ndarray:
 
 
 class Trace:
-    """Ordered sample arrays plus the power-save intervals inside them; a
-    trace file's metadata is the header that
-    :func:`~emeter.tracefile.read_trace` returns.
-
-    A reading is a whole number of micro-units: ``bus_voltage`` and
-    ``current`` are ``micro * 1e-6`` for int32 ``micro`` (module
-    docstring)."""
+    """Ordered sample arrays, each reading a whole number of micro-units
+    (module docstring), plus the power-save intervals inside them; a trace
+    file's metadata is the header that :func:`~emeter.tracefile.read_trace`
+    returns."""
 
     def __init__(self, timestamps_ns, bus_voltage, current, flags,
                  intervals: Sequence[tuple[int, int, int]] = ()):
@@ -233,22 +236,17 @@ class Trace:
 
     @classmethod
     def from_micro(cls, timestamps_ns, bus_uv, current_ua, flags) -> "Trace":
-        """The trace of readings already in whole micro-units, such as a
-        trace file's int32 fields, which are not rounded again."""
+        """The trace of whole micro-units, a file's int32 fields, unrounded."""
         trace = cls.__new__(cls)
         trace._hold(timestamps_ns, np.array(bus_uv, dtype=float),
                     np.array(current_ua, dtype=float), flags, ())
         return trace
 
-    def _hold(self, timestamps_ns, bus_uv: np.ndarray, current_ua: np.ndarray,
-              flags, intervals: Sequence[tuple[int, int, int]]) -> None:
-        """Hold the columns, scaling the micro-unit floats ``bus_uv`` and
-        ``current_ua``, arrays of its own, to volts and amperes in place."""
+    def _hold(self, timestamps_ns, bus_uv, current_ua, flags, intervals) -> None:
+        """Hold the columns, scaling its own float micro-units to volts and amperes."""
         self.timestamps_ns = np.asarray(timestamps_ns, dtype=np.int64)
-        bus_uv *= 1e-6
-        current_ua *= 1e-6
-        self.bus_voltage = bus_uv
-        self.current = current_ua
+        self.bus_voltage = np.multiply(bus_uv, 1e-6, out=bus_uv)
+        self.current = np.multiply(current_ua, 1e-6, out=current_ua)
         self.flags = np.asarray(flags, dtype=np.uint8)
         n = len(self.timestamps_ns)
         if not (len(self.bus_voltage) == len(self.current) == len(self.flags) == n):

@@ -6,8 +6,9 @@ Every sample entry is one 16-byte element of :data:`RECORD`, little-endian:
     offset 8   i32  uv  bus voltage, microvolts
     offset 12  i32  ua  current, microamperes
 
-Integer micro-units are lossless up to about 2.1kV / 2.1kA, far beyond the
-device range.  Records are preceded by one fixed 64-byte header:
+A :class:`~emeter.sampler.Trace` holds exactly these micro-units, so a file's
+readings load back bit for bit; they reach about 2.1kV / 2.1kA, far beyond
+the device range.  Records are preceded by one fixed 64-byte header:
 
     offset 0   4s   magic 'EMP1'
     offset 4   u16  format version (currently 1)

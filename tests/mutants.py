@@ -196,6 +196,12 @@ MUTANTS = [
            "    low, high = float(part.levels.min()), float(part.levels.max())\n",
            "    low, high = float(part.levels[0]), float(part.levels[0])\n",
            (ONE_COUNT_DIFFERENTIAL,)),
+    Mutant("a trace keeps its readings unrounded, off the file's micro-units",
+           "src/emeter/sampler.py",
+           "    np.rint(micro, out=micro)\n",
+           "",
+           ("tests/test_experiment.py::TestFileReproducesReport::test_pipeline[cc2650-9]",
+            "tests/test_experiment.py::TestFileReproducesReport::test_register_loop[rpi3-12]")),
     Mutant("the divider is picked by the product of peak and shunt, not the channel",
            "src/emeter/experiment.py",
            "        if not SensorConfig(pga_divider=divider).shunt.quantize(max_current_a)[1]:\n",
