@@ -72,8 +72,7 @@ the window means go once the board transfer has read them, so that the
 conversion's working arrays reuse their memory, and the clip at ``lowest``
 works in the counts array, which the quantizer floors in place.
 ``_readings`` holds the later outputs until it returns, so that those
-arrays are freed together before the readout stages allocate theirs, and
-``run_pipeline`` drops them once the trace holds its rounded copies.
+arrays are freed together before the readout stages allocate theirs.
 Whether the allocator trims the heap between runs flips with unrelated
 allocations, so no test pins the faults this order saves.
 
@@ -393,7 +392,6 @@ def run_pipeline(profile: LoadProfile, options: PipelineOptions,
                  for s, e, mode_index in profile.power_save_intervals]
     trace, status, end_ns = build_trace(
         ts, bus_v, current, saturated, trigger, horizon_ns, intervals)
-    del current, bus_v, saturated
 
     flush_log, overruns = "", 0
     if trace_fh is not None:

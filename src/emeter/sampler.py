@@ -33,10 +33,11 @@ the trace carries those intervals, and every later stage reads them there.
 
 A reading is a whole number of micro-units: :class:`Trace` rounds its
 ``bus_voltage`` and ``current`` half-even to microvolts and microamperes
-(``x * 1e6``, ``rint``, ``* 1e-6``), refusing a reading outside int32
-micro-units, NaN or INT32_MIN (the trace format's gap marker).  A trace
-file stores these micro-units and :meth:`Trace.from_micro` takes them back
-unrounded, so the energies, the report and the file rest on one set of numbers.
+(``x * 1e6``, ``rint``, ``* 1e-6``; :func:`build_trace` in place), refusing
+a reading outside int32 micro-units, NaN or INT32_MIN (the trace format's
+gap marker).  A trace file stores these micro-units and
+:meth:`Trace.from_micro` takes them back unrounded, so the energies, the
+report and the file rest on one set of numbers.
 """
 
 from __future__ import annotations
@@ -208,19 +209,18 @@ def _sorted_intervals(intervals: Sequence[tuple]) -> list[tuple]:
     return intervals
 
 
-def _micro(name: str, values) -> np.ndarray:
-    """``values`` in micro-units rounded half-even, a new float array, or a
-    ValueError naming the first reading :class:`Trace` refuses."""
-    values = np.asarray(values, dtype=float)
-    micro = values * 1e6
-    np.rint(micro, out=micro)
-    micro += 0.0  # an int32 has no -0: rint(-0.3) is -0.0, and -0.0 + 0.0 is 0.0
+def _micro(name: str, column: np.ndarray) -> np.ndarray:
+    """``column``, a float array the caller gives up, in micro-units rounded
+    half-even in place, or a ValueError naming the first reading refused."""
+    column *= 1e6
+    np.rint(column, out=column)
+    column += 0.0  # an int32 has no -0: rint(-0.3) is -0.0, and -0.0 + 0.0 is 0.0
     # min and max carry a NaN, which fails both tests
-    if len(micro) and not (micro.min() > -2 ** 31 and micro.max() < 2 ** 31):
-        i = int(np.argmax(~((micro > -2 ** 31) & (micro < 2 ** 31))))
-        raise ValueError(f"sample {i}: {name} {float(values[i])!r} is outside "
+    if len(column) and not (column.min() > -2 ** 31 and column.max() < 2 ** 31):
+        i = int(np.argmax(~((column > -2 ** 31) & (column < 2 ** 31))))
+        raise ValueError(f"sample {i}: {name} {float(column[i]) / 1e6!r} is outside "
                          "the trace format's int32 micro-units")
-    return micro
+    return column
 
 
 class Trace:
@@ -231,15 +231,15 @@ class Trace:
 
     def __init__(self, timestamps_ns, bus_voltage, current, flags,
                  intervals: Sequence[tuple[int, int, int]] = ()):
-        self._hold(timestamps_ns, _micro("bus_voltage", bus_voltage),
-                   _micro("current", current), flags, intervals)
+        self._hold(timestamps_ns, _micro("bus_voltage", np.array(bus_voltage, dtype=float)),
+                   _micro("current", np.array(current, dtype=float)), flags, intervals)
 
     @classmethod
-    def from_micro(cls, timestamps_ns, bus_uv, current_ua, flags) -> "Trace":
-        """The trace of whole micro-units, a file's int32 fields, unrounded."""
+    def from_micro(cls, timestamps_ns, bus_uv, current_ua) -> "Trace":
+        """The trace of a file's readings, unflagged whole micro-units, unrounded."""
         trace = cls.__new__(cls)
-        trace._hold(timestamps_ns, np.array(bus_uv, dtype=float),
-                    np.array(current_ua, dtype=float), flags, ())
+        micro = [np.array(column, dtype=float) for column in (bus_uv, current_ua)]
+        trace._hold(timestamps_ns, *micro, np.zeros(len(timestamps_ns), dtype=np.uint8), ())
         return trace
 
     def _hold(self, timestamps_ns, bus_uv, current_ua, flags, intervals) -> None:
@@ -459,8 +459,10 @@ def build_trace(timestamps_ns, bus_voltage, current, saturated,
     flags = flag_power_save(ts, clipped)
     flags[np.asarray(saturated, dtype=bool)[lo:hi]] |= FLAG_SATURATED
     flags[:max(DEFAULT_WARMUP_SAMPLES - lo, 0)] |= FLAG_WARMUP
-    trace = Trace(ts, np.asarray(bus_voltage)[lo:hi], np.asarray(current)[lo:hi],
-                  flags, intervals=clipped)
+    # the samplers' own readings, rounded in place: the trace holds them
+    trace = Trace.__new__(Trace)
+    trace._hold(ts, _micro("bus_voltage", np.asarray(bus_voltage, dtype=float)[lo:hi]),
+                _micro("current", np.asarray(current, dtype=float)[lo:hi]), flags, clipped)
     return trace, "complete" if complete else "unterminated", end_ns
 
 

@@ -264,8 +264,7 @@ def trace_to_records(trace: Trace) -> np.ndarray:
 def records_to_trace(readings) -> Trace:
     """Build an in-memory trace from readings (``RECORD`` rows, no gap markers)."""
     readings = np.asarray(readings, dtype=RECORD)
-    return Trace.from_micro(readings["t"], readings["uv"], readings["ua"],
-                            np.zeros(len(readings), dtype=np.uint8))
+    return Trace.from_micro(readings["t"], readings["uv"], readings["ua"])
 
 
 def load_trace(path: str) -> Trace:

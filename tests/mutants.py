@@ -198,7 +198,7 @@ MUTANTS = [
            (ONE_COUNT_DIFFERENTIAL,)),
     Mutant("a trace keeps its readings unrounded, off the file's micro-units",
            "src/emeter/sampler.py",
-           "    np.rint(micro, out=micro)\n",
+           "    np.rint(column, out=column)\n",
            "",
            ("tests/test_experiment.py::TestFileReproducesReport::test_pipeline[cc2650-9]",
             "tests/test_experiment.py::TestFileReproducesReport::test_register_loop[rpi3-12]")),

@@ -103,7 +103,7 @@ class TestTraceReadings:
 
     def test_micro_units_are_not_rounded_again(self):
         micro = np.array([3_300_000, -2, 2 ** 31 - 1, -2 ** 31], dtype=np.int32)
-        trace = Trace.from_micro([1, 2, 3, 4], micro, micro[::-1], [0] * 4)
+        trace = Trace.from_micro([1, 2, 3, 4], micro, micro[::-1])
         assert trace.bus_voltage.tobytes() == (micro * 1e-6).tobytes()
         assert trace.current.tobytes() == (micro[::-1] * 1e-6).tobytes()
 
