@@ -166,7 +166,7 @@ class TestFileReproducesReport:
     and intervals, gives the run's energies bit for bit: the trace holds the
     micro-units its file stores."""
 
-    SECONDS = 1.5  # workload 1's first sleep dwell ends at 1 s
+    SECONDS = 1.5  # one cycle of workload 1: sleep, processing, then tx with spikes
 
     @staticmethod
     def from_file(trace):
