@@ -90,8 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sensor_flags(p)
     p.add_argument("--buffering", choices=["two", "circular"], default="two")
     p.add_argument("--buffer-samples", type=int, default=4096)
-    p.add_argument("--trigger", action=_OnceAction, default="duration:30",
-                   help="duration:<s>, count:<n> or edges:<file>")
+    p.add_argument("--trigger", action=_OnceAction,
+                   help="duration:<s>, count:<n> or edges:<file> "
+                        "(default: duration:<--duration>)")
     p.add_argument("--duration", type=float, default=30.0,
                    help="simulated load duration, seconds")
     p.add_argument("--source", choices=["supply", "battery"], default="supply")
@@ -136,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sample(args) -> int:
-    trigger = TriggerSpec.parse(args.trigger)
+    trigger = TriggerSpec.parse(args.trigger) if args.trigger else None
     options = _sensor_options(args, buffering=BufferPolicy(
         "two_buffer" if args.buffering == "two" else "circular",
         args.buffer_samples))

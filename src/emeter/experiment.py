@@ -357,15 +357,16 @@ def _readings(profile: LoadProfile, options: PipelineOptions,
               calibration: Optional[CalibrationCurve], bounds_s):
     """Means over ``schedule``'s window bounds to calibrated readings, one
     chain per channel, the bus's starting with the one-count check (module
-    docstring)."""
-    squares = board.current_quad != 0.0
+    docstring).  The current means come from the profile's current parts,
+    with the mean of i**2 from its merged form where the board has a
+    quadratic term; the voltage means and range from its voltage part."""
     window_s = point.window_s
     shunt, bus = _noise(options, point.config)
-    current, saturated = _channel(
-        board.sense_current(*profile.current_means(bounds_s, window_s, squares)), *shunt)
+    current, saturated = _channel(board.sense_current(*profile.current_means(
+        bounds_s, window_s, board.current_quad != 0.0)), *shunt)
     bus_v, sat_v = _one_count(len(current), lambda: board.sense_voltage(
-        np.array(profile.voltage_range(window_s, squares))), *bus[:2]) or _channel(
-        board.sense_voltage(profile.voltage_means(bounds_s, window_s, squares)), *bus)
+        np.array(profile.voltage_range(window_s))), *bus[:2]) or _channel(
+        board.sense_voltage(profile.voltage_means(bounds_s, window_s)), *bus)
     saturated |= sat_v
     return (*calibrate(calibration, current, bus_v), saturated)
 

@@ -32,10 +32,12 @@ The merged form, ``edges``, ``current`` and ``voltage`` over the union of
 the grids, is a :class:`LoadProfile`, which is its own merged form.  A
 :class:`DeviceProfile` builds it on first access: one merge splits the state
 pieces at the ripple steps and the half periods, and each segment takes every
-part's level at its start.  It serves the readers that need segments
-(``current_at``, ``time_weighted_quantile``), and it integrates a battery
-source, whose voltage follows the current, and the squared current that a
-board with a quadratic term reads.
+part's level at its start.  A run takes two things from it: a battery
+source's voltage part, the voltage following the current, and the integral
+of i**2 that a board with a quadratic term reads.  Every run's mean current
+and its integral of i*v integrate the profile's own current parts, against
+its voltage part.  The merge also serves the readers that need segments
+(``current_at``, ``time_weighted_quantile``).
 
 Every profile declares the peak current a run picks its PGA divider for.  A
 preset's is the highest state level its workload cycles through (the spike
@@ -300,10 +302,10 @@ class LoadProfile:
         pos = min(pos, len(order) - 1)
         return float(self.current[order][pos])
 
-    def _integrated(self, squares: bool) -> "LoadProfile":
-        """The form whose parts a run integrates: this one, or the merged
-        form for the squares and where there is no voltage part."""
-        return self._merged if squares or self._voltage is None else self
+    @property
+    def _volts(self) -> _Part:
+        """The voltage part; a battery's comes from the merged form."""
+        return self._merged._voltage if self._voltage is None else self._voltage
 
     def window_means(self, bounds_s, window_s: float, squares: bool):
         """Mean current, mean current squared (None unless ``squares``) and
@@ -317,24 +319,23 @@ class LoadProfile:
         the last axis: one lookup per window where they tile, two elsewhere.
         """
         return (*self.current_means(bounds_s, window_s, squares),
-                self.voltage_means(bounds_s, window_s, squares))
+                self.voltage_means(bounds_s, window_s))
 
     def current_means(self, bounds_s, window_s: float, squares: bool):
         """Mean current and mean current squared (None unless ``squares``)
         over the windows of ``bounds_s`` (:meth:`window_means`)."""
-        source = self._integrated(squares)
-        return (_window_means(source._currents, bounds_s, window_s),
-                _window_means((source._i2,), bounds_s, window_s) if squares else None)
+        return (_window_means(self._currents, bounds_s, window_s),
+                _window_means((self._merged._i2,), bounds_s, window_s) if squares else None)
 
-    def voltage_means(self, bounds_s, window_s: float, squares: bool):
+    def voltage_means(self, bounds_s, window_s: float):
         """Mean voltage over the windows of ``bounds_s`` (:meth:`window_means`)."""
-        return _window_means((self._integrated(squares)._voltage,), bounds_s, window_s)
+        return _window_means((self._volts,), bounds_s, window_s)
 
-    def voltage_range(self, window_s: float, squares: bool) -> tuple:
+    def voltage_range(self, window_s: float) -> tuple:
         """(lowest, highest) that every mean of :meth:`voltage_means` lies
         within, over windows ``window_s`` long as ``experiment.schedule``
         lays them (:func:`_mean_range`)."""
-        return _mean_range(self._integrated(squares)._voltage, window_s)
+        return _mean_range(self._volts, window_s)
 
     def _current_integral(self, t):
         return sum(part.integral(t) for part in self._currents)
@@ -343,20 +344,19 @@ class LoadProfile:
     def _power(self) -> tuple:
         """The current's integral I(g) at the voltage part's edges g, and the
         power's, the sum of each voltage segment's level times its rise of I."""
-        at = self._current_integral(self._voltage.edges)
-        return at, np.concatenate([[0.0], np.cumsum(self._voltage.levels * np.diff(at))])
+        volts = self._volts
+        at = self._current_integral(volts.edges)
+        return at, np.concatenate([[0.0], np.cumsum(volts.levels * np.diff(at))])
 
     def integral_power(self, t0: float, t1: float):
         """The integral of i*v over ``[t0, t1]``: the power's integral at the
         voltage edge g before t plus the voltage there times the current's
-        integral from g to t, on the merged form where there is no voltage
-        part."""
-        source = self._merged if self._voltage is None else self
-        at, cumulative = source._power
+        integral from g to t."""
+        at, cumulative = self._power
+        volts = self._volts
         t = np.array((t0, t1))
-        k = _segment_of(source._voltage.edges, t)
-        power = (cumulative[k]
-                 + source._voltage.levels[k] * (source._current_integral(t) - at[k]))
+        k = _segment_of(volts.edges, t)
+        power = cumulative[k] + volts.levels[k] * (self._current_integral(t) - at[k])
         return power[1] - power[0]
 
 

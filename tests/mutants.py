@@ -56,6 +56,25 @@ MUTANTS = [
            'np.searchsorted(timestamps_ns, end_ns, side="right")',
            'np.searchsorted(timestamps_ns, end_ns, side="left")',
            ("tests/test_sampler.py::TestPowerSaveStageOracle::test_flags_equal_oracle",)),
+    Mutant("an enter sliver is charged where its interval starts by its awake sample",
+           "src/emeter/sampler.py",
+           "    for term in (power[j] * (s - ts[j]) * 1e-9)[s > ts[j]].tolist():\n",
+           "    for term in (power[j] * (s - ts[j]) * 1e-9).tolist():\n",
+           ("tests/test_sampler.py::TestPowerSaveStageOracle::test_hybrid_energy_equals_oracle",)),
+    Mutant("an enter sliver runs to the first interval's start, not the last one's by t[j+1]",
+           "src/emeter/sampler.py",
+           '    k = np.searchsorted(starts, ts[j + 1], side="right") - 1\n',
+           '    k = np.minimum(np.searchsorted(starts, ts[j + 1], side="right") - 1, 0)\n',
+           ("tests/test_sampler.py::TestHybridEnergy::"
+            "test_enter_sliver_is_charged_once[sample-less]",
+            "tests/test_sampler.py::TestPowerSaveStageOracle::test_hybrid_energy_equals_oracle")),
+    Mutant("an enter sliver skips an interval that starts at its flagged sample",
+           "src/emeter/sampler.py",
+           '    k = np.searchsorted(starts, ts[j + 1], side="right") - 1\n',
+           '    k = np.searchsorted(starts, ts[j + 1], side="left") - 1\n',
+           ("tests/test_sampler.py::TestHybridEnergy::"
+            "test_enter_sliver_is_charged_once[on-a-sample]",
+            "tests/test_sampler.py::TestPowerSaveStageOracle::test_hybrid_energy_equals_oracle")),
     Mutant("a rippled preset has a level within its ripple",
            "src/emeter/workloads.py",
            "sleep_current=10.2e-3,",
@@ -124,8 +143,8 @@ MUTANTS = [
             "test_hybrid_energy_refuses_a_mode_declared_twice[currents0]")),
     Mutant("a supply run's window means leave out the ripple part",
            "src/emeter/workloads.py",
-           "        return (_window_means(source._currents, bounds_s, window_s),\n",
-           "        return (_window_means(source._currents[:1], bounds_s, window_s),\n",
+           "        return (_window_means(self._currents, bounds_s, window_s),\n",
+           "        return (_window_means(self._currents[:1], bounds_s, window_s),\n",
            ("tests/test_workloads.py::TestParts::test_parts_match_merged_form[rpi3-1-12]",)),
     Mutant("the supply part's phase is flipped",
            "src/emeter/workloads.py",
@@ -135,8 +154,8 @@ MUTANTS = [
             "test_profile_matches_recorded_digest[rpi3-1]",)),
     Mutant("the power's integral takes each voltage level after its segment",
            "src/emeter/workloads.py",
-           "np.cumsum(self._voltage.levels * np.diff(at))",
-           "np.cumsum(np.roll(self._voltage.levels, -1) * np.diff(at))",
+           "np.cumsum(volts.levels * np.diff(at))",
+           "np.cumsum(np.roll(volts.levels, -1) * np.diff(at))",
            ("tests/test_workloads.py::TestExactEnergy::test_energy_is_the_sum_over_segments",)),
     Mutant("the reference integral starts 1 us late",
            "src/emeter/workloads.py",

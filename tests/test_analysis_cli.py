@@ -356,6 +356,12 @@ class TestCli:
         assert code == 0
         assert "status           : unterminated" in capsys.readouterr().out.splitlines()
 
+    def test_duration_alone_sets_the_trigger_window(self, capsys):
+        # with no --trigger the window is the load's own --duration
+        code = main(["sample", "--preset", "rpi3", "--duration", "2"])
+        assert code == 0
+        assert "status           : complete" in capsys.readouterr().out.splitlines()
+
     def test_failed_report_write_removes_trace(self, tmp_path, capsys):
         out = tmp_path / "t.bin"
         code = main(["sample", "--duration", "1", "--trigger", "duration:1",

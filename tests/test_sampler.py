@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from emeter.sampler import (
     Sample,
     Trace,
     TriggerSpec,
-    _enter_slivers,
     build_trace,
     compute_energy,
     countable_mask,
@@ -207,6 +207,24 @@ class TestHybridEnergy:
         assert split.intervals == sorted(halves)
         assert hybrid_energy(split, [self.MODE]) == pytest.approx(33e-6)
 
+    @pytest.mark.parametrize("spans,millijoules", [
+        ([(4.5, 7.5)], 6.5),
+        ([(4.5, 6.0), (6.0, 7.5)], 6.5),  # the span split into touching pieces
+        ([(4.2, 4.4), (4.5, 7.5)], 6.5),  # a sample-less span ahead of it
+        ([(5.0, 7.5)], 7.0),  # entered on the first flagged sample
+    ], ids=["one-span", "touching", "sample-less", "on-a-sample"])
+    def test_enter_sliver_is_charged_once(self, spans, millijoules):
+        # ten samples 1 ms apart at 1 W, the ones from 5 to 7 ms flagged
+        # asleep at zero draw: the awake steps give 6 mJ, and the sample at
+        # 4 ms holds its power up to the enter edge, however the sleep is
+        # declared around it
+        mode = PowerSaveMode(0, 0.0, 3.3)
+        ts = np.arange(10) * 1e-3
+        flags = np.where((ts >= 4.5e-3) & (ts <= 7.5e-3), FLAG_POWER_SAVE, 0)
+        intervals = [(round(a * 1e6), round(b * 1e6), 0) for a, b in spans]
+        trace = make_trace(ts, np.ones(10), flags, intervals)
+        assert hybrid_energy(trace, [mode]) == pytest.approx(millijoules * 1e-3, rel=1e-12)
+
     def test_gating_identity(self):
         # flagging an interval removes its duration-weighted sample energy
         # and substitutes mode power; slivers recover the enter boundary
@@ -263,8 +281,8 @@ class TestHybridEnergy:
         assert abs(e_hybrid - true_e) < abs(e_naive - true_e)
 
 
-# The per-interval loops of the power-save stage, kept as oracles for the
-# vectorized flag_power_save and _enter_slivers.
+# Per-interval and per-step loops, kept as oracles for the vectorized
+# flag_power_save and hybrid_energy.
 def flag_power_save_oracle(timestamps_ns, intervals):
     flags = np.zeros(len(timestamps_ns), dtype=np.uint8)
     for start_ns, end_ns, _ in intervals:
@@ -273,32 +291,36 @@ def flag_power_save_oracle(timestamps_ns, intervals):
     return flags
 
 
-def enter_slivers_oracle(trace, intervals):
-    if not intervals or len(trace) == 0:
-        return 0.0
-    ts = trace.timestamps_ns
-    power = trace.power()
-    flagged = (trace.flags & FLAG_POWER_SAVE) != 0
-    awake_idx = np.nonzero((trace.flags & (FLAG_WARMUP | FLAG_POWER_SAVE)) == 0)[0]
-    if len(awake_idx) == 0:
-        return 0.0
-    awake_ts = ts[awake_idx]
-    energy = 0.0
-    for start_ns, _end_ns, _mode in intervals:
-        i = int(np.searchsorted(awake_ts, start_ns)) - 1
-        if i < 0:
-            continue
-        last = int(awake_idx[i])
-        if last + 1 < len(trace) and flagged[last + 1] and start_ns > ts[last]:
-            energy += float(power[last]) * (start_ns - int(ts[last])) * 1e-9
-    return energy
+def hybrid_energy_terms(trace, modes):
+    """The terms of the hybrid energy, step by step: each interval's declared
+    energy, each awake sample's power over the step before it, and each
+    enter sliver: an awake sample ``j`` followed by a flagged one holds its
+    power up to ``s``, the start of the last interval starting at or before
+    ``t[j+1]``, when ``s > t[j]``."""
+    ts = trace.timestamps_ns.tolist()
+    power = trace.power().tolist()
+    awake = ((trace.flags & (FLAG_WARMUP | FLAG_POWER_SAVE)) == 0).tolist()
+    flagged = ((trace.flags & FLAG_POWER_SAVE) != 0).tolist()
+    by_index = {mode.mode_index: mode for mode in modes}
+    terms = [(end - start) * 1e-9 * by_index[m].power for start, end, m in trace.intervals]
+    for j in range(1, len(ts)):
+        if awake[j]:
+            terms.append((ts[j] - ts[j - 1]) * 1e-9 * power[j])
+    for j in range(len(ts) - 1):
+        if awake[j] and flagged[j + 1]:
+            starts = [start for start, _, _ in trace.intervals if start <= ts[j + 1]]
+            if starts and starts[-1] > ts[j]:
+                terms.append(power[j] * (starts[-1] - ts[j]) * 1e-9)
+    return terms
 
 
 @st.composite
 def power_save_cases(draw):
     """A trace and sorted same-mode intervals.  Interval ends fall on a
     timestamp, next to one or anywhere, also outside the trace, and the
-    intervals may overlap.  The power-save flags are either the intervals'
+    intervals may overlap.  The trace holds them made disjoint, each start
+    moved up to the ends before it, so that overlapping ones touch and one
+    inside another goes.  The power-save flags are either the intervals'
     own or arbitrary, so every sliver condition is reached."""
     gaps = draw(st.lists(st.integers(1, 1000), max_size=40))
     ts = np.cumsum(np.array(gaps, dtype=np.int64))
@@ -314,19 +336,29 @@ def power_save_cases(draw):
         a, b = point(), point()
         intervals.append((min(a, b), max(a, b) + (a == b), 0))
     intervals.sort()
+    disjoint, reached = [], -np.inf
+    for start, end, mode in intervals:
+        if end > reached:
+            disjoint.append((max(start, reached), end, mode))
+            reached = end
     flag_values = [0, FLAG_WARMUP, FLAG_POWER_SAVE, FLAG_WARMUP | FLAG_POWER_SAVE]
     flags = np.array(draw(st.lists(st.sampled_from(flag_values), min_size=n, max_size=n)),
                      dtype=np.uint8)
     if draw(st.booleans()):
         flags = (flags & FLAG_WARMUP) | flag_power_save_oracle(ts, intervals)
-    reals = st.floats(-0.01, 1.0, allow_nan=False, allow_infinity=False)
-    current = draw(st.lists(reals, min_size=n, max_size=n))
+    # whole microamperes, as the trace holds them: a float strategy's many
+    # tiny values would round to a zero power that hides a sliver
+    micro_amps = st.lists(st.integers(-10_000, 1_000_000), min_size=n, max_size=n)
+    current = np.array(draw(micro_amps)) * 1e-6
     volts = draw(st.lists(st.floats(0.5, 5.5), min_size=n, max_size=n))
-    return Trace(ts, volts, current, flags), intervals
+    return Trace(ts, volts, current, flags, disjoint), intervals
 
 
 class TestPowerSaveStageOracle:
-    """The vectorized power-save stage equals its per-interval loops exactly."""
+    """The vectorized power-save stage equals its loops: the flags exactly,
+    the hybrid energy to the rounding of its sum."""
+
+    MODES = [PowerSaveMode(0, 50e-6, 3.3)]
 
     @settings(max_examples=300, deadline=None)
     @given(case=power_save_cases())
@@ -338,12 +370,13 @@ class TestPowerSaveStageOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(case=power_save_cases())
-    def test_slivers_equal_oracle(self, case):
-        trace, intervals = case
-        flagged = (trace.flags & FLAG_POWER_SAVE) != 0
-        awake = countable_mask(trace, exclude_power_save=True)
-        assert (_enter_slivers(trace.timestamps_ns, trace.power(), awake, flagged, intervals)
-                == enter_slivers_oracle(trace, intervals))
+    def test_hybrid_energy_equals_oracle(self, case):
+        # both sum the same terms, in another order: each sum is within
+        # (n - 1) * u * sum(|term|) of the exact one
+        trace, _ = case
+        terms = hybrid_energy_terms(trace, self.MODES)
+        bound = len(terms) * np.finfo(float).eps * math.fsum(map(abs, terms))
+        assert abs(hybrid_energy(trace, self.MODES) - math.fsum(terms)) <= bound
 
 
 @st.composite
