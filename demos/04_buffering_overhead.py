@@ -42,7 +42,7 @@ print()
 slow = persist(io.BytesIO(), header, np.repeat(records[:1], 16),
                np.arange(1, 17) * 1_000_000, BufferPolicy("two_buffer", 4), 100.0)
 print("overruns with a starved consumer:", slow.overruns,
-      "(whole buffers dropped, gaps marked in-line)")
+      "(readings dropped a whole buffer at a time, gaps marked in-line)")
 print()
 
 # overhead model: measured power levels in and out of the write phase

@@ -10,15 +10,16 @@ keeps up.
 
 A mechanism is a schedule over push times: from the push times, the
 capacity and the write speed alone it decides which entries are dropped,
-and returns that mask, the overrun count, the places of the gap markers (the
-number of kept entries before each) and the flush log.  It never sees a
-record, so two record arrays with the same push times drop the same entries.
+and returns that mask, the places of the gap markers (the number of kept
+entries before each) and the flush log.  It never sees a record, so two
+record arrays with the same push times drop the same entries.
 :func:`persist` is the one persistence stage: it runs the mechanism of a
 policy, stamps the gap markers and hands the kept records, the marker places
 and the marker times to :func:`~emeter.tracefile.write_trace`, which owns
-the body layout, then returns the counters as :class:`PersistStats`.  A
-gap marker takes the push time of the kept entry that follows it, so it
-lies between the readings around it in time as well as in order.
+the body layout, then returns the counters as :class:`PersistStats`, which
+count an overrun as one dropped reading under either policy.  A gap marker
+takes the push time of the kept entry that follows it, so it lies between
+the readings around it in time as well as in order.
 
 File writing takes simulated time (``write_speed_bps``); when the consumer
 falls behind, data is dropped loudly -- a whole buffer in two-buffer mode,
@@ -87,8 +88,8 @@ DEFAULT_POLICY = BufferPolicy("two_buffer", 4096)
 
 @dataclass(frozen=True)
 class PersistStats:
-    """``overruns``, the report's ``overrun_count``, counts dropped *buffers*
-    under two-buffer persistence and dropped *readings* under circular."""
+    """``overruns``, the report's ``overrun_count``, counts the dropped
+    readings: ``overruns + records_written`` is the number pushed."""
 
     overruns: int
     #: data records in the file; gap markers are not counted
@@ -115,20 +116,20 @@ def persist(fh: BinaryIO, header: TraceHeader, records, push_ns,
     if len(push_ns) and (push_ns[0] < 0 or np.any(np.diff(push_ns) < 0)):
         raise ValueError("time must not regress")
     mechanism = _two_buffer if policy.kind == "two_buffer" else _circular
-    dropped, overruns, marker_at, flush_log = mechanism(push_ns, policy.capacity,
-                                                        write_speed_bps)
+    dropped, marker_at, flush_log = mechanism(push_ns, policy.capacity, write_speed_bps)
     if dropped.any():
         kept = np.flatnonzero(~dropped)
         records, marker_ns = records[kept], push_ns[kept[marker_at]]
     else:
         marker_ns = push_ns[marker_at]
     write_trace(fh, header, records, marker_at, marker_ns)
-    return PersistStats(overruns, len(records), flush_log)
+    return PersistStats(len(push_ns) - len(records), len(records), flush_log)
 
 
 def _two_buffer(push_ns, capacity, write_speed_bps):
     """The schedule of a producer that fills one buffer while the consumer
-    flushes the other; an overrun drops one buffer of ``capacity`` entries.
+    flushes the other; a buffer that fills before the previous one's flush
+    ends drops that one whole, ``capacity`` readings.
 
     The schedule only moves when a push fills a buffer; a partial last
     buffer flushes at the last push time.  A dropped buffer hands the gap
@@ -151,7 +152,7 @@ def _two_buffer(push_ns, capacity, write_speed_bps):
         done_ns = t_ns + int(round((capacity + carried) * SAMPLE_BITS * 1e9 / write_speed_bps))
     if n_full < len(push_ns):
         flush_log.append((int(push_ns[-1]), len(push_ns) - n_full))
-    return dropped, len(marker_at), np.array(marker_at, dtype=np.int64), tuple(flush_log)
+    return dropped, np.array(marker_at, dtype=np.int64), tuple(flush_log)
 
 
 def _circular(push_ns, capacity, write_speed_bps):
@@ -168,7 +169,7 @@ def _circular(push_ns, capacity, write_speed_bps):
     dropped = _overwritten(push_ns, capacity, write_speed_bps)
     kept = ~dropped
     after_drop = kept & np.concatenate(([False], dropped))[:-1]
-    return dropped, int(np.count_nonzero(dropped)), np.flatnonzero(after_drop[kept]), ()
+    return dropped, np.flatnonzero(after_drop[kept]), ()
 
 
 #: entries (keep-up) or writes (backlog) a stretch of the ring scan looks

@@ -74,7 +74,7 @@ class DriverProfile:
 BCM_PROFILE = DriverProfile("bcm", 4.0)
 LINUX_PROFILE = DriverProfile("linux", 22.0)
 
-PROFILES = {"bcm": BCM_PROFILE, "linux": LINUX_PROFILE}
+PROFILES = {p.name: p for p in (BCM_PROFILE, LINUX_PROFILE)}
 
 
 @dataclass(frozen=True)

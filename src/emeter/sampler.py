@@ -64,9 +64,9 @@ FLAG_WARMUP = 0x2
 FLAG_POWER_SAVE = 0x4
 
 DEFAULT_WARMUP_SAMPLES = 5
-#: Sleep currents at or above one 12-bit LSB are resolvable and must not be
-#: declared as analytic power-save modes.
-POWER_SAVE_CURRENT_LIMIT_A = 100e-6
+#: One count of the default 12-bit shunt channel: a sleep draw at or above
+#: it reads as counts, so it is measured, not declared a power-save mode.
+POWER_SAVE_CURRENT_LIMIT_A = SensorConfig().shunt.reading(1)
 
 
 @dataclass

@@ -41,15 +41,17 @@ its voltage part.  The merge also serves the readers that need segments
 
 Every profile declares the peak current a run picks its PGA divider for.  A
 preset's is the highest state level its workload cycles through (the spike
-peak for a tx state with spikes) plus its ripple, whatever the duration, so
-a run's divider does not depend on how long it lasts.  A :class:`LoadProfile`
+peak for a tx state) plus its ripple, whatever the duration, so a run's
+divider does not depend on how long it lasts.  A :class:`LoadProfile`
 declares its largest level.
 
-A preset whose sleep draw lies below one current LSB announces its sleep
-dwells: its profile declares the draw as a :class:`~emeter.sampler.PowerSaveMode`
-and holds each sleep dwell as a ``(start_s, end_s, mode_index)`` span.  A
-profile refuses a span whose mode it does not declare, and two modes with
-one index, so every span it holds is charged at one declared draw.
+A preset announces its sleep dwells exactly when its sleep draw lies below
+one current LSB (:data:`~emeter.sampler.POWER_SAVE_CURRENT_LIMIT_A`; only
+cc2650's does), and every other sleep is measured.  Its profile then
+declares the draw as a :class:`~emeter.sampler.PowerSaveMode` and holds
+each sleep dwell as a ``(start_s, end_s, mode_index)`` span.  A profile
+refuses a span whose mode it does not declare, and two modes with one
+index, so every span it holds is charged at one declared draw.
 
 The spike offsets and the ripple steps draw from two streams keyed on the
 seed, ``default_rng(seed)`` and ``default_rng([seed, 1])``, and each draws in
@@ -66,7 +68,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from emeter.sampler import PowerSaveMode, modes_by_index
+from emeter.sampler import POWER_SAVE_CURRENT_LIMIT_A, PowerSaveMode, modes_by_index
 
 STATE_DWELL_S = 0.5
 WORKLOAD_STATES = {
@@ -90,55 +92,47 @@ class DevicePreset:
     spike_width_s: float
     spike_duty: float
     battery_resistance: float
-    # sleep current below one sensor LSB: the device announces sleep
-    # transitions so the hybrid energy model can account for them
-    sleep_is_power_save: bool = False
     # fast sub-mA current activity around each state level (kernel and
     # peripheral housekeeping on the 802.11 boards); zero-mean uniform
     activity_ripple_a: float = 0.0
 
-    @property
-    def spiky(self) -> bool:
-        """Whether a tx dwell carries current spikes."""
-        return self.spike_duty > 0 and self.spike_width_s > 0
 
-
-PRESETS = {
-    "cc2650": DevicePreset(
+PRESETS = {preset.name: preset for preset in (
+    DevicePreset(
         name="cc2650", nominal_voltage=3.3,
         sleep_current=1e-6, processing_current=6.6e-3,
         tx_base_current=1.2e-3, tx_peak_current=30e-3,
         spike_width_s=0.5e-3, spike_duty=0.02,
-        battery_resistance=1.0, sleep_is_power_save=True),
-    "bcm4343w": DevicePreset(
+        battery_resistance=1.0),
+    DevicePreset(
         name="bcm4343w", nominal_voltage=5.0,
         sleep_current=10.2e-3, processing_current=39.95e-3,
         tx_base_current=20.4e-3, tx_peak_current=350.2e-3,
         spike_width_s=2e-3, spike_duty=0.5,
         battery_resistance=0.1,
         activity_ripple_a=0.8e-3),
-    "cyw43907": DevicePreset(
+    DevicePreset(
         name="cyw43907", nominal_voltage=5.0,
         sleep_current=96e-3, processing_current=140e-3,
         tx_base_current=96e-3, tx_peak_current=400e-3,
         spike_width_s=2e-3, spike_duty=0.4,
         battery_resistance=0.25,
         activity_ripple_a=0.8e-3),
-    "rpizw": DevicePreset(
+    DevicePreset(
         name="rpizw", nominal_voltage=5.0,
         sleep_current=130e-3, processing_current=180.3e-3,
         tx_base_current=130e-3, tx_peak_current=300e-3,
         spike_width_s=2e-3, spike_duty=0.4,
         battery_resistance=0.1,
         activity_ripple_a=0.8e-3),
-    "rpi3": DevicePreset(
+    DevicePreset(
         name="rpi3", nominal_voltage=5.0,
         sleep_current=280.4e-3, processing_current=330.4e-3,
         tx_base_current=280.4e-3, tx_peak_current=500e-3,
         spike_width_s=2e-3, spike_duty=0.4,
         battery_resistance=0.05,
         activity_ripple_a=0.8e-3),
-}
+)}
 
 SUPPLY_RIPPLE_BAND_V = 0.002      # regulated source stays inside this band
 SUPPLY_RIPPLE_PERIOD_S = 0.0073   # deliberately off-grid vs. state dwells
@@ -425,7 +419,7 @@ def _state_pieces(t0: np.ndarray, dwell: np.ndarray, level: np.ndarray,
     """
     width, duty = preset.spike_width_s, preset.spike_duty
     end = t0 + dwell
-    spiky = np.flatnonzero(tx) if preset.spiky else np.empty(0, int)
+    spiky = np.flatnonzero(tx)
     n = np.maximum(1, np.rint(duty * dwell[spiky] / width).astype(int))
     pitch = np.maximum(dwell[spiky] - 2.0 * width - 2e-3, width) / n
     owner = np.repeat(spiky, n)
@@ -496,8 +490,9 @@ def generate_profile(preset: str, workload: int,
         dwell.append(min(STATE_DWELL_S, duration - t))
         t += dwell[-1]
     state = [states[k % len(states)] for k in range(len(t0))]
+    announced = preset.sleep_current < POWER_SAVE_CURRENT_LIMIT_A
     sleep_intervals = [(a, a + d, 0) for a, d, s in zip(t0, dwell, state)
-                       if s == "sleep" and preset.sleep_is_power_save]
+                       if s == "sleep" and announced]
     level = {"sleep": preset.sleep_current, "tx": preset.tx_base_current,
              "processing": preset.processing_current}
     starts, levels = _state_pieces(
@@ -519,9 +514,8 @@ def generate_profile(preset: str, workload: int,
         half = SUPPLY_RIPPLE_BAND_V / 2.0
         volts = (preset.nominal_voltage + np.array([half, -half]))[np.arange(len(grid)) & 1]
         supply = _Part.of(np.append(grid, duration), volts)
-    top = dict(level, tx=preset.tx_peak_current) if preset.spiky else level
-    modes = ([PowerSaveMode(0, preset.sleep_current, preset.nominal_voltage)]
-             if preset.sleep_is_power_save else [])
+    top = dict(level, tx=preset.tx_peak_current)
+    modes = [PowerSaveMode(0, preset.sleep_current, preset.nominal_voltage)] if announced else []
     return DeviceProfile(preset, duration, _Part.of(np.append(starts, duration), levels),
                          ripple, supply,
                          max(top[s] for s in states) + preset.activity_ripple_a,

@@ -242,6 +242,27 @@ MUTANTS = [
            "return (len(str(int(values.max(initial=0)))) + 3) // 4",
            "return (len(str(int(values.max(initial=0)))) + 2) // 4",
            ("tests/test_tracefile.py::test_export_csv_equals_per_row_oracle",)),
+    Mutant("the power-save limit is a hand 100 uA, not one count of the shunt channel",
+           "src/emeter/sampler.py",
+           "POWER_SAVE_CURRENT_LIMIT_A = SensorConfig().shunt.reading(1)",
+           "POWER_SAVE_CURRENT_LIMIT_A = 100e-6",
+           ("tests/test_sampler.py::TestHybridEnergy::test_mode_current_must_be_below_lsb",)),
+    Mutant("two-buffer overruns count dropped buffers, not dropped readings",
+           "src/emeter/buffering.py",
+           "    return PersistStats(len(push_ns) - len(records), len(records), flush_log)",
+           "    return PersistStats((len(push_ns) - len(records)) // (\n"
+           "        policy.capacity if policy.kind == 'two_buffer' else 1),\n"
+           "        len(records), flush_log)",
+           ("tests/test_writer_stream.py::TestRecordsWritten::"
+            "test_two_buffer_counts_data_records_only",
+            "tests/test_buffering.py::TestTwoBuffer::test_overrun_drops_whole_buffer_with_gap",
+            "tests/test_writer_stream.py::test_every_record_written_once_or_dropped")),
+    Mutant("no preset's sleep is announced",
+           "src/emeter/workloads.py",
+           "    announced = preset.sleep_current < POWER_SAVE_CURRENT_LIMIT_A\n",
+           "    announced = False\n",
+           ("tests/test_experiment.py::TestDeclaredSleep::"
+            "test_preset_sleep_is_announced_only_below_one_lsb",)),
 ]
 
 

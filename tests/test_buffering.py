@@ -68,8 +68,8 @@ class TestTwoBuffer:
         _, decoded = decode_trace(out.getvalue())
         gaps = [r for r in decoded if r.is_gap]
         data = [r for r in decoded if not r.is_gap]
-        assert len(gaps) == stats.overruns
-        assert len(data) == 12 - 4 * stats.overruns
+        assert 4 * len(gaps) == stats.overruns
+        assert len(data) == 12 - stats.overruns
         ts = [r.timestamp_ns for r in data]
         assert ts == sorted(ts)
 

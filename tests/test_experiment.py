@@ -354,16 +354,18 @@ class TestDeclaredSleep:
         with pytest.raises(ValueError, match="power-save mode 0 is declared twice"):
             hybrid_energy(trace, modes)
 
-    def test_preset_sleep_at_one_lsb_fails_when_the_profile_is_built(self, monkeypatch):
-        monkeypatch.setitem(PRESETS, "cc2650",
-                            dataclasses.replace(PRESETS["cc2650"], sleep_current=150e-6))
-        message = "power-save current must be below the sensor LSB"
-        with pytest.raises(ValueError, match=message):
-            generate_profile("cc2650", 1, duration=1.0)
-        fh = io.BytesIO()
-        with pytest.raises(ValueError, match=message):
-            run_experiment("cc2650", 1, PipelineOptions(), duration=1.0, trace_fh=fh)
-        assert fh.getvalue() == b""
+    def test_preset_sleep_is_announced_only_below_one_lsb(self, monkeypatch):
+        # a sleep that reads as counts is measured; one below a count is not
+        for sleep, announced in ((150e-6, False), (97e-6, True)):
+            monkeypatch.setitem(PRESETS, "cc2650",
+                                dataclasses.replace(PRESETS["cc2650"], sleep_current=sleep))
+            profile = generate_profile("cc2650", 1, duration=1.0)
+            assert len(profile.power_save_modes) == announced
+            assert len(profile.power_save_intervals) == announced  # one sleep dwell
+            result = run_experiment("cc2650", 1, PipelineOptions(), duration=1.0,
+                                    trace_fh=io.BytesIO())
+            assert (result.energy_hybrid_j is not None) == announced
+            assert result.report.status == "complete"
 
 
 TRACE_COLUMNS = ("timestamps_ns", "bus_voltage", "current", "flags")

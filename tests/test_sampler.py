@@ -159,9 +159,14 @@ class TestHybridEnergy:
     MODE = PowerSaveMode(0, 1e-6, 3.3)
 
     def test_mode_current_must_be_below_lsb(self):
-        with pytest.raises(ValueError):
-            PowerSaveMode(0, 150e-6, 3.3)
-        PowerSaveMode(1, 99e-6, 3.3)
+        # the 12-bit divider-1 shunt channel reads 97.68 uA and up as counts
+        shunt = SensorConfig().shunt
+        assert shunt.quantize(97e-6)[0] == 0
+        PowerSaveMode(1, 97e-6, 3.3)
+        for current in (shunt.reading(1), 98e-6, 99e-6, 150e-6):
+            assert shunt.quantize(current)[0] == 1
+            with pytest.raises(ValueError, match="below the sensor LSB"):
+                PowerSaveMode(0, current, 3.3)
 
     def test_no_events_equals_plain_trapezoid(self):
         # constant power: duration-weighted and trapezoid sums coincide
